@@ -210,6 +210,10 @@ def _pick_algebra(name, d, p, n):
 def _cohomology_command(args) -> int:
     started = time.monotonic()
     if args.op == "dims":
+        if args.d < 1 or args.N < 0:
+            raise UsageError(
+                f"cohomology dims needs d >= 1 and N >= 0; got d={args.d}, N={args.N}"
+            )
         algebra = _pick_algebra(args.algebra, args.d, args.p, args.N)
         module = cohomology.trivial_module(algebra)
         degrees = [int(tok) for tok in args.degrees.split(",") if tok.strip()]

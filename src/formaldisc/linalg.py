@@ -1,4 +1,4 @@
-"""Small dense exact-rational linear algebra: rank, solve, inverse, nullspace.
+"""Small dense exact-rational linear algebra: rank, solve, inverse.
 
 Everything is Gaussian elimination over Fraction; no floating point anywhere.
 Matrices are lists of lists of Fraction, rows first.
@@ -88,24 +88,6 @@ def solve(matrix, rhs):
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x
-
-
-def nullspace(matrix):
-    """Basis of the right kernel."""
-    rows = len(matrix)
-    if rows == 0:
-        return []
-    cols = len(matrix[0])
-    red, pivots = _eliminate(matrix)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * cols
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
 
 
 def inverse(matrix):

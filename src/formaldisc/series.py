@@ -407,22 +407,6 @@ class TruncatedPoly:
         return TruncatedPoly(data["d"], data["N"], terms)
 
 
-def poly_add(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
-    return p + q
-
-
-def poly_mul(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
-    return p * q
-
-
-def poly_scale(p: TruncatedPoly, value) -> TruncatedPoly:
-    return p.scaled(value)
-
-
-def partial_derive(p: TruncatedPoly, v: int) -> TruncatedPoly:
-    return p.partial(v)
-
-
 # ---------------------------------------------------------------------------
 # differential forms
 # ---------------------------------------------------------------------------

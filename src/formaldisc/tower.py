@@ -4,14 +4,18 @@ Levels are realized through almost-inner representatives: the level-q bracket
 algebra has basis h^-1 m for normal-ordered monomials m with h-order <= q,
 with bracket [h^-1 a, h^-1 b] = h^-1([a, b]/h) computed in the Weyl algebra
 one h-order deeper.  The derivation quotients drop the central scalars
-h^-1 k[h].  Weights are monomial weight minus 2, so every map in the tower is
-weight-preserving and every bracket is graded.
+h^-1 k[h]; each is read off the cached G level of the same (d, q, N) by
+deleting the scalar basis elements and bracket components, so the Weyl
+commutators run once per level.  Weights are monomial weight minus 2, so
+every map in the tower is weight-preserving and every bracket is graded.
 
 Builders verify gradedness at construction (antisymmetry is structural) and
-every produced map is checked bracket-preserving; the exhaustive in-cutoff
-Jacobi sweeps run inside `commu_diagram_check`, which assembles the
-two-level ladder of extensions and checks its exactness, centrality, kernel
-identification and square commutativity weight by weight.
+every produced map is checked bracket-preserving; the Jacobi sweeps run
+inside `commu_diagram_check`, which assembles the two-level ladder of
+extensions and checks its exactness, centrality, kernel identification and
+square commutativity weight by weight.  Each sweep checks every in-cutoff
+triple and visits no other, reporting the remaining C(dim, 3) - checked
+triples as overflow-exempt.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology
-from .errors import CheckFailure, InternalError
+from .errors import CheckFailure, InternalError, UsageError
 from .liealg import (
     ExtensionData,
     GradedLieAlgebra,
@@ -41,16 +45,13 @@ def _is_scalar(m: Monomial) -> bool:
     return not any(m.xexp) and not any(m.yexp)
 
 
-def _level_monomials(d: int, h_max: int, n: int, include_scalars: bool):
+def _level_monomials(d: int, h_max: int, n: int):
     out = []
     for c in range(h_max + 1):
         if 2 * c > n:
             break
         for m in all_monomials(d, n - 2 * c):
-            mono = Monomial(m.xexp, m.yexp, c)
-            if not include_scalars and _is_scalar(mono):
-                continue
-            out.append(mono)
+            out.append(Monomial(m.xexp, m.yexp, c))
     out.sort(key=lambda m: m.sort_key())
     return out
 
@@ -74,8 +75,8 @@ def _transported_bracket(m1: Monomial, m2: Monomial, d: int, q: int):
     return out
 
 
-def _build_level(d: int, q: int, n: int, drop_scalars: bool, name: str):
-    monos = _level_monomials(d, q, n, include_scalars=not drop_scalars)
+def _build_level(d: int, q: int, n: int, name: str):
+    monos = _level_monomials(d, q, n)
     index = {m: k for k, m in enumerate(monos)}
     labels = tuple(f"h^-1*{m}" for m in monos)
     weights = tuple(m.weight - 2 for m in monos)
@@ -89,8 +90,6 @@ def _build_level(d: int, q: int, n: int, drop_scalars: bool, name: str):
             raw = _transported_bracket(mi, mj, d, q)
             vec = {}
             for mono, coeff in raw.items():
-                if drop_scalars and _is_scalar(mono):
-                    continue
                 if mono.hexp > q or mono.weight > n:
                     continue
                 pos = index.get(mono)
@@ -114,16 +113,42 @@ def build_g_level(d: int, q: int, n: int) -> GradedLieAlgebra:
     """
     key = ("G", d, q, n)
     if key not in _build_cache:
-        _build_cache[key] = _build_level(d, q, n, False, f"G_{q}(d={d},N={n})")
+        _build_cache[key] = _build_level(d, q, n, f"G_{q}(d={d},N={n})")
     return _build_cache[key]
 
 
 def build_derd_level(d: int, q: int, n: int) -> GradedLieAlgebra:
-    """The level-q derivation algebra: the same quotient modulo scalars."""
+    """The level-q derivation algebra: the cached G_q modulo its scalars."""
     key = ("DerD", d, q, n)
     if key not in _build_cache:
-        _build_cache[key] = _build_level(d, q, n, True, f"DerD_{q}(d={d},N={n})")
+        _build_cache[key] = _derd_from_g(build_g_level(d, q, n), d, q, n)
     return _build_cache[key]
+
+
+def _derd_from_g(g: GradedLieAlgebra, d: int, q: int, n: int) -> GradedLieAlgebra:
+    """Quotient a (possibly corrupted) G level by its scalar line.
+
+    The scalars are central, so the quotient basis is the non-scalar
+    monomials in their G order, and its brackets are G's with the scalar
+    components dropped.
+    """
+    keep = [k for k, m in enumerate(g.tags) if not _is_scalar(m)]
+    pos = {k: r for r, k in enumerate(keep)}
+    brackets = {}
+    for i, j in sorted(g.brackets):
+        if i in pos and j in pos:
+            vec = {pos[k]: c for k, c in g.brackets[(i, j)].items() if k in pos}
+            if vec:
+                brackets[(pos[i], pos[j])] = vec
+    monos = [g.tags[k] for k in keep]
+    return GradedLieAlgebra(
+        f"DerD_{q}(d={d},N={n})",
+        tuple(f"h^-1*{m}" for m in monos),
+        tuple(m.weight - 2 for m in monos),
+        brackets,
+        g.cutoff,
+        tuple(monos),
+    )
 
 
 def build_scalars(d: int, q: int, n: int) -> GradedLieAlgebra:
@@ -298,15 +323,26 @@ def level_quotient_map(
 ) -> LieMap:
     """The quotient map from level q+1 to level q (drop h-order q+1 terms)."""
     build = build_g_level if kind == "G" else build_derd_level
-    upper, lower = build(d, q + 1, n), build(d, q, n)
+    return _truncation(build(d, q + 1, n), build(d, q, n), q)
+
+
+def _truncation(upper: GradedLieAlgebra, lower: GradedLieAlgebra, q: int) -> LieMap:
     columns = _aligned_columns(upper, lower, lambda m: m if m.hexp <= q else None)
     return LieMap.build(upper, lower, columns, name=f"{upper.name}->{lower.name}")
 
 
-def cent_row(d: int, q: int, n: int) -> ExtensionData:
-    """0 -> k[h]/h^(q+1) -> G_q -> DerD_q -> 0 with the monomial splitting."""
-    g = build_g_level(d, q, n)
-    derd = build_derd_level(d, q, n)
+def cent_row(
+    d: int, q: int, n: int, total: GradedLieAlgebra | None = None
+) -> ExtensionData:
+    """0 -> k[h]/h^(q+1) -> G_q -> DerD_q -> 0 with the monomial splitting.
+
+    `total` stands in for the cached G_q (a corrupted copy, say); the
+    quotient is then read off it instead of the cached DerD_q.
+    """
+    if total is None:
+        g, derd = build_g_level(d, q, n), build_derd_level(d, q, n)
+    else:
+        g, derd = total, _derd_from_g(total, d, q, n)
     scalars = build_scalars(d, q, n)
     inject = LieMap.build(
         scalars, g, _aligned_columns(scalars, g, lambda m: m), name=f"k[h]->{g.name}"
@@ -336,15 +372,22 @@ def kernel_subalgebra(d: int, q: int, n: int, kind: str) -> GradedLieAlgebra:
     )
 
 
-def column_extension(d: int, q: int, n: int, kind: str) -> ExtensionData:
-    """0 -> ker -> level_{q+1} -> level_q -> 0 for the G or DerD column."""
+def column_extension(
+    d: int, q: int, n: int, kind: str, upper: GradedLieAlgebra | None = None
+) -> ExtensionData:
+    """0 -> ker -> level_{q+1} -> level_q -> 0 for the G or DerD column.
+
+    `upper` stands in for the cached level q+1 (a corrupted copy, say).
+    """
     build = build_g_level if kind == "G" else build_derd_level
-    upper, lower = build(d, q + 1, n), build(d, q, n)
+    lower = build(d, q, n)
+    if upper is None:
+        upper = build(d, q + 1, n)
     ker = kernel_subalgebra(d, q, n, kind)
     inject = LieMap.build(
         ker, upper, _aligned_columns(ker, upper, lambda m: m), name=f"ker->{upper.name}"
     )
-    project = level_quotient_map(d, q, n, kind)
+    project = _truncation(upper, lower, q)
     splitting = LinearMap(lower, upper, _aligned_columns(lower, upper, lambda m: m))
     return ExtensionData(ker, upper, lower, inject, project, splitting)
 
@@ -428,7 +471,14 @@ def commu_diagram_check(d: int, p: int, n: int, corrupt: bool = False) -> Report
 
     With corrupt=True one structure constant of the upper level is shifted
     first, to demonstrate that failures carry a named witness.
+
+    Raises UsageError unless d >= 1, p >= 0 and N >= 2(p+1): below that
+    cutoff the upper level has no room for its top scalar h^(p+1).
     """
+    if d < 1 or p < 0 or n < 2 * (p + 1):
+        raise UsageError(
+            f"tower check needs d >= 1, p >= 0 and N >= 2(p+1); got d={d}, p={p}, N={n}"
+        )
     report = Report("tower check", {"d": d, "p": p, "N": n, "corrupt": corrupt})
 
     g_upper = build_g_level(d, p + 1, n)
@@ -444,7 +494,7 @@ def commu_diagram_check(d: int, p: int, n: int, corrupt: bool = False) -> Report
     try:
         rows = {
             p: cent_row(d, p, n),
-            p + 1: _cent_row_for(g_upper, d, p + 1, n),
+            p + 1: cent_row(d, p + 1, n, g_upper),
         }
     except CheckFailure as exc:
         report.add("row-extension-build", False, witness=exc.witness, detail=str(exc))
@@ -458,13 +508,9 @@ def commu_diagram_check(d: int, p: int, n: int, corrupt: bool = False) -> Report
     report.run("row3-central", rows[p].check_sub_central)
 
     # columns
-    def build_columns():
-        col_g = _column_for(g_upper, d, p, n, "G")
-        col_derd = column_extension(d, p, n, "DerD")
-        return col_g, col_derd
-
     try:
-        col_g, col_derd = build_columns()
+        col_g = column_extension(d, p, n, "G", g_upper)
+        col_derd = column_extension(d, p, n, "DerD")
     except CheckFailure as exc:
         report.add("column-build", False, witness=exc.witness, detail=str(exc))
         return report.finish()
@@ -517,74 +563,6 @@ def commu_diagram_check(d: int, p: int, n: int, corrupt: bool = False) -> Report
 def _jacobi_detail(algebra):
     exempt = algebra.verify_jacobi()
     return f"{algebra.name}: jacobi ok, {exempt} overflow-exempt triples"
-
-
-def _cent_row_for(g: GradedLieAlgebra, d: int, q: int, n: int) -> ExtensionData:
-    """cent_row, but over a supplied (possibly corrupted) total algebra."""
-    derd = _derd_from_g(g, d, q, n)
-    scalars = build_scalars(d, q, n)
-    inject = LieMap.build(
-        scalars, g, _aligned_columns(scalars, g, lambda m: m), name=f"k[h]->{g.name}"
-    )
-    project = LieMap.build(
-        g,
-        derd,
-        _aligned_columns(g, derd, lambda m: None if _is_scalar(m) else m),
-        name=f"{g.name}->{derd.name}",
-    )
-    splitting = LinearMap(derd, g, _aligned_columns(derd, g, lambda m: m))
-    return ExtensionData(scalars, g, derd, inject, project, splitting)
-
-
-def _derd_from_g(g: GradedLieAlgebra, d: int, q: int, n: int) -> GradedLieAlgebra:
-    """Quotient a (possibly corrupted) G level by its scalar line."""
-    monos = [m for m in g.tags if not _is_scalar(m)]
-    index_g = {m: k for k, m in enumerate(g.tags)}
-    index = {m: k for k, m in enumerate(monos)}
-    brackets = {}
-    for i, mi in enumerate(monos):
-        for j in range(i + 1, len(monos)):
-            mj = monos[j]
-            raw = g.bracket(index_g[mi], index_g[mj])
-            vec = {}
-            for k, c in raw.items():
-                mono = g.tags[k]
-                if _is_scalar(mono):
-                    continue
-                vec[index[mono]] = c
-            if vec:
-                brackets[(i, j)] = vec
-    return GradedLieAlgebra(
-        f"DerD_{q}(d={d},N={n})",
-        tuple(f"h^-1*{m}" for m in monos),
-        tuple(m.weight - 2 for m in monos),
-        brackets,
-        g.cutoff,
-        tuple(monos),
-    )
-
-
-def _column_for(g_upper, d, p, n, kind):
-    lower = build_g_level(d, p, n)
-    ker = kernel_subalgebra(d, p, n, kind)
-    index_upper = {m: k for k, m in enumerate(g_upper.tags)}
-    inject = LieMap.build(
-        ker,
-        g_upper,
-        {
-            i: {index_upper[m]: Fraction(1)}
-            for i, m in enumerate(ker.tags)
-        },
-        name=f"ker->{g_upper.name}",
-    )
-    project = LieMap.build(
-        g_upper,
-        lower,
-        _aligned_columns(g_upper, lower, lambda m: m if m.hexp <= p else None),
-        name=f"{g_upper.name}->{lower.name}",
-    )
-    splitting = LinearMap(lower, g_upper, _aligned_columns(lower, g_upper, lambda m: m))
-    return ExtensionData(ker, g_upper, lower, inject, project, splitting)
 
 
 def _kernel_dims_check(kernel, d, p, n, include_constant):

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError, UsageError
-from .series import Monomial, TruncatedPoly, standard_poisson, unit_monomial
+from .series import (
+    Monomial,
+    TruncatedPoly,
+    _as_fraction,
+    standard_poisson,
+    unit_monomial,
+)
 
 
 @dataclass(frozen=True)
@@ -53,13 +59,15 @@ class WeylElement:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
+                if not isinstance(coeff, Fraction):
+                    coeff = _as_fraction(coeff)
                 if coeff == 0:
                     continue
                 if mono.hexp > spec.h_order or mono.weight > spec.cutoff:
                     continue
                 if mono.dimension != spec.d:
                     raise UsageError(f"monomial {mono} does not match d={spec.d}")
-                clean[mono] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                clean[mono] = coeff
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -70,7 +78,7 @@ class WeylElement:
 
     @staticmethod
     def scalar(value, spec: TruncationSpec) -> "WeylElement":
-        return WeylElement(spec, {unit_monomial(spec.d): Fraction(value)})
+        return WeylElement(spec, {unit_monomial(spec.d): _as_fraction(value)})
 
     @staticmethod
     def one(spec: TruncationSpec) -> "WeylElement":
@@ -135,7 +143,7 @@ class WeylElement:
         return self + (-other)
 
     def scaled(self, value) -> "WeylElement":
-        value = Fraction(value)
+        value = _as_fraction(value)
         return WeylElement(self.spec, {m: c * value for m, c in self.terms.items()})
 
     def __eq__(self, other):

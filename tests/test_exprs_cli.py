@@ -149,6 +149,19 @@ class TestCLI:
         assert payload["schema"] == 1
         assert all(c["status"] == "pass" for c in payload["checks"])
 
+    @pytest.mark.parametrize("p", [-1, 0, 1, 2])
+    def test_tower_check_domain(self, capsys, p):
+        for n in range(-1, 7):
+            code = main(["tower", "check", "--d", "1", "--p", str(p), "--N", str(n)])
+            valid = p >= 0 and n >= 2 * (p + 1)
+            assert code == (0 if valid else 2), (p, n)
+        assert main(["tower", "check", "--d", "0", "--p", "0", "--N", "4"]) == 2
+
+    def test_cohomology_dims_domain(self, capsys):
+        assert main(["cohomology", "dims", "--algebra", "H", "--d", "1", "--N", "-3"]) == 2
+        assert main(["cohomology", "dims", "--algebra", "H", "--d", "0", "--N", "3"]) == 2
+        assert main(["cohomology", "dims", "--algebra", "H", "--d", "1", "--N", "0"]) == 0
+
     def test_tower_fault_injection(self, capsys):
         code = main(["tower", "check", "--d", "1", "--p", "1", "--N", "4", "--inject-fault"])
         assert code == 1

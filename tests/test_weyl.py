@@ -204,6 +204,18 @@ class TestStar:
         with pytest.raises(UsageError):
             star(gen("x1", SPEC), gen("x1", SPEC2))
 
+    def test_floats_rejected(self):
+        x1 = Monomial((1,), (0,), 0)
+        with pytest.raises(UsageError):
+            WeylElement(SPEC, {x1: 0.1})
+        with pytest.raises(UsageError):
+            WeylElement(SPEC, {x1: 0.0})
+        with pytest.raises(UsageError):
+            gen("x1").scaled(0.1)
+        with pytest.raises(UsageError):
+            WeylElement.scalar(0.5, SPEC)
+        assert gen("x1").scaled("1/3") == WeylElement(SPEC, {x1: Fraction(1, 3)})
+
 
 class TestIota:
     def test_generators(self):
