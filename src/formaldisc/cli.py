@@ -214,6 +214,10 @@ def _cohomology_command(args) -> int:
             raise UsageError(
                 f"cohomology dims needs d >= 1 and N >= 0; got d={args.d}, N={args.N}"
             )
+        if args.algebra == "sp" and args.p < 0:
+            raise UsageError(
+                f"cohomology dims --algebra sp needs p >= 0; got p={args.p}"
+            )
         algebra = _pick_algebra(args.algebra, args.d, args.p, args.N)
         module = cohomology.trivial_module(algebra)
         degrees = [int(tok) for tok in args.degrees.split(",") if tok.strip()]
@@ -274,6 +278,8 @@ def _k_subsets(n, k):
 
 
 def _darboux_command(args) -> int:
+    if args.op == "transport" and args.p < 0:
+        raise UsageError(f"darboux transport needs p >= 0; got p={args.p}")
     ctx = EvalContext(args.d, args.N)
     fs = darboux.check_symplectic(eval_form(args.form, ctx))
     if args.op == "normalize":

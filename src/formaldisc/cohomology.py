@@ -489,8 +489,8 @@ def omega_class(d: int, n: int) -> CohomologyClass:
     from .liealg import GradedLieAlgebra, LieMap, LinearMap
     from .tower import build_a_poisson, build_h
 
-    if n < 2:
-        raise UsageError("omega_class needs cutoff >= 2")
+    if d < 1 or n < 2:
+        raise UsageError(f"omega class needs d >= 1 and N >= 2; got d={d}, N={n}")
     a_alg = build_a_poisson(d, n)
     h_alg = build_h(d, n)
     constants = GradedLieAlgebra(

@@ -156,17 +156,11 @@ class TruncatedPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
     def constant_term(self) -> Fraction:
         return self.terms.get(unit_monomial(self.d), Fraction(0))
 
     def depends_on_h(self) -> bool:
         return any(m.hexp > 0 for m in self.terms)
-
-    def max_weight(self) -> int:
-        return max((m.weight for m in self.terms), default=0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
@@ -670,22 +664,6 @@ class PoissonBivector:
     def standard(d: int, cutoff: int) -> "PoissonBivector":
         one = TruncatedPoly.one(d, cutoff)
         return PoissonBivector(d, cutoff, {(i, d + i): one for i in range(d)})
-
-    @staticmethod
-    def from_matrix(matrix, d: int, cutoff: int) -> "PoissonBivector":
-        """Validate a full 2d x 2d matrix of polys as antisymmetric."""
-        n = 2 * d
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise UsageError("bivector matrix must be 2d x 2d")
-        upper = {}
-        for i in range(n):
-            if not matrix[i][i].is_zero():
-                raise UsageError(f"bivector diagonal entry ({i},{i}) nonzero")
-            for j in range(i + 1, n):
-                if matrix[i][j] != -matrix[j][i]:
-                    raise UsageError(f"bivector not antisymmetric at ({i},{j})")
-                upper[(i, j)] = matrix[i][j]
-        return PoissonBivector(d, cutoff, upper)
 
     def entry(self, i: int, j: int) -> TruncatedPoly:
         if i == j:

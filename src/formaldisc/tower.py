@@ -35,7 +35,13 @@ from .liealg import (
     vec_scale,
 )
 from .reports import Report
-from .series import Monomial, TruncatedPoly, all_monomials, standard_poisson
+from .series import (
+    Monomial,
+    TruncatedPoly,
+    all_monomials,
+    coordinate_name,
+    standard_poisson,
+)
 from .weyl import TruncationSpec, WeylElement, commutator, mixed_laplacian
 
 _build_cache: dict = {}
@@ -169,45 +175,28 @@ def build_scalars(d: int, q: int, n: int) -> GradedLieAlgebra:
 def build_h(d: int, n: int) -> GradedLieAlgebra:
     """Hamiltonian fields as functions modulo constants under Poisson bracket."""
     key = ("H", d, n)
-    if key in _build_cache:
-        return _build_cache[key]
-    monos = sorted(all_monomials(d, n, min_degree=1), key=lambda m: m.sort_key())
-    index = {m: k for k, m in enumerate(monos)}
-    cutoff = n - 2
-    brackets = {}
-    for i, mi in enumerate(monos):
-        pi = TruncatedPoly(d, n, {mi: Fraction(1)})
-        for j in range(i + 1, len(monos)):
-            mj = monos[j]
-            if mi.weight + mj.weight - 4 > cutoff:
-                continue
-            pb = standard_poisson(pi, TruncatedPoly(d, n, {mj: Fraction(1)}))
-            vec = {
-                index[m]: c
-                for m, c in pb.terms.items()
-                if not _is_scalar(m) and m.weight <= n
-            }
-            if vec:
-                brackets[(i, j)] = vec
-    algebra = GradedLieAlgebra(
-        f"H(d={d},N={n})",
-        tuple(str(m) for m in monos),
-        tuple(m.weight - 2 for m in monos),
-        brackets,
-        cutoff,
-        tuple(monos),
-    )
-    algebra.verify_graded()
-    _build_cache[key] = algebra
-    return algebra
+    if key not in _build_cache:
+        _build_cache[key] = _build_poisson(d, n, f"H(d={d},N={n})", min_degree=1)
+    return _build_cache[key]
 
 
 def build_a_poisson(d: int, n: int) -> GradedLieAlgebra:
     """Functions on the disc under the Poisson bracket, constants included."""
     key = ("A", d, n)
-    if key in _build_cache:
-        return _build_cache[key]
-    monos = sorted(all_monomials(d, n), key=lambda m: m.sort_key())
+    if key not in _build_cache:
+        _build_cache[key] = _build_poisson(d, n, f"A(d={d},N={n})", min_degree=0)
+    return _build_cache[key]
+
+
+def _build_poisson(d: int, n: int, name: str, min_degree: int) -> GradedLieAlgebra:
+    """Monomials of degree >= min_degree under the Poisson bracket.
+
+    Bracket components off the basis are dropped: with min_degree 1 these
+    are the constants, so the result is the quotient by constants.
+    """
+    monos = sorted(
+        all_monomials(d, n, min_degree=min_degree), key=lambda m: m.sort_key()
+    )
     index = {m: k for k, m in enumerate(monos)}
     cutoff = n - 2
     brackets = {}
@@ -218,11 +207,11 @@ def build_a_poisson(d: int, n: int) -> GradedLieAlgebra:
             if mi.weight + mj.weight - 4 > cutoff:
                 continue
             pb = standard_poisson(pi, TruncatedPoly(d, n, {mj: Fraction(1)}))
-            vec = {index[m]: c for m, c in pb.terms.items() if m.weight <= n}
+            vec = {index[m]: c for m, c in pb.terms.items() if m in index}
             if vec:
                 brackets[(i, j)] = vec
     algebra = GradedLieAlgebra(
-        f"A(d={d},N={n})",
+        name,
         tuple(str(m) for m in monos),
         tuple(m.weight - 2 for m in monos),
         brackets,
@@ -230,7 +219,6 @@ def build_a_poisson(d: int, n: int) -> GradedLieAlgebra:
         tuple(monos),
     )
     algebra.verify_graded()
-    _build_cache[key] = algebra
     return algebra
 
 
@@ -244,7 +232,9 @@ def build_w(d: int, n: int) -> GradedLieAlgebra:
     basis.sort(key=lambda t: (t[1].weight, t[0], t[1].sort_key()))
     index = {t: k for k, t in enumerate(basis)}
     labels = tuple(
-        f"{m}*d/d{_coord_name(v, d)}" if str(m) != "1" else f"d/d{_coord_name(v, d)}"
+        f"{m}*d/d{coordinate_name(v, d)}"
+        if str(m) != "1"
+        else f"d/d{coordinate_name(v, d)}"
         for v, m in basis
     )
     weights = tuple(m.weight - 1 for v, m in basis)
@@ -275,10 +265,6 @@ def build_w(d: int, n: int) -> GradedLieAlgebra:
     algebra.verify_graded()
     _build_cache[key] = algebra
     return algebra
-
-
-def _coord_name(v: int, d: int) -> str:
-    return f"x{v + 1}" if v < d else f"y{v - d + 1}"
 
 
 def hamiltonian_map(d: int, n: int) -> LieMap:
@@ -460,6 +446,14 @@ def build_g_tower(d: int, p: int, n: int) -> GTower:
 # ---------------------------------------------------------------------------
 
 
+def _check_two_level_domain(what: str, d: int, p: int, n: int):
+    """Levels p and p+1 need d >= 1, p >= 0 and room at N for h^(p+1)."""
+    if d < 1 or p < 0 or n < 2 * (p + 1):
+        raise UsageError(
+            f"{what} needs d >= 1, p >= 0 and N >= 2(p+1); got d={d}, p={p}, N={n}"
+        )
+
+
 def commu_diagram_check(d: int, p: int, n: int, corrupt: bool = False) -> Report:
     """Verify the two-level ladder of extensions at levels p and p+1.
 
@@ -475,10 +469,7 @@ def commu_diagram_check(d: int, p: int, n: int, corrupt: bool = False) -> Report
     Raises UsageError unless d >= 1, p >= 0 and N >= 2(p+1): below that
     cutoff the upper level has no room for its top scalar h^(p+1).
     """
-    if d < 1 or p < 0 or n < 2 * (p + 1):
-        raise UsageError(
-            f"tower check needs d >= 1, p >= 0 and N >= 2(p+1); got d={d}, p={p}, N={n}"
-        )
+    _check_two_level_domain("tower check", d, p, n)
     report = Report("tower check", {"d": d, "p": p, "N": n, "corrupt": corrupt})
 
     g_upper = build_g_level(d, p + 1, n)
@@ -866,7 +857,12 @@ class ObstructionCocycle:
 
 
 def tower_obstruction(d: int, p: int, n: int) -> ObstructionCocycle:
-    """The extension class controlling the lift from level p to level p+1."""
+    """The extension class controlling the lift from level p to level p+1.
+
+    Raises UsageError unless d >= 1, p >= 0 and N >= 2(p+1), as for
+    commu_diagram_check.
+    """
+    _check_two_level_domain("tower obstruction", d, p, n)
     e = v_extension(d, p, n)
     module = cohomology.module_from_extension(e, name=f"V(d={d},p={p})")
     module.verify_representation()

@@ -7,15 +7,20 @@ truncated at h-order p and weight N.  Both truncations are quotients by
 two-sided ideals (the relation is weight-homogeneous), so ring identities
 hold exactly at every truncation.
 
-Products are computed by rewriting: an element is multiplied by one generator
-at a time, each step applying the defining relation y_j x_i -> x_i y_j -
-delta_ij h.  No closed-form product kernel is used on this path.
+Products are computed in closed form.  One kernel normal-orders the product
+of two monomials: only the y's of the left factor stand before the x's of
+the right one, and in each dimension
+y^b x^a = sum_k (-h)^k k! C(b,k) C(a,k) x^(a-k) y^(b-k).  `star`, `iota`
+and `normal_order` all go through it.  `normal_order_random_strategy`
+rewrites words with the defining relation y_j x_i -> x_i y_j - delta_ij h
+at random positions; it is kept as the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, perm
 
 from .errors import InternalError, UsageError
 from .series import (
@@ -157,9 +162,6 @@ class WeylElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
     def symbol(self) -> TruncatedPoly:
         """The normal-order symbol: the same exponents read commutatively."""
         return TruncatedPoly(self.spec.d, self.spec.cutoff, dict(self.terms))
@@ -200,116 +202,70 @@ def parse_generator(name: str, d: int):
 
 
 # ---------------------------------------------------------------------------
-# rewriting
+# the normal-ordering kernel
 # ---------------------------------------------------------------------------
 
 
-def _rmul_x(terms, i, spec):
-    """Right-multiply a normal form by x_i, applying y x -> x y - h."""
-    out = {}
-    p, n = spec.h_order, spec.cutoff
-    for mono, coeff in terms.items():
-        w = mono.weight
-        if w + 1 <= n:
-            lead = Monomial(
-                mono.xexp[:i] + (mono.xexp[i] + 1,) + mono.xexp[i + 1 :],
-                mono.yexp,
-                mono.hexp,
-            )
-            acc = out.get(lead, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(lead, None)
-            else:
-                out[lead] = acc
-        e = mono.yexp[i]
-        if e and mono.hexp + 1 <= p and w + 1 <= n:
-            corr = Monomial(
-                mono.xexp,
-                mono.yexp[:i] + (e - 1,) + mono.yexp[i + 1 :],
-                mono.hexp + 1,
-            )
-            acc = out.get(corr, Fraction(0)) - coeff * e
-            if acc == 0:
-                out.pop(corr, None)
-            else:
-                out[corr] = acc
-    return out
+def _normal_product(m1: Monomial, m2: Monomial, spec: TruncationSpec):
+    """The normal form of the word m1 m2 as (monomial, int) pairs, truncated.
 
-
-def _rmul_y(terms, i, spec):
-    out = {}
-    n = spec.cutoff
-    for mono, coeff in terms.items():
-        if mono.weight + 1 > n:
-            continue
-        new = Monomial(
-            mono.xexp,
-            mono.yexp[:i] + (mono.yexp[i] + 1,) + mono.yexp[i + 1 :],
-            mono.hexp,
+    Only y^b1 x^a2 in the middle is out of order, and in each dimension
+    y^b x^a = sum_k (-h)^k k! C(b,k) C(a,k) x^(a-k) y^(b-k).  Every term has
+    weight w1 + w2, so a pair over the cutoff contributes nothing; the
+    total k is capped by the h-order room p - c1 - c2.
+    """
+    room = spec.h_order - m1.hexp - m2.hexp
+    if room < 0 or m1.weight + m2.weight > spec.cutoff:
+        return []
+    contractions = [((), 0, 1)]
+    for b, a in zip(m1.yexp, m2.xexp):
+        contractions = [
+            (ks + (k,), used + k, coeff * (-1) ** k * perm(b, k) * comb(a, k))
+            for ks, used, coeff in contractions
+            for k in range(min(a, b, room - used) + 1)
+        ]
+    xs = [a1 + a2 for a1, a2 in zip(m1.xexp, m2.xexp)]
+    ys = [b1 + b2 for b1, b2 in zip(m1.yexp, m2.yexp)]
+    hexp = m1.hexp + m2.hexp
+    return [
+        (
+            Monomial(
+                tuple(x - k for x, k in zip(xs, ks)),
+                tuple(y - k for y, k in zip(ys, ks)),
+                hexp + used,
+            ),
+            coeff,
         )
-        out[new] = coeff
-    return out
-
-
-def _rmul_h(terms, spec):
-    out = {}
-    p, n = spec.h_order, spec.cutoff
-    for mono, coeff in terms.items():
-        if mono.hexp + 1 > p or mono.weight + 2 > n:
-            continue
-        out[Monomial(mono.xexp, mono.yexp, mono.hexp + 1)] = coeff
-    return out
-
-
-def _rmul_monomial(terms, mono: Monomial, spec: TruncationSpec):
-    """Right-multiply by the word x^a y^b h^c, one generator at a time."""
-    for i, e in enumerate(mono.xexp):
-        for _ in range(e):
-            terms = _rmul_x(terms, i, spec)
-    for i, e in enumerate(mono.yexp):
-        for _ in range(e):
-            terms = _rmul_y(terms, i, spec)
-    for _ in range(mono.hexp):
-        terms = _rmul_h(terms, spec)
-    return terms
+        for ks, used, coeff in contractions
+    ]
 
 
 def star(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Associative product of D_p; concatenation followed by normal ordering."""
+    """Associative product of D_p: the kernel on every pair of terms."""
     a._check_compat(b)
     spec = a.spec
     total: dict[Monomial, Fraction] = {}
-    for mono, coeff in b.terms.items():
-        partial = _rmul_monomial(a.terms, mono, spec)
-        for m, c in partial.items():
-            acc = total.get(m, Fraction(0)) + c * coeff
-            if acc == 0:
-                total.pop(m, None)
-            else:
-                total[m] = acc
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            coeff = ca * cb
+            for mono, k in _normal_product(ma, mb, spec):
+                total[mono] = total.get(mono, 0) + coeff * k
     return WeylElement(spec, total)
 
 
 def normal_order(word, spec: TruncationSpec, scalar=1) -> WeylElement:
     """Normal-order a left-to-right word of generators and rational scalars.
 
-    Rewriting applies y_j x_i -> x_i y_j - delta_ij h until no inversion
-    remains; the strategy here is deterministic left-to-right, and any other
-    strategy yields the same canonical form (confluence).
+    The word is multiplied out letter by letter with `star`, so each step is
+    one application of the closed-form kernel.  normal_order_random_strategy
+    is the independent rewriting route it is checked against.
     """
     element = WeylElement.scalar(scalar, spec)
     for item in word:
         if isinstance(item, (int, Fraction)):
             element = element.scaled(item)
-            continue
-        kind, index = parse_generator(item, spec.d)
-        if kind == "x":
-            terms = _rmul_x(element.terms, index, spec)
-        elif kind == "y":
-            terms = _rmul_y(element.terms, index, spec)
         else:
-            terms = _rmul_h(element.terms, spec)
-        element = WeylElement(spec, terms)
+            element = star(element, WeylElement.generator(item, spec))
     return element
 
 
@@ -377,23 +333,18 @@ def iota(a: WeylElement) -> WeylElement:
     """The antiinvolution fixing x_i, y_i and negating h.
 
     On a normal-ordered word, iota reverses it: iota(x^a y^b h^c) =
-    (-1)^c h^c y^b x^a, which is then re-normal-ordered.
+    (-1)^c h^c y^b x^a, which the kernel normal-orders as (y^b h^c)(x^a).
     """
     spec = a.spec
-    out = WeylElement.zero(spec)
+    zeros = (0,) * spec.d
+    total: dict[Monomial, Fraction] = {}
     for mono, coeff in a.terms.items():
-        terms = {unit_monomial(spec.d): Fraction(1)}
-        for i, e in enumerate(mono.yexp):
-            for _ in range(e):
-                terms = _rmul_y(terms, i, spec)
-        for i, e in enumerate(mono.xexp):
-            for _ in range(e):
-                terms = _rmul_x(terms, i, spec)
-        for _ in range(mono.hexp):
-            terms = _rmul_h(terms, spec)
-        sign = -1 if mono.hexp % 2 else 1
-        out = out + WeylElement(spec, terms).scaled(coeff * sign)
-    return out
+        signed = -coeff if mono.hexp % 2 else coeff
+        left = Monomial(zeros, mono.yexp, mono.hexp)
+        right = Monomial(mono.xexp, zeros, 0)
+        for m, k in _normal_product(left, right, spec):
+            total[m] = total.get(m, 0) + signed * k
+    return WeylElement(spec, total)
 
 
 def mod_h(a: WeylElement) -> TruncatedPoly:

@@ -151,16 +151,25 @@ class TestCLI:
 
     @pytest.mark.parametrize("p", [-1, 0, 1, 2])
     def test_tower_check_domain(self, capsys, p):
-        for n in range(-1, 7):
-            code = main(["tower", "check", "--d", "1", "--p", str(p), "--N", str(n)])
-            valid = p >= 0 and n >= 2 * (p + 1)
-            assert code == (0 if valid else 2), (p, n)
-        assert main(["tower", "check", "--d", "0", "--p", "0", "--N", "4"]) == 2
+        # the ladder check and the obstruction class share one domain
+        for command in (["tower", "check"], ["cohomology", "class", "--which", "obstruction"]):
+            for n in range(-1, 7):
+                code = main(command + ["--d", "1", "--p", str(p), "--N", str(n)])
+                valid = p >= 0 and n >= 2 * (p + 1)
+                assert code == (0 if valid else 2), (command, p, n)
+            assert main(command + ["--d", "0", "--p", "0", "--N", "4"]) == 2
 
     def test_cohomology_dims_domain(self, capsys):
         assert main(["cohomology", "dims", "--algebra", "H", "--d", "1", "--N", "-3"]) == 2
         assert main(["cohomology", "dims", "--algebra", "H", "--d", "0", "--N", "3"]) == 2
         assert main(["cohomology", "dims", "--algebra", "H", "--d", "1", "--N", "0"]) == 0
+        assert main(["cohomology", "dims", "--algebra", "sp", "--p", "-1"]) == 2
+        assert main(["cohomology", "dims", "--algebra", "sp", "--p", "0", "--N", "4"]) == 0
+        assert main(["cohomology", "class", "--which", "omega", "--d", "0"]) == 2
+        assert main(["cohomology", "class", "--which", "omega", "--d", "1", "--N", "1"]) == 2
+        transport = ["darboux", "transport", "--form", "dx1 /\\ dy1", "--a", "x1", "--b", "y1"]
+        assert main(transport + ["--d", "1", "--p", "-1", "--N", "4"]) == 2
+        assert main(transport + ["--d", "1", "--p", "0", "--N", "4"]) == 0
 
     def test_tower_fault_injection(self, capsys):
         code = main(["tower", "check", "--d", "1", "--p", "1", "--N", "4", "--inject-fault"])

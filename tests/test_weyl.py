@@ -1,10 +1,12 @@
-"""Weyl algebra: rewriting, star product, iota, the split order-one model.
+"""Weyl algebra: normal ordering, star product, iota, the split order-one model.
 
-The normal-ordering oracle is an independent operator representation on
-polynomials: x_i acts by multiplication, y_j by -h d/dx_j and h centrally.
-These operators satisfy the defining relations, and distinct normal forms act
-distinctly, so agreement on a spanning set of polynomials pins the canonical
-form without going through the rewriting engine.
+Two oracles stand apart from the closed-form product kernel.  One is an
+operator representation on polynomials: x_i acts by multiplication, y_j by
+-h d/dx_j and h centrally.  These operators satisfy the defining relations,
+and distinct normal forms act distinctly, so agreement on a spanning set of
+polynomials pins the canonical form.  The other is
+normal_order_random_strategy, which rewrites explicit words with the
+defining relation at random positions.
 """
 
 import random
@@ -38,6 +40,37 @@ SPEC2 = TruncationSpec(d=2, h_order=2, cutoff=6)
 
 def gen(name, spec=SPEC):
     return WeylElement.generator(name, spec)
+
+
+def _word(mono):
+    """The letters of the normal-ordered word x^a y^b h^c."""
+    word = []
+    for i, e in enumerate(mono.xexp):
+        word += [f"x{i + 1}"] * e
+    for i, e in enumerate(mono.yexp):
+        word += [f"y{i + 1}"] * e
+    return word + ["h"] * mono.hexp
+
+
+def _monomials(d, max_weight, max_h):
+    return [
+        Monomial(m.xexp, m.yexp, c)
+        for c in range(max_h + 1)
+        for m in all_monomials(d, max_weight - 2 * c)
+    ]
+
+
+# (d, max monomial weight, max h power, p, N): the first five cut product
+# terms by weight and by h-order, (3, 12) only by h-order, (4, 8) none
+KERNEL_GRID = [
+    (1, 6, 2, 0, 4),
+    (1, 6, 2, 1, 5),
+    (1, 6, 2, 2, 6),
+    (1, 6, 2, 3, 12),
+    (2, 4, 1, 0, 4),
+    (2, 4, 1, 1, 6),
+    (2, 4, 1, 4, 8),
+]
 
 
 def random_element(rng, spec, terms=3, max_weight=5):
@@ -94,13 +127,7 @@ def _apply_element(element, poly, d):
     """Act by a normal form: each monomial as the word x^a y^b h^c."""
     total = {}
     for mono, coeff in element.terms.items():
-        word = []
-        for i, e in enumerate(mono.xexp):
-            word += [f"x{i + 1}"] * e
-        for i, e in enumerate(mono.yexp):
-            word += [f"y{i + 1}"] * e
-        word += ["h"] * mono.hexp
-        acted = _apply_word(word, poly, d)
+        acted = _apply_word(_word(mono), poly, d)
         for k, c in acted.items():
             acc = total.get(k, Fraction(0)) + c * coeff
             if acc == 0:
@@ -148,6 +175,29 @@ class TestNormalOrder:
             assert normal_order(word, SPEC) == normal_order_random_strategy(
                 word, SPEC, rng
             ), word
+
+    @pytest.mark.parametrize("d,max_weight,max_h,p,n", KERNEL_GRID)
+    def test_monomial_products_against_rewriter(self, d, max_weight, max_h, p, n):
+        # every pair, including factors the truncation already drops
+        spec = TruncationSpec(d, p, n)
+        rng = random.Random(17)
+        monos = _monomials(d, max_weight, max_h)
+        elements = [WeylElement(spec, {m: Fraction(1)}) for m in monos]
+        for m1, e1 in zip(monos, elements):
+            for m2, e2 in zip(monos, elements):
+                word = _word(m1) + _word(m2)
+                expected = normal_order_random_strategy(word, spec, rng)
+                assert star(e1, e2) == expected, (m1, m2)
+
+    @pytest.mark.parametrize("d,max_weight,max_h,p,n", KERNEL_GRID)
+    def test_iota_of_monomials_against_rewriter(self, d, max_weight, max_h, p, n):
+        spec = TruncationSpec(d, p, n)
+        rng = random.Random(19)
+        for m in _monomials(d, max_weight, max_h):
+            expected = normal_order_random_strategy(
+                _word(m)[::-1], spec, rng, scalar=(-1) ** m.hexp
+            )
+            assert iota(WeylElement(spec, {m: Fraction(1)})) == expected, m
 
     def test_scalars_in_words(self):
         assert normal_order([Fraction(1, 2), "x1", 4, "y1"], SPEC) == star(
