@@ -196,15 +196,14 @@ def _dispatch(args) -> int:
     raise UsageError(f"unknown command {command}")
 
 
-def _pick_algebra(name, d, p, n):
+def _pick_algebra(name, d, n):
     if name == "H":
         return tower.build_h(d, n)
     if name == "A":
         return tower.build_a_poisson(d, n)
     if name == "W":
         return tower.build_w(d, n)
-    sp, _ = tower.sp_subalgebra(tower.build_derd_level(d, min(p, 1), max(n, 4)))
-    return sp
+    return tower.sp_algebra(d)
 
 
 def _cohomology_command(args) -> int:
@@ -218,7 +217,7 @@ def _cohomology_command(args) -> int:
             raise UsageError(
                 f"cohomology dims --algebra sp needs p >= 0; got p={args.p}"
             )
-        algebra = _pick_algebra(args.algebra, args.d, args.p, args.N)
+        algebra = _pick_algebra(args.algebra, args.d, args.N)
         module = cohomology.trivial_module(algebra)
         degrees = [int(tok) for tok in args.degrees.split(",") if tok.strip()]
         table = {}
@@ -233,9 +232,12 @@ def _cohomology_command(args) -> int:
                 dim = cohomology.cohomology_dim(module, k, w)
                 if dim:
                     table[f"H^{k}(w={w})"] = dim
+        params = {"algebra": args.algebra, "d": args.d, "N": args.N, "module": "trivial"}
+        if args.algebra == "sp":
+            del params["N"]  # sp(2d) depends on d alone
         payload = _result_payload(
             "cohomology dims",
-            {"algebra": args.algebra, "d": args.d, "N": args.N, "module": "trivial"},
+            params,
             dimensions=table,
             duration_s=round(time.monotonic() - started, 3),
         )
@@ -305,7 +307,7 @@ def _darboux_command(args) -> int:
     )
     phi = darboux.darboux_normalize(deep)
     phi_inv = phi.inverse()
-    spec = TruncationSpec(args.d, max(args.p, 1), phi.cutoff)
+    spec = TruncationSpec(args.d, args.p, phi.cutoff)
     a = eval_poly(args.a, ctx).lifted(phi.cutoff)
     b = eval_poly(args.b, ctx).lifted(phi.cutoff)
     product = darboux.transported_product_symbol(phi, a, b, spec, phi_inv).truncated(

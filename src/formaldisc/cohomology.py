@@ -15,15 +15,8 @@ from itertools import combinations
 
 from . import linalg
 from .errors import CheckFailure, UsageError
-from .liealg import (
-    ExtensionData,
-    GradedLieAlgebra,
-    Vector,
-    extension_defect_cochain,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+from .liealg import ExtensionData, GradedLieAlgebra, Vector, extension_defect_cochain
+from .sparse import EMPTY, accumulate, add, scale, sub
 
 
 @dataclass
@@ -50,15 +43,11 @@ class LieModule:
         return len(self.labels)
 
     def act(self, i: int, vec: Vector) -> Vector:
-        out: Vector = {}
-        for m, c in vec.items():
-            for k, a in self.action.get((i, m), {}).items():
-                acc = out.get(k, Fraction(0)) + c * a
-                if acc == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
-        return out
+        return accumulate(
+            (k, c * a)
+            for m, c in vec.items()
+            for k, a in self.action.get((i, m), EMPTY).items()
+        )
 
     def module_indices_of_weight(self, w: int):
         return [m for m, wm in enumerate(self.weights) if wm == w]
@@ -86,12 +75,12 @@ class LieModule:
                     ):
                         exempt += 1
                         continue
-                    via_bracket: Vector = {}
-                    for k, c in bracket.items():
-                        via_bracket = vec_add(
-                            via_bracket, vec_scale(self.act(k, {m: Fraction(1)}), c)
-                        )
-                    direct = vec_sub(
+                    via_bracket = accumulate(
+                        (t, a * c)
+                        for k, c in bracket.items()
+                        for t, a in self.act(k, {m: Fraction(1)}).items()
+                    )
+                    direct = sub(
                         self.act(i, self.act(j, {m: Fraction(1)})),
                         self.act(j, self.act(i, {m: Fraction(1)})),
                     )
@@ -144,13 +133,10 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         if self.module is not other.module or self.degree != other.degree:
             raise UsageError("cochain mismatch")
-        values = {k: dict(v) for k, v in self.values.items()}
+        values = dict(self.values)
         for idx, vec in other.values.items():
-            acc = vec_add(values.get(idx, {}), vec)
-            if acc:
-                values[idx] = acc
-            else:
-                values.pop(idx, None)
+            values[idx] = add(values.get(idx, EMPTY), vec)
+        values = {idx: vec for idx, vec in values.items() if vec}
         return Cochain(self.module, self.degree, values, self.excluded + other.excluded)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
@@ -160,7 +146,7 @@ class Cochain:
         return Cochain(
             self.module,
             self.degree,
-            {idx: vec_scale(vec, value) for idx, vec in self.values.items()},
+            {idx: scale(vec, value) for idx, vec in self.values.items()},
             self.excluded,
         )
 
@@ -192,43 +178,34 @@ def ce_differential(cochain: Cochain, module: LieModule | None = None) -> Cochai
     k = cochain.degree
     support = set(cochain.support_weights())
     reachable_totals = {s + mw for s in support for mw in set(module.weights)}
+    slots = list(combinations(range(k + 1), 2))
     values: dict[tuple, Vector] = {}
     excluded = 0
     for idx in combinations(range(g.dim), k + 1):
-        total = sum(g.weights[i] for i in idx)
-        overflow = False
-        acc: Vector = {}
-        for a in range(k + 1):
-            rest = idx[:a] + idx[a + 1 :]
-            inner = cochain.value(rest)
-            if inner:
-                term = module.act(idx[a], inner)
-                if a % 2 == 1:
-                    term = vec_scale(term, Fraction(-1))
-                acc = vec_add(acc, term)
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                if not g.in_cutoff_pair(idx[a], idx[b]):
-                    # the inserted evaluation would see inputs of weight
-                    # `total`; harmless unless the cochain lives there
-                    if total in reachable_totals:
-                        overflow = True
-                        break
-                    continue
-                bracket = g.bracket(idx[a], idx[b])
-                if not bracket:
-                    continue
-                rest = tuple(v for t, v in enumerate(idx) if t != a and t != b)
-                sign = Fraction(-1) ** (a + b)
-                for comp, c in bracket.items():
-                    evaluated = _evaluate_inserted(cochain, comp, rest)
-                    if evaluated:
-                        acc = vec_add(acc, vec_scale(evaluated, sign * c))
-            if overflow:
-                break
-        if overflow:
+        in_cutoff = [g.in_cutoff_pair(idx[a], idx[b]) for a, b in slots]
+        # an over-cutoff pair's inserted evaluation would see inputs of the
+        # tuple's total weight; harmless unless the cochain lives there
+        if not all(in_cutoff) and sum(g.weights[i] for i in idx) in reachable_totals:
             excluded += 1
             continue
+
+        def terms():
+            for a in range(k + 1):
+                inner = cochain.value(idx[:a] + idx[a + 1 :])
+                if inner:
+                    sign = -1 if a % 2 else 1
+                    for m, c in module.act(idx[a], inner).items():
+                        yield m, c * sign
+            for (a, b), ok in zip(slots, in_cutoff):
+                if not ok:
+                    continue
+                rest = tuple(v for t, v in enumerate(idx) if t != a and t != b)
+                sign = (-1) ** (a + b)
+                for comp, c in g.bracket(idx[a], idx[b]).items():
+                    for m, e in _evaluate_inserted(cochain, comp, rest).items():
+                        yield m, e * (sign * c)
+
+        acc = accumulate(terms())
         if acc:
             values[idx] = acc
     return Cochain(module, k + 1, values, excluded)
@@ -243,10 +220,8 @@ def _evaluate_inserted(cochain: Cochain, comp: int, rest: tuple) -> Vector:
         pos += 1
     idx = rest[:pos] + (comp,) + rest[pos:]
     vec = cochain.value(idx)
-    if not vec:
-        return {}
     # moving comp from slot 0 to slot pos costs pos transpositions
-    return vec_scale(vec, Fraction(-1) ** pos) if pos % 2 else vec
+    return scale(vec, -1) if pos % 2 else vec
 
 
 def cochain_block_basis(module: LieModule, k: int, weight: int):
@@ -299,7 +274,7 @@ def differential_block(module: LieModule, k: int, weight: int):
             excluded += 1
             continue
 
-        def add(row_key, col_key, value):
+        def put(row_key, col_key, value):
             row = tgt_pos.get(row_key)
             col = src_pos.get(col_key)
             if row is not None and col is not None and value != 0:
@@ -312,7 +287,7 @@ def differential_block(module: LieModule, k: int, weight: int):
             for m_src in module.module_indices_of_weight(rest_total - weight):
                 acted = module.act(idx[a], {m_src: Fraction(1)})
                 for m_out, c in acted.items():
-                    add((idx, m_out), (rest, m_src), sign * c)
+                    put((idx, m_out), (rest, m_src), sign * c)
         for a in range(k + 1):
             for b in range(a + 1, k + 1):
                 bracket = g.bracket(idx[a], idx[b])
@@ -329,36 +304,8 @@ def differential_block(module: LieModule, k: int, weight: int):
                     inserted = rest[:pos] + (comp,) + rest[pos:]
                     parity = Fraction(-1) ** pos
                     for m in ms:
-                        add((idx, m), (inserted, m), sign * parity * cb)
+                        put((idx, m), (inserted, m), sign * parity * cb)
     return matrix, src, tgt, excluded
-
-
-@dataclass
-class CochainSpace:
-    """One (degree, weight) block of the complex with its outgoing matrix."""
-
-    module: LieModule
-    degree: int
-    weight: int
-    basis: list
-    matrix: list  # rows indexed by the (degree+1, weight) block
-    excluded: int
-
-    @staticmethod
-    def build(module: LieModule, degree: int, weight: int) -> "CochainSpace":
-        matrix, src, _, excluded = differential_block(module, degree, weight)
-        return CochainSpace(module, degree, weight, src, matrix, excluded)
-
-    def verify_d_squared(self):
-        """d_{k+1} d_k = 0 as matrices; meaningful when nothing overflowed."""
-        following = CochainSpace.build(self.module, self.degree + 1, self.weight)
-        product = linalg.mat_mul(following.matrix, self.matrix)
-        if any(v != 0 for row in product for v in row):
-            raise CheckFailure(
-                f"d^2 != 0 on block (k={self.degree}, w={self.weight})",
-                witness={"degree": self.degree, "weight": self.weight},
-            )
-        return following
 
 
 def cohomology_dim(module: LieModule, k: int, weight: int) -> int:
@@ -407,10 +354,10 @@ def is_coboundary(cochain: Cochain):
         sol = linalg.solve(matrix, rhs)
         if sol is None:
             return (False, None)
+        # each (idx, m) lies in exactly one weight block, so nothing sums
         for (idx, m), c in zip(src, sol):
             if c != 0:
-                vec = primitive_values.setdefault(idx, {})
-                vec[m] = vec.get(m, Fraction(0)) + c
+                primitive_values.setdefault(idx, {})[m] = c
     primitive = Cochain(module, k - 1, primitive_values)
     return (True, primitive)
 

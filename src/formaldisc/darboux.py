@@ -25,6 +25,7 @@ from .series import (
     euler_contraction,
     wedge,
 )
+from .sparse import accumulate
 from .weyl import TruncationSpec, WeylElement, star
 
 
@@ -483,37 +484,33 @@ def darboux_normalize(fs: FormalSymplecticForm) -> FormalCoordChange:
 
 def _lift_through(phi: FormalCoordChange, p: TruncatedPoly, spec: TruncationSpec):
     """sigma(f): substitute phi into each h-slice, then normal-order lift."""
-    terms = {}
-    d, cutoff = p.d, p.cutoff
-    slices: dict[int, dict] = {}
-    for mono, coeff in p.terms.items():
-        slices.setdefault(mono.hexp, {})[Monomial(mono.xexp, mono.yexp, 0)] = coeff
-    for hexp, raw in slices.items():
-        if hexp > spec.h_order:
-            continue
-        composed = phi.apply_poly(TruncatedPoly(d, cutoff, raw))
-        for mono, coeff in composed.terms.items():
-            lifted = Monomial(mono.xexp, mono.yexp, hexp)
-            if lifted.weight <= spec.cutoff:
-                terms[lifted] = terms.get(lifted, Fraction(0)) + coeff
-    return WeylElement(spec, {m: c for m, c in terms.items() if c != 0})
+    slices = _h_slices(p.terms, p.d, p.cutoff)
+    terms = accumulate(
+        (Monomial(mono.xexp, mono.yexp, hexp), coeff)
+        for hexp, raw in slices.items()
+        if hexp <= spec.h_order
+        for mono, coeff in phi.apply_poly(raw).terms.items()
+    )
+    return WeylElement(spec, terms)
 
 
 def _symbol_through(phi_inv: FormalCoordChange, w: WeylElement) -> TruncatedPoly:
     """sigma^{-1}: substitute the inverse change into each h-slice of a symbol."""
     d, cutoff = phi_inv.d, phi_inv.cutoff
-    out = TruncatedPoly.zero(d, cutoff)
+    terms = accumulate(
+        (Monomial(m.xexp, m.yexp, hexp), c)
+        for hexp, raw in _h_slices(w.terms, d, cutoff).items()
+        for m, c in phi_inv.apply_poly(raw).terms.items()
+    )
+    return TruncatedPoly(d, cutoff, terms)
+
+
+def _h_slices(terms, d: int, cutoff: int) -> dict:
+    """h-power -> the h-free polynomial of that power's coefficients."""
     slices: dict[int, dict] = {}
-    for mono, coeff in w.terms.items():
+    for mono, coeff in terms.items():
         slices.setdefault(mono.hexp, {})[Monomial(mono.xexp, mono.yexp, 0)] = coeff
-    hmono = Monomial((0,) * d, (0,) * d, 1)
-    for hexp, raw in slices.items():
-        composed = phi_inv.apply_poly(TruncatedPoly(d, cutoff, raw))
-        shifted = {
-            Monomial(m.xexp, m.yexp, hexp): c for m, c in composed.terms.items()
-        }
-        out = out + TruncatedPoly(d, cutoff, shifted)
-    return out
+    return {hexp: TruncatedPoly(d, cutoff, raw) for hexp, raw in slices.items()}
 
 
 def transported_product_symbol(

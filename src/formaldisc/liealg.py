@@ -1,45 +1,29 @@
 """Weight-graded Lie algebras given by exact structure constants.
 
 A GradedLieAlgebra stores a finite ordered basis with integer weights and the
-brackets of basis pairs as sparse rational vectors.  Brackets are graded:
-[w_a, w_b] lands in weight w_a + w_b.  Since some weights are negative, the
-span of over-cutoff weights is not an ideal, so a pair of basis elements is
-"in cutoff" only when the weight of its bracket fits under the cutoff;
-verification sweeps exempt (and count) the others.
+brackets of basis pairs as sparse vectors (basis index -> nonzero Fraction,
+summed through `formaldisc.sparse`).  The stored brackets, like the columns
+of a LinearMap, are read-only, because built algebras are cached and shared.
+Brackets are graded: [w_a, w_b] lands in weight w_a + w_b.  Since some
+weights are negative, the span of over-cutoff weights is not an ideal, so a
+pair of basis elements is "in cutoff" only when the weight of its bracket
+fits under the cutoff; verification sweeps exempt (and count) the others.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
 from . import linalg
 from .errors import CheckFailure, UsageError
+from .sparse import EMPTY, FrozenVectors, accumulate, scale, sub
 
-Vector = dict  # basis index -> Fraction
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    out = dict(u)
-    for k, c in v.items():
-        acc = out.get(k, Fraction(0)) + c
-        if acc == 0:
-            out.pop(k, None)
-        else:
-            out[k] = acc
-    return out
-
-
-def vec_scale(u: Vector, value) -> Vector:
-    if value == 0:
-        return {}
-    return {k: c * value for k, c in u.items()}
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return vec_add(u, vec_scale(v, Fraction(-1)))
+# basis index -> nonzero Fraction; stored ones are read-only mappings
+Vector = dict
 
 
 def _later_indices(weights):
@@ -76,6 +60,7 @@ class GradedLieAlgebra:
         for (i, j) in self.brackets:
             if not 0 <= i < j < len(self.labels):
                 raise UsageError(f"bracket key ({i},{j}) must satisfy i<j")
+        self.brackets = FrozenVectors(self.brackets)
         self._index = {label: k for k, label in enumerate(self.labels)}
 
     @property
@@ -87,34 +72,26 @@ class GradedLieAlgebra:
 
     def bracket(self, i: int, j: int) -> Vector:
         if i == j:
-            return {}
+            return EMPTY
         if i < j:
-            return self.brackets.get((i, j), {})
-        return vec_scale(self.brackets.get((j, i), {}), Fraction(-1))
+            return self.brackets.get((i, j), EMPTY)
+        return scale(self.brackets.get((j, i), EMPTY), -1)
 
     def bracket_vec(self, u: Vector, v: Vector) -> Vector:
-        out: Vector = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                if i == j:
-                    continue
-                c = ci * cj
-                for k, ck in self.bracket(i, j).items():
-                    acc = out.get(k, Fraction(0)) + c * ck
-                    if acc == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = acc
-        return out
+        return accumulate(
+            (k, c * ck)
+            for i, ci in u.items()
+            for j, cj in v.items()
+            if i != j
+            for c in (ci * cj,)
+            for k, ck in self.bracket(i, j).items()
+        )
 
     def in_cutoff_pair(self, i: int, j: int) -> bool:
         return self.weights[i] + self.weights[j] <= self.cutoff
 
-    def weight_dims(self) -> dict[int, int]:
-        dims: dict[int, int] = {}
-        for w in self.weights:
-            dims[w] = dims.get(w, 0) + 1
-        return dims
+    def weight_dims(self) -> Counter:
+        return Counter(self.weights)
 
     def basis_indices_of_weight(self, w: int):
         return [i for i, wi in enumerate(self.weights) if wi == w]
@@ -138,17 +115,20 @@ class GradedLieAlgebra:
         Only the in-cutoff triples i<j<k are visited, in lexicographic order.
         The cyclic sum is taken over integer structure constants scaled by
         the least common denominator L; Jacobi is homogeneous quadratic, so
-        the sum vanishes iff L^2 times it does.  Returns the number of exempt
-        (overflowing) triples, C(dim, 3) minus those checked; raises on the
-        first violation with the offending triple and its defect as witness.
+        the sum vanishes iff L^2 times it does.  The sums of all k for one
+        pair (i, j) are taken at once, keyed by (k, component), and the
+        smallest k left with a nonzero sum is the first violation.  Returns
+        the number of exempt (overflowing) triples, C(dim, 3) minus those
+        checked; raises on the first violation with the offending triple and
+        its defect as witness.
         """
         n, w, cutoff = self.dim, self.weights, self.cutoff
-        scale = lcm(
+        lcd = lcm(
             *{c.denominator for vec in self.brackets.values() for c in vec.values()}
         )
         ad = [{} for _ in range(n)]
         for (i, j), vec in self.brackets.items():
-            ints = {k: c.numerator * (scale // c.denominator) for k, c in vec.items()}
+            ints = {k: c.numerator * (lcd // c.denominator) for k, c in vec.items()}
             ad[i][j] = ints
             ad[j][i] = {k: -c for k, c in ints.items()}
         later = _later_indices(w)
@@ -159,40 +139,43 @@ class GradedLieAlgebra:
             for j in later(i, cutoff - wi):
                 ad_j, wj = ad[j], w[j]
                 ad_ij = ad_i.get(j, empty)
-                for k in later(j, min(cutoff - wi, cutoff - wj, cutoff - wi - wj)):
-                    checked += 1
-                    acc = {}
-                    cyclic = ((ad_ij, k), (ad_j.get(k, empty), i), (ad[k].get(i, empty), j))
-                    for vec, other in cyclic:
-                        for m, c in vec.items():
-                            for t, v in ad[m].get(other, empty).items():
-                                acc[t] = acc.get(t, 0) + c * v
-                    if any(acc.values()):
-                        raise CheckFailure(
-                            f"{self.name}: Jacobi fails on "
-                            f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})",
-                            witness={
-                                "triple": (i, j, k),
-                                "defect": self._jacobi_defect(i, j, k),
-                            },
-                        )
+                ks = later(j, min(cutoff - wi, cutoff - wj, cutoff - wi - wj))
+                checked += len(ks)
+                defects = accumulate(
+                    ((k, t), c * v)
+                    for k in ks
+                    for vec, other in (
+                        (ad_ij, k), (ad_j.get(k, empty), i), (ad[k].get(i, empty), j)
+                    )
+                    for m, c in vec.items()
+                    for t, v in ad[m].get(other, empty).items()
+                )
+                if defects:
+                    k = min(k for k, _ in defects)
+                    raise CheckFailure(
+                        f"{self.name}: Jacobi fails on "
+                        f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})",
+                        witness={
+                            "triple": (i, j, k),
+                            "defect": self._jacobi_defect(i, j, k),
+                        },
+                    )
         return comb(n, 3) - checked
 
     def _jacobi_defect(self, i: int, j: int, k: int) -> Vector:
         """The cyclic sum [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] over Q."""
-        acc = self.bracket_vec(self.bracket(i, j), {k: Fraction(1)})
-        acc = vec_add(acc, self.bracket_vec(self.bracket(j, k), {i: Fraction(1)}))
-        return vec_add(acc, self.bracket_vec(self.bracket(k, i), {j: Fraction(1)}))
+        return accumulate(
+            term
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+            for term in self.bracket_vec(self.bracket(a, b), {c: Fraction(1)}).items()
+        )
 
     def with_corrupted_bracket(self, i: int, j: int, k: int, delta) -> "GradedLieAlgebra":
         """A copy with one structure constant shifted; for fault-injection tests."""
         if i >= j:
             i, j = j, i
-        brackets = {key: dict(vec) for key, vec in self.brackets.items()}
-        vec = brackets.setdefault((i, j), {})
-        vec[k] = vec.get(k, Fraction(0)) + Fraction(delta)
-        if vec[k] == 0:
-            del vec[k]
+        brackets = dict(self.brackets)
+        brackets[(i, j)] = accumulate([(k, Fraction(delta))], brackets.get((i, j)))
         return GradedLieAlgebra(
             self.name + "(corrupted)",
             self.labels,
@@ -234,15 +217,15 @@ class LinearMap:
                         f"map {self.source.name} -> {self.target.name} shifts weight "
                         f"on {self.source.labels[i]}"
                     )
+        self.columns = FrozenVectors(self.columns)
 
     def column(self, i: int) -> Vector:
-        return self.columns.get(i, {})
+        return self.columns.get(i, EMPTY)
 
     def apply(self, vec: Vector) -> Vector:
-        out: Vector = {}
-        for i, c in vec.items():
-            out = vec_add(out, vec_scale(self.column(i), c))
-        return out
+        return accumulate(
+            (k, ck * c) for i, c in vec.items() for k, ck in self.column(i).items()
+        )
 
     def compose(self, first: "LinearMap") -> "LinearMap":
         """self after first."""
@@ -407,7 +390,7 @@ class ExtensionData:
         """[s(e_i), s(e_j)] - s([e_i, e_j]) in sub coordinates."""
         lhs = self.total.bracket_vec(self.splitting.column(i), self.splitting.column(j))
         rhs = self.splitting.apply(self.quotient.bracket(i, j))
-        return self.sub_coordinates(vec_sub(lhs, rhs))
+        return self.sub_coordinates(sub(lhs, rhs))
 
 
 def extension_defect_cochain(e: ExtensionData) -> dict[tuple[int, int], Vector]:

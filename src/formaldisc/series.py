@@ -14,16 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise UsageError(f"not an exact rational: {value!r}")
+from .sparse import LinearTerms, accumulate, as_fraction
 
 
 @dataclass(frozen=True)
@@ -76,12 +67,13 @@ def unit_monomial(d: int) -> Monomial:
     return Monomial((0,) * d, (0,) * d, 0)
 
 
-class TruncatedPoly:
+class TruncatedPoly(LinearTerms):
     """Sparse polynomial over Q in x, y, h, truncated at a weight cutoff.
 
     Immutable by convention: no method mutates `terms`, and instances may be
     shared freely.  Zero coefficients and over-cutoff monomials are never
-    stored, so equal values compare equal as dicts.
+    stored, so equal values compare equal as dicts.  The linear structure
+    (+, -, scaled, ==, hash) is the shared one of `sparse.LinearTerms`.
     """
 
     __slots__ = ("d", "cutoff", "terms")
@@ -96,7 +88,7 @@ class TruncatedPoly:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = as_fraction(coeff)
                 if coeff == 0 or mono.weight > cutoff:
                     continue
                 if mono.dimension != d or len(mono.yexp) != d:
@@ -112,7 +104,7 @@ class TruncatedPoly:
 
     @staticmethod
     def constant(value, d: int, cutoff: int) -> "TruncatedPoly":
-        return TruncatedPoly(d, cutoff, {unit_monomial(d): _as_fraction(value)})
+        return TruncatedPoly(d, cutoff, {unit_monomial(d): as_fraction(value)})
 
     @staticmethod
     def one(d: int, cutoff: int) -> "TruncatedPoly":
@@ -153,8 +145,14 @@ class TruncatedPoly:
         if self.cutoff != other.cutoff:
             raise UsageError(f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _truncation(self):
+        return (self.d, self.cutoff)
+
+    def _with(self, terms) -> "TruncatedPoly":
+        return TruncatedPoly(self.d, self.cutoff, terms)
+
+    def _scalar(self, value) -> "TruncatedPoly":
+        return TruncatedPoly.constant(value, self.d, self.cutoff)
 
     def constant_term(self) -> Fraction:
         return self.terms.get(unit_monomial(self.d), Fraction(0))
@@ -184,46 +182,6 @@ class TruncatedPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedPoly.constant(other, self.d, self.cutoff)
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        self._check_compat(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = acc
-        return TruncatedPoly(self.d, self.cutoff, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedPoly(
-            self.d, self.cutoff, {m: -c for m, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedPoly.constant(other, self.d, self.cutoff)
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scaled(self, value) -> "TruncatedPoly":
-        value = _as_fraction(value)
-        if value == 0:
-            return TruncatedPoly.zero(self.d, self.cutoff)
-        return TruncatedPoly(
-            self.d, self.cutoff, {m: c * value for m, c in self.terms.items()}
-        )
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
@@ -231,19 +189,18 @@ class TruncatedPoly:
             return NotImplemented
         self._check_compat(other)
         cutoff = self.cutoff
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            w1 = m1.weight
-            for m2, c2 in other.terms.items():
-                if w1 + m2.weight > cutoff:
-                    continue
-                m = m1.mul(m2)
-                acc = out.get(m, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
-        return TruncatedPoly(self.d, cutoff, out)
+        right = [(m2, c2, m2.weight) for m2, c2 in other.terms.items()]
+        left = [(m1, c1, cutoff - m1.weight) for m1, c1 in self.terms.items()]
+        return TruncatedPoly(
+            self.d,
+            cutoff,
+            accumulate(
+                (m1.mul(m2), c1 * c2)
+                for m1, c1, room in left
+                for m2, c2, w2 in right
+                if w2 <= room
+            ),
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -262,18 +219,6 @@ class TruncatedPoly:
             n >>= 1
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        return (
-            self.d == other.d
-            and self.cutoff == other.cutoff
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.cutoff, frozenset(self.terms.items())))
-
     # -- calculus ----------------------------------------------------------
 
     def partial(self, v: int) -> "TruncatedPoly":
@@ -284,25 +229,20 @@ class TruncatedPoly:
         """
         if not 0 <= v < 2 * self.d:
             raise UsageError(f"coordinate index {v} out of range for d={self.d}")
-        out = {}
-        for mono, coeff in self.terms.items():
-            if v < self.d:
-                e = mono.xexp[v]
-                if e == 0:
-                    continue
-                new = Monomial(
-                    mono.xexp[:v] + (e - 1,) + mono.xexp[v + 1 :], mono.yexp, mono.hexp
-                )
-            else:
-                i = v - self.d
-                e = mono.yexp[i]
-                if e == 0:
-                    continue
-                new = Monomial(
-                    mono.xexp, mono.yexp[:i] + (e - 1,) + mono.yexp[i + 1 :], mono.hexp
-                )
-            out[new] = out.get(new, Fraction(0)) + coeff * e
-        return TruncatedPoly(self.d, self.cutoff, out)
+        i, on_x = v % self.d, v < self.d
+
+        def lowered():
+            for m, c in self.terms.items():
+                exps = m.xexp if on_x else m.yexp
+                e = exps[i]
+                if e:
+                    less = exps[:i] + (e - 1,) + exps[i + 1 :]
+                    if on_x:
+                        yield Monomial(less, m.yexp, m.hexp), c * e
+                    else:
+                        yield Monomial(m.xexp, less, m.hexp), c * e
+
+        return TruncatedPoly(self.d, self.cutoff, accumulate(lowered()))
 
     def substitute(self, images: "list[TruncatedPoly]") -> "TruncatedPoly":
         """Substitute coordinate v -> images[v] for all 2d disc coordinates.
@@ -492,10 +432,7 @@ class DifferentialForm:
         self._check_compat(other)
         if self.degree != other.degree:
             raise UsageError("cannot add forms of different degree")
-        comps = dict(self.components)
-        for idx, poly in other.components.items():
-            acc = comps.get(idx)
-            comps[idx] = poly if acc is None else acc + poly
+        comps = accumulate(other.components.items(), self.components)
         return DifferentialForm(self.d, self.cutoff, self.degree, comps)
 
     def __neg__(self):
@@ -574,20 +511,19 @@ def de_rham_d(form: DifferentialForm) -> DifferentialForm:
     """Exterior derivative; satisfies d(d(form)) = 0 exactly."""
     if form.degree >= 2 * form.d:
         raise UsageError("de Rham differential undefined above top degree")
-    comps: dict[tuple[int, ...], TruncatedPoly] = {}
-    for idx, poly in form.components.items():
-        for v in range(2 * form.d):
-            dpoly = poly.partial(v)
-            if dpoly.is_zero():
-                continue
-            merged = _merge_indices((v,), idx)
-            if merged is None:
-                continue
-            sign, new_idx = merged
-            piece = dpoly if sign == 1 else -dpoly
-            acc = comps.get(new_idx)
-            comps[new_idx] = piece if acc is None else acc + piece
-    return DifferentialForm(form.d, form.cutoff, form.degree + 1, comps)
+
+    def pieces():
+        for idx, poly in form.components.items():
+            for v in range(2 * form.d):
+                merged = _merge_indices((v,), idx)
+                if merged is None:
+                    continue
+                sign, new_idx = merged
+                dpoly = poly.partial(v)
+                if not dpoly.is_zero():
+                    yield new_idx, dpoly if sign == 1 else -dpoly
+
+    return DifferentialForm(form.d, form.cutoff, form.degree + 1, accumulate(pieces()))
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
@@ -596,39 +532,34 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     degree = a.degree + b.degree
     if degree > 2 * a.d:
         raise UsageError("wedge degree overflow")
-    comps: dict[tuple[int, ...], TruncatedPoly] = {}
-    for ia, pa in a.components.items():
-        for ib, pb in b.components.items():
-            merged = _merge_indices(ia, ib)
-            if merged is None:
-                continue
-            sign, idx = merged
-            piece = pa * pb
-            if sign == -1:
-                piece = -piece
-            if piece.is_zero():
-                continue
-            acc = comps.get(idx)
-            comps[idx] = piece if acc is None else acc + piece
-    return DifferentialForm(a.d, a.cutoff, degree, comps)
+
+    def pieces():
+        for ia, pa in a.components.items():
+            for ib, pb in b.components.items():
+                merged = _merge_indices(ia, ib)
+                if merged is None:
+                    continue
+                sign, idx = merged
+                piece = pa * pb
+                if not piece.is_zero():
+                    yield idx, piece if sign == 1 else -piece
+
+    return DifferentialForm(a.d, a.cutoff, degree, accumulate(pieces()))
 
 
 def euler_contraction(form: DifferentialForm) -> DifferentialForm:
     """Interior product with the Euler field sum_v u_v d/du_v."""
     if form.degree == 0:
         raise UsageError("cannot contract a 0-form")
-    comps: dict[tuple[int, ...], TruncatedPoly] = {}
-    for idx, poly in form.components.items():
-        for pos, v in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1 :]
-            piece = poly * TruncatedPoly.coordinate(v, form.d, form.cutoff)
-            if pos % 2 == 1:
-                piece = -piece
-            if piece.is_zero():
-                continue
-            acc = comps.get(rest)
-            comps[rest] = piece if acc is None else acc + piece
-    return DifferentialForm(form.d, form.cutoff, form.degree - 1, comps)
+
+    def pieces():
+        for idx, poly in form.components.items():
+            for pos, v in enumerate(idx):
+                piece = poly * TruncatedPoly.coordinate(v, form.d, form.cutoff)
+                if not piece.is_zero():
+                    yield idx[:pos] + idx[pos + 1 :], -piece if pos % 2 else piece
+
+    return DifferentialForm(form.d, form.cutoff, form.degree - 1, accumulate(pieces()))
 
 
 # ---------------------------------------------------------------------------

@@ -222,9 +222,7 @@ def cohomology_suite(report: Report, d, p, n):
         return f"d^2 = 0 on {checked} weight blocks"
 
     def whitehead():
-        derd = tower.build_derd_level(d, min(p, 1), max(n, 4))
-        sp, _ = tower.sp_subalgebra(derd)
-        module = cohomology.trivial_module(sp)
+        module = cohomology.trivial_module(tower.sp_algebra(d))
         h0 = cohomology.cohomology_dim(module, 0, 0)
         h1 = cohomology.cohomology_dim(module, 1, 0)
         h2 = cohomology.cohomology_dim(module, 2, 0)

@@ -20,20 +20,13 @@ triples as overflow-exempt.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology
 from .errors import CheckFailure, InternalError, UsageError
-from .liealg import (
-    ExtensionData,
-    GradedLieAlgebra,
-    LieMap,
-    LinearMap,
-    Vector,
-    vec_add,
-    vec_scale,
-)
+from .liealg import ExtensionData, GradedLieAlgebra, LieMap, LinearMap, Vector
 from .reports import Report
 from .series import (
     Monomial,
@@ -42,6 +35,7 @@ from .series import (
     coordinate_name,
     standard_poisson,
 )
+from .sparse import accumulate
 from .weyl import TruncationSpec, WeylElement, commutator, mixed_laplacian
 
 _build_cache: dict = {}
@@ -247,16 +241,14 @@ def build_w(d: int, n: int) -> GradedLieAlgebra:
             if mi.weight + mj.weight - 2 > cutoff:
                 continue
             fj = TruncatedPoly(d, n, {mj: Fraction(1)})
-            vec: Vector = {}
-            for mono, c in (fi * fj.partial(u)).terms.items():
-                pos = index.get((v, mono))
-                if pos is not None:
-                    vec[pos] = vec.get(pos, Fraction(0)) + c
-            for mono, c in (fj * fi.partial(v)).terms.items():
-                pos = index.get((u, mono))
-                if pos is not None:
-                    vec[pos] = vec.get(pos, Fraction(0)) - c
-            vec = {k: c for k, c in vec.items() if c != 0}
+            # [fi d_u, fj d_v] = fi d_u(fj) d_v - fj d_v(fi) d_u
+            parts = ((fi * fj.partial(u), v, 1), (fj * fi.partial(v), u, -1))
+            vec = accumulate(
+                (index[(axis, mono)], sign * c)
+                for poly, axis, sign in parts
+                for mono, c in poly.terms.items()
+                if (axis, mono) in index
+            )
             if vec:
                 brackets[(i, j)] = vec
     algebra = GradedLieAlgebra(
@@ -275,15 +267,12 @@ def hamiltonian_map(d: int, n: int) -> LieMap:
     columns = {}
     for i, mono in enumerate(h_alg.tags):
         f = TruncatedPoly(d, n, {mono: Fraction(1)})
-        vec: Vector = {}
-        for axis in range(d):
-            for m, c in f.partial(axis).terms.items():
-                pos = w_index[(d + axis, m)]
-                vec[pos] = vec.get(pos, Fraction(0)) + c
-            for m, c in f.partial(d + axis).terms.items():
-                pos = w_index[(axis, m)]
-                vec[pos] = vec.get(pos, Fraction(0)) - c
-        columns[i] = {k: c for k, c in vec.items() if c != 0}
+        columns[i] = accumulate(
+            (w_index[(target, m)], sign * c)
+            for axis in range(d)
+            for source, target, sign in ((axis, d + axis, 1), (d + axis, axis, -1))
+            for m, c in f.partial(source).terms.items()
+        )
     return LieMap.build(h_alg, w_alg, columns, name="H->W")
 
 
@@ -410,37 +399,6 @@ def v_extension(d: int, p: int, n: int) -> ExtensionData:
     return ExtensionData(v_alg, g, derd, inject, project, splitting)
 
 
-@dataclass
-class DerDTower:
-    """Levels 0..p of the derivation quotient with the connecting maps."""
-
-    levels: list
-    quotients: list  # quotients[q]: levels[q+1] -> levels[q]
-
-
-def build_derd_tower(d: int, p: int, n: int) -> DerDTower:
-    levels = [build_derd_level(d, q, n) for q in range(p + 1)]
-    quotients = [level_quotient_map(d, q, n, "DerD") for q in range(p)]
-    return DerDTower(levels, quotients)
-
-
-@dataclass
-class GTower:
-    """Levels 0..p of the extension algebra, their connecting maps, and the
-    scalar extension row over each level."""
-
-    levels: list
-    quotients: list
-    rows: list  # rows[q]: 0 -> k[h]/h^(q+1) -> G_q -> DerD_q -> 0
-
-
-def build_g_tower(d: int, p: int, n: int) -> GTower:
-    levels = [build_g_level(d, q, n) for q in range(p + 1)]
-    quotients = [level_quotient_map(d, q, n, "G") for q in range(p)]
-    rows = [cent_row(d, q, n) for q in range(p + 1)]
-    return GTower(levels, quotients, rows)
-
-
 # ---------------------------------------------------------------------------
 # the commutative-ladder check
 # ---------------------------------------------------------------------------
@@ -561,10 +519,10 @@ def _kernel_dims_check(kernel, d, p, n, include_constant):
     weight-by-weight, shifted by the h^(p+1) twist."""
     dims = kernel.weight_dims()
     shift = 2 * (p + 1)
-    expected = {}
-    for m in all_monomials(d, n - shift, min_degree=0 if include_constant else 1):
-        w = m.weight + shift - 2
-        expected[w] = expected.get(w, 0) + 1
+    expected = Counter(
+        m.weight + shift - 2
+        for m in all_monomials(d, n - shift, min_degree=0 if include_constant else 1)
+    )
     if dims != expected:
         raise CheckFailure(
             "kernel dimensions do not match the twisted function space",
@@ -695,6 +653,16 @@ def sp_subalgebra(derd: GradedLieAlgebra):
     return sp, indices
 
 
+def sp_algebra(d: int) -> GradedLieAlgebra:
+    """sp(2d) as an algebra of its own: the quadratic symbols of DerD_0 at N=2.
+
+    Quadratic symbols bracket by their Poisson bracket at every level and
+    cutoff N >= 2, so this algebra depends on d alone.
+    """
+    sp, _ = sp_subalgebra(build_derd_level(d, 0, 2))
+    return sp
+
+
 def levi_restriction_split(d: int, p: int, n: int):
     """A bracket-preserving section of G_p -> DerD_p over sp(2d).
 
@@ -725,14 +693,17 @@ def levi_restriction_split(d: int, p: int, n: int):
             "no Levi section: the restricted cocycle is not a coboundary "
             "(this must never happen; it indicates a build bug)",
         )
-    columns = {}
-    for a in range(sp.dim):
-        base = dict(row.splitting.column(indices[a]))
-        correction = primitive.value((a,))
-        for m, c in correction.items():
-            img = row.inject.column(m)
-            base = vec_add(base, vec_scale(img, -c))
-        columns[a] = base
+    columns = {
+        a: accumulate(
+            (
+                (k, v * -c)
+                for m, c in primitive.value((a,)).items()
+                for k, v in row.inject.column(m).items()
+            ),
+            row.splitting.column(indices[a]),
+        )
+        for a in range(sp.dim)
+    }
     section = LieMap.build(sp, row.total, columns, name=f"sp->{row.total.name}")
     return section, sp, indices, cocycle, primitive
 
@@ -750,14 +721,17 @@ def d1_semidirect_split(d: int, n: int) -> LieMap:
     columns = {}
     for i, mono in enumerate(derd0.tags):
         f = TruncatedPoly(d, n, {mono: Fraction(1)})
-        vec: Vector = {index1[mono]: Fraction(1)}
-        for m, c in mixed_laplacian(f).terms.items():
-            lifted = Monomial(m.xexp, m.yexp, 1)
-            if _is_scalar(lifted) or lifted.weight > n:
-                continue
-            pos = index1[lifted]
-            vec[pos] = vec.get(pos, Fraction(0)) - c / 2
-        columns[i] = {k: c for k, c in vec.items() if c != 0}
+        lifts = (
+            (Monomial(m.xexp, m.yexp, 1), c) for m, c in mixed_laplacian(f).terms.items()
+        )
+        columns[i] = accumulate(
+            (
+                (index1[lifted], -c / 2)
+                for lifted, c in lifts
+                if not _is_scalar(lifted) and lifted.weight <= n
+            ),
+            {index1[mono]: Fraction(1)},
+        )
     return LieMap.build(derd0, derd1, columns, name="DerD_0 -> DerD_1")
 
 

@@ -23,13 +23,8 @@ from fractions import Fraction
 from math import comb, perm
 
 from .errors import InternalError, UsageError
-from .series import (
-    Monomial,
-    TruncatedPoly,
-    _as_fraction,
-    standard_poisson,
-    unit_monomial,
-)
+from .series import Monomial, TruncatedPoly, standard_poisson, unit_monomial
+from .sparse import LinearTerms, accumulate, as_fraction
 
 
 @dataclass(frozen=True)
@@ -50,11 +45,12 @@ class TruncationSpec:
         return TruncationSpec(self.d, self.h_order + extra_h, self.cutoff + extra_weight)
 
 
-class WeylElement:
+class WeylElement(LinearTerms):
     """Normal-ordered element of D_p: finite map from monomials to rationals.
 
     Two elements are equal iff their term maps are equal; the map is the
-    canonical form.
+    canonical form.  The linear structure (+, -, scaled, ==, hash) is the
+    shared one of `sparse.LinearTerms`.
     """
 
     __slots__ = ("spec", "terms")
@@ -65,7 +61,7 @@ class WeylElement:
         if terms:
             for mono, coeff in terms.items():
                 if not isinstance(coeff, Fraction):
-                    coeff = _as_fraction(coeff)
+                    coeff = as_fraction(coeff)
                 if coeff == 0:
                     continue
                 if mono.hexp > spec.h_order or mono.weight > spec.cutoff:
@@ -83,7 +79,7 @@ class WeylElement:
 
     @staticmethod
     def scalar(value, spec: TruncationSpec) -> "WeylElement":
-        return WeylElement(spec, {unit_monomial(spec.d): _as_fraction(value)})
+        return WeylElement(spec, {unit_monomial(spec.d): as_fraction(value)})
 
     @staticmethod
     def one(spec: TruncationSpec) -> "WeylElement":
@@ -120,47 +116,14 @@ class WeylElement:
         if self.spec != other.spec:
             raise UsageError(f"truncation mismatch: {self.spec} vs {other.spec}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylElement.scalar(other, self.spec)
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        self._check_compat(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = acc
+    def _truncation(self):
+        return (self.spec,)
+
+    def _with(self, terms) -> "WeylElement":
         return WeylElement(self.spec, terms)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylElement(self.spec, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylElement.scalar(other, self.spec)
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scaled(self, value) -> "WeylElement":
-        value = _as_fraction(value)
-        return WeylElement(self.spec, {m: c * value for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.spec, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _scalar(self, value) -> "WeylElement":
+        return WeylElement.scalar(value, self.spec)
 
     def symbol(self) -> TruncatedPoly:
         """The normal-order symbol: the same exponents read commutatively."""
@@ -244,13 +207,14 @@ def star(a: WeylElement, b: WeylElement) -> WeylElement:
     """Associative product of D_p: the kernel on every pair of terms."""
     a._check_compat(b)
     spec = a.spec
-    total: dict[Monomial, Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            coeff = ca * cb
-            for mono, k in _normal_product(ma, mb, spec):
-                total[mono] = total.get(mono, 0) + coeff * k
-    return WeylElement(spec, total)
+    terms = accumulate(
+        (mono, coeff * k)
+        for ma, ca in a.terms.items()
+        for mb, cb in b.terms.items()
+        for coeff in (ca * cb,)
+        for mono, k in _normal_product(ma, mb, spec)
+    )
+    return WeylElement(spec, terms)
 
 
 def normal_order(word, spec: TruncationSpec, scalar=1) -> WeylElement:
@@ -337,14 +301,15 @@ def iota(a: WeylElement) -> WeylElement:
     """
     spec = a.spec
     zeros = (0,) * spec.d
-    total: dict[Monomial, Fraction] = {}
-    for mono, coeff in a.terms.items():
-        signed = -coeff if mono.hexp % 2 else coeff
-        left = Monomial(zeros, mono.yexp, mono.hexp)
-        right = Monomial(mono.xexp, zeros, 0)
-        for m, k in _normal_product(left, right, spec):
-            total[m] = total.get(m, 0) + signed * k
-    return WeylElement(spec, total)
+    terms = accumulate(
+        (m, signed * k)
+        for mono, coeff in a.terms.items()
+        for signed in (-coeff if mono.hexp % 2 else coeff,)
+        for m, k in _normal_product(
+            Monomial(zeros, mono.yexp, mono.hexp), Monomial(mono.xexp, zeros, 0), spec
+        )
+    )
+    return WeylElement(spec, terms)
 
 
 def mod_h(a: WeylElement) -> TruncatedPoly:

@@ -63,7 +63,7 @@ class TestDifferential:
     def test_d_squared_matrix(self):
         h_alg = tower.build_h(1, 5)
         module = trivial_module(h_alg)
-        checked = 0
+        checked = []
         for w in sorted(set(h_alg.weights)):
             d1, src1, _, ex1 = differential_block(module, 1, w)
             d2, _, _, ex2 = differential_block(module, 2, w)
@@ -71,15 +71,9 @@ class TestDifferential:
                 continue
             product = linalg.mat_mul(d2, d1)
             assert all(v == 0 for row in product for v in row)
-            checked += 1
-        assert checked >= 3
-
-    def test_cochain_space_wrapper(self):
-        h_alg = tower.build_h(1, 5)
-        module = trivial_module(h_alg)
-        block = cohomology.CochainSpace.build(module, 1, -1)
-        assert block.excluded == 0
-        block.verify_d_squared()
+            checked.append(w)
+        assert len(checked) >= 3
+        assert -1 in checked
 
     def test_weight_blocks_partition(self):
         h_alg = tower.build_h(1, 4)

@@ -171,6 +171,34 @@ class TestCLI:
         assert main(transport + ["--d", "1", "--p", "-1", "--N", "4"]) == 2
         assert main(transport + ["--d", "1", "--p", "0", "--N", "4"]) == 0
 
+    def test_sp_dims_depend_on_d_alone(self, capsys):
+        payloads = []
+        for extra in (["--N", "0"], ["--N", "5"], ["--p", "3", "--N", "9"]):
+            assert main(["cohomology", "dims", "--algebra", "sp", "--d", "1"] + extra) == 0
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("duration_s")
+            payloads.append(payload)
+        assert payloads[0] == payloads[1] == payloads[2]
+        assert payloads[0]["params"] == {"algebra": "sp", "d": 1, "module": "trivial"}
+        assert payloads[0]["dimensions"] == {"H^0(w=0)": 1}
+
+    def test_transport_at_p0_is_the_h_free_part(self, capsys, tmp_path):
+        command = [
+            "darboux", "transport", "--form", "(1+x1) * dx1 /\\ dy1",
+            "--a", "x1^2+y1", "--b", "y1^2*x1", "--d", "1", "--N", "6",
+        ]
+        terms = {}
+        for p in (0, 1):
+            path = tmp_path / f"p{p}.json"
+            assert main(command + ["--p", str(p), "--json", str(path)]) == 0
+            payload = json.loads(path.read_text())
+            assert payload["params"]["p"] == p
+            terms[p] = payload["result"]["terms"]
+        assert capsys.readouterr().out.splitlines()[0] == "x1*y1^3 + x1^3*y1^2"
+        assert all(hexp == 0 for _, _, hexp, _ in terms[0])
+        assert any(hexp > 0 for _, _, hexp, _ in terms[1])
+        assert terms[0] == [t for t in terms[1] if t[2] == 0]
+
     def test_tower_fault_injection(self, capsys):
         code = main(["tower", "check", "--d", "1", "--p", "1", "--N", "4", "--inject-fault"])
         assert code == 1

@@ -17,7 +17,8 @@ import pytest
 
 from formaldisc import tower
 from formaldisc.errors import CheckFailure, InternalError
-from formaldisc.liealg import GradedLieAlgebra, LieMap, vec_add
+from formaldisc.liealg import GradedLieAlgebra, LieMap
+from formaldisc.sparse import add
 
 
 def _in_cutoff_triple(algebra, i, j, k):
@@ -42,10 +43,10 @@ def reference_verify_jacobi(algebra):
                     exempt += 1
                     continue
                 acc = algebra.bracket_vec(bij, {k: Fraction(1)})
-                acc = vec_add(
+                acc = add(
                     acc, algebra.bracket_vec(algebra.bracket(j, k), {i: Fraction(1)})
                 )
-                acc = vec_add(
+                acc = add(
                     acc, algebra.bracket_vec(algebra.bracket(k, i), {j: Fraction(1)})
                 )
                 if acc:

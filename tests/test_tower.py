@@ -99,19 +99,46 @@ class TestBuilders:
 
 class TestTowerBundles:
     def test_derd_tower_shape(self):
-        bundle = tower.build_derd_tower(1, 2, 5)
-        assert len(bundle.levels) == 3 and len(bundle.quotients) == 2
-        for q, qmap in enumerate(bundle.quotients):
-            assert qmap.source is bundle.levels[q + 1]
-            assert qmap.target is bundle.levels[q]
+        levels = [tower.build_derd_level(1, q, 5) for q in range(3)]
+        quotients = [tower.level_quotient_map(1, q, 5, "DerD") for q in range(2)]
+        for q, qmap in enumerate(quotients):
+            assert qmap.source is levels[q + 1]
+            assert qmap.target is levels[q]
 
     def test_g_tower_rows_validate(self):
-        bundle = tower.build_g_tower(1, 1, 5)
-        assert len(bundle.rows) == 2
-        for row in bundle.rows:
+        for q in range(2):
+            row = tower.cent_row(1, q, 5)
+            assert row.total is tower.build_g_level(1, q, 5)
             row.check_exact()
             row.check_sub_central()
             row.check_splitting()
+
+
+class TestReadOnlyCache:
+    def test_cached_vectors_cannot_be_changed(self):
+        g = tower.build_g_level(1, 1, 5)
+        (i, j), vec = next(iter(g.brackets.items()))
+        k = next(iter(vec))
+        with pytest.raises(TypeError):
+            g.bracket(i, j)[k] = Fraction(7)
+        with pytest.raises(TypeError):
+            g.brackets[(i, j)][k] = Fraction(7)
+        with pytest.raises(TypeError):
+            g.brackets[(i, j)] = {}
+        inject = tower.cent_row(1, 1, 5).inject
+        with pytest.raises(TypeError):
+            inject.column(0)[0] = Fraction(7)
+        assert tower.build_g_level(1, 1, 5) is g
+        assert g.bracket(i, j) == vec and k in vec
+
+    def test_corrupted_copy_leaves_the_cache_alone(self):
+        g = tower.build_g_level(1, 1, 5)
+        (i, j), vec = next(iter(g.brackets.items()))
+        k = next(iter(vec))
+        before = vec[k]
+        bad = g.with_corrupted_bracket(i, j, k, Fraction(1, 2))
+        assert bad.bracket(i, j)[k] == before + Fraction(1, 2)
+        assert g.bracket(i, j)[k] == before
 
 
 class TestCommuDiagram:
