@@ -217,18 +217,14 @@ def _cohomology_command(args) -> int:
             raise UsageError(
                 f"cohomology dims --algebra sp needs p >= 0; got p={args.p}"
             )
+        degrees = [int(tok) for tok in args.degrees.split(",") if tok.strip()]
+        if any(k < 0 for k in degrees):
+            raise UsageError(f"cohomology dims needs degrees >= 0; got {args.degrees}")
         algebra = _pick_algebra(args.algebra, args.d, args.N)
         module = cohomology.trivial_module(algebra)
-        degrees = [int(tok) for tok in args.degrees.split(",") if tok.strip()]
         table = {}
         for k in degrees:
-            weights = sorted(
-                {
-                    sum(algebra.weights[i] for i in idx)
-                    for idx in _k_subsets(algebra.dim, k)
-                }
-            )
-            for w in weights:
+            for w in cohomology.tuple_weights(algebra.weights, k):
                 dim = cohomology.cohomology_dim(module, k, w)
                 if dim:
                     table[f"H^{k}(w={w})"] = dim
@@ -271,12 +267,6 @@ def _cohomology_command(args) -> int:
     )
     print(_emit(payload, args.json))
     return 0 if ok else 1
-
-
-def _k_subsets(n, k):
-    from itertools import combinations
-
-    return combinations(range(n), k)
 
 
 def _darboux_command(args) -> int:

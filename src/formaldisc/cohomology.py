@@ -224,16 +224,67 @@ def _evaluate_inserted(cochain: Cochain, comp: int, rest: tuple) -> Vector:
     return scale(vec, -1) if pos % 2 else vec
 
 
-def cochain_block_basis(module: LieModule, k: int, weight: int):
-    """Basis of the (degree k, cochain weight w) block as (tuple, m) pairs."""
-    g = module.algebra
+def tuple_weights(weights, k: int) -> list[int]:
+    """The weight sums of the k-element subsets of `weights`, ascending."""
+    if k < 0:
+        return []
+    sums = [{0}] + [set() for _ in range(k)]
+    for w in weights:
+        for r in range(k, 0, -1):
+            sums[r].update(s + w for s in sums[r - 1])
+    return sorted(sums[k])
+
+
+def _tuples_in_range(weights, k: int, lo: int, hi: int):
+    """Increasing k-tuples of indices whose weight sum lies in [lo, hi], in
+    lexicographic order, each with its sum.
+
+    A pruned recursion: least[i][r] and most[i][r] bound the sum of r more
+    indices taken from i on, so no branch is entered that cannot reach the
+    range.  The weights need not be sorted.
+    """
+    n = len(weights)
+    if k < 0 or k > n:
+        return []
+    # filled for r <= n - i, the only (i, r) the recursion reaches
+    least = [[0] * (k + 1) for _ in range(n + 1)]
+    most = [[0] * (k + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        w = weights[i]
+        for r in range(1, min(k, n - i) + 1):
+            least[i][r] = w + least[i + 1][r - 1]
+            most[i][r] = w + most[i + 1][r - 1]
+            if r < n - i:  # index i may also be skipped
+                least[i][r] = min(least[i][r], least[i + 1][r])
+                most[i][r] = max(most[i][r], most[i + 1][r])
     out = []
-    for idx in combinations(range(g.dim), k):
-        ins = sum(g.weights[i] for i in idx)
-        for m in range(module.dim):
-            if ins - module.weights[m] == weight:
-                out.append((idx, m))
+
+    def extend(start, r, total, prefix):
+        if total + least[start][r] > hi or total + most[start][r] < lo:
+            return
+        if r == 0:
+            out.append((prefix, total))
+            return
+        for j in range(start, n - r + 1):
+            extend(j + 1, r - 1, total + weights[j], prefix + (j,))
+
+    extend(0, k, 0, ())
     return out
+
+
+def cochain_block_basis(module: LieModule, k: int, weight: int):
+    """Basis of the (degree k, cochain weight w) block as (tuple, m) pairs.
+
+    In lexicographic (tuple, m) order; only the tuples of a matching input
+    weight are generated.
+    """
+    targets: dict[int, list] = {}  # input weight -> module indices it pairs with
+    for m, wm in enumerate(module.weights):
+        targets.setdefault(weight + wm, []).append(m)
+    if not targets:
+        return []
+    tuples = _tuples_in_range(module.algebra.weights, k, min(targets), max(targets))
+    return [(idx, m) for idx, total in tuples for m in targets.get(total, ())]
 
 
 def differential_block(module: LieModule, k: int, weight: int):
@@ -283,7 +334,7 @@ def differential_block(module: LieModule, k: int, weight: int):
         for a in range(k + 1):
             rest = idx[:a] + idx[a + 1 :]
             rest_total = sum(g.weights[i] for i in rest)
-            sign = Fraction(-1) ** a
+            sign = -1 if a % 2 else 1
             for m_src in module.module_indices_of_weight(rest_total - weight):
                 acted = module.act(idx[a], {m_src: Fraction(1)})
                 for m_out, c in acted.items():
@@ -294,7 +345,7 @@ def differential_block(module: LieModule, k: int, weight: int):
                 if not bracket:
                     continue
                 rest = tuple(v for t, v in enumerate(idx) if t != a and t != b)
-                sign = Fraction(-1) ** (a + b)
+                sign = -1 if (a + b) % 2 else 1
                 for comp, cb in bracket.items():
                     if comp in rest:
                         continue
@@ -302,7 +353,7 @@ def differential_block(module: LieModule, k: int, weight: int):
                     while pos < len(rest) and rest[pos] < comp:
                         pos += 1
                     inserted = rest[:pos] + (comp,) + rest[pos:]
-                    parity = Fraction(-1) ** pos
+                    parity = -1 if pos % 2 else 1
                     for m in ms:
                         put((idx, m), (inserted, m), sign * parity * cb)
     return matrix, src, tgt, excluded
@@ -317,7 +368,7 @@ def cohomology_dim(module: LieModule, k: int, weight: int) -> int:
         rank_prev = 0
     else:
         d_prev, _, _, _ = differential_block(module, k - 1, weight)
-        rank_prev = linalg.rank(d_prev) if d_prev else 0
+        rank_prev = linalg.rank(d_prev)
     return dim_ck - rank_k - rank_prev
 
 

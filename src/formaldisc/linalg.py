@@ -1,7 +1,10 @@
-"""Small dense exact-rational linear algebra: rank, solve, inverse.
+"""Exact-rational linear algebra: rank, solve, inverse.
 
-Everything is Gaussian elimination over Fraction; no floating point anywhere.
-Matrices are lists of lists of Fraction, rows first.
+Matrices are dense lists of rows with int or Fraction entries; a float
+entry raises UsageError.  All three operations share one kernel: forward
+elimination on sparse rows over Q (dicts of the nonzero entries), so a
+mostly-zero block costs what its nonzeros cost.  No floating point and no
+modular arithmetic anywhere.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UsageError
+from .sparse import accumulate, as_fraction, scale
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,39 +40,73 @@ def mat_mul(a, b):
     return out
 
 
-def _eliminate(matrix):
-    """Row-reduce a copy; returns (rref, pivot column list)."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
+def _sparse_row(row, extra=()):
+    """The nonzero entries of a dense row (then `extra`) as col -> Fraction."""
+    out = {j: as_fraction(v) for j, v in enumerate(row) if v}
+    out.update((len(row) + j, as_fraction(v)) for j, v in enumerate(extra) if v)
+    return out
+
+
+def _eliminate(rows, cols):
+    """Forward elimination of sparse rows on columns 0..cols-1, in order.
+
+    The pivot of a column is the shortest remaining row that is nonzero
+    there; it is scaled to 1 at the pivot and subtracted from the other
+    remaining rows nonzero there.  Rows above a pivot are never cleared.
+    Returns {pivot column: pivot row}, ascending, and the remaining rows,
+    which are nonzero only in columns >= cols.  The pivot columns are the
+    lexicographically first independent columns, as in Gauss-Jordan.
+    """
+    live = {i: row for i, row in enumerate(rows) if row}
+    holders: dict[int, set] = {}  # column -> live rows nonzero there
+    for i, row in live.items():
+        for col in row:
+            holders.setdefault(col, set()).add(i)
+    pivots = {}
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+        ids = holders.pop(c, None)
+        if not ids:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        p = min(ids, key=lambda i: (len(live[i]), i))
+        ids.discard(p)
+        pivot = live.pop(p)
+        for col in pivot:
+            if col != c:
+                holders[col].discard(p)
+        pivot = scale(pivot, ONE / pivot[c])
+        pivots[c] = pivot
+        for i in ids:
+            row = live[i]
+            f = row[c]
+            new = accumulate(((col, -f * v) for col, v in pivot.items()), row)
+            for col in row:
+                if col != c and col not in new:
+                    holders[col].discard(i)
+            for col in new:
+                if col not in row:
+                    holders.setdefault(col, set()).add(i)
+            if new:
+                live[i] = new
+            else:
+                del live[i]
+    return pivots, list(live.values())
+
+
+def _back_substitute(pivots, cols, rhs_col):
+    """The solution with free variables zero, reading the right-hand side
+    from column `rhs_col` of the pivot rows."""
+    x = [ZERO] * cols
+    for c in reversed(pivots):
+        row = pivots[c]
+        known = sum(v * x[col] for col, v in row.items() if c < col < cols)
+        x[c] = row.get(rhs_col, ZERO) - known
+    return x
 
 
 def rank(matrix) -> int:
     if not matrix or not matrix[0]:
         return 0
-    return len(_eliminate(matrix)[1])
+    return len(_eliminate([_sparse_row(row) for row in matrix], len(matrix[0]))[0])
 
 
 def solve(matrix, rhs):
@@ -76,26 +114,27 @@ def solve(matrix, rhs):
 
     Free variables are set to zero.
     """
+    rhs = [as_fraction(v) for v in rhs]
     rows = len(matrix)
     if rows == 0:
-        return [] if all(v == 0 for v in rhs) else None
+        return [] if not any(rhs) else None
     cols = len(matrix[0])
-    aug = [matrix[i][:] + [Fraction(rhs[i])] for i in range(rows)]
-    red, pivots = _eliminate(aug)
-    if cols in pivots:
+    pivots, rest = _eliminate(
+        [_sparse_row(matrix[i], (rhs[i],)) for i in range(rows)], cols
+    )
+    if rest:
         return None
-    x = [ZERO] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    return x
+    return _back_substitute(pivots, cols, cols)
 
 
 def inverse(matrix):
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise UsageError("inverse needs a square matrix")
-    aug = [matrix[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = _eliminate(aug)
-    if pivots != list(range(n)):
+    pivots, _ = _eliminate(
+        [_sparse_row(row, unit) for row, unit in zip(matrix, identity(n))], n
+    )
+    if len(pivots) != n:
         raise UsageError("matrix is singular")
-    return [row[n:] for row in red]
+    columns = [_back_substitute(pivots, n, n + j) for j in range(n)]
+    return [[column[i] for column in columns] for i in range(n)]

@@ -1,10 +1,12 @@
 """Chevalley-Eilenberg machinery: differentials, dimensions, classes."""
 
+import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from formaldisc import cohomology, linalg, tower
+from formaldisc import cli, cohomology, linalg, tower
 from formaldisc.cohomology import (
     Cochain,
     ce_differential,
@@ -20,14 +22,49 @@ from formaldisc.errors import UsageError
 from formaldisc.liealg import GradedLieAlgebra
 
 
-def abelian(dim=1, weight=0):
+def abelian(dim=1, weight=0, weights=None):
+    weights = tuple(weights) if weights is not None else (weight,) * dim
     return GradedLieAlgebra(
-        f"abelian{dim}",
-        tuple(f"e{i}" for i in range(dim)),
-        (weight,) * dim,
+        f"abelian{len(weights)}",
+        tuple(f"e{i}" for i in range(len(weights))),
+        weights,
         {},
         10,
     )
+
+
+def shuffled_sp():
+    """sp(2) with its basis permuted."""
+    sp, _ = tower.sp_subalgebra(tower.build_derd_level(1, 1, 4))
+    perm = [2, 0, 1]
+    inv = {v: k for k, v in enumerate(perm)}
+    brackets = {}
+    for (i, j), vec in sp.brackets.items():
+        a, b = inv[i], inv[j]
+        new_vec = {inv[k]: c for k, c in vec.items()}
+        if a < b:
+            brackets[(a, b)] = new_vec
+        else:
+            brackets[(b, a)] = {k: -c for k, c in new_vec.items()}
+    return GradedLieAlgebra(
+        "sp-shuffled",
+        tuple(sp.labels[i] for i in perm),
+        tuple(sp.weights[i] for i in perm),
+        brackets,
+        sp.cutoff,
+    )
+
+
+def all_subsets_basis(module, k, weight):
+    """The block basis by filtering every k-subset: the reference."""
+    g = module.algebra
+    out = []
+    for idx in combinations(range(g.dim), k):
+        ins = sum(g.weights[i] for i in idx)
+        for m in range(module.dim):
+            if ins - module.weights[m] == weight:
+                out.append((idx, m))
+    return out
 
 
 class TestDifferential:
@@ -82,8 +119,6 @@ class TestDifferential:
             len(cochain_block_basis(module, 2, w))
             for w in range(-10, 11)
         )
-        from itertools import combinations
-
         assert total == sum(1 for _ in combinations(range(h_alg.dim), 2))
 
 
@@ -105,25 +140,7 @@ class TestDimensions:
         assert cohomology_dim(module, 2, 0) == 0
 
     def test_dim_independent_of_basis_order(self):
-        # permute the sp basis and recompute
-        sp, _ = tower.sp_subalgebra(tower.build_derd_level(1, 1, 4))
-        perm = [2, 0, 1]
-        inv = {v: k for k, v in enumerate(perm)}
-        brackets = {}
-        for (i, j), vec in sp.brackets.items():
-            a, b = inv[i], inv[j]
-            new_vec = {inv[k]: c for k, c in vec.items()}
-            if a < b:
-                brackets[(a, b)] = new_vec
-            else:
-                brackets[(b, a)] = {k: -c for k, c in new_vec.items()}
-        shuffled = GradedLieAlgebra(
-            "sp-shuffled",
-            tuple(sp.labels[i] for i in perm),
-            tuple(sp.weights[i] for i in perm),
-            brackets,
-            sp.cutoff,
-        )
+        shuffled = shuffled_sp()
         shuffled.verify_jacobi()
         module = trivial_module(shuffled)
         assert cohomology_dim(module, 2, 0) == 0
@@ -188,3 +205,85 @@ class TestOmegaClass:
         for (i, j), vec in cls.representative.values.items():
             if h_alg.weights[i] >= 0 and h_alg.weights[j] >= 0 and vec:
                 raise AssertionError("nonzero pairing between degree >= 2 symbols")
+
+
+class TestBlockBasisByWeight:
+    """The by-weight basis against the all-subsets filter, order included."""
+
+    @pytest.mark.parametrize(
+        "algebra",
+        [
+            tower.build_h(1, 6),
+            tower.build_w(1, 4),
+            shuffled_sp(),
+            abelian(weights=(3, -1, 0, 2, -1, 5, 1, 0)),
+        ],
+        ids=lambda a: a.name,
+    )
+    @pytest.mark.parametrize("module_weights", [(0,), (2, 0, -1, 2)])
+    def test_matches_all_subsets(self, algebra, module_weights):
+        module = trivial_module(
+            algebra, tuple(f"v{m}" for m in range(len(module_weights))), module_weights
+        )
+        for k in range(4):
+            sums = {
+                sum(algebra.weights[i] for i in idx)
+                for idx in combinations(range(algebra.dim), k)
+            }
+            assert cohomology.tuple_weights(algebra.weights, k) == sorted(sums)
+            lo = min(sums, default=0) - max(module_weights) - 1
+            hi = max(sums, default=0) - min(module_weights) + 1
+            for w in range(lo, hi + 1):
+                assert cochain_block_basis(module, k, w) == all_subsets_basis(
+                    module, k, w
+                )
+
+    def test_no_tuples_beyond_the_dimension(self):
+        module = trivial_module(abelian(2))
+        assert cochain_block_basis(module, 3, 0) == []
+        assert cohomology.tuple_weights((0, 0), 3) == []
+
+
+def _dims_json(tmp_path, algebra, n):
+    path = tmp_path / f"{algebra}.json"
+    args = ["cohomology", "dims", "--algebra", algebra, "--d", "1", "--N", str(n)]
+    assert cli.main(args + ["--json", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    del payload["duration_s"]
+    return payload
+
+
+class TestPinnedDimensionTables:
+    """Full `cohomology dims` tables of the benchmark inputs, as computed
+    before the sparse elimination kernel and the by-weight bases."""
+
+    def test_hamiltonian_d1_n8(self, tmp_path):
+        assert _dims_json(tmp_path, "H", 8) == {
+            "schema": 1,
+            "command": "cohomology dims",
+            "params": {"algebra": "H", "d": 1, "N": 8, "module": "trivial"},
+            "dimensions": {
+                "H^0(w=0)": 1,
+                "H^2(w=-2)": 1,
+                "H^2(w=7)": 10,
+                "H^2(w=8)": 11,
+                "H^2(w=9)": 90,
+                "H^2(w=10)": 91,
+                "H^2(w=11)": 72,
+                "H^2(w=12)": 36,
+            },
+        }
+
+    def test_witt_d1_n5(self, tmp_path):
+        assert _dims_json(tmp_path, "W", 5) == {
+            "schema": 1,
+            "command": "cohomology dims",
+            "params": {"algebra": "W", "d": 1, "N": 5, "module": "trivial"},
+            "dimensions": {
+                "H^0(w=0)": 1,
+                "H^2(w=5)": 14,
+                "H^2(w=6)": 86,
+                "H^2(w=7)": 120,
+                "H^2(w=8)": 66,
+            },
+        }

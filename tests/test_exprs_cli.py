@@ -165,6 +165,7 @@ class TestCLI:
         assert main(["cohomology", "dims", "--algebra", "H", "--d", "1", "--N", "0"]) == 0
         assert main(["cohomology", "dims", "--algebra", "sp", "--p", "-1"]) == 2
         assert main(["cohomology", "dims", "--algebra", "sp", "--p", "0", "--N", "4"]) == 0
+        assert main(["cohomology", "dims", "--algebra", "sp", "--degrees=0,-1"]) == 2
         assert main(["cohomology", "class", "--which", "omega", "--d", "0"]) == 2
         assert main(["cohomology", "class", "--which", "omega", "--d", "1", "--N", "1"]) == 2
         transport = ["darboux", "transport", "--form", "dx1 /\\ dy1", "--a", "x1", "--b", "y1"]

@@ -1,0 +1,203 @@
+"""The sparse elimination kernel of `linalg` against dense Gauss-Jordan."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from formaldisc import linalg
+from formaldisc.errors import UsageError
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# reference: dense Gauss-Jordan over Fraction
+# ---------------------------------------------------------------------------
+
+
+def dense_eliminate(matrix):
+    """Row-reduce a copy; returns (rref, pivot column list)."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def dense_rank(matrix):
+    if not matrix or not matrix[0]:
+        return 0
+    return len(dense_eliminate(matrix)[1])
+
+
+def dense_solve(matrix, rhs):
+    rows = len(matrix)
+    if rows == 0:
+        return [] if all(v == 0 for v in rhs) else None
+    cols = len(matrix[0])
+    red, pivots = dense_eliminate([matrix[i] + [rhs[i]] for i in range(rows)])
+    if cols in pivots:
+        return None
+    x = [ZERO] * cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols]
+    return x
+
+
+def dense_inverse(matrix):
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise UsageError("inverse needs a square matrix")
+    red, pivots = dense_eliminate(
+        [matrix[i] + linalg.identity(n)[i] for i in range(n)]
+    )
+    if pivots != list(range(n)):
+        raise UsageError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+# ---------------------------------------------------------------------------
+# random matrices: shapes 0x0 .. 8x8, density 0-60 %, denominators 1-6, with
+# forced zero rows, zero columns and duplicated rows
+# ---------------------------------------------------------------------------
+
+entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def matrices(draw):
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8)) if rows else 0
+    density = draw(st.integers(0, 60))
+    matrix = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            nonzero = draw(st.integers(1, 100)) <= density
+            row.append(draw(entries) if nonzero else ZERO)
+        matrix.append(row)
+    if rows:
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            matrix[i] = [ZERO] * cols
+    if cols:
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in matrix:
+                row[j] = ZERO
+    if rows:
+        for _ in range(draw(st.integers(0, 2))):
+            src, dst = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            matrix[dst] = matrix[src][:]
+    return matrix
+
+
+@st.composite
+def systems(draw):
+    """A matrix and a right-hand side, consistent (matrix @ x) or arbitrary."""
+    matrix = draw(matrices())
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    if draw(st.booleans()):
+        x = [draw(entries) for _ in range(cols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), ZERO) for row in matrix]
+    else:
+        rhs = [draw(entries) for _ in range(rows)]
+    return matrix, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+def test_rank_matches_dense(matrix):
+    assert linalg.rank(matrix) == dense_rank(matrix)
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems())
+def test_solve_matches_dense(system):
+    matrix, rhs = system
+    got = linalg.solve(matrix, rhs)
+    assert got == dense_solve(matrix, rhs)
+    if got is not None:
+        assert all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices(), st.booleans())
+def test_inverse_matches_dense(matrix, corner):
+    # the top-left corner is square more often than the drawn shape
+    square = [row[: len(matrix)] for row in matrix] if corner else matrix
+    try:
+        expected = dense_inverse(square)
+    except UsageError as exc:
+        with pytest.raises(UsageError, match=str(exc)):
+            linalg.inverse(square)
+        return
+    got = linalg.inverse(square)
+    assert got == expected
+    assert all(type(v) is Fraction for row in got for v in row)
+    assert linalg.mat_mul(square, got) == linalg.identity(len(square))
+
+
+@st.composite
+def regular_matrices(draw):
+    """Row-permuted L @ U with nonzero diagonals: square and invertible."""
+    n = draw(st.integers(1, 8))
+    nonzero = entries.filter(bool)
+    lower = [
+        [draw(nonzero) if i == j else draw(entries) if j < i else ZERO for j in range(n)]
+        for i in range(n)
+    ]
+    upper = [
+        [draw(nonzero) if i == j else draw(entries) if j > i else ZERO for j in range(n)]
+        for i in range(n)
+    ]
+    return draw(st.permutations(linalg.mat_mul(lower, upper)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_matrices())
+def test_inverse_of_regular_matrices(matrix):
+    got = linalg.inverse(matrix)
+    assert got == dense_inverse(matrix)
+    assert linalg.mat_mul(matrix, got) == linalg.identity(len(matrix))
+    assert linalg.rank(matrix) == len(matrix)
+
+
+def test_solve_picks_the_gauss_jordan_solution():
+    # free variables are zero and the pivots are the first independent columns
+    matrix = [[1, 2, 3], [2, 4, 7]]
+    assert linalg.solve(matrix, [1, 3]) == [Fraction(-2), ZERO, ONE]
+    assert linalg.solve([[1, 1], [1, 1]], [1, 2]) is None
+
+
+class TestFloatGuard:
+    def test_rank_rejects_a_float_entry(self):
+        with pytest.raises(UsageError):
+            linalg.rank([[1, 0], [0, 0.5]])
+
+    def test_solve_rejects_a_float_entry_or_rhs(self):
+        with pytest.raises(UsageError):
+            linalg.solve([[1, 0], [0, 0.5]], [1, 1])
+        with pytest.raises(UsageError):
+            linalg.solve([[1, 0], [0, 1]], [1, 0.5])
+
+    def test_inverse_rejects_a_float_entry(self):
+        with pytest.raises(UsageError):
+            linalg.inverse([[2.0, 0], [0, 1]])
