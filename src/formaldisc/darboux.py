@@ -20,12 +20,12 @@ from .series import (
     DifferentialForm,
     Monomial,
     PoissonBivector,
+    Substitution,
     TruncatedPoly,
     de_rham_d,
     euler_contraction,
     wedge,
 )
-from .sparse import accumulate
 from .weyl import TruncationSpec, WeylElement, star
 
 
@@ -193,26 +193,20 @@ def bivector_to_form(theta: PoissonBivector) -> DifferentialForm:
 
 class FormalCoordChange:
     """An origin-fixing substitution u_v -> components[v](u) with invertible
-    linear part; a group up to cutoff under composition."""
+    linear part; a group up to cutoff under composition.
 
-    __slots__ = ("d", "cutoff", "components")
+    The change holds one `series.Substitution` of its components, whose
+    caches fill as they are used.  Every composition through the change
+    (`apply_poly`, `compose`, `inverse`, `pullback` and the transported
+    products) substitutes through it.
+    """
+
+    __slots__ = ("d", "cutoff", "components", "_substitution")
 
     def __init__(self, components):
-        if not components:
-            raise UsageError("empty coordinate change")
-        d = components[0].d
-        cutoff = components[0].cutoff
-        if len(components) != 2 * d:
-            raise UsageError(f"need {2 * d} components, got {len(components)}")
-        for comp in components:
-            if comp.d != d or comp.cutoff != cutoff:
-                raise UsageError("component truncation mismatch")
-            if comp.depends_on_h():
-                raise UsageError("coordinate changes must be h-free")
-            if comp.constant_term() != 0:
-                raise UsageError("coordinate changes must fix the origin")
-        self.d = d
-        self.cutoff = cutoff
+        self._substitution = Substitution(components)  # checks the components
+        self.d = self._substitution.d
+        self.cutoff = self._substitution.cutoff
         self.components = tuple(components)
         linalg.inverse(self.linear_matrix())  # raises if the linear part is singular
 
@@ -250,7 +244,7 @@ class FormalCoordChange:
         return m
 
     def apply_poly(self, p: TruncatedPoly) -> TruncatedPoly:
-        return p.substitute(list(self.components))
+        return p.substitute(self._substitution)
 
     def compose(self, other: "FormalCoordChange") -> "FormalCoordChange":
         """self after other: (self.compose(other))(u) = self(other(u))."""
@@ -261,29 +255,21 @@ class FormalCoordChange:
     def inverse(self) -> "FormalCoordChange":
         """Order-by-order inverse: psi with self.compose(psi) = identity."""
         d, cutoff = self.d, self.cutoff
-        lin_inv = linalg.inverse(self.linear_matrix())
-        psi = FormalCoordChange.linear(lin_inv, d, cutoff)
+        lin_inv = FormalCoordChange.linear(
+            linalg.inverse(self.linear_matrix()), d, cutoff
+        )
         ident = FormalCoordChange.identity(d, cutoff)
         linear_part = FormalCoordChange.linear(self.linear_matrix(), d, cutoff)
         tail = [
             self.components[v] - linear_part.components[v] for v in range(2 * d)
         ]
+        psi = lin_inv
         for _ in range(cutoff):
             # psi <- L^{-1}(id - tail o psi); gains one exact order per pass
-            correction = [
-                ident.components[v] - TruncatedPoly(d, cutoff, tail[v].terms).substitute(
-                    list(psi.components)
-                )
-                for v in range(2 * d)
-            ]
-            new_comps = []
-            for v in range(2 * d):
-                acc = TruncatedPoly.zero(d, cutoff)
-                for w in range(2 * d):
-                    if lin_inv[v][w] != 0:
-                        acc = acc + correction[w].scaled(lin_inv[v][w])
-                new_comps.append(acc)
-            candidate = FormalCoordChange(new_comps)
+            correction = FormalCoordChange(
+                [ident.components[v] - psi.apply_poly(tail[v]) for v in range(2 * d)]
+            )
+            candidate = lin_inv.compose(correction)
             if candidate.components == psi.components:
                 break
             psi = candidate
@@ -483,34 +469,14 @@ def darboux_normalize(fs: FormalSymplecticForm) -> FormalCoordChange:
 
 
 def _lift_through(phi: FormalCoordChange, p: TruncatedPoly, spec: TruncationSpec):
-    """sigma(f): substitute phi into each h-slice, then normal-order lift."""
-    slices = _h_slices(p.terms, p.d, p.cutoff)
-    terms = accumulate(
-        (Monomial(mono.xexp, mono.yexp, hexp), coeff)
-        for hexp, raw in slices.items()
-        if hexp <= spec.h_order
-        for mono, coeff in phi.apply_poly(raw).terms.items()
-    )
-    return WeylElement(spec, terms)
+    """sigma(f): substitute phi (h untouched), then normal-order lift."""
+    kept = {m: c for m, c in p.terms.items() if m.hexp <= spec.h_order}
+    return WeylElement(spec, phi.apply_poly(p._with(kept)).terms)
 
 
 def _symbol_through(phi_inv: FormalCoordChange, w: WeylElement) -> TruncatedPoly:
-    """sigma^{-1}: substitute the inverse change into each h-slice of a symbol."""
-    d, cutoff = phi_inv.d, phi_inv.cutoff
-    terms = accumulate(
-        (Monomial(m.xexp, m.yexp, hexp), c)
-        for hexp, raw in _h_slices(w.terms, d, cutoff).items()
-        for m, c in phi_inv.apply_poly(raw).terms.items()
-    )
-    return TruncatedPoly(d, cutoff, terms)
-
-
-def _h_slices(terms, d: int, cutoff: int) -> dict:
-    """h-power -> the h-free polynomial of that power's coefficients."""
-    slices: dict[int, dict] = {}
-    for mono, coeff in terms.items():
-        slices.setdefault(mono.hexp, {})[Monomial(mono.xexp, mono.yexp, 0)] = coeff
-    return {hexp: TruncatedPoly(d, cutoff, raw) for hexp, raw in slices.items()}
+    """sigma^{-1}: substitute the inverse change into a symbol (h untouched)."""
+    return phi_inv.apply_poly(TruncatedPoly(phi_inv.d, phi_inv.cutoff, w.terms))
 
 
 def transported_product_symbol(
@@ -530,18 +496,6 @@ def transported_product_symbol(
     phi_inv = phi_inv or phi.inverse()
     prod = star(_lift_through(phi, a, spec), _lift_through(phi, b, spec))
     return _symbol_through(phi_inv, prod)
-
-
-def transported_star(
-    phi: FormalCoordChange,
-    a: TruncatedPoly,
-    b: TruncatedPoly,
-    spec: TruncationSpec,
-    phi_inv: FormalCoordChange | None = None,
-) -> WeylElement:
-    """transported_product_symbol, re-lifted to a canonical Weyl element."""
-    sym = transported_product_symbol(phi, a, b, spec, phi_inv)
-    return WeylElement(spec, dict(sym.terms))
 
 
 def transported_induced_poisson(

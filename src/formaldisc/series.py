@@ -154,6 +154,14 @@ class TruncatedPoly(LinearTerms):
     def _scalar(self, value) -> "TruncatedPoly":
         return TruncatedPoly.constant(value, self.d, self.cutoff)
 
+    @staticmethod
+    def _trusted(d: int, cutoff: int, terms: dict) -> "TruncatedPoly":
+        """Wrap a kernel output that is already clean (nonzero Fractions on
+        d-dimensional monomials within the cutoff) without re-checking it."""
+        poly = object.__new__(TruncatedPoly)
+        poly.d, poly.cutoff, poly.terms = d, cutoff, terms
+        return poly
+
     def constant_term(self) -> Fraction:
         return self.terms.get(unit_monomial(self.d), Fraction(0))
 
@@ -244,48 +252,19 @@ class TruncatedPoly(LinearTerms):
 
         return TruncatedPoly(self.d, self.cutoff, accumulate(lowered()))
 
-    def substitute(self, images: "list[TruncatedPoly]") -> "TruncatedPoly":
+    def substitute(self, sub: "Substitution") -> "TruncatedPoly":
         """Substitute coordinate v -> images[v] for all 2d disc coordinates.
 
-        Images must be h-free with zero constant term (origin-preserving), so
-        substitution never moves weight downwards and truncation stays exact.
+        `sub` is the `Substitution` of the images: it checks them once and
+        caches their powers and monomial images, so a caller that
+        substitutes through fixed images many times (as
+        `darboux.FormalCoordChange` does) passes the same one each time.
         h is left untouched.
         """
-        if len(images) != 2 * self.d:
-            raise UsageError(f"need {2 * self.d} images, got {len(images)}")
-        for img in images:
-            self._check_compat(img)
-            if img.depends_on_h():
-                raise UsageError("substitution images must be h-free")
-            if img.constant_term() != 0:
-                raise UsageError("substitution images must vanish at the origin")
-        cutoff = self.cutoff
-        one = TruncatedPoly.one(self.d, cutoff)
-        hp = TruncatedPoly.h(self.d, cutoff)
-        power_cache: dict[tuple[int, int], TruncatedPoly] = {}
-
-        def power(v, e):
-            key = (v, e)
-            if key not in power_cache:
-                if e == 0:
-                    power_cache[key] = one
-                else:
-                    power_cache[key] = power(v, e - 1) * images[v]
-            return power_cache[key]
-
-        total = TruncatedPoly.zero(self.d, cutoff)
-        for mono, coeff in self.terms.items():
-            acc = one.scaled(coeff)
-            for i, e in enumerate(mono.xexp):
-                if e:
-                    acc = acc * power(i, e)
-            for i, e in enumerate(mono.yexp):
-                if e:
-                    acc = acc * power(self.d + i, e)
-            if mono.hexp:
-                acc = acc * hp ** mono.hexp
-            total = total + acc
-        return total
+        if not isinstance(sub, Substitution):
+            raise UsageError(f"need a Substitution, got {type(sub).__name__}")
+        self._check_compat(sub)
+        return TruncatedPoly._trusted(self.d, self.cutoff, sub.apply(self.terms))
 
     def homogeneous_part(self, weight: int) -> "TruncatedPoly":
         return TruncatedPoly(
@@ -332,13 +311,79 @@ class TruncatedPoly(LinearTerms):
             ],
         }
 
-    @staticmethod
-    def from_json(data) -> "TruncatedPoly":
-        terms = {
-            Monomial(tuple(xe), tuple(ye), he): Fraction(coeff)
-            for xe, ye, he, coeff in data["terms"]
-        }
-        return TruncatedPoly(data["d"], data["N"], terms)
+
+class Substitution:
+    """A fixed substitution u_v -> images[v] of the 2d disc coordinates, as a
+    linear map on the monomial basis.
+
+    The images are checked once, here: they share one dimension and cutoff,
+    and are h-free with zero constant term (origin-preserving), so
+    substitution never moves weight downwards and truncation stays exact.
+    The term x^a y^b h^c maps to h^c * image(x^a y^b), truncated at the
+    cutoff.  The powers of the images and the image of each monomial are
+    cached as they are first needed; no cached value is handed out.
+    """
+
+    __slots__ = ("d", "cutoff", "_powers", "_free", "_images")
+
+    def __init__(self, images):
+        if not images:
+            raise UsageError("need substitution images, got none")
+        first = images[0]
+        if len(images) != 2 * first.d:
+            raise UsageError(f"need {2 * first.d} images, got {len(images)}")
+        for img in images:
+            first._check_compat(img)
+            if img.depends_on_h():
+                raise UsageError("substitution images must be h-free")
+            if img.constant_term() != 0:
+                raise UsageError("substitution images must vanish at the origin")
+        d, cutoff = first.d, first.cutoff
+        self.d, self.cutoff = d, cutoff
+        one = TruncatedPoly.one(d, cutoff)
+        # per coordinate v: [images[v]^0, images[v]^1, ...] as far as needed
+        self._powers = [[one, TruncatedPoly(d, cutoff, img.terms)] for img in images]
+        self._free = {unit_monomial(d): one}  # h-free monomial -> image
+        self._images = {}  # monomial -> (monomial, coefficient) pairs of its image
+
+    def _power(self, v: int, e: int) -> TruncatedPoly:
+        powers = self._powers[v]
+        while len(powers) <= e:
+            powers.append(powers[-1] * powers[1])
+        return powers[e]
+
+    def _free_image(self, mono: Monomial) -> TruncatedPoly:
+        """image(x^a y^b) = image(its part before the last variable) * a power."""
+        image = self._free.get(mono)
+        if image is None:
+            d = self.d
+            exps = mono.xexp + mono.yexp
+            v = max(i for i, e in enumerate(exps) if e)
+            head = exps[:v] + (0,) * (2 * d - v)
+            prefix = self._free_image(Monomial(head[:d], head[d:], 0))
+            image = self._free[mono] = prefix * self._power(v, exps[v])
+        return image
+
+    def _image(self, mono: Monomial) -> tuple:
+        pairs = self._images.get(mono)
+        if pairs is None:
+            c = mono.hexp
+            free = self._free_image(Monomial(mono.xexp, mono.yexp, 0))
+            room = self.cutoff - 2 * c
+            pairs = tuple(
+                (Monomial(m.xexp, m.yexp, c), coeff)
+                for m, coeff in free.terms.items()
+                if m.weight <= room
+            )
+            self._images[mono] = pairs
+        return pairs
+
+    def apply(self, terms) -> dict:
+        """The image of a term map (monomial -> coefficient), as a new dict."""
+        image = self._image
+        return accumulate(
+            (m, c * coeff) for mono, coeff in terms.items() for m, c in image(mono)
+        )
 
 
 # ---------------------------------------------------------------------------

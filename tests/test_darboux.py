@@ -19,7 +19,6 @@ from formaldisc.darboux import (
     standard_form,
     transported_induced_poisson,
     transported_product_symbol,
-    transported_star,
 )
 from formaldisc.errors import UsageError
 from formaldisc.series import (
@@ -42,6 +41,12 @@ def coord(v, d, n):
 
 def one_plus_x_form(d=1, n=8):
     return DifferentialForm(d, n, 2, {(0, d): one(d, n) + coord(0, d, n)})
+
+
+def transported_star(phi, a, b, spec, phi_inv=None):
+    """transported_product_symbol, re-lifted to a canonical Weyl element."""
+    sym = transported_product_symbol(phi, a, b, spec, phi_inv)
+    return WeylElement(spec, dict(sym.terms))
 
 
 def closed_d2_form(n=6):

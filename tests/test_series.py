@@ -12,6 +12,7 @@ from formaldisc.series import (
     DifferentialForm,
     Monomial,
     PoissonBivector,
+    Substitution,
     TruncatedPoly,
     all_monomials,
     de_rham_d,
@@ -146,7 +147,7 @@ class TestCalculus:
         images = [x(0), y(0), x(1), y(1)]
         images[0] = images[0] + 1
         with pytest.raises(UsageError):
-            x(0).substitute(images)
+            x(0).substitute(Substitution(images))
 
 
 @st.composite
@@ -291,10 +292,19 @@ class TestPoisson:
             assert jac.truncated(n - 1).is_zero()
 
 
+def poly_from_json(data):
+    """The inverse of `TruncatedPoly.to_json`."""
+    terms = {
+        Monomial(tuple(xe), tuple(ye), he): Fraction(coeff)
+        for xe, ye, he, coeff in data["terms"]
+    }
+    return TruncatedPoly(data["d"], data["N"], terms)
+
+
 class TestSerialization:
     def test_json_roundtrip(self):
         p = x(0) * y(1) + TruncatedPoly.h(D, N).scaled(Fraction(1, 2))
-        assert TruncatedPoly.from_json(p.to_json()) == p
+        assert poly_from_json(p.to_json()) == p
 
     def test_json_sorted_keys(self):
         p = y(1) + x(0) + TruncatedPoly.one(D, N)
