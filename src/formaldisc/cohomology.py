@@ -15,7 +15,13 @@ from itertools import combinations
 
 from . import linalg
 from .errors import CheckFailure, UsageError
-from .liealg import ExtensionData, GradedLieAlgebra, Vector, extension_defect_cochain
+from .liealg import (
+    ExtensionData,
+    GradedLieAlgebra,
+    Vector,
+    aligned_extension,
+    extension_defect_cochain,
+)
 from .sparse import EMPTY, accumulate, add, scale, sub
 
 
@@ -484,41 +490,15 @@ def omega_class(d: int, n: int) -> CohomologyClass:
     is supported on pairs of degree-1 symbols, is weight-homogeneous of
     cochain weight -2, and is not a coboundary.
     """
-    from .liealg import GradedLieAlgebra, LieMap, LinearMap
     from .tower import build_a_poisson, build_h
 
     if d < 1 or n < 2:
         raise UsageError(f"omega class needs d >= 1 and N >= 2; got d={d}, N={n}")
-    a_alg = build_a_poisson(d, n)
     h_alg = build_h(d, n)
-    constants = GradedLieAlgebra(
-        "k", ("1",), (-2,), {}, a_alg.cutoff, (a_alg.tags[0],)
-    )
-    a_index = {m: k for k, m in enumerate(a_alg.tags)}
-    inject = LieMap.build(
-        constants, a_alg, {0: {a_index[constants.tags[0]]: Fraction(1)}}, name="k->A"
-    )
-    project = LieMap.build(
-        a_alg,
-        h_alg,
-        {
-            i: ({h_alg.index(str(m)): Fraction(1)} if _nonconstant(m) else {})
-            for i, m in enumerate(a_alg.tags)
-        },
-        name="A->H",
-    )
-    splitting = LinearMap(
-        h_alg,
-        a_alg,
-        {i: {a_index[m]: Fraction(1)} for i, m in enumerate(h_alg.tags)},
-    )
-    extension = ExtensionData(constants, a_alg, h_alg, inject, project, splitting)
+    extension = aligned_extension(build_a_poisson(d, n), h_alg, "k")
     extension.check_exact()
     extension.check_sub_central()
     module = trivial_module(h_alg, labels=("1",), weights=(0,), name="k")
     cochain = extension_cocycle(extension, module)
     return CohomologyClass(2, -2, cochain)
 
-
-def _nonconstant(mono) -> bool:
-    return any(mono.xexp) or any(mono.yexp)

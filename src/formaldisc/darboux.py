@@ -92,14 +92,25 @@ def check_symplectic(form: DifferentialForm) -> FormalSymplecticForm:
 # ---------------------------------------------------------------------------
 
 
-def _poly_matrix(form: DifferentialForm):
-    n = 2 * form.d
-    zero = TruncatedPoly.zero(form.d, form.cutoff)
+def _poly_matrix(entries, d: int, cutoff: int):
+    """The antisymmetric poly matrix with upper triangle `entries`."""
+    n = 2 * d
+    zero = TruncatedPoly.zero(d, cutoff)
     m = [[zero] * n for _ in range(n)]
-    for (i, j), poly in form.components.items():
+    for (i, j), poly in entries.items():
         m[i][j] = poly
         m[j][i] = -poly
     return m
+
+
+def _negated_upper(m):
+    """The nonzero entries of -m above the diagonal, keyed by (i, j)."""
+    return {
+        (i, j): -m[i][j]
+        for i in range(len(m))
+        for j in range(i + 1, len(m))
+        if not m[i][j].is_zero()
+    }
 
 
 def _poly_mat_mul(a, b, d, cutoff):
@@ -154,36 +165,19 @@ def form_to_bivector(fs: FormalSymplecticForm) -> PoissonBivector:
     {x_i, y_j} = delta_ij.
     """
     d, cutoff = fs.d, fs.cutoff
-    inv = _poly_matrix_inverse(_poly_matrix(fs.form), d, cutoff)
-    upper = {}
-    for i in range(2 * d):
-        for j in range(i + 1, 2 * d):
-            entry = -inv[i][j]
-            if not entry.is_zero():
-                upper[(i, j)] = entry
-    return PoissonBivector(d, cutoff, upper)
+    inv = _poly_matrix_inverse(_poly_matrix(fs.form.components, d, cutoff), d, cutoff)
+    return PoissonBivector(d, cutoff, _negated_upper(inv))
 
 
 def bivector_to_form(theta: PoissonBivector) -> DifferentialForm:
     """Inverse construction; mutually inverse with form_to_bivector at cutoff."""
     d, cutoff = theta.d, theta.cutoff
-    n = 2 * d
-    zero = TruncatedPoly.zero(d, cutoff)
-    m = [[zero] * n for _ in range(n)]
-    for (i, j), poly in theta.entries.items():
-        m[i][j] = poly
-        m[j][i] = -poly
+    m = _poly_matrix(theta.entries, d, cutoff)
     try:
         inv = _poly_matrix_inverse(m, d, cutoff)
     except UsageError:
         raise DegenerateError(m) from None
-    comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = -inv[i][j]
-            if not entry.is_zero():
-                comps[(i, j)] = entry
-    return DifferentialForm(d, cutoff, 2, comps)
+    return DifferentialForm(d, cutoff, 2, _negated_upper(inv))
 
 
 # ---------------------------------------------------------------------------

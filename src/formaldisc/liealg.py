@@ -393,6 +393,48 @@ class ExtensionData:
         return self.sub_coordinates(sub(lhs, rhs))
 
 
+def aligned_columns(source: GradedLieAlgebra, target: GradedLieAlgebra) -> dict:
+    """Each source basis element to the target element with the same tag, or to 0."""
+    index = {tag: k for k, tag in enumerate(target.tags)}
+    return {
+        i: {index[tag]: Fraction(1)} if tag in index else {}
+        for i, tag in enumerate(source.tags)
+    }
+
+
+def aligned_extension(
+    total: GradedLieAlgebra, quotient: GradedLieAlgebra, sub_name: str
+) -> ExtensionData:
+    """0 -> sub -> total -> quotient -> 0 read off the basis tags.
+
+    The quotient's tags are some of the total's, and the sub is the abelian
+    span of the rest, with the total's labels, weights, tags and cutoff.
+    Inject, project and the splitting send each tag to itself or to zero;
+    inject and project are verified bracket-preserving as they are built.
+    """
+    kept = set(quotient.tags)
+    rest = [k for k, tag in enumerate(total.tags) if tag not in kept]
+    sub = GradedLieAlgebra(
+        sub_name,
+        tuple(total.labels[k] for k in rest),
+        tuple(total.weights[k] for k in rest),
+        {},
+        total.cutoff,
+        tuple(total.tags[k] for k in rest),
+    )
+    inject = LieMap.build(
+        sub, total, aligned_columns(sub, total), name=f"{sub.name}->{total.name}"
+    )
+    project = LieMap.build(
+        total,
+        quotient,
+        aligned_columns(total, quotient),
+        name=f"{total.name}->{quotient.name}",
+    )
+    splitting = LinearMap(quotient, total, aligned_columns(quotient, total))
+    return ExtensionData(sub, total, quotient, inject, project, splitting)
+
+
 def extension_defect_cochain(e: ExtensionData) -> dict[tuple[int, int], Vector]:
     """The splitting defect on all in-cutoff quotient basis pairs.
 

@@ -688,6 +688,8 @@ def standard_poisson(f: TruncatedPoly, g: TruncatedPoly) -> TruncatedPoly:
 
 def all_monomials(d: int, max_degree: int, min_degree: int = 0):
     """All h-free monomials in 2d variables with degree in the given range."""
+    if d < 1:
+        raise UsageError(f"dimension must be >= 1, got {d}")
     result = []
     for total in range(min_degree, max_degree + 1):
         for exps in _compositions(total, 2 * d):

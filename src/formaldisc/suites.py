@@ -361,6 +361,13 @@ def run_suite(
 ) -> Report:
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    # the darboux suite inverts forms truncated at N, so it needs N >= 1
+    needs_n = name in ("darboux", "all")
+    if d < 1 or p < 0 or (needs_n and n < 1):
+        raise UsageError(
+            f"verify {name} needs d >= 1, p >= 0{' and N >= 1' if needs_n else ''}; "
+            f"got d={d}, p={p}, N={n}"
+        )
     report = Report(
         f"verify {name}", {"d": d, "p": p, "N": n, "inject_fault": inject_fault}, seed
     )

@@ -8,6 +8,9 @@ h^-1 k[h]; each is read off the cached G level of the same (d, q, N) by
 deleting the scalar basis elements and bracket components, so the Weyl
 commutators run once per level.  Weights are monomial weight minus 2, so
 every map in the tower is weight-preserving and every bracket is graded.
+Every extension of the tower is read off the basis tags by
+`liealg.aligned_extension`: the quotient level's monomials are some of the
+total's, and the rest span the abelian kernel.
 
 Builders verify gradedness at construction (antisymmetry is structural) and
 every produced map is checked bracket-preserving; the Jacobi sweeps run
@@ -26,7 +29,15 @@ from fractions import Fraction
 
 from . import cohomology
 from .errors import CheckFailure, InternalError, UsageError
-from .liealg import ExtensionData, GradedLieAlgebra, LieMap, LinearMap, Vector
+from .liealg import (
+    ExtensionData,
+    GradedLieAlgebra,
+    LieMap,
+    LinearMap,
+    Vector,
+    aligned_columns,
+    aligned_extension,
+)
 from .reports import Report
 from .series import (
     Monomial,
@@ -151,21 +162,6 @@ def _derd_from_g(g: GradedLieAlgebra, d: int, q: int, n: int) -> GradedLieAlgebr
     )
 
 
-def build_scalars(d: int, q: int, n: int) -> GradedLieAlgebra:
-    """The abelian scalar algebra k[h]/h^(q+1), embedded as h^-1 h^c."""
-    monos = [
-        Monomial((0,) * d, (0,) * d, c) for c in range(q + 1) if 2 * c <= n
-    ]
-    return GradedLieAlgebra(
-        f"k[h]/h^{q + 1}",
-        tuple(f"h^-1*{m}" for m in monos),
-        tuple(m.weight - 2 for m in monos),
-        {},
-        n - 2,
-        tuple(monos),
-    )
-
-
 def build_h(d: int, n: int) -> GradedLieAlgebra:
     """Hamiltonian fields as functions modulo constants under Poisson bracket."""
     key = ("H", d, n)
@@ -259,51 +255,9 @@ def build_w(d: int, n: int) -> GradedLieAlgebra:
     return algebra
 
 
-def hamiltonian_map(d: int, n: int) -> LieMap:
-    """The injective map H -> W sending f to sum dx_i f d_y_i - dy_i f d_x_i."""
-    h_alg = build_h(d, n)
-    w_alg = build_w(d, n)
-    w_index = {t: k for k, t in enumerate(w_alg.tags)}
-    columns = {}
-    for i, mono in enumerate(h_alg.tags):
-        f = TruncatedPoly(d, n, {mono: Fraction(1)})
-        columns[i] = accumulate(
-            (w_index[(target, m)], sign * c)
-            for axis in range(d)
-            for source, target, sign in ((axis, d + axis, 1), (d + axis, axis, -1))
-            for m, c in f.partial(source).terms.items()
-        )
-    return LieMap.build(h_alg, w_alg, columns, name="H->W")
-
-
 # ---------------------------------------------------------------------------
-# the maps and extensions of the tower
+# the extensions of the tower
 # ---------------------------------------------------------------------------
-
-
-def _aligned_columns(source: GradedLieAlgebra, target: GradedLieAlgebra, transform):
-    index = {m: k for k, m in enumerate(target.tags)}
-    columns = {}
-    for i, mono in enumerate(source.tags):
-        image = transform(mono)
-        if image is None:
-            columns[i] = {}
-        else:
-            columns[i] = {index[image]: Fraction(1)}
-    return columns
-
-
-def level_quotient_map(
-    d: int, q: int, n: int, kind: str
-) -> LieMap:
-    """The quotient map from level q+1 to level q (drop h-order q+1 terms)."""
-    build = build_g_level if kind == "G" else build_derd_level
-    return _truncation(build(d, q + 1, n), build(d, q, n), q)
-
-
-def _truncation(upper: GradedLieAlgebra, lower: GradedLieAlgebra, q: int) -> LieMap:
-    columns = _aligned_columns(upper, lower, lambda m: m if m.hexp <= q else None)
-    return LieMap.build(upper, lower, columns, name=f"{upper.name}->{lower.name}")
 
 
 def cent_row(
@@ -315,36 +269,10 @@ def cent_row(
     quotient is then read off it instead of the cached DerD_q.
     """
     if total is None:
-        g, derd = build_g_level(d, q, n), build_derd_level(d, q, n)
+        total, derd = build_g_level(d, q, n), build_derd_level(d, q, n)
     else:
-        g, derd = total, _derd_from_g(total, d, q, n)
-    scalars = build_scalars(d, q, n)
-    inject = LieMap.build(
-        scalars, g, _aligned_columns(scalars, g, lambda m: m), name=f"k[h]->{g.name}"
-    )
-    project = LieMap.build(
-        g,
-        derd,
-        _aligned_columns(g, derd, lambda m: None if _is_scalar(m) else m),
-        name=f"{g.name}->{derd.name}",
-    )
-    splitting = LinearMap(derd, g, _aligned_columns(derd, g, lambda m: m))
-    return ExtensionData(scalars, g, derd, inject, project, splitting)
-
-
-def kernel_subalgebra(d: int, q: int, n: int, kind: str) -> GradedLieAlgebra:
-    """The kernel of level q+1 -> level q as an abelian subalgebra: the
-    h-order q+1 monomials (with the scalar line for the G column)."""
-    upper = (build_g_level if kind == "G" else build_derd_level)(d, q + 1, n)
-    monos = [m for m in upper.tags if m.hexp == q + 1]
-    return GradedLieAlgebra(
-        f"h^{q}*{'A' if kind == 'G' else 'H'}(d={d},N={n})",
-        tuple(f"h^-1*{m}" for m in monos),
-        tuple(m.weight - 2 for m in monos),
-        {},
-        upper.cutoff,
-        tuple(monos),
-    )
+        derd = _derd_from_g(total, d, q, n)
+    return aligned_extension(total, derd, f"k[h]/h^{q + 1}")
 
 
 def column_extension(
@@ -352,19 +280,16 @@ def column_extension(
 ) -> ExtensionData:
     """0 -> ker -> level_{q+1} -> level_q -> 0 for the G or DerD column.
 
-    `upper` stands in for the cached level q+1 (a corrupted copy, say).
+    The kernel is the h-order q+1 part of the upper level: h^q A for the G
+    column, h^q H for the DerD one.  `upper` stands in for the cached level
+    q+1 (a corrupted copy, say).
     """
     build = build_g_level if kind == "G" else build_derd_level
     lower = build(d, q, n)
     if upper is None:
         upper = build(d, q + 1, n)
-    ker = kernel_subalgebra(d, q, n, kind)
-    inject = LieMap.build(
-        ker, upper, _aligned_columns(ker, upper, lambda m: m), name=f"ker->{upper.name}"
-    )
-    project = _truncation(upper, lower, q)
-    splitting = LinearMap(lower, upper, _aligned_columns(lower, upper, lambda m: m))
-    return ExtensionData(ker, upper, lower, inject, project, splitting)
+    ker = f"h^{q}*{'A' if kind == 'G' else 'H'}(d={d},N={n})"
+    return aligned_extension(upper, lower, ker)
 
 
 def v_extension(d: int, p: int, n: int) -> ExtensionData:
@@ -373,30 +298,9 @@ def v_extension(d: int, p: int, n: int) -> ExtensionData:
     V is the kernel: all scalars h^-1 k[h]/h^(p+2) together with the
     non-scalar h-order p+1 monomials (the h^p A part glued along h^p k).
     """
-    g = build_g_level(d, p + 1, n)
-    derd = build_derd_level(d, p, n)
-    v_monos = [m for m in g.tags if _is_scalar(m) or m.hexp == p + 1]
-    v_alg = GradedLieAlgebra(
-        f"V(d={d},p={p},N={n})",
-        tuple(f"h^-1*{m}" for m in v_monos),
-        tuple(m.weight - 2 for m in v_monos),
-        {},
-        g.cutoff,
-        tuple(v_monos),
+    return aligned_extension(
+        build_g_level(d, p + 1, n), build_derd_level(d, p, n), f"V(d={d},p={p},N={n})"
     )
-    inject = LieMap.build(
-        v_alg, g, _aligned_columns(v_alg, g, lambda m: m), name=f"V->{g.name}"
-    )
-    project = LieMap.build(
-        g,
-        derd,
-        _aligned_columns(
-            g, derd, lambda m: None if (_is_scalar(m) or m.hexp == p + 1) else m
-        ),
-        name=f"{g.name}->{derd.name}",
-    )
-    splitting = LinearMap(derd, g, _aligned_columns(derd, g, lambda m: m))
-    return ExtensionData(v_alg, g, derd, inject, project, splitting)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +336,8 @@ def commu_diagram_check(d: int, p: int, n: int, corrupt: bool = False) -> Report
 
     g_upper = build_g_level(d, p + 1, n)
     if corrupt:
-        target = next(iter(g_upper.brackets))
-        i, j = target
-        w = g_upper.weights[i] + g_upper.weights[j]
-        k = next(
-            k for k, wk in enumerate(g_upper.weights) if wk == w
-        )
+        i, j = next(iter(g_upper.brackets))
+        k = g_upper.basis_indices_of_weight(g_upper.weights[i] + g_upper.weights[j])[0]
         g_upper = g_upper.with_corrupted_bracket(i, j, k, 1)
 
     try:
@@ -487,7 +387,9 @@ def commu_diagram_check(d: int, p: int, n: int, corrupt: bool = False) -> Report
     )
 
     # scalar column: 0 -> h^p k -> k[h]/h^(p+2) -> k[h]/h^(p+1) -> 0
-    report.run("col1-exact-and-trivial", _scalar_column_check, d, p, n)
+    report.run(
+        "col1-exact-and-trivial", _scalar_column_check, rows[p + 1].sub, rows[p].sub
+    )
 
     # squares
     report.run(
@@ -531,22 +433,22 @@ def _kernel_dims_check(kernel, d, p, n, include_constant):
     return f"weights {sorted(dims)} match"
 
 
-def _scalar_column_check(d, p, n):
-    upper = build_scalars(d, p + 1, n)
-    lower = build_scalars(d, p, n)
+def _scalar_column_check(upper, lower):
+    """0 -> h^p k -> k[h]/h^(p+2) -> k[h]/h^(p+1) -> 0 on the rows' scalar subs."""
     if upper.brackets or lower.brackets:
         raise CheckFailure("scalar algebras must be abelian")
-    # quotient map is the aligned truncation; kernel is the top scalar line
-    columns = _aligned_columns(upper, lower, lambda m: m if m.hexp <= p else None)
-    proj = LieMap.build(upper, lower, columns, name="k[h] truncation")
-    top = [m for m in upper.tags if m.hexp == p + 1]
-    if 2 * (p + 1) <= n and len(top) != 1:
+    # the quotient map is aligned on tags; its kernel is the top scalar line
+    proj = LieMap.build(
+        upper, lower, aligned_columns(upper, lower), name="k[h] truncation"
+    )
+    top = [i for i in range(upper.dim) if not proj.column(i)]
+    if len(top) != 1:
         raise CheckFailure(
             "scalar column kernel is not one line",
             witness={"kernel_size": len(top)},
         )
     # the evident aligned section splits it, so the extension is trivial
-    section = LinearMap(lower, upper, _aligned_columns(lower, upper, lambda m: m))
+    section = LinearMap(lower, upper, aligned_columns(lower, upper))
     for i in range(lower.dim):
         if proj.apply(section.column(i)) != {i: Fraction(1)}:
             raise CheckFailure("scalar column section failure", witness={"index": i})
@@ -555,16 +457,13 @@ def _scalar_column_check(d, p, n):
 
 def _square_inject_check(row_upper, row_lower, col_g):
     """col2 o inject_{p+1} = inject_p o col1 on scalar basis elements."""
-    upper_scalars, lower_scalars = row_upper.sub, row_lower.sub
-    lower_index = {m: k for k, m in enumerate(lower_scalars.tags)}
-    for i, mono in enumerate(upper_scalars.tags):
+    col1 = aligned_columns(row_upper.sub, row_lower.sub)
+    for i in range(row_upper.sub.dim):
         via_total = col_g.project.apply(row_upper.inject.column(i))
-        via_scalars = (
-            row_lower.inject.column(lower_index[mono]) if mono in lower_index else {}
-        )
+        via_scalars = row_lower.inject.apply(col1[i])
         if via_total != via_scalars:
             raise CheckFailure(
-                f"inject square does not commute at {upper_scalars.labels[i]}",
+                f"inject square does not commute at {row_upper.sub.labels[i]}",
                 witness={"index": i, "via_total": via_total, "via_scalars": via_scalars},
             )
 
@@ -584,25 +483,20 @@ def _square_project_check(row_upper, row_lower, col_g, col_derd):
 
 def _row1_check(col_g, col_derd, row_upper):
     """0 -> h^p k -> h^p A -> h^p H -> 0: the row induced on column kernels."""
-    a_ker, h_ker = col_g.sub, col_derd.sub
-    h_index = {m: k for k, m in enumerate(h_ker.tags)}
-    kernel_of_induced = []
-    for i, mono in enumerate(a_ker.tags):
-        # induced map: project the G-kernel monomial into the DerD-kernel
-        image = {} if _is_scalar(mono) else {h_index[mono]: Fraction(1)}
-        if not image:
-            kernel_of_induced.append(mono)
+    a_ker = col_g.sub
+    # induced map: each G-kernel monomial to its DerD-kernel twin, scalars to 0
+    induced = aligned_columns(a_ker, col_derd.sub)
+    for i in range(a_ker.dim):
         # compatibility with the row projections
         via_row = row_upper.project.apply(col_g.inject.column(i))
-        expected = (
-            {} if _is_scalar(mono) else col_derd.inject.column(h_index[mono])
-        )
-        if via_row != expected:
+        if via_row != col_derd.inject.apply(induced[i]):
             raise CheckFailure(
                 f"row1 square does not commute at {a_ker.labels[i]}",
                 witness={"index": i},
             )
-    if len(kernel_of_induced) != 1 or not _is_scalar(kernel_of_induced[0]):
+    kernel_of_induced = [a_ker.tags[i] for i, image in induced.items() if not image]
+    scalars = row_upper.sub.tags
+    if len(kernel_of_induced) != 1 or kernel_of_induced[0] not in scalars:
         raise CheckFailure(
             "kernel of h^p A -> h^p H is not the scalar line",
             witness={"kernel": [str(m) for m in kernel_of_induced]},
@@ -769,33 +663,6 @@ class ObstructionCocycle:
     extension: ExtensionData
     module: cohomology.LieModule
     cochain: cohomology.Cochain
-
-    def push_to_hamiltonian(self) -> cohomology.Cochain:
-        """Push forward along V -> V/scalars (the Hamiltonian quotient)."""
-        keep = [
-            m for m, mono in enumerate(self.extension.sub.tags) if not _is_scalar(mono)
-        ]
-        pos = {m: r for r, m in enumerate(keep)}
-        quotient_module = cohomology.LieModule(
-            self.module.algebra,
-            self.module.name + "/scalars",
-            tuple(self.extension.sub.labels[m] for m in keep),
-            tuple(self.extension.sub.weights[m] for m in keep),
-            {
-                (i, pos[m]): {
-                    pos[k]: c for k, c in vec.items() if k in pos
-                }
-                for (i, m), vec in self.module.action.items()
-                if m in pos
-            },
-            self.module.cutoff,
-        )
-        values = {}
-        for idx, vec in self.cochain.values.items():
-            pushed = {pos[m]: c for m, c in vec.items() if m in pos}
-            if pushed:
-                values[idx] = pushed
-        return cohomology.Cochain(quotient_module, 2, values)
 
     def scalar_restriction_to_sp(self):
         """Restrict to sp(2d) and project to the scalar summand of V.

@@ -211,8 +211,10 @@ def star(a: WeylElement, b: WeylElement) -> WeylElement:
         (mono, coeff * k)
         for ma, ca in a.terms.items()
         for mb, cb in b.terms.items()
+        for product in (_normal_product(ma, mb, spec),)
+        if product  # a pair over the cutoff costs no coefficient product
         for coeff in (ca * cb,)
-        for mono, k in _normal_product(ma, mb, spec)
+        for mono, k in product
     )
     return WeylElement(spec, terms)
 

@@ -172,6 +172,25 @@ class TestCLI:
         assert main(transport + ["--d", "1", "--p", "-1", "--N", "4"]) == 2
         assert main(transport + ["--d", "1", "--p", "0", "--N", "4"]) == 0
 
+    @pytest.mark.parametrize(
+        "suite,flags",
+        [
+            ("cohomology", ["--d", "0"]),
+            ("weyl", ["--d", "0"]),
+            ("tower", ["--p", "-1"]),
+            ("darboux", ["--p", "-1"]),
+            ("darboux", ["--N", "0"]),
+            ("all", ["--N", "0"]),
+        ],
+    )
+    def test_verify_domain(self, capsys, suite, flags):
+        # refused up front with the suite's domain, never run on a clamped p
+        # or left to fail deep inside a builder
+        assert main(["verify", suite] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: verify {suite} needs d >= 1, p >= 0")
+
     def test_sp_dims_depend_on_d_alone(self, capsys):
         payloads = []
         for extra in (["--N", "0"], ["--N", "5"], ["--p", "3", "--N", "9"]):
@@ -205,6 +224,40 @@ class TestCLI:
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "witness" in out
+
+    def test_tower_fault_report_is_pinned(self, capsys, tmp_path):
+        out_file = tmp_path / "fault.json"
+        args = ["--d", "1", "--p", "1", "--N", "6", "--inject-fault"]
+        assert main(["tower", "check", *args, "--json", str(out_file)]) == 1
+        payload = json.loads(out_file.read_text())
+        payload.pop("duration_s")
+        passed = ["row2-exact", "row2-central", "row3-exact", "row3-central"]
+        assert payload == {
+            "schema": 1,
+            "command": "tower check",
+            "params": {"d": 1, "p": 1, "N": 6, "corrupt": True},
+            "checks": [
+                {
+                    "name": "row2-jacobi",
+                    "status": "pass",
+                    "detail": "G_2(d=1,N=6)(corrupted): jacobi ok, "
+                    "16113 overflow-exempt triples",
+                },
+                {
+                    "name": "row3-jacobi",
+                    "status": "pass",
+                    "detail": "G_1(d=1,N=6): jacobi ok, 10353 overflow-exempt triples",
+                },
+                *({"name": name, "status": "pass"} for name in passed),
+                {
+                    "name": "column-build",
+                    "status": "fail",
+                    "detail": "G_2(d=1,N=6)(corrupted)->G_1(d=1,N=6): "
+                    "bracket not preserved on (h^-1*y1, h^-1*x1)",
+                    "witness": {"pair": [1, 2], "lhs": {}, "rhs": {"0": "-1/1"}},
+                },
+            ],
+        }
 
     def test_cohomology_dims(self, capsys, tmp_path):
         out_file = tmp_path / "dims.json"

@@ -6,19 +6,34 @@ evaluates the cyclic sum with `Fraction` brackets.  `reference_verify_map`
 checks bracket preservation the same way, over every basis pair.
 `reference_derd_level` builds a derivation level directly from Weyl
 commutators, dropping scalar components, instead of reading it off the
-cached G level.  The production routes must agree with them exactly: the
-same exempt counts, the same first failure and witness, the same algebra.
+cached G level.  The `reference_*` extension builders write each short exact
+sequence out by hand, naming its kernel's monomials and the image of every
+tag, where `liealg.aligned_extension` reads the kernel off the tags.  The
+production routes must agree with them exactly: the same exempt counts, the
+same first failure and witness, the same algebra, the same maps.
 """
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from formaldisc import tower
 from formaldisc.errors import CheckFailure, InternalError
-from formaldisc.liealg import GradedLieAlgebra, LieMap
+from formaldisc.liealg import (
+    ExtensionData,
+    GradedLieAlgebra,
+    LieMap,
+    LinearMap,
+    aligned_extension,
+)
+from formaldisc.series import Monomial
 from formaldisc.sparse import add
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
+EXTENSION_CALL = re.compile(r"\bExtensionData\(")
 
 
 def _in_cutoff_triple(algebra, i, j, k):
@@ -216,3 +231,214 @@ class TestDerDOracle:
     @pytest.mark.parametrize("d,q,n", [(1, 0, 5), (1, 1, 5), (1, 2, 7), (2, 0, 5)])
     def test_derd_level_matches_direct_build(self, d, q, n):
         assert tower.build_derd_level(d, q, n) == reference_derd_level(d, q, n)
+
+
+# ---------------------------------------------------------------------------
+# the tower's extensions, built by hand
+# ---------------------------------------------------------------------------
+
+
+def _columns(source, target, transform):
+    """Each source tag to the target basis element transform(tag), or to 0."""
+    index = {m: k for k, m in enumerate(target.tags)}
+    columns = {}
+    for i, mono in enumerate(source.tags):
+        image = transform(mono)
+        columns[i] = {} if image is None else {index[image]: Fraction(1)}
+    return columns
+
+
+def _abelian(name, monos, cutoff):
+    return GradedLieAlgebra(
+        name,
+        tuple(f"h^-1*{m}" for m in monos),
+        tuple(m.weight - 2 for m in monos),
+        {},
+        cutoff,
+        tuple(monos),
+    )
+
+
+def _hand_extension(sub, total, quotient, project_tag, inject_name, project_name):
+    inject = LieMap.build(
+        sub, total, _columns(sub, total, lambda m: m), name=inject_name
+    )
+    project = LieMap.build(
+        total, quotient, _columns(total, quotient, project_tag), name=project_name
+    )
+    splitting = LinearMap(quotient, total, _columns(quotient, total, lambda m: m))
+    return ExtensionData(sub, total, quotient, inject, project, splitting)
+
+
+def reference_cent_row(d, q, n, total=None):
+    """0 -> k[h]/h^(q+1) -> G_q -> DerD_q -> 0 with a hand-built scalar line."""
+    if total is None:
+        g, derd = tower.build_g_level(d, q, n), tower.build_derd_level(d, q, n)
+    else:
+        g, derd = total, tower._derd_from_g(total, d, q, n)
+    zero = (0,) * d
+    scalars = _abelian(
+        f"k[h]/h^{q + 1}",
+        [Monomial(zero, zero, c) for c in range(q + 1) if 2 * c <= n],
+        n - 2,
+    )
+    return _hand_extension(
+        scalars,
+        g,
+        derd,
+        lambda m: None if tower._is_scalar(m) else m,
+        f"k[h]->{g.name}",
+        f"{g.name}->{derd.name}",
+    )
+
+
+def reference_column_extension(d, q, n, kind, upper=None):
+    """0 -> h^q A (or h^q H) -> level_{q+1} -> level_q -> 0: the kernel is
+    the h-order q+1 part, the quotient drops it."""
+    build = tower.build_g_level if kind == "G" else tower.build_derd_level
+    lower = build(d, q, n)
+    if upper is None:
+        upper = build(d, q + 1, n)
+    ker = _abelian(
+        f"h^{q}*{'A' if kind == 'G' else 'H'}(d={d},N={n})",
+        [m for m in build(d, q + 1, n).tags if m.hexp == q + 1],
+        upper.cutoff,
+    )
+    return _hand_extension(
+        ker,
+        upper,
+        lower,
+        lambda m: m if m.hexp <= q else None,
+        f"ker->{upper.name}",
+        f"{upper.name}->{lower.name}",
+    )
+
+
+def reference_v_extension(d, p, n):
+    """0 -> V -> G_{p+1} -> DerD_p -> 0 with V the scalars and h^(p+1) part."""
+    g = tower.build_g_level(d, p + 1, n)
+    derd = tower.build_derd_level(d, p, n)
+
+    def in_v(m):
+        return tower._is_scalar(m) or m.hexp == p + 1
+
+    v_monos = [m for m in g.tags if in_v(m)]
+    v_alg = _abelian(f"V(d={d},p={p},N={n})", v_monos, g.cutoff)
+    return _hand_extension(
+        v_alg,
+        g,
+        derd,
+        lambda m: None if in_v(m) else m,
+        f"V->{g.name}",
+        f"{g.name}->{derd.name}",
+    )
+
+
+def reference_omega_extension(d, n):
+    """0 -> k -> A -> H -> 0 with the constant monomial as the kernel."""
+    a_alg, h_alg = tower.build_a_poisson(d, n), tower.build_h(d, n)
+    constants = GradedLieAlgebra(
+        "k", ("1",), (-2,), {}, a_alg.cutoff, (a_alg.tags[0],)
+    )
+    return _hand_extension(
+        constants,
+        a_alg,
+        h_alg,
+        lambda m: m if any(m.xexp) or any(m.yexp) else None,
+        "k->A",
+        "A->H",
+    )
+
+
+def extension_outcome(build, *args):
+    """The extension's data, or the build failure without the map's name."""
+    try:
+        e = build(*args)
+    except CheckFailure as exc:
+        return ("fail", str(exc).split(": ", 1)[1], exc.witness)
+    sub = e.sub
+    maps = [
+        [dict(m.column(i)) for i in range(m.source.dim)]
+        for m in (e.inject, e.project, e.splitting)
+    ]
+    return (
+        (sub.name, sub.labels, sub.weights, sub.tags, sub.cutoff, dict(sub.brackets)),
+        (e.total, e.quotient),
+        maps,
+    )
+
+
+LADDER = [(1, 0, 4), (1, 1, 6), (1, 2, 8), (2, 0, 4), (2, 1, 6)]
+
+
+class TestAlignedExtensionOracle:
+    @pytest.mark.parametrize("d,p,n", LADDER)
+    def test_ladder_extensions_match_hand_builds(self, d, p, n):
+        pairs = [
+            (tower.cent_row, reference_cent_row, (d, p, n)),
+            (tower.cent_row, reference_cent_row, (d, p + 1, n)),
+            (tower.column_extension, reference_column_extension, (d, p, n, "G")),
+            (tower.column_extension, reference_column_extension, (d, p, n, "DerD")),
+            (tower.v_extension, reference_v_extension, (d, p, n)),
+        ]
+        for fast, slow, args in pairs:
+            expected = extension_outcome(slow, *args)
+            assert expected[0] != "fail"
+            assert extension_outcome(fast, *args) == expected, (fast.__name__, args)
+
+    @pytest.mark.parametrize("d,n", [(1, 4), (2, 5)])
+    def test_omega_extension_matches_hand_build(self, d, n):
+        a_alg, h_alg = tower.build_a_poisson(d, n), tower.build_h(d, n)
+        expected = extension_outcome(reference_omega_extension, d, n)
+        assert extension_outcome(aligned_extension, a_alg, h_alg, "k") == expected
+
+    def test_corrupted_upper_g_level(self):
+        # the tower check's own fault, then seeded shifts of one constant
+        d, p, n = 1, 1, 6
+        g = tower.build_g_level(d, p + 1, n)
+        w = g.weights
+        i, j = next(iter(g.brackets))
+        corruptions = [(i, j, g.basis_indices_of_weight(w[i] + w[j])[0], 1)]
+        pairs = [
+            (a, b)
+            for a in range(g.dim)
+            for b in range(a + 1, g.dim)
+            if g.in_cutoff_pair(a, b) and g.basis_indices_of_weight(w[a] + w[b])
+        ]
+        for seed in range(8):
+            rng = random.Random(seed)
+            i, j = rng.choice(pairs)
+            k = rng.choice(g.basis_indices_of_weight(w[i] + w[j]))
+            corruptions.append((i, j, k, Fraction(rng.choice([-2, -1, 1, 3]), 2)))
+        failed = []
+        for i, j, k, delta in corruptions:
+            bad = g.with_corrupted_bracket(i, j, k, delta)
+            for fast, slow, args in (
+                (tower.cent_row, reference_cent_row, (d, p + 1, n, bad)),
+                (tower.column_extension, reference_column_extension, (d, p, n, "G", bad)),
+            ):
+                expected = extension_outcome(slow, *args)
+                failed.append(expected[0] == "fail")
+                assert extension_outcome(fast, *args) == expected, (i, j, k, delta)
+        assert any(failed) and not all(failed)
+
+
+def _extension_calls():
+    """`module.owner` for every line of src that calls ExtensionData(, where
+    owner is the top-level def or class the line sits in."""
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        owner = None
+        for line in path.read_text().splitlines():
+            top = re.match(r"(?:def|class) (\w+)", line)
+            if top:
+                owner = top.group(1)
+            if EXTENSION_CALL.search(line):
+                hits.append(f"{path.stem}.{owner}")
+    return hits
+
+
+def test_extensions_are_read_off_tags_only():
+    # exactly one hit: the pattern finds the helper, and nothing else in src
+    # writes a short exact sequence by hand
+    assert _extension_calls() == ["liealg.aligned_extension"]

@@ -5,15 +5,59 @@ from math import comb
 
 import pytest
 
-from formaldisc import cohomology, tower
+from formaldisc import cohomology, linalg, tower
+from formaldisc.errors import UsageError
 from formaldisc.liealg import LieMap
 from formaldisc.series import Monomial, TruncatedPoly, all_monomials
+from formaldisc.sparse import accumulate
 from formaldisc.weyl import D1Element, TruncationSpec, WeylElement
 
 
 def monomial_count(d, degree):
     # monomials of a given total degree in 2d variables
     return comb(degree + 2 * d - 1, 2 * d - 1)
+
+
+def hamiltonian_map(d, n):
+    """The injective map H -> W sending f to sum dx_i f d_y_i - dy_i f d_x_i."""
+    h_alg = tower.build_h(d, n)
+    w_alg = tower.build_w(d, n)
+    w_index = {t: k for k, t in enumerate(w_alg.tags)}
+    columns = {}
+    for i, mono in enumerate(h_alg.tags):
+        f = TruncatedPoly(d, n, {mono: Fraction(1)})
+        columns[i] = accumulate(
+            (w_index[(target, m)], sign * c)
+            for axis in range(d)
+            for source, target, sign in ((axis, d + axis, 1), (d + axis, axis, -1))
+            for m, c in f.partial(source).terms.items()
+        )
+    return LieMap.build(h_alg, w_alg, columns, name="H->W")
+
+
+def push_to_hamiltonian(obs):
+    """Push an obstruction cocycle forward along V -> V/scalars."""
+    sub = obs.extension.sub
+    keep = [m for m, mono in enumerate(sub.tags) if not tower._is_scalar(mono)]
+    pos = {m: r for r, m in enumerate(keep)}
+    quotient_module = cohomology.LieModule(
+        obs.module.algebra,
+        obs.module.name + "/scalars",
+        tuple(sub.labels[m] for m in keep),
+        tuple(sub.weights[m] for m in keep),
+        {
+            (i, pos[m]): {pos[k]: c for k, c in vec.items() if k in pos}
+            for (i, m), vec in obs.module.action.items()
+            if m in pos
+        },
+        obs.module.cutoff,
+    )
+    values = {}
+    for idx, vec in obs.cochain.values.items():
+        pushed = {pos[m]: c for m, c in vec.items() if m in pos}
+        if pushed:
+            values[idx] = pushed
+    return cohomology.Cochain(quotient_module, 2, values)
 
 
 class TestBuilders:
@@ -37,12 +81,16 @@ class TestBuilders:
         assert h_alg.bracket(i, j) == {h_alg.index("x1*y1"): Fraction(4)}
 
     def test_hamiltonian_map_injective_weightwise(self):
-        hm = tower.hamiltonian_map(1, 5)
+        hm = hamiltonian_map(1, 5)
         for w in set(hm.source.weights):
             block, src, _ = hm.matrix_block(w)
-            from formaldisc import linalg
-
             assert linalg.rank(block) == len(src)
+
+    def test_dimension_zero_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="dimension must be >= 1"):
+            tower.build_h(0, 5)
+        with pytest.raises(UsageError, match="dimension must be >= 1"):
+            all_monomials(0, 3)
 
     def test_levels_verify_jacobi(self):
         for algebra in (
@@ -100,7 +148,7 @@ class TestBuilders:
 class TestTowerBundles:
     def test_derd_tower_shape(self):
         levels = [tower.build_derd_level(1, q, 5) for q in range(3)]
-        quotients = [tower.level_quotient_map(1, q, 5, "DerD") for q in range(2)]
+        quotients = [tower.column_extension(1, q, 5, "DerD").project for q in range(2)]
         for q, qmap in enumerate(quotients):
             assert qmap.source is levels[q + 1]
             assert qmap.target is levels[q]
@@ -194,7 +242,7 @@ class TestD1Semidirect:
     def test_projection_section_identity(self):
         d, n = 1, 6
         section = tower.d1_semidirect_split(d, n)
-        proj = tower.level_quotient_map(d, 0, n, "DerD")
+        proj = tower.column_extension(d, 0, n, "DerD").project
         for i in range(section.source.dim):
             assert proj.apply(section.column(i)) == {i: Fraction(1)}
 
@@ -267,7 +315,7 @@ class TestObstruction:
 
     def test_pushforward_to_hamiltonian_is_cocycle(self):
         obs = tower.tower_obstruction(1, 1, 6)
-        pushed = obs.push_to_hamiltonian()
+        pushed = push_to_hamiltonian(obs)
         assert not pushed.is_zero()
         assert cohomology.is_cocycle(pushed)
 
