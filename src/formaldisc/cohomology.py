@@ -9,6 +9,7 @@ and counted, never silently truncated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -208,8 +209,11 @@ def ce_differential(cochain: Cochain, module: LieModule | None = None) -> Cochai
                 rest = tuple(v for t, v in enumerate(idx) if t != a and t != b)
                 sign = (-1) ** (a + b)
                 for comp, c in g.bracket(idx[a], idx[b]).items():
-                    for m, e in _evaluate_inserted(cochain, comp, rest).items():
-                        yield m, e * (sign * c)
+                    inserted = _insert_sorted(comp, rest)
+                    if inserted:
+                        target, parity = inserted
+                        for m, e in cochain.value(target).items():
+                            yield m, e * (sign * parity * c)
 
         acc = accumulate(terms())
         if acc:
@@ -217,17 +221,14 @@ def ce_differential(cochain: Cochain, module: LieModule | None = None) -> Cochai
     return Cochain(module, k + 1, values, excluded)
 
 
-def _evaluate_inserted(cochain: Cochain, comp: int, rest: tuple) -> Vector:
-    """c(e_comp, rest...) with alternating reordering into increasing order."""
+def _insert_sorted(comp: int, rest: tuple):
+    """(the increasing tuple rest with comp put in, sign) where sign is the
+    parity of moving comp there from slot 0; None if comp is already in rest."""
     if comp in rest:
-        return {}
-    pos = 0
-    while pos < len(rest) and rest[pos] < comp:
-        pos += 1
-    idx = rest[:pos] + (comp,) + rest[pos:]
-    vec = cochain.value(idx)
+        return None
+    pos = bisect_left(rest, comp)
     # moving comp from slot 0 to slot pos costs pos transpositions
-    return scale(vec, -1) if pos % 2 else vec
+    return rest[:pos] + (comp,) + rest[pos:], -1 if pos % 2 else 1
 
 
 def tuple_weights(weights, k: int) -> list[int]:
@@ -353,15 +354,11 @@ def differential_block(module: LieModule, k: int, weight: int):
                 rest = tuple(v for t, v in enumerate(idx) if t != a and t != b)
                 sign = -1 if (a + b) % 2 else 1
                 for comp, cb in bracket.items():
-                    if comp in rest:
-                        continue
-                    pos = 0
-                    while pos < len(rest) and rest[pos] < comp:
-                        pos += 1
-                    inserted = rest[:pos] + (comp,) + rest[pos:]
-                    parity = -1 if pos % 2 else 1
-                    for m in ms:
-                        put((idx, m), (inserted, m), sign * parity * cb)
+                    inserted = _insert_sorted(comp, rest)
+                    if inserted:
+                        target, parity = inserted
+                        for m in ms:
+                            put((idx, m), (target, m), sign * parity * cb)
     return matrix, src, tgt, excluded
 
 

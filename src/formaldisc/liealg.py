@@ -8,6 +8,8 @@ Brackets are graded: [w_a, w_b] lands in weight w_a + w_b.  Since some
 weights are negative, the span of over-cutoff weights is not an ideal, so a
 pair of basis elements is "in cutoff" only when the weight of its bracket
 fits under the cutoff; verification sweeps exempt (and count) the others.
+`tabulate` builds an algebra from a basis of tags and a bracket on tags,
+reading the bracket on the in-cutoff pairs only.
 """
 
 from __future__ import annotations
@@ -199,6 +201,43 @@ class GradedLieAlgebra:
                 if vec
             },
         }
+
+
+def tabulate(name, tags, labels, weights, cutoff, bracket) -> GradedLieAlgebra:
+    """The graded Lie algebra on the basis `tags` with bracket `bracket`.
+
+    bracket(tag_i, tag_j) gives [e_i, e_j] as (tag, coefficient) pairs; it is
+    read on the in-cutoff pairs i < j only, and its terms are summed through
+    `accumulate`.  A component whose tag is not in the basis raises
+    CheckFailure naming the pair and that tag.  The algebra is verified
+    graded before it is returned.
+    """
+    tags = tuple(tags)
+    index = {tag: k for k, tag in enumerate(tags)}
+
+    def components(i, j):
+        for tag, c in bracket(tags[i], tags[j]):
+            k = index.get(tag)
+            if k is None:
+                raise CheckFailure(
+                    f"{name}: bracket [{labels[i]},{labels[j]}] "
+                    f"has off-basis component {tag}",
+                    witness={"pair": (i, j), "component": tag},
+                )
+            yield k, c
+
+    later = _later_indices(weights)
+    brackets = {}
+    for i in range(len(tags)):
+        for j in later(i, cutoff - weights[i]):
+            vec = accumulate(components(i, j))
+            if vec:
+                brackets[(i, j)] = vec
+    algebra = GradedLieAlgebra(
+        name, tuple(labels), tuple(weights), brackets, cutoff, tags
+    )
+    algebra.verify_graded()
+    return algebra
 
 
 @dataclass

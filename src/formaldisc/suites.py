@@ -17,7 +17,6 @@ from .series import (
     DifferentialForm,
     Monomial,
     TruncatedPoly,
-    all_monomials,
     de_rham_d,
     poisson_bracket,
 )
@@ -153,7 +152,7 @@ def weyl_suite(report: Report, d, p, n, rng):
 
     def center_bruteforce():
         limit = min(n, 4)
-        for mono in _all_weyl_monomials(d, min(p, 2), limit):
+        for mono in tower.level_monomials(d, min(p, 2), limit):
             element = WeylElement(spec, {mono: Fraction(1)})
             is_scalar = not any(mono.xexp) and not any(mono.yexp)
             if center_check(element) != is_scalar:
@@ -169,16 +168,6 @@ def weyl_suite(report: Report, d, p, n, rng):
     report.run("weyl-induced-poisson", induced_vs_bivector)
     report.run("weyl-normal-order-confluence", confluence)
     report.run("weyl-center-bruteforce", center_bruteforce)
-
-
-def _all_weyl_monomials(d, h_max, max_weight):
-    out = []
-    for c in range(h_max + 1):
-        if 2 * c > max_weight:
-            break
-        for m in all_monomials(d, max_weight - 2 * c):
-            out.append(Monomial(m.xexp, m.yexp, c))
-    return out
 
 
 def tower_suite(report: Report, d, p, n, inject_fault=False):
@@ -316,7 +305,7 @@ def darboux_suite(report: Report, d, p, n, rng):
         theta = darboux.form_to_bivector(
             darboux.check_symplectic(darboux.truncate_form(form, n))
         )
-        spec = TruncationSpec(d, max(p, 1), phi.cutoff)
+        spec = TruncationSpec(d, p, phi.cutoff)
         one = TruncatedPoly.one(d, phi.cutoff)
         for t in range(count):
             a = random_poly(rng, d, n, max_weight=min(n, 4))

@@ -1,19 +1,27 @@
 """The derivation and extension tower of the truncated Weyl algebra.
 
-Levels are realized through almost-inner representatives: the level-q bracket
-algebra has basis h^-1 m for normal-ordered monomials m with h-order <= q,
-with bracket [h^-1 a, h^-1 b] = h^-1([a, b]/h) computed in the Weyl algebra
-one h-order deeper.  The derivation quotients drop the central scalars
-h^-1 k[h]; each is read off the cached G level of the same (d, q, N) by
-deleting the scalar basis elements and bracket components, so the Weyl
-commutators run once per level.  Weights are monomial weight minus 2, so
-every map in the tower is weight-preserving and every bracket is graded.
-Every extension of the tower is read off the basis tags by
-`liealg.aligned_extension`: the quotient level's monomials are some of the
-total's, and the rest span the abelian kernel.
+Every algebra of the tower is a basis of tags plus a bracket on tags, handed
+to `liealg.tabulate`, which reads the bracket on the in-cutoff basis pairs,
+refuses components off the basis and verifies gradedness:
 
-Builders verify gradedness at construction (antisymmetry is structural) and
-every produced map is checked bracket-preserving; the Jacobi sweeps run
+- the level G_q = h^-1 D / h^q D has basis h^-1 m for the normal-ordered
+  monomials m of h-order <= q, with [h^-1 a, h^-1 b] = h^-1([a, b]/h)
+  taken by a Weyl commutator one h-order deeper;
+- the derivation level DerD_q is G_q read by tag with its central scalars
+  h^-1 k[h] dropped, so the Weyl commutators run once per level;
+- H and A are the monomials (without and with the constant) under the
+  closed-form Poisson bracket, W the monomial vector fields under the
+  closed-form field bracket, and sp(2d) the quadratic symbols of a DerD
+  level read by tag.
+
+Each is built once per parameter set and cached.  Weights are monomial
+weight minus 2 (minus 1 on W), so every map in the tower is
+weight-preserving and every bracket is graded.  Every extension of the tower
+is read off the basis tags by `liealg.aligned_extension`: the quotient
+level's monomials are some of the total's, and the rest span the abelian
+kernel.
+
+Every produced map is checked bracket-preserving; the Jacobi sweeps run
 inside `commu_diagram_check`, which assembles the two-level ladder of
 extensions and checks its exactness, centrality, kernel identification and
 square commutativity weight by weight.  Each sweep checks every in-cutoff
@@ -28,15 +36,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology
-from .errors import CheckFailure, InternalError, UsageError
+from .errors import CheckFailure, UsageError
 from .liealg import (
     ExtensionData,
     GradedLieAlgebra,
     LieMap,
     LinearMap,
-    Vector,
     aligned_columns,
     aligned_extension,
+    tabulate,
 )
 from .reports import Report
 from .series import (
@@ -44,7 +52,6 @@ from .series import (
     TruncatedPoly,
     all_monomials,
     coordinate_name,
-    standard_poisson,
 )
 from .sparse import accumulate
 from .weyl import TruncationSpec, WeylElement, commutator, mixed_laplacian
@@ -52,66 +59,104 @@ from .weyl import TruncationSpec, WeylElement, commutator, mixed_laplacian
 _build_cache: dict = {}
 
 
+def _cached(key, build):
+    """The algebra cached under `key`, built by build() on its first request."""
+    if key not in _build_cache:
+        _build_cache[key] = build()
+    return _build_cache[key]
+
+
 def _is_scalar(m: Monomial) -> bool:
     return not any(m.xexp) and not any(m.yexp)
 
 
-def _level_monomials(d: int, h_max: int, n: int):
+def _lower(exps: tuple, i: int) -> tuple:
+    return exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+
+
+def _derivative(m: Monomial, v: int):
+    """(e, m') with d/dv m = e m'; coordinates 0..d-1 are x's, d..2d-1 y's."""
+    d = m.dimension
+    i = v % d
+    if v < d:
+        return m.xexp[i], Monomial(_lower(m.xexp, i), m.yexp, m.hexp)
+    return m.yexp[i], Monomial(m.xexp, _lower(m.yexp, i), m.hexp)
+
+
+def level_monomials(d: int, h_max: int, n: int):
+    """The monomials x^a y^b h^c with c <= h_max and weight <= n, sorted."""
     out = []
     for c in range(h_max + 1):
         if 2 * c > n:
             break
         for m in all_monomials(d, n - 2 * c):
             out.append(Monomial(m.xexp, m.yexp, c))
-    out.sort(key=lambda m: m.sort_key())
+    out.sort(key=Monomial.sort_key)
     return out
 
 
 def _transported_bracket(m1: Monomial, m2: Monomial, d: int, q: int):
-    """[h^-1 m1, h^-1 m2] = h^-1([m1, m2]/h) as a monomial -> coefficient map.
+    """[h^-1 m1, h^-1 m2] = h^-1([m1, m2]/h) as (monomial, coefficient) pairs.
 
     Exact: the Weyl commutator is computed at h-order q+1 and full weight
     w1 + w2, then divided by h.
     """
-    w = m1.weight + m2.weight
-    spec = TruncationSpec(d, q + 1, w)
+    spec = TruncationSpec(d, q + 1, m1.weight + m2.weight)
     a = WeylElement(spec, {m1: Fraction(1)})
     b = WeylElement(spec, {m2: Fraction(1)})
-    comm = commutator(a, b)
-    out = {}
-    for mono, coeff in comm.terms.items():
-        if mono.hexp < 1:
-            raise InternalError("Weyl commutator not divisible by h")
-        out[Monomial(mono.xexp, mono.yexp, mono.hexp - 1)] = coeff
-    return out
+    return (
+        (Monomial(m.xexp, m.yexp, m.hexp - 1), c)
+        for m, c in commutator(a, b).terms.items()
+    )
 
 
-def _build_level(d: int, q: int, n: int, name: str):
-    monos = _level_monomials(d, q, n)
-    index = {m: k for k, m in enumerate(monos)}
-    labels = tuple(f"h^-1*{m}" for m in monos)
-    weights = tuple(m.weight - 2 for m in monos)
-    cutoff = n - 2
-    brackets = {}
-    for i, mi in enumerate(monos):
-        for j in range(i + 1, len(monos)):
-            mj = monos[j]
-            if mi.weight + mj.weight - 4 > cutoff:
-                continue  # graded: everything would be truncated anyway
-            raw = _transported_bracket(mi, mj, d, q)
-            vec = {}
-            for mono, coeff in raw.items():
-                if mono.hexp > q or mono.weight > n:
-                    continue
-                pos = index.get(mono)
-                if pos is None:
-                    raise InternalError(f"bracket left the level basis: {mono}")
-                vec[pos] = coeff
-            if vec:
-                brackets[(i, j)] = vec
-    algebra = GradedLieAlgebra(name, labels, weights, brackets, cutoff, tuple(monos))
-    algebra.verify_graded()
-    return algebra
+def _poisson_bracket(m1: Monomial, m2: Monomial):
+    """{x^a y^b, x^c y^e} = sum_i (a_i e_i - b_i c_i) x^(a+c-1_i) y^(b+e-1_i)."""
+    a, b, c, e = m1.xexp, m1.yexp, m2.xexp, m2.yexp
+    m = m1.mul(m2)
+    for i in range(len(a)):
+        coeff = a[i] * e[i] - b[i] * c[i]
+        if coeff:
+            yield Monomial(_lower(m.xexp, i), _lower(m.yexp, i)), Fraction(coeff)
+
+
+def _field_bracket(field1, field2):
+    """[f d_u, g d_v] = f d_u(g) d_v - g d_v(f) d_u on monomials f, g."""
+    (u, f), (v, g) = field1, field2
+    e, g_u = _derivative(g, u)
+    if e:
+        yield (v, f.mul(g_u)), Fraction(e)
+    e, f_v = _derivative(f, v)
+    if e:
+        yield (u, g.mul(f_v)), Fraction(-e)
+
+
+def _bracket_by_tag(algebra: GradedLieAlgebra, keep=lambda tag: True):
+    """The bracket of `algebra` read by tag, with the components `keep` drops
+    left out."""
+    tags = algebra.tags
+    index = {tag: k for k, tag in enumerate(tags)}
+
+    def bracket(t1, t2):
+        return (
+            (tags[k], c)
+            for k, c in algebra.bracket(index[t1], index[t2]).items()
+            if keep(tags[k])
+        )
+
+    return bracket
+
+
+def _level(name: str, monos, cutoff: int, bracket) -> GradedLieAlgebra:
+    """The algebra on h^-1 m for the monomials m, in weight m.weight - 2."""
+    return tabulate(
+        name,
+        monos,
+        tuple(f"h^-1*{m}" for m in monos),
+        tuple(m.weight - 2 for m in monos),
+        cutoff,
+        bracket,
+    )
 
 
 def build_g_level(d: int, q: int, n: int) -> GradedLieAlgebra:
@@ -122,18 +167,22 @@ def build_g_level(d: int, q: int, n: int) -> GradedLieAlgebra:
     the quotient to level q-1 is a shifted copy of the function space.  Both
     are verified by commu_diagram_check.
     """
-    key = ("G", d, q, n)
-    if key not in _build_cache:
-        _build_cache[key] = _build_level(d, q, n, f"G_{q}(d={d},N={n})")
-    return _build_cache[key]
+    return _cached(
+        ("G", d, q, n),
+        lambda: _level(
+            f"G_{q}(d={d},N={n})",
+            level_monomials(d, q, n),
+            n - 2,
+            lambda m1, m2: _transported_bracket(m1, m2, d, q),
+        ),
+    )
 
 
 def build_derd_level(d: int, q: int, n: int) -> GradedLieAlgebra:
     """The level-q derivation algebra: the cached G_q modulo its scalars."""
-    key = ("DerD", d, q, n)
-    if key not in _build_cache:
-        _build_cache[key] = _derd_from_g(build_g_level(d, q, n), d, q, n)
-    return _build_cache[key]
+    return _cached(
+        ("DerD", d, q, n), lambda: _derd_from_g(build_g_level(d, q, n), d, q, n)
+    )
 
 
 def _derd_from_g(g: GradedLieAlgebra, d: int, q: int, n: int) -> GradedLieAlgebra:
@@ -143,116 +192,66 @@ def _derd_from_g(g: GradedLieAlgebra, d: int, q: int, n: int) -> GradedLieAlgebr
     monomials in their G order, and its brackets are G's with the scalar
     components dropped.
     """
-    keep = [k for k, m in enumerate(g.tags) if not _is_scalar(m)]
-    pos = {k: r for r, k in enumerate(keep)}
-    brackets = {}
-    for i, j in sorted(g.brackets):
-        if i in pos and j in pos:
-            vec = {pos[k]: c for k, c in g.brackets[(i, j)].items() if k in pos}
-            if vec:
-                brackets[(pos[i], pos[j])] = vec
-    monos = [g.tags[k] for k in keep]
-    return GradedLieAlgebra(
+    return _level(
         f"DerD_{q}(d={d},N={n})",
-        tuple(f"h^-1*{m}" for m in monos),
-        tuple(m.weight - 2 for m in monos),
-        brackets,
+        [m for m in g.tags if not _is_scalar(m)],
         g.cutoff,
-        tuple(monos),
+        _bracket_by_tag(g, keep=lambda m: not _is_scalar(m)),
     )
 
 
 def build_h(d: int, n: int) -> GradedLieAlgebra:
     """Hamiltonian fields as functions modulo constants under Poisson bracket."""
-    key = ("H", d, n)
-    if key not in _build_cache:
-        _build_cache[key] = _build_poisson(d, n, f"H(d={d},N={n})", min_degree=1)
-    return _build_cache[key]
+    return _cached(("H", d, n), lambda: _poisson_algebra(f"H(d={d},N={n})", d, n, 1))
 
 
 def build_a_poisson(d: int, n: int) -> GradedLieAlgebra:
     """Functions on the disc under the Poisson bracket, constants included."""
-    key = ("A", d, n)
-    if key not in _build_cache:
-        _build_cache[key] = _build_poisson(d, n, f"A(d={d},N={n})", min_degree=0)
-    return _build_cache[key]
+    return _cached(("A", d, n), lambda: _poisson_algebra(f"A(d={d},N={n})", d, n, 0))
 
 
-def _build_poisson(d: int, n: int, name: str, min_degree: int) -> GradedLieAlgebra:
+def _poisson_algebra(name: str, d: int, n: int, min_degree: int) -> GradedLieAlgebra:
     """Monomials of degree >= min_degree under the Poisson bracket.
 
-    Bracket components off the basis are dropped: with min_degree 1 these
+    Bracket components of lower degree are dropped: with min_degree 1 these
     are the constants, so the result is the quotient by constants.
     """
-    monos = sorted(
-        all_monomials(d, n, min_degree=min_degree), key=lambda m: m.sort_key()
-    )
-    index = {m: k for k, m in enumerate(monos)}
-    cutoff = n - 2
-    brackets = {}
-    for i, mi in enumerate(monos):
-        pi = TruncatedPoly(d, n, {mi: Fraction(1)})
-        for j in range(i + 1, len(monos)):
-            mj = monos[j]
-            if mi.weight + mj.weight - 4 > cutoff:
-                continue
-            pb = standard_poisson(pi, TruncatedPoly(d, n, {mj: Fraction(1)}))
-            vec = {index[m]: c for m, c in pb.terms.items() if m in index}
-            if vec:
-                brackets[(i, j)] = vec
-    algebra = GradedLieAlgebra(
+    monos = sorted(all_monomials(d, n, min_degree=min_degree), key=Monomial.sort_key)
+    return tabulate(
         name,
+        monos,
         tuple(str(m) for m in monos),
         tuple(m.weight - 2 for m in monos),
-        brackets,
-        cutoff,
-        tuple(monos),
+        n - 2,
+        lambda m1, m2: (
+            (m, c) for m, c in _poisson_bracket(m1, m2) if m.weight >= min_degree
+        ),
     )
-    algebra.verify_graded()
-    return algebra
 
 
 def build_w(d: int, n: int) -> GradedLieAlgebra:
     """All vector fields sum f_v d_v with polynomial coefficients."""
-    key = ("W", d, n)
-    if key in _build_cache:
-        return _build_cache[key]
-    coeff_monos = sorted(all_monomials(d, n), key=lambda m: m.sort_key())
-    basis = [(v, m) for m in coeff_monos for v in range(2 * d)]
-    basis.sort(key=lambda t: (t[1].weight, t[0], t[1].sort_key()))
-    index = {t: k for k, t in enumerate(basis)}
-    labels = tuple(
-        f"{m}*d/d{coordinate_name(v, d)}"
-        if str(m) != "1"
-        else f"d/d{coordinate_name(v, d)}"
-        for v, m in basis
+    return _cached(("W", d, n), lambda: _vector_fields(d, n))
+
+
+def _vector_fields(d: int, n: int) -> GradedLieAlgebra:
+    basis = sorted(
+        ((v, m) for m in all_monomials(d, n) for v in range(2 * d)),
+        key=lambda t: (t[1].weight, t[0], t[1].sort_key()),
     )
-    weights = tuple(m.weight - 1 for v, m in basis)
-    cutoff = n - 1
-    brackets = {}
-    for i, (u, mi) in enumerate(basis):
-        fi = TruncatedPoly(d, n, {mi: Fraction(1)})
-        for j in range(i + 1, len(basis)):
-            v, mj = basis[j]
-            if mi.weight + mj.weight - 2 > cutoff:
-                continue
-            fj = TruncatedPoly(d, n, {mj: Fraction(1)})
-            # [fi d_u, fj d_v] = fi d_u(fj) d_v - fj d_v(fi) d_u
-            parts = ((fi * fj.partial(u), v, 1), (fj * fi.partial(v), u, -1))
-            vec = accumulate(
-                (index[(axis, mono)], sign * c)
-                for poly, axis, sign in parts
-                for mono, c in poly.terms.items()
-                if (axis, mono) in index
-            )
-            if vec:
-                brackets[(i, j)] = vec
-    algebra = GradedLieAlgebra(
-        f"W(d={d},N={n})", labels, weights, brackets, cutoff, tuple(basis)
+    return tabulate(
+        f"W(d={d},N={n})",
+        basis,
+        tuple(
+            f"d/d{coordinate_name(v, d)}"
+            if _is_scalar(m)
+            else f"{m}*d/d{coordinate_name(v, d)}"
+            for v, m in basis
+        ),
+        tuple(m.weight - 1 for v, m in basis),
+        n - 1,
+        _field_bracket,
     )
-    algebra.verify_graded()
-    _build_cache[key] = algebra
-    return algebra
 
 
 # ---------------------------------------------------------------------------
@@ -514,35 +513,13 @@ def sp_subalgebra(derd: GradedLieAlgebra):
 
     Returns (sp as its own algebra, index list into the ambient level).
     """
-    indices = [
-        i
-        for i, m in enumerate(derd.tags)
-        if m.hexp == 0 and m.weight == 2 and not _is_scalar(m)
-    ]
-    pos = {i: a for a, i in enumerate(indices)}
-    brackets = {}
-    for a, i in enumerate(indices):
-        for b in range(a + 1, len(indices)):
-            j = indices[b]
-            vec = {}
-            for k, c in derd.bracket(i, j).items():
-                if k not in pos:
-                    raise CheckFailure(
-                        "quadratic symbols do not close under the bracket",
-                        witness={"pair": (i, j), "component": k},
-                    )
-                vec[pos[k]] = c
-            if vec:
-                brackets[(a, b)] = vec
-    sp = GradedLieAlgebra(
+    indices = [i for i, m in enumerate(derd.tags) if m.hexp == 0 and m.weight == 2]
+    sp = _level(
         f"sp({2 * derd.tags[0].dimension})",
-        tuple(derd.labels[i] for i in indices),
-        tuple(0 for _ in indices),
-        brackets,
+        [derd.tags[i] for i in indices],
         0,
-        tuple(derd.tags[i] for i in indices),
+        _bracket_by_tag(derd),
     )
-    sp.verify_graded()
     sp.verify_jacobi()
     return sp, indices
 
@@ -627,28 +604,6 @@ def d1_semidirect_split(d: int, n: int) -> LieMap:
             {index1[mono]: Fraction(1)},
         )
     return LieMap.build(derd0, derd1, columns, name="DerD_0 -> DerD_1")
-
-
-def almost_inner_action(
-    level: GradedLieAlgebra, vec: Vector, u: WeylElement
-) -> WeylElement:
-    """The derivation attached to a level element, applied to u: [rep, u]/h.
-
-    The commutator is taken one h-order and two weights deeper, so the
-    division by h is exact at u's truncation.
-    """
-    spec = u.spec
-    deep = TruncationSpec(spec.d, spec.h_order + 1, spec.cutoff + 2)
-    rep = WeylElement(deep, {level.tags[i]: c for i, c in vec.items()})
-    comm = commutator(rep, u.respec(deep))
-    terms = {}
-    for mono, coeff in comm.terms.items():
-        if mono.hexp < 1:
-            raise InternalError("almost-inner commutator not divisible by h")
-        lowered = Monomial(mono.xexp, mono.yexp, mono.hexp - 1)
-        if lowered.hexp <= spec.h_order and lowered.weight <= spec.cutoff:
-            terms[lowered] = coeff
-    return WeylElement(spec, terms)
 
 
 # ---------------------------------------------------------------------------

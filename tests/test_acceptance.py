@@ -56,6 +56,7 @@ from formaldisc.weyl import (
     iota,
     star,
 )
+from test_tower import almost_inner_action
 
 SEED = 20260808
 
@@ -291,7 +292,7 @@ def test_criterion_05_d1_semidirect():
 
             for m in monos5:
                 u = D1Element.from_function(TruncatedPoly(d, n, {m: Fraction(1)}))
-                acted = tower.almost_inner_action(
+                acted = almost_inner_action(
                     section.target, section.column(i), u.to_weyl(TruncationSpec(d, 1, n))
                 )
                 transported = D1Element.from_weyl(acted)

@@ -28,6 +28,7 @@ from formaldisc.series import (
     de_rham_d,
     poisson_bracket,
 )
+from formaldisc.suites import run_suite
 from formaldisc.weyl import TruncationSpec, WeylElement, star
 
 
@@ -331,3 +332,29 @@ class TestTransportedStar:
         a = coord(0, d, n)
         with pytest.raises(UsageError):
             transported_induced_poisson(ident, a, a)
+
+
+def test_darboux_suite_transports_at_the_requested_h_order(monkeypatch):
+    # the suite's own products must use h-order p, even p = 0; the bracket
+    # check computes its products at h-order 1 by design, so those are skipped
+    product = darboux.transported_product_symbol
+    bracket = darboux.transported_induced_poisson
+    orders, in_bracket = [], []
+
+    def recording_product(phi, a, b, spec, phi_inv=None):
+        if not in_bracket:
+            orders.append(spec.h_order)
+        return product(phi, a, b, spec, phi_inv)
+
+    def marked_bracket(*args):
+        in_bracket.append(True)
+        try:
+            return bracket(*args)
+        finally:
+            in_bracket.pop()
+
+    monkeypatch.setattr(darboux, "transported_product_symbol", recording_product)
+    monkeypatch.setattr(darboux, "transported_induced_poisson", marked_bracket)
+    report = run_suite("darboux", d=1, p=0, n=6)
+    assert all(check.passed for check in report.checks)
+    assert orders and set(orders) == {0}

@@ -6,7 +6,12 @@ evaluates the cyclic sum with `Fraction` brackets.  `reference_verify_map`
 checks bracket preservation the same way, over every basis pair.
 `reference_derd_level` builds a derivation level directly from Weyl
 commutators, dropping scalar components, instead of reading it off the
-cached G level.  The `reference_*` extension builders write each short exact
+cached G level.  `reference_g_level`, `reference_derd_from_g`,
+`reference_poisson` (through `standard_poisson`), `reference_w` (through
+polynomial products and partials) and `reference_sp_subalgebra` are the
+hand-written pair loops that `liealg.tabulate` replaced; each builder's
+algebra must equal its reference field by field, bracket order included.
+The `reference_*` extension builders write each short exact
 sequence out by hand, naming its kernel's monomials and the image of every
 tag, where `liealg.aligned_extension` reads the kernel off the tags.  The
 production routes must agree with them exactly: the same exempt counts, the
@@ -28,12 +33,20 @@ from formaldisc.liealg import (
     LieMap,
     LinearMap,
     aligned_extension,
+    tabulate,
 )
-from formaldisc.series import Monomial
-from formaldisc.sparse import add
+from formaldisc.series import (
+    Monomial,
+    TruncatedPoly,
+    all_monomials,
+    coordinate_name,
+    standard_poisson,
+)
+from formaldisc.sparse import accumulate, add
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
 EXTENSION_CALL = re.compile(r"\bExtensionData\(")
+ALGEBRA_CALL = re.compile(r"\bGradedLieAlgebra\(")
 
 
 def _in_cutoff_triple(algebra, i, j, k):
@@ -92,7 +105,7 @@ def reference_verify_map(m, name="map"):
 
 def reference_derd_level(d, q, n):
     """DerD_q straight from Weyl commutators, with scalar components dropped."""
-    monos = [m for m in tower._level_monomials(d, q, n) if not tower._is_scalar(m)]
+    monos = [m for m in tower.level_monomials(d, q, n) if not tower._is_scalar(m)]
     index = {m: k for k, m in enumerate(monos)}
     cutoff = n - 2
     brackets = {}
@@ -102,7 +115,7 @@ def reference_derd_level(d, q, n):
             if mi.weight + mj.weight - 4 > cutoff:
                 continue
             vec = {}
-            for mono, coeff in tower._transported_bracket(mi, mj, d, q).items():
+            for mono, coeff in tower._transported_bracket(mi, mj, d, q):
                 if tower._is_scalar(mono) or mono.hexp > q or mono.weight > n:
                     continue
                 pos = index.get(mono)
@@ -121,6 +134,178 @@ def reference_derd_level(d, q, n):
     )
     algebra.verify_graded()
     return algebra
+
+
+def reference_g_level(d, q, n):
+    """G_q by a pair loop over every basis pair, with over-cutoff pairs
+    skipped and over-truncation components filtered."""
+    monos = tower.level_monomials(d, q, n)
+    index = {m: k for k, m in enumerate(monos)}
+    cutoff = n - 2
+    brackets = {}
+    for i, mi in enumerate(monos):
+        for j in range(i + 1, len(monos)):
+            mj = monos[j]
+            if mi.weight + mj.weight - 4 > cutoff:
+                continue
+            vec = {}
+            for mono, coeff in tower._transported_bracket(mi, mj, d, q):
+                if mono.hexp > q or mono.weight > n:
+                    continue
+                pos = index.get(mono)
+                if pos is None:
+                    raise InternalError(f"bracket left the level basis: {mono}")
+                vec[pos] = coeff
+            if vec:
+                brackets[(i, j)] = vec
+    algebra = GradedLieAlgebra(
+        f"G_{q}(d={d},N={n})",
+        tuple(f"h^-1*{m}" for m in monos),
+        tuple(m.weight - 2 for m in monos),
+        brackets,
+        cutoff,
+        tuple(monos),
+    )
+    algebra.verify_graded()
+    return algebra
+
+
+def reference_derd_from_g(g, d, q, n):
+    """A G level's quotient by its scalars, by reindexing its stored brackets."""
+    keep = [k for k, m in enumerate(g.tags) if not tower._is_scalar(m)]
+    pos = {k: r for r, k in enumerate(keep)}
+    brackets = {}
+    for i, j in sorted(g.brackets):
+        if i in pos and j in pos:
+            vec = {pos[k]: c for k, c in g.brackets[(i, j)].items() if k in pos}
+            if vec:
+                brackets[(pos[i], pos[j])] = vec
+    monos = [g.tags[k] for k in keep]
+    return GradedLieAlgebra(
+        f"DerD_{q}(d={d},N={n})",
+        tuple(f"h^-1*{m}" for m in monos),
+        tuple(m.weight - 2 for m in monos),
+        brackets,
+        g.cutoff,
+        tuple(monos),
+    )
+
+
+def reference_poisson(d, n, name, min_degree):
+    """Monomials of degree >= min_degree under `standard_poisson`, with
+    components off the basis dropped."""
+    monos = sorted(
+        all_monomials(d, n, min_degree=min_degree), key=lambda m: m.sort_key()
+    )
+    index = {m: k for k, m in enumerate(monos)}
+    cutoff = n - 2
+    brackets = {}
+    for i, mi in enumerate(monos):
+        pi = TruncatedPoly(d, n, {mi: Fraction(1)})
+        for j in range(i + 1, len(monos)):
+            mj = monos[j]
+            if mi.weight + mj.weight - 4 > cutoff:
+                continue
+            pb = standard_poisson(pi, TruncatedPoly(d, n, {mj: Fraction(1)}))
+            vec = {index[m]: c for m, c in pb.terms.items() if m in index}
+            if vec:
+                brackets[(i, j)] = vec
+    algebra = GradedLieAlgebra(
+        name,
+        tuple(str(m) for m in monos),
+        tuple(m.weight - 2 for m in monos),
+        brackets,
+        cutoff,
+        tuple(monos),
+    )
+    algebra.verify_graded()
+    return algebra
+
+
+def reference_w(d, n):
+    """Vector fields with brackets from polynomial products and partials."""
+    coeff_monos = sorted(all_monomials(d, n), key=lambda m: m.sort_key())
+    basis = [(v, m) for m in coeff_monos for v in range(2 * d)]
+    basis.sort(key=lambda t: (t[1].weight, t[0], t[1].sort_key()))
+    index = {t: k for k, t in enumerate(basis)}
+    labels = tuple(
+        f"{m}*d/d{coordinate_name(v, d)}"
+        if str(m) != "1"
+        else f"d/d{coordinate_name(v, d)}"
+        for v, m in basis
+    )
+    weights = tuple(m.weight - 1 for v, m in basis)
+    cutoff = n - 1
+    brackets = {}
+    for i, (u, mi) in enumerate(basis):
+        fi = TruncatedPoly(d, n, {mi: Fraction(1)})
+        for j in range(i + 1, len(basis)):
+            v, mj = basis[j]
+            if mi.weight + mj.weight - 2 > cutoff:
+                continue
+            fj = TruncatedPoly(d, n, {mj: Fraction(1)})
+            # [fi d_u, fj d_v] = fi d_u(fj) d_v - fj d_v(fi) d_u
+            parts = ((fi * fj.partial(u), v, 1), (fj * fi.partial(v), u, -1))
+            vec = accumulate(
+                (index[(axis, mono)], sign * c)
+                for poly, axis, sign in parts
+                for mono, c in poly.terms.items()
+                if (axis, mono) in index
+            )
+            if vec:
+                brackets[(i, j)] = vec
+    algebra = GradedLieAlgebra(
+        f"W(d={d},N={n})", labels, weights, brackets, cutoff, tuple(basis)
+    )
+    algebra.verify_graded()
+    return algebra
+
+
+def reference_sp_subalgebra(derd):
+    """The quadratic symbols of a DerD level, by reindexing its brackets."""
+    indices = [
+        i
+        for i, m in enumerate(derd.tags)
+        if m.hexp == 0 and m.weight == 2 and not tower._is_scalar(m)
+    ]
+    pos = {i: a for a, i in enumerate(indices)}
+    brackets = {}
+    for a, i in enumerate(indices):
+        for b in range(a + 1, len(indices)):
+            j = indices[b]
+            vec = {}
+            for k, c in derd.bracket(i, j).items():
+                if k not in pos:
+                    raise CheckFailure(
+                        "quadratic symbols do not close under the bracket",
+                        witness={"pair": (i, j), "component": k},
+                    )
+                vec[pos[k]] = c
+            if vec:
+                brackets[(a, b)] = vec
+    sp = GradedLieAlgebra(
+        f"sp({2 * derd.tags[0].dimension})",
+        tuple(derd.labels[i] for i in indices),
+        tuple(0 for _ in indices),
+        brackets,
+        0,
+        tuple(derd.tags[i] for i in indices),
+    )
+    sp.verify_graded()
+    sp.verify_jacobi()
+    return sp, indices
+
+
+def algebra_fields(algebra):
+    """Every field of an algebra, with each bracket's items in stored order."""
+    return (
+        algebra.name,
+        algebra.labels,
+        algebra.weights,
+        algebra.tags,
+        algebra.cutoff,
+        [(key, list(vec.items())) for key, vec in algebra.brackets.items()],
+    )
 
 
 def outcome(sweep, algebra):
@@ -231,6 +416,91 @@ class TestDerDOracle:
     @pytest.mark.parametrize("d,q,n", [(1, 0, 5), (1, 1, 5), (1, 2, 7), (2, 0, 5)])
     def test_derd_level_matches_direct_build(self, d, q, n):
         assert tower.build_derd_level(d, q, n) == reference_derd_level(d, q, n)
+
+
+class TestBuilderOracles:
+    """Each tabulated builder against its pair-loop reference."""
+
+    @pytest.mark.parametrize(
+        "d,q,n", [(1, 0, 4), (1, 1, 6), (1, 2, 7), (2, 0, 5), (2, 1, 5)]
+    )
+    def test_levels(self, d, q, n):
+        g = tower.build_g_level(d, q, n)
+        assert algebra_fields(g) == algebra_fields(reference_g_level(d, q, n))
+        assert algebra_fields(tower.build_derd_level(d, q, n)) == algebra_fields(
+            reference_derd_from_g(g, d, q, n)
+        )
+
+    @pytest.mark.parametrize("d,n", [(1, 4), (1, 7), (2, 4)])
+    def test_poisson_algebras(self, d, n):
+        for build, name, min_degree in (
+            (tower.build_h, f"H(d={d},N={n})", 1),
+            (tower.build_a_poisson, f"A(d={d},N={n})", 0),
+        ):
+            expected = reference_poisson(d, n, name, min_degree)
+            assert algebra_fields(build(d, n)) == algebra_fields(expected)
+
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 3)])
+    def test_vector_fields(self, d, n):
+        assert algebra_fields(tower.build_w(d, n)) == algebra_fields(reference_w(d, n))
+
+    @pytest.mark.parametrize("d,q,n", [(1, 0, 2), (1, 1, 5), (2, 0, 2), (2, 1, 4)])
+    def test_sp(self, d, q, n):
+        derd = tower.build_derd_level(d, q, n)
+        sp, indices = tower.sp_subalgebra(derd)
+        expected, expected_indices = reference_sp_subalgebra(derd)
+        assert algebra_fields(sp) == algebra_fields(expected)
+        assert indices == expected_indices
+
+    def test_corrupted_derd(self):
+        d, q, n = 1, 2, 6
+        g = tower.build_g_level(d, q, n)
+        w = g.weights
+        for i, j in list(g.brackets)[:4]:
+            for k in g.basis_indices_of_weight(w[i] + w[j]):
+                bad = g.with_corrupted_bracket(i, j, k, Fraction(1, 2))
+                assert algebra_fields(tower._derd_from_g(bad, d, q, n)) == (
+                    algebra_fields(reference_derd_from_g(bad, d, q, n))
+                ), (i, j, k)
+
+
+def test_tabulate_refuses_off_basis_components():
+    # {x, y} = 1, but the basis has no constant
+    x, y, one = Monomial((1,), (0,)), Monomial((0,), (1,)), Monomial((0,), (0,))
+
+    def bracket(m1, m2):
+        yield one, Fraction(1)
+
+    with pytest.raises(CheckFailure) as info:
+        tabulate("broken", (x, y), ("x", "y"), (-1, -1), 0, bracket)
+    assert "[x,y]" in str(info.value) and "off-basis component 1" in str(info.value)
+    assert info.value.witness == {"pair": (0, 1), "component": one}
+
+
+def _owners(pattern):
+    """`module.owner` for every line of src that matches `pattern`, where
+    owner is the top-level def or class the line sits in."""
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        owner = None
+        for line in path.read_text().splitlines():
+            top = re.match(r"(?:def|class) (\w+)", line)
+            if top:
+                owner = top.group(1)
+            if pattern.search(line):
+                hits.append(f"{path.stem}.{owner}")
+    return hits
+
+
+def test_algebras_are_built_in_liealg_only():
+    # every algebra with a bracket goes through liealg.tabulate; liealg
+    # itself builds the tabulated algebra, the abelian kernel of an aligned
+    # extension and the fault-injection copy
+    assert _owners(ALGEBRA_CALL) == [
+        "liealg.GradedLieAlgebra",
+        "liealg.tabulate",
+        "liealg.aligned_extension",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +693,7 @@ class TestAlignedExtensionOracle:
         assert any(failed) and not all(failed)
 
 
-def _extension_calls():
-    """`module.owner` for every line of src that calls ExtensionData(, where
-    owner is the top-level def or class the line sits in."""
-    hits = []
-    for path in sorted(SRC.glob("*.py")):
-        owner = None
-        for line in path.read_text().splitlines():
-            top = re.match(r"(?:def|class) (\w+)", line)
-            if top:
-                owner = top.group(1)
-            if EXTENSION_CALL.search(line):
-                hits.append(f"{path.stem}.{owner}")
-    return hits
-
-
 def test_extensions_are_read_off_tags_only():
     # exactly one hit: the pattern finds the helper, and nothing else in src
     # writes a short exact sequence by hand
-    assert _extension_calls() == ["liealg.aligned_extension"]
+    assert _owners(EXTENSION_CALL) == ["liealg.aligned_extension"]
