@@ -18,6 +18,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import comb, lcm
 
 from . import linalg
@@ -125,12 +126,10 @@ class GradedLieAlgebra:
         its defect as witness.
         """
         n, w, cutoff = self.dim, self.weights, self.cutoff
-        lcd = lcm(
-            *{c.denominator for vec in self.brackets.values() for c in vec.values()}
-        )
+        lcd = _lcd(self.brackets.values())
         ad = [{} for _ in range(n)]
         for (i, j), vec in self.brackets.items():
-            ints = {k: c.numerator * (lcd // c.denominator) for k, c in vec.items()}
+            ints = _integral(vec, lcd)
             ad[i][j] = ints
             ad[j][i] = {k: -c for k, c in ints.items()}
         later = _later_indices(w)
@@ -296,19 +295,67 @@ class LieMap(LinearMap):
 
     def verify(self, name="map"):
         """Raises on the first in-cutoff pair i<j, in lexicographic order,
-        whose bracket the map does not preserve."""
-        src = self.source
+        whose bracket the map does not preserve.
+
+        Each pair is compared on integers: the source brackets, the columns
+        and the target brackets are scaled by their own least common
+        denominators Ls, Lc and Lt, so that both sides of
+        f([e_i, e_j]) = [f(e_i), f(e_j)] sit at Ls Lc^2 Lt.  The target
+        table is read with a sign, not copied.  On a mismatch both sides
+        are recomputed over Q for the witness.
+        """
+        src, tgt = self.source, self.target
+        ls, lt = _lcd(src.brackets.values()), _lcd(tgt.brackets.values())
+        lc = _lcd(self.columns.values())
+        cols = {i: _integral(vec, lc) for i, vec in self.columns.items()}
+        src_brackets, tgt_brackets = src.brackets, tgt.brackets
+        empty = {}
+
+        def target_terms(a, b, scale):
+            """scale * Lt [e_a, e_b] in the target, read off its i<j table."""
+            if a > b:
+                a, b, scale = b, a, -scale
+            return (
+                (t, c.numerator * (lt // c.denominator) * scale)
+                for t, c in tgt_brackets.get((a, b), empty).items()
+            )
+
         later = _later_indices(src.weights)
         for i in range(src.dim):
+            col_i = cols.get(i, empty)
             for j in later(i, src.cutoff - src.weights[i]):
-                lhs = self.apply(self.source.bracket(i, j))
-                rhs = self.target.bracket_vec(self.column(i), self.column(j))
-                if lhs != rhs:
+                col_j = cols.get(j, empty)
+                lhs = (
+                    (t, c.numerator * (ls // c.denominator) * v * lc * lt)
+                    for k, c in src_brackets.get((i, j), empty).items()
+                    for t, v in cols.get(k, empty).items()
+                )
+                rhs = chain.from_iterable(
+                    target_terms(a, b, -ca * cb * ls)
+                    for a, ca in col_i.items()
+                    for b, cb in col_j.items()
+                    if a != b
+                )
+                if accumulate(chain(lhs, rhs)):
                     raise CheckFailure(
                         f"{name}: bracket not preserved on "
-                        f"({self.source.labels[i]}, {self.source.labels[j]})",
-                        witness={"pair": (i, j), "lhs": lhs, "rhs": rhs},
+                        f"({src.labels[i]}, {src.labels[j]})",
+                        witness={
+                            "pair": (i, j),
+                            "lhs": self.apply(src.bracket(i, j)),
+                            "rhs": tgt.bracket_vec(self.column(i), self.column(j)),
+                        },
                     )
+
+
+def _lcd(vectors) -> int:
+    """The least common denominator of every coefficient of the vectors."""
+    return lcm(*{c.denominator for vec in vectors for c in vec.values()})
+
+
+def _integral(vec, lcd: int) -> dict:
+    """The vector scaled by `lcd`, as int coefficients."""
+    return {k: c.numerator * (lcd // c.denominator) for k, c in vec.items()}
 
 
 @dataclass

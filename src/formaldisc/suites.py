@@ -190,7 +190,21 @@ def tower_suite(report: Report, d, p, n, inject_fault=False):
     report.run("tower-d1-semidirect", d1_split)
 
 
+def _ran_at(algebra: str, requested: dict, **used) -> str:
+    """'<algebra> at p=.., N=..', naming each requested value it replaced."""
+    at = ", ".join(f"{key}={value}" for key, value in used.items())
+    replaced = ", ".join(
+        f"{key}={requested[key]}" for key, value in used.items() if requested[key] != value
+    )
+    return f"{algebra} at {at}" + (f" (requested {replaced})" if replaced else "")
+
+
 def cohomology_suite(report: Report, d, p, n):
+    """The cohomology checks, each at a capped size: d^2 on H at N <= 5, the
+    omega class at N <= 4 and the obstruction at p <= 1.  Every detail names
+    the algebra and the p and N it ran at."""
+    requested = {"p": p, "N": n}
+
     def d_squared():
         h_alg = tower.build_h(d, min(n, 5))
         module = cohomology.trivial_module(h_alg)
@@ -208,10 +222,12 @@ def cohomology_suite(report: Report, d, p, n):
             checked += 1
         if checked == 0:
             raise CheckFailure("no overflow-free weight block to check")
-        return f"d^2 = 0 on {checked} weight blocks"
+        ran = _ran_at(h_alg.name, requested, N=min(n, 5))
+        return f"{ran}: d^2 = 0 on {checked} weight blocks"
 
     def whitehead():
-        module = cohomology.trivial_module(tower.sp_algebra(d))
+        sp = tower.sp_algebra(d)
+        module = cohomology.trivial_module(sp)
         h0 = cohomology.cohomology_dim(module, 0, 0)
         h1 = cohomology.cohomology_dim(module, 1, 0)
         h2 = cohomology.cohomology_dim(module, 2, 0)
@@ -220,12 +236,15 @@ def cohomology_suite(report: Report, d, p, n):
                 "sp cohomology differs from (1, 0, 0)",
                 witness={"H0": h0, "H1": h1, "H2": h2},
             )
+        # sp(2d) is read off DerD_0 at N=2 whatever p and N are requested
+        return f"{sp.name} at p=0, N=2: H^0, H^1, H^2 = 1, 0, 0"
 
     def omega():
         cls = cohomology.omega_class(d, min(n, 4))
         if not cls.is_nonzero():
             raise CheckFailure("symplectic class is a coboundary")
-        return f"degree {cls.degree}, weight {cls.weight}, nontrivial"
+        ran = _ran_at(cls.representative.module.algebra.name, requested, N=min(n, 4))
+        return f"{ran}: degree {cls.degree}, weight {cls.weight}, nontrivial"
 
     def obstruction():
         obs = tower.tower_obstruction(d, min(p, 1), n)
@@ -235,7 +254,8 @@ def cohomology_suite(report: Report, d, p, n):
         found, _ = cohomology.is_coboundary(sp_cochain)
         if not found:
             raise CheckFailure("sp-restricted scalar cocycle is not a coboundary")
-        return f"support on {len(obs.cochain.values)} basis pairs"
+        ran = _ran_at(obs.extension.sub.name, requested, p=min(p, 1), N=n)
+        return f"{ran}: support on {len(obs.cochain.values)} basis pairs"
 
     report.run("cohomology-d-squared", d_squared)
     report.run("cohomology-whitehead-sp2", whitehead)

@@ -6,7 +6,8 @@ refuses components off the basis and verifies gradedness:
 
 - the level G_q = h^-1 D / h^q D has basis h^-1 m for the normal-ordered
   monomials m of h-order <= q, with [h^-1 a, h^-1 b] = h^-1([a, b]/h)
-  taken by a Weyl commutator one h-order deeper;
+  taken by the closed-form Weyl commutator one h-order deeper, which sums
+  only the contraction terms of the two orders (no star products);
 - the derivation level DerD_q is G_q read by tag with its central scalars
   h^-1 k[h] dropped, so the Weyl commutators run once per level;
 - H and A are the monomials (without and with the constant) under the
@@ -98,12 +99,13 @@ def level_monomials(d: int, h_max: int, n: int):
 def _transported_bracket(m1: Monomial, m2: Monomial, d: int, q: int):
     """[h^-1 m1, h^-1 m2] = h^-1([m1, m2]/h) as (monomial, coefficient) pairs.
 
-    Exact: the Weyl commutator is computed at h-order q+1 and full weight
-    w1 + w2, then divided by h.
+    Exact: the closed-form Weyl commutator is taken at h-order q+1 and full
+    weight w1 + w2, where every term carries h, and then divided by h.  Both
+    monomials lie within that truncation, so they are wrapped unchecked.
     """
     spec = TruncationSpec(d, q + 1, m1.weight + m2.weight)
-    a = WeylElement(spec, {m1: Fraction(1)})
-    b = WeylElement(spec, {m2: Fraction(1)})
+    a = WeylElement._trusted(spec, {m1: Fraction(1)})
+    b = WeylElement._trusted(spec, {m2: Fraction(1)})
     return (
         (Monomial(m.xexp, m.yexp, m.hexp - 1), c)
         for m, c in commutator(a, b).terms.items()

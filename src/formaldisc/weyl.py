@@ -11,7 +11,11 @@ Products are computed in closed form.  One kernel normal-orders the product
 of two monomials: only the y's of the left factor stand before the x's of
 the right one, and in each dimension
 y^b x^a = sum_k (-h)^k k! C(b,k) C(a,k) x^(a-k) y^(b-k).  `star`, `iota`
-and `normal_order` all go through it.  `normal_order_random_strategy`
+and `normal_order` all go through it.  `commutator` has a kernel of its own
+on the same contraction loop: the uncontracted terms of m1 m2 and m2 m1
+cancel, so it sums only the contractions of the two orders and never calls
+`star`.  Kernel outputs are wrapped without re-checking; the public
+`WeylElement` constructor checks every term.  `normal_order_random_strategy`
 rewrites words with the defining relation y_j x_i -> x_i y_j - delta_ij h
 at random positions; it is kept as the independent oracle.
 """
@@ -120,7 +124,15 @@ class WeylElement(LinearTerms):
         return (self.spec,)
 
     def _with(self, terms) -> "WeylElement":
-        return WeylElement(self.spec, terms)
+        return WeylElement._trusted(self.spec, terms)
+
+    @staticmethod
+    def _trusted(spec: TruncationSpec, terms: dict) -> "WeylElement":
+        """Wrap a kernel output that is already clean (nonzero Fractions on
+        d-dimensional monomials within the truncation) without re-checking it."""
+        element = object.__new__(WeylElement)
+        element.spec, element.terms = spec, terms
+        return element
 
     def _scalar(self, value) -> "WeylElement":
         return WeylElement.scalar(value, self.spec)
@@ -169,6 +181,42 @@ def parse_generator(name: str, d: int):
 # ---------------------------------------------------------------------------
 
 
+def _contractions(ys, xs, room: int):
+    """The ways to contract y^ys standing before x^xs, total k <= room.
+
+    One (ks, total k, coefficient) triple per choice of k_i per dimension,
+    with the coefficient prod_i (-1)^k_i k_i! C(b_i, k_i) C(a_i, k_i); the
+    uncontracted choice (all k_i = 0, coefficient 1) comes first.
+    """
+    out = [((), 0, 1)]
+    for b, a in zip(ys, xs):
+        out = [
+            (ks + (k,), used + k, coeff * (-1) ** k * perm(b, k) * comb(a, k))
+            for ks, used, coeff in out
+            for k in range(min(a, b, room - used) + 1)
+        ]
+    return out
+
+
+def _contracted(m1: Monomial, m2: Monomial, contractions, sign: int = 1):
+    """sign times the terms x^(a1+a2-ks) y^(b1+b2-ks) h^(c1+c2+k) of the
+    given contractions of m1 and m2 (in either order)."""
+    xs = [a1 + a2 for a1, a2 in zip(m1.xexp, m2.xexp)]
+    ys = [b1 + b2 for b1, b2 in zip(m1.yexp, m2.yexp)]
+    hexp = m1.hexp + m2.hexp
+    return [
+        (
+            Monomial(
+                tuple(x - k for x, k in zip(xs, ks)),
+                tuple(y - k for y, k in zip(ys, ks)),
+                hexp + used,
+            ),
+            sign * coeff,
+        )
+        for ks, used, coeff in contractions
+    ]
+
+
 def _normal_product(m1: Monomial, m2: Monomial, spec: TruncationSpec):
     """The normal form of the word m1 m2 as (monomial, int) pairs, truncated.
 
@@ -180,43 +228,48 @@ def _normal_product(m1: Monomial, m2: Monomial, spec: TruncationSpec):
     room = spec.h_order - m1.hexp - m2.hexp
     if room < 0 or m1.weight + m2.weight > spec.cutoff:
         return []
-    contractions = [((), 0, 1)]
-    for b, a in zip(m1.yexp, m2.xexp):
-        contractions = [
-            (ks + (k,), used + k, coeff * (-1) ** k * perm(b, k) * comb(a, k))
-            for ks, used, coeff in contractions
-            for k in range(min(a, b, room - used) + 1)
-        ]
-    xs = [a1 + a2 for a1, a2 in zip(m1.xexp, m2.xexp)]
-    ys = [b1 + b2 for b1, b2 in zip(m1.yexp, m2.yexp)]
-    hexp = m1.hexp + m2.hexp
-    return [
-        (
-            Monomial(
-                tuple(x - k for x, k in zip(xs, ks)),
-                tuple(y - k for y, k in zip(ys, ks)),
-                hexp + used,
-            ),
-            coeff,
-        )
-        for ks, used, coeff in contractions
-    ]
+    return _contracted(m1, m2, _contractions(m1.yexp, m2.xexp, room))
 
 
-def star(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Associative product of D_p: the kernel on every pair of terms."""
+def _normal_commutator(m1: Monomial, m2: Monomial, spec: TruncationSpec):
+    """m1 m2 - m2 m1 in normal form as (monomial, int) pairs, truncated.
+
+    The uncontracted terms of the two orders are the same monomial with
+    coefficient 1, so they cancel: what is left are the contractions of
+    total k >= 1 of m1 m2, minus those of m2 m1.  Nothing is left when the
+    h-order room is below 1, the weights are over the cutoff, or neither
+    order has a contraction.  Equal monomials of the two orders are not
+    merged here.
+    """
+    room = spec.h_order - m1.hexp - m2.hexp
+    if room < 1 or m1.weight + m2.weight > spec.cutoff:
+        return []
+    forward = _contractions(m1.yexp, m2.xexp, room)[1:]
+    backward = _contractions(m2.yexp, m1.xexp, room)[1:]
+    if not forward and not backward:
+        return []
+    return _contracted(m1, m2, forward) + _contracted(m1, m2, backward, -1)
+
+
+def _bilinear(kernel, a: WeylElement, b: WeylElement) -> WeylElement:
+    """The bilinear extension of a monomial kernel to every pair of terms."""
     a._check_compat(b)
     spec = a.spec
     terms = accumulate(
         (mono, coeff * k)
         for ma, ca in a.terms.items()
         for mb, cb in b.terms.items()
-        for product in (_normal_product(ma, mb, spec),)
-        if product  # a pair over the cutoff costs no coefficient product
+        for out in (kernel(ma, mb, spec),)
+        if out  # a pair the kernel drops costs no coefficient product
         for coeff in (ca * cb,)
-        for mono, k in product
+        for mono, k in out
     )
-    return WeylElement(spec, terms)
+    return WeylElement._trusted(spec, terms)
+
+
+def star(a: WeylElement, b: WeylElement) -> WeylElement:
+    """Associative product of D_p: the product kernel on every pair of terms."""
+    return _bilinear(_normal_product, a, b)
 
 
 def normal_order(word, spec: TruncationSpec, scalar=1) -> WeylElement:
@@ -292,7 +345,8 @@ def normal_order_random_strategy(word, spec: TruncationSpec, rng, scalar=1) -> W
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
-    return star(a, b) - star(b, a)
+    """[a, b] = a b - b a: the commutator kernel on every pair of terms."""
+    return _bilinear(_normal_commutator, a, b)
 
 
 def iota(a: WeylElement) -> WeylElement:
@@ -311,7 +365,7 @@ def iota(a: WeylElement) -> WeylElement:
             Monomial(zeros, mono.yexp, mono.hexp), Monomial(mono.xexp, zeros, 0), spec
         )
     )
-    return WeylElement(spec, terms)
+    return WeylElement._trusted(spec, terms)
 
 
 def mod_h(a: WeylElement) -> TruncatedPoly:
@@ -417,10 +471,6 @@ class D1Element:
             raise UsageError("D1Element parts must be h-free")
 
     @staticmethod
-    def from_function(a: TruncatedPoly) -> "D1Element":
-        return D1Element(a, TruncatedPoly.zero(a.d, a.cutoff))
-
-    @staticmethod
     def zero(d: int, cutoff: int) -> "D1Element":
         z = TruncatedPoly.zero(d, cutoff)
         return D1Element(z, z)
@@ -437,32 +487,6 @@ class D1Element:
 
     def scaled(self, value) -> "D1Element":
         return D1Element(self.even.scaled(value), self.odd.scaled(value))
-
-    def to_weyl(self, spec: TruncationSpec) -> "WeylElement":
-        """Transport along the eigenspace identification into D_p, p >= 1."""
-        odd_part = {
-            Monomial(m.xexp, m.yexp, 1): c for m, c in self.odd.terms.items()
-        }
-        return even_lift(self.even, spec) + WeylElement(spec, odd_part)
-
-    @staticmethod
-    def from_weyl(w: WeylElement) -> "D1Element":
-        """Inverse transport, defined on elements with h-order <= 1."""
-        d, n = w.spec.d, w.spec.cutoff
-        plain = {}
-        hpart = {}
-        for mono, coeff in w.terms.items():
-            if mono.hexp == 0:
-                plain[Monomial(mono.xexp, mono.yexp, 0)] = coeff
-            elif mono.hexp == 1:
-                hpart[Monomial(mono.xexp, mono.yexp, 0)] = coeff
-            else:
-                raise UsageError("from_weyl needs an element of h-order <= 1")
-        even = TruncatedPoly(d, n, plain)
-        odd = TruncatedPoly(d, n, hpart) + mixed_laplacian(even).scaled(
-            Fraction(1, 2)
-        )
-        return D1Element(even, odd)
 
 
 def d1_product(a: D1Element, b: D1Element) -> D1Element:

@@ -57,6 +57,7 @@ from formaldisc.weyl import (
     star,
 )
 from test_tower import almost_inner_action
+from test_weyl import d1_from_function, d1_from_weyl, d1_to_weyl
 
 SEED = 20260808
 
@@ -291,11 +292,13 @@ def test_criterion_05_d1_semidirect():
             f_poly = TruncatedPoly(d, deep, {f_mono: Fraction(1)})
 
             for m in monos5:
-                u = D1Element.from_function(TruncatedPoly(d, n, {m: Fraction(1)}))
+                u = d1_from_function(TruncatedPoly(d, n, {m: Fraction(1)}))
                 acted = almost_inner_action(
-                    section.target, section.column(i), u.to_weyl(TruncationSpec(d, 1, n))
+                    section.target,
+                    section.column(i),
+                    d1_to_weyl(u, TruncationSpec(d, 1, n)),
                 )
-                transported = D1Element.from_weyl(acted)
+                transported = d1_from_weyl(acted)
                 expected_even = standard_poisson(
                     f_poly.truncated(n), u.even
                 )
@@ -311,9 +314,9 @@ def test_criterion_05_d1_semidirect():
                 )
 
             for m1 in monos5:
-                u = D1Element.from_function(TruncatedPoly(d, deep, {m1: Fraction(1)}))
+                u = d1_from_function(TruncatedPoly(d, deep, {m1: Fraction(1)}))
                 for m2 in monos5:
-                    v = D1Element.from_function(
+                    v = d1_from_function(
                         TruncatedPoly(d, deep, {m2: Fraction(1)})
                     )
                     lhs = act(d1_product(u, v))

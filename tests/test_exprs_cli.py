@@ -191,6 +191,28 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err.startswith(f"error: verify {suite} needs d >= 1, p >= 0")
 
+    def test_verify_cohomology_names_what_it_ran(self, capsys, tmp_path):
+        # each check runs at a capped size; its detail says which, and which
+        # requested value it replaced
+        out_file = tmp_path / "report.json"
+        command = ["verify", "cohomology", "--p", "2", "--N", "8", "--json", str(out_file)]
+        assert main(command) == 0
+        payload = json.loads(out_file.read_text())
+        assert payload["params"] == {"d": 1, "p": 2, "N": 8, "inject_fault": False}
+        details = {c["name"]: c["detail"] for c in payload["checks"]}
+        assert details == {
+            "cohomology-d-squared": (
+                "H(d=1,N=5) at N=5 (requested N=8): d^2 = 0 on 4 weight blocks"
+            ),
+            "cohomology-whitehead-sp2": "sp(2) at p=0, N=2: H^0, H^1, H^2 = 1, 0, 0",
+            "cohomology-omega-class": (
+                "H(d=1,N=4) at N=4 (requested N=8): degree 2, weight -2, nontrivial"
+            ),
+            "cohomology-obstruction": (
+                "V(d=1,p=1,N=8) at p=1, N=8 (requested p=2): support on 272 basis pairs"
+            ),
+        }
+
     def test_sp_dims_depend_on_d_alone(self, capsys):
         payloads = []
         for extra in (["--N", "0"], ["--N", "5"], ["--p", "3", "--N", "9"]):

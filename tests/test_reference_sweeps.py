@@ -3,7 +3,8 @@
 `reference_verify_jacobi` is the exhaustive sweep: it visits every basis
 triple i<j<k, exempts the overflowing ones by the in-cutoff predicate, and
 evaluates the cyclic sum with `Fraction` brackets.  `reference_verify_map`
-checks bracket preservation the same way, over every basis pair.
+checks bracket preservation the same way, over every basis pair, with
+`Fraction` arithmetic, against the integer route of `LieMap.verify`.
 `reference_derd_level` builds a derivation level directly from Weyl
 commutators, dropping scalar components, instead of reading it off the
 cached G level.  `reference_g_level`, `reference_derd_from_g`,
@@ -21,6 +22,7 @@ same first failure and witness, the same algebra, the same maps.
 import random
 import re
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -410,6 +412,78 @@ class TestJacobiOracle:
             assert outcome(LieMap.verify, identity) == expected, seed
         assert zero_before == 10
         assert failures > 10
+
+
+def rebased(m, source_factors, target_factors, perm):
+    """The map m on the source basis s_a = source_factors[a] e_a and the
+    target basis t_c = target_factors[perm[c]] e_perm[c]."""
+    inv = {old: new for new, old in enumerate(perm)}
+    columns = {
+        a: {
+            inv[b]: source_factors[a] * c / target_factors[b]
+            for b, c in m.column(a).items()
+        }
+        for a in range(m.source.dim)
+    }
+    return LieMap(
+        rescaled(m.source, source_factors),
+        permuted(rescaled(m.target, target_factors), perm),
+        columns,
+    )
+
+
+def _lcd(vectors):
+    return lcm(*{c.denominator for vec in vectors for c in vec.values()})
+
+
+class TestMapOracle:
+    """The integer route of LieMap.verify against the Fraction route, on maps
+    whose columns and both structure tables have denominators."""
+
+    @staticmethod
+    def fractional_maps():
+        rng = random.Random(11)
+
+        def factors(algebra):
+            return [
+                Fraction(rng.choice([1, 2, 3]), rng.choice([2, 3, 5]))
+                for _ in range(algebra.dim)
+            ]
+
+        g1 = tower.build_g_level(1, 1, 5)
+        section = tower.levi_restriction_split(1, 1, 6)[0]
+        maps = []
+        for m in (LieMap(g1, g1, {a: {a: Fraction(1)} for a in range(g1.dim)}), section):
+            perm = rng.sample(range(m.target.dim), m.target.dim)
+            maps.append(rebased(m, factors(m.source), factors(m.target), perm))
+        return maps
+
+    def test_valid_maps_verify(self):
+        for m in self.fractional_maps():
+            assert _lcd(m.source.brackets.values()) > 1
+            assert _lcd(m.target.brackets.values()) > 1
+            assert _lcd(m.columns.values()) > 1
+            assert outcome(reference_verify_map, m) == ("ok", None)
+            assert outcome(LieMap.verify, m) == ("ok", None)
+
+    def test_corrupted_column_fails_on_the_same_pair(self):
+        for m in self.fractional_maps():
+            for seed in range(12):
+                rng = random.Random(seed)
+                a = rng.choice([a for a in range(m.source.dim) if m.column(a)])
+                b = rng.choice(m.target.basis_indices_of_weight(m.source.weights[a]))
+                columns = {i: dict(m.columns[i]) for i in m.columns}
+                columns[a] = accumulate(
+                    [(b, Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 3])))],
+                    columns[a],
+                )
+                bad = LieMap(m.source, m.target, columns)
+                expected = outcome(reference_verify_map, bad)
+                assert expected[0] == "fail", seed
+                assert outcome(LieMap.verify, bad) == expected, seed
+                witness = expected[2]
+                for side in ("lhs", "rhs"):
+                    assert all(type(c) is Fraction for c in witness[side].values())
 
 
 class TestDerDOracle:

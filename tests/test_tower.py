@@ -10,7 +10,8 @@ from formaldisc.errors import InternalError, UsageError
 from formaldisc.liealg import LieMap
 from formaldisc.series import Monomial, TruncatedPoly, all_monomials
 from formaldisc.sparse import accumulate
-from formaldisc.weyl import D1Element, TruncationSpec, WeylElement, commutator
+from formaldisc.weyl import TruncationSpec, WeylElement, commutator
+from test_weyl import d1_from_function, d1_from_weyl, d1_to_weyl
 
 
 def almost_inner_action(level, vec, u):
@@ -311,11 +312,11 @@ class TestD1Semidirect:
         for i, f_mono in enumerate(section.source.tags):
             f_poly = TruncatedPoly(d, n, {f_mono: Fraction(1)})
             for m in all_monomials(d, 4):
-                u = D1Element.from_function(TruncatedPoly(d, n, {m: Fraction(1)}))
+                u = d1_from_function(TruncatedPoly(d, n, {m: Fraction(1)}))
                 acted = almost_inner_action(
-                    derd1, section.column(i), u.to_weyl(spec)
+                    derd1, section.column(i), d1_to_weyl(u, spec)
                 )
-                transported = D1Element.from_weyl(acted)
+                transported = d1_from_weyl(acted)
                 expected_even = standard_poisson(f_poly, u.even)
                 expected_odd = standard_poisson(f_poly, u.odd)
                 residual_weight = f_mono.weight + m.weight - 2

@@ -6,7 +6,9 @@ operator representation on polynomials: x_i acts by multiplication, y_j by
 and distinct normal forms act distinctly, so agreement on a spanning set of
 polynomials pins the canonical form.  The other is
 normal_order_random_strategy, which rewrites explicit words with the
-defining relation at random positions.
+defining relation at random positions.  The closed-form commutator is checked
+against star(a, b) - star(b, a).  The helpers d1_from_function, d1_to_weyl
+and d1_from_weyl transport between D_1 and its split model for these tests.
 """
 
 import random
@@ -16,7 +18,10 @@ import pytest
 
 from formaldisc.errors import UsageError
 from formaldisc.series import Monomial, TruncatedPoly, all_monomials, standard_poisson
+from formaldisc.sparse import accumulate
 from formaldisc.weyl import (
+    _normal_commutator,
+    _normal_product,
     D1Element,
     TruncationSpec,
     WeylElement,
@@ -85,6 +90,34 @@ def random_element(rng, spec, terms=3, max_weight=5):
                 break
         data[mono] = Fraction(rng.randrange(-4, 5) or 1, rng.choice([1, 1, 2, 3]))
     return WeylElement(spec, data)
+
+
+def d1_from_function(a):
+    """A function as an element of the split model, with zero odd part."""
+    return D1Element(a, TruncatedPoly.zero(a.d, a.cutoff))
+
+
+def d1_to_weyl(u, spec):
+    """Transport along the eigenspace identification into D_p, p >= 1."""
+    odd_part = {Monomial(m.xexp, m.yexp, 1): c for m, c in u.odd.terms.items()}
+    return even_lift(u.even, spec) + WeylElement(spec, odd_part)
+
+
+def d1_from_weyl(w):
+    """Inverse transport, defined on elements with h-order <= 1."""
+    d, n = w.spec.d, w.spec.cutoff
+    plain = {}
+    hpart = {}
+    for mono, coeff in w.terms.items():
+        if mono.hexp == 0:
+            plain[Monomial(mono.xexp, mono.yexp, 0)] = coeff
+        elif mono.hexp == 1:
+            hpart[Monomial(mono.xexp, mono.yexp, 0)] = coeff
+        else:
+            raise UsageError("from_weyl needs an element of h-order <= 1")
+    even = TruncatedPoly(d, n, plain)
+    odd = TruncatedPoly(d, n, hpart) + mixed_laplacian(even).scaled(Fraction(1, 2))
+    return D1Element(even, odd)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +300,109 @@ class TestStar:
         assert gen("x1").scaled("1/3") == WeylElement(SPEC, {x1: Fraction(1, 3)})
 
 
+def _spread_monomial(rng, d, weight, hexp):
+    """A random x^a y^b h^hexp of the given weight."""
+    exps = [0] * (2 * d)
+    for _ in range(weight - 2 * hexp):
+        exps[rng.randrange(2 * d)] += 1
+    return Monomial(tuple(exps[:d]), tuple(exps[d:]), hexp)
+
+
+def _edge_element(rng, spec, terms):
+    """A random element whose first term has the top h-order that fits (room
+    0 against any h-free term) and whose second sits at the weight cutoff."""
+    n, top_h = spec.cutoff, min(spec.h_order, spec.cutoff // 2)
+    data = {}
+    for t in range(terms):
+        hexp = top_h if t == 0 else rng.randrange(top_h + 1)
+        weight = n if t == 1 else rng.randrange(2 * hexp, n + 1)
+        mono = _spread_monomial(rng, spec.d, weight, hexp)
+        data[mono] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+    return WeylElement(spec, data)
+
+
+class TestCommutatorKernel:
+    """The closed-form commutator against star(a, b) - star(b, a)."""
+
+    def test_against_star_difference(self):
+        rng = random.Random(2026)
+        seen = {"h": 0, "cutoff": 0, "room0": 0}
+        for trial in range(320):
+            spec = TruncationSpec(rng.choice([1, 2, 3]), rng.randrange(4), rng.randrange(8))
+            a = _edge_element(rng, spec, rng.randrange(1, 5))
+            b = _edge_element(rng, spec, rng.randrange(1, 5))
+            terms = list(a.terms) + list(b.terms)
+            seen["h"] += any(m.hexp for m in terms)
+            seen["cutoff"] += any(m.weight == spec.cutoff for m in terms)
+            seen["room0"] += any(
+                ma.hexp + mb.hexp == spec.h_order for ma in a.terms for mb in b.terms
+            )
+            assert commutator(a, b) == star(a, b) - star(b, a), (trial, spec)
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("d,max_weight,max_h,p,n", KERNEL_GRID)
+    def test_monomial_kernel_is_product_difference(self, d, max_weight, max_h, p, n):
+        spec = TruncationSpec(d, p, n)
+        monos = _monomials(d, max_weight, max_h)
+        empty = 0
+        for m1 in monos:
+            for m2 in monos:
+                got = _normal_commutator(m1, m2, spec)
+                expected = accumulate(
+                    _normal_product(m1, m2, spec)
+                    + [(m, -k) for m, k in _normal_product(m2, m1, spec)]
+                )
+                assert accumulate(got) == expected, (m1, m2)
+                room = p - m1.hexp - m2.hexp
+                contracts = any(
+                    min(b, a) for b, a in zip(m1.yexp + m2.yexp, m2.xexp + m1.xexp)
+                )
+                if room < 1 or m1.weight + m2.weight > n or not contracts:
+                    assert got == [], (m1, m2)
+                    empty += 1
+        assert empty
+
+
+class TestTrustedBoundary:
+    """Kernel outputs skip the constructor's checks, so they must already be
+    what the checked constructor would build from them."""
+
+    @staticmethod
+    def _assert_clean(out):
+        rebuilt = WeylElement(out.spec, dict(out.terms))
+        assert out.terms == rebuilt.terms
+        assert all(type(c) is Fraction and c for c in out.terms.values())
+
+    def test_kernel_outputs_are_clean(self):
+        rng = random.Random(99)
+        for _ in range(60):
+            spec = TruncationSpec(rng.choice([1, 2]), rng.randrange(4), rng.randrange(1, 8))
+            a = _edge_element(rng, spec, rng.randrange(1, 5))
+            b = _edge_element(rng, spec, rng.randrange(1, 5))
+            for out in (
+                star(a, b),
+                commutator(a, b),
+                iota(a),
+                a + b,
+                a - b,
+                a - a,
+                -a,
+                a + 3,
+                a.scaled(Fraction(-2, 3)),
+                a.scaled(0),
+            ):
+                self._assert_clean(out)
+
+    def test_public_constructor_still_checks(self):
+        x1 = Monomial((1,), (0,), 0)
+        with pytest.raises(UsageError):
+            WeylElement(SPEC, {x1: 0.5})
+        with pytest.raises(UsageError):
+            WeylElement(SPEC, {Monomial((1, 0), (0, 0), 0): Fraction(1)})
+        with pytest.raises(UsageError):
+            commutator(gen("x1"), gen("x1")).scaled(0.5)
+
+
 class TestIota:
     def test_generators(self):
         assert iota(gen("h")) == -gen("h")
@@ -380,8 +516,8 @@ class TestD1Model:
         assert iota(even_lift(f, spec)) == even_lift(f, spec)
 
     def test_product_of_coordinates(self):
-        x = D1Element.from_function(TruncatedPoly.x(0, 1, 8))
-        y = D1Element.from_function(TruncatedPoly.y(0, 1, 8))
+        x = d1_from_function(TruncatedPoly.x(0, 1, 8))
+        y = d1_from_function(TruncatedPoly.y(0, 1, 8))
         xy = d1_product(x, y)
         yx = d1_product(y, x)
         # they differ by exactly h * {x, y} = h * 1
@@ -403,18 +539,19 @@ class TestD1Model:
         spec = TruncationSpec(1, 1, 14)
         monos = all_monomials(1, 6)
         for m1 in monos:
-            a = D1Element.from_function(TruncatedPoly(1, 14, {m1: Fraction(1)}))
-            wa = a.to_weyl(spec)
+            a = d1_from_function(TruncatedPoly(1, 14, {m1: Fraction(1)}))
+            wa = d1_to_weyl(a, spec)
             for m2 in monos:
-                b = D1Element.from_function(TruncatedPoly(1, 14, {m2: Fraction(1)}))
-                assert star(wa, b.to_weyl(spec)) == d1_product(a, b).to_weyl(spec)
+                b = d1_from_function(TruncatedPoly(1, 14, {m2: Fraction(1)}))
+                expected = d1_to_weyl(d1_product(a, b), spec)
+                assert star(wa, d1_to_weyl(b, spec)) == expected
 
     def test_transport_roundtrip(self):
         rng = random.Random(10)
         spec = TruncationSpec(1, 1, 8)
         for _ in range(20):
             w = random_element(rng, spec, terms=3, max_weight=6)
-            assert D1Element.from_weyl(w).to_weyl(spec) == w
+            assert d1_to_weyl(d1_from_weyl(w), spec) == w
 
     def test_bracket_is_h_linear_poisson(self):
         # the commutator-derived bracket of the order-one algebra transported
@@ -431,8 +568,8 @@ class TestD1Model:
                 mod_h(random_element(rng, TruncationSpec(1, 1, n), 2, 4)),
                 mod_h(random_element(rng, TruncationSpec(1, 1, n), 2, 4)),
             )
-            wa = a.to_weyl(TruncationSpec(1, 1, n + 2)).respec(deep)
-            wb = b.to_weyl(TruncationSpec(1, 1, n + 2)).respec(deep)
+            wa = d1_to_weyl(a, TruncationSpec(1, 1, n + 2)).respec(deep)
+            wb = d1_to_weyl(b, TruncationSpec(1, 1, n + 2)).respec(deep)
             comm = commutator(wa, wb)
             divided = {}
             for mono, coeff in comm.terms.items():
@@ -440,7 +577,7 @@ class TestD1Model:
                 lowered = Monomial(mono.xexp, mono.yexp, mono.hexp - 1)
                 if lowered.hexp <= 1 and lowered.weight <= n:
                     divided[lowered] = coeff
-            transported = D1Element.from_weyl(
+            transported = d1_from_weyl(
                 WeylElement(TruncationSpec(1, 1, n), divided)
             )
             expected = d1_bracket(a, b)
