@@ -25,6 +25,8 @@ from .liealg import (
 )
 from .sparse import EMPTY, accumulate, add, scale, sub
 
+ZERO = Fraction(0)
+
 
 @dataclass
 class LieModule:
@@ -41,6 +43,10 @@ class LieModule:
     weights: tuple[int, ...]
     action: dict[tuple[int, int], Vector]
     cutoff: int
+    # (k, w) -> (dim C^k(w), rank of d_k there), filled by cohomology_dim
+    _block_ranks: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self._index = {label: k for k, label in enumerate(self.labels)}
@@ -175,24 +181,28 @@ def ce_differential(cochain: Cochain, module: LieModule | None = None) -> Cochai
     (d c)(x_0..x_k) = sum_i (-1)^i rho(x_i) c(..x_i^..)
                     + sum_{i<j} (-1)^{i+j} c([x_i,x_j], ..x_i^..x_j^..)
 
-    A tuple containing a bracket pair that overflows the algebra cutoff is
-    excluded (and counted) only when the unknown bracket could actually meet
-    the cochain's support; where the cochain provably vanishes at that input
-    weight, the missing bracket contributes nothing and the tuple is kept.
+    Both terms keep the input weight minus the output weight, so (d c) can
+    be nonzero only on tuples whose total weight is a support weight of c
+    plus a module weight; only those tuples are visited, in lexicographic
+    order.  Such a tuple containing a bracket pair that overflows the
+    algebra cutoff is excluded (and counted), since the unknown bracket
+    could meet the cochain's support.
     """
     module = module or cochain.module
     g = module.algebra
     k = cochain.degree
     support = set(cochain.support_weights())
     reachable_totals = {s + mw for s in support for mw in set(module.weights)}
+    if not reachable_totals:  # the zero cochain
+        return Cochain(module, k + 1)
     slots = list(combinations(range(k + 1), 2))
     values: dict[tuple, Vector] = {}
     excluded = 0
-    for idx in combinations(range(g.dim), k + 1):
-        in_cutoff = [g.in_cutoff_pair(idx[a], idx[b]) for a, b in slots]
-        # an over-cutoff pair's inserted evaluation would see inputs of the
-        # tuple's total weight; harmless unless the cochain lives there
-        if not all(in_cutoff) and sum(g.weights[i] for i in idx) in reachable_totals:
+    lo, hi = min(reachable_totals), max(reachable_totals)
+    for idx, total in _tuples_in_range(g.weights, k + 1, lo, hi):
+        if total not in reachable_totals:
+            continue
+        if not all(g.in_cutoff_pair(idx[a], idx[b]) for a, b in slots):
             excluded += 1
             continue
 
@@ -203,9 +213,7 @@ def ce_differential(cochain: Cochain, module: LieModule | None = None) -> Cochai
                     sign = -1 if a % 2 else 1
                     for m, c in module.act(idx[a], inner).items():
                         yield m, c * sign
-            for (a, b), ok in zip(slots, in_cutoff):
-                if not ok:
-                    continue
+            for a, b in slots:
                 rest = tuple(v for t, v in enumerate(idx) if t != a and t != b)
                 sign = (-1) ** (a + b)
                 for comp, c in g.bracket(idx[a], idx[b]).items():
@@ -294,84 +302,92 @@ def cochain_block_basis(module: LieModule, k: int, weight: int):
     return [(idx, m) for idx, total in tuples for m in targets.get(total, ())]
 
 
-def differential_block(module: LieModule, k: int, weight: int):
-    """Matrix of the CE differential C^k(w) -> C^{k+1}(w).
+def _block_rows(module: LieModule, k: int, weight: int):
+    """The CE differential C^k(w) -> C^{k+1}(w) as sparse rows.
 
     Built in a single pass over the target tuples: each target tuple's CE
     formula names exactly the source basis elements it reads, so the block
     costs O(#target tuples) rather than one full differential per column.
-    Target tuples containing an over-cutoff bracket pair that could meet the
-    block are dropped and counted.  Returns (matrix with rows indexed by the
-    target basis, source basis, target basis, excluded tuple count).
+    Every target tuple pairs with a module vector of weight (tuple total - w),
+    so a tuple with an over-cutoff bracket pair could meet the block; it is
+    dropped (its rows stay empty) and counted.  Returns (rows, source basis,
+    target basis, excluded tuple count), where rows[r] maps source positions
+    to the nonzero entries of the row of tgt[r], summed through `accumulate`.
     """
     g = module.algebra
     src = cochain_block_basis(module, k, weight)
     tgt = cochain_block_basis(module, k + 1, weight)
     src_pos = {key: c for c, key in enumerate(src)}
-    tgt_pos = {key: r for r, key in enumerate(tgt)}
-    matrix = [[Fraction(0)] * len(src) for _ in tgt]
-    module_weights = set(module.weights)
+    slots = list(combinations(range(k + 1), 2))
+    # tgt lists the module indices of each tuple next to each other
     tuples_in_block: dict[tuple, list] = {}
     for idx, m in tgt:
         tuples_in_block.setdefault(idx, []).append(m)
+    rows = []
     excluded = 0
     for idx, ms in tuples_in_block.items():
-        overflow = False
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                if not g.in_cutoff_pair(idx[a], idx[b]):
-                    # unknown bracket could meet this block only if some
-                    # module weight matches the tuple total minus the block
-                    total = sum(g.weights[i] for i in idx)
-                    if (total - weight) in module_weights:
-                        overflow = True
-                        break
-            if overflow:
-                break
-        if overflow:
+        if not all(g.in_cutoff_pair(idx[a], idx[b]) for a, b in slots):
             excluded += 1
+            rows.extend({} for _ in ms)
             continue
-
-        def put(row_key, col_key, value):
-            row = tgt_pos.get(row_key)
-            col = src_pos.get(col_key)
-            if row is not None and col is not None and value != 0:
-                matrix[row][col] += value
-
+        terms = {m: [] for m in ms}  # (source position, value) pairs per row
         for a in range(k + 1):
             rest = idx[:a] + idx[a + 1 :]
             rest_total = sum(g.weights[i] for i in rest)
             sign = -1 if a % 2 else 1
             for m_src in module.module_indices_of_weight(rest_total - weight):
-                acted = module.act(idx[a], {m_src: Fraction(1)})
-                for m_out, c in acted.items():
-                    put((idx, m_out), (rest, m_src), sign * c)
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                bracket = g.bracket(idx[a], idx[b])
-                if not bracket:
+                col = src_pos.get((rest, m_src))
+                if col is None:
                     continue
-                rest = tuple(v for t, v in enumerate(idx) if t != a and t != b)
-                sign = -1 if (a + b) % 2 else 1
-                for comp, cb in bracket.items():
-                    inserted = _insert_sorted(comp, rest)
-                    if inserted:
-                        target, parity = inserted
-                        for m in ms:
-                            put((idx, m), (target, m), sign * parity * cb)
+                for m_out, c in module.action.get((idx[a], m_src), EMPTY).items():
+                    if m_out in terms:
+                        terms[m_out].append((col, sign * c))
+        for a, b in slots:
+            bracket = g.bracket(idx[a], idx[b])
+            if not bracket:
+                continue
+            rest = tuple(v for t, v in enumerate(idx) if t != a and t != b)
+            sign = -1 if (a + b) % 2 else 1
+            for comp, cb in bracket.items():
+                inserted = _insert_sorted(comp, rest)
+                if inserted:
+                    target, parity = inserted
+                    for m in ms:
+                        col = src_pos.get((target, m))
+                        if col is not None:
+                            terms[m].append((col, sign * parity * cb))
+        rows.extend(accumulate(pairs) for pairs in terms.values())
+    return rows, src, tgt, excluded
+
+
+def differential_block(module: LieModule, k: int, weight: int):
+    """Dense view of the CE differential C^k(w) -> C^{k+1}(w).
+
+    The rows of `_block_rows` written out as lists of Fractions.  Returns
+    (matrix with rows indexed by the target basis, source basis, target
+    basis, excluded tuple count).
+    """
+    rows, src, tgt, excluded = _block_rows(module, k, weight)
+    matrix = [[ZERO] * len(src) for _ in rows]
+    for dense, row in zip(matrix, rows):
+        for col, value in row.items():
+            dense[col] = value
     return matrix, src, tgt, excluded
+
+
+def _block_rank(module: LieModule, k: int, weight: int):
+    """(dim C^k(w), rank of d_k on it), built and ranked once per module."""
+    key = (k, weight)
+    if key not in module._block_ranks:
+        rows, src, _, _ = _block_rows(module, k, weight)
+        module._block_ranks[key] = (len(src), linalg.rank_rows(rows, len(src)))
+    return module._block_ranks[key]
 
 
 def cohomology_dim(module: LieModule, k: int, weight: int) -> int:
     """dim H^k at one cochain weight, by exact rank-nullity."""
-    d_k, src_k, _, _ = differential_block(module, k, weight)
-    dim_ck = len(src_k)
-    rank_k = linalg.rank(d_k)
-    if k == 0:
-        rank_prev = 0
-    else:
-        d_prev, _, _, _ = differential_block(module, k - 1, weight)
-        rank_prev = linalg.rank(d_prev)
+    dim_ck, rank_k = _block_rank(module, k, weight)
+    rank_prev = _block_rank(module, k - 1, weight)[1] if k else 0
     return dim_ck - rank_k - rank_prev
 
 
@@ -395,7 +411,7 @@ def is_coboundary(cochain: Cochain):
     for w in cochain.support_weights():
         matrix, src, tgt, _ = differential_block(module, k - 1, w)
         tgt_pos = {key: r for r, key in enumerate(tgt)}
-        rhs = [Fraction(0)] * len(tgt)
+        rhs = [ZERO] * len(tgt)
         for idx, vec in cochain.values.items():
             ins = sum(module.algebra.weights[i] for i in idx)
             for m, c in vec.items():

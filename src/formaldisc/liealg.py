@@ -370,6 +370,19 @@ class ExtensionData:
     project: LieMap
     splitting: LinearMap
 
+    def __post_init__(self):
+        # total index -> sub index; sub_coordinates reads coordinates off it
+        self._sub_index = {}
+        for m in range(self.sub.dim):
+            column = self.inject.column(m)
+            k = next(iter(column), None)
+            if len(column) != 1 or column[k] != 1 or k in self._sub_index:
+                raise UsageError(
+                    f"{self.total.name}: inject must send {self.sub.labels[m]} "
+                    "to a basis element of its own with coefficient 1"
+                )
+            self._sub_index[k] = m
+
     def weights_involved(self):
         return sorted(set(self.total.weights) | set(self.sub.weights) | set(self.quotient.weights))
 
@@ -443,34 +456,18 @@ class ExtensionData:
     def sub_coordinates(self, vec: Vector) -> Vector:
         """Express a total-algebra vector lying in im(inject) in sub basis.
 
-        Raises CheckFailure if the vector is not in the image.
+        Every inject column is a unit vector, so this is a lookup by index.
+        Raises CheckFailure if the vector is not in the image, naming the
+        first weight, in the order of the set of weights of `vec`, that has
+        a component outside it.
         """
-        if not vec:
-            return {}
-        weights = {self.total.weights[k] for k in vec}
-        out: Vector = {}
-        for w in weights:
-            block, src, tgt = self.inject.matrix_block(w)
-            tgt_pos = {k: r for r, k in enumerate(tgt)}
-            rhs = [Fraction(0)] * len(tgt)
-            for k, c in vec.items():
-                if self.total.weights[k] == w:
-                    rhs[tgt_pos[k]] = c
-            if not src:
-                if any(rhs):
-                    raise CheckFailure(
-                        "vector not in image of inject", witness={"weight": w}
-                    )
-                continue
-            sol = linalg.solve(block, rhs)
-            if sol is None:
-                raise CheckFailure(
-                    "vector not in image of inject", witness={"weight": w}
-                )
-            for pos, c in zip(src, sol):
-                if c != 0:
-                    out[pos] = c
-        return out
+        index = self._sub_index
+        outside = {self.total.weights[k] for k in vec if k not in index}
+        if outside:
+            weights = {self.total.weights[k] for k in vec}
+            w = next(w for w in weights if w in outside)
+            raise CheckFailure("vector not in image of inject", witness={"weight": w})
+        return {index[k]: c for k, c in vec.items()}
 
     def defect(self, i: int, j: int) -> Vector:
         """[s(e_i), s(e_j)] - s([e_i, e_j]) in sub coordinates."""

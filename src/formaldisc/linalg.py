@@ -1,18 +1,26 @@
 """Exact-rational linear algebra: rank, solve, inverse.
 
 Matrices are dense lists of rows with int or Fraction entries; a float
-entry raises UsageError.  All three operations share one kernel: forward
-elimination on sparse rows over Q (dicts of the nonzero entries), so a
-mostly-zero block costs what its nonzeros cost.  No floating point and no
-modular arithmetic anywhere.
+entry raises UsageError.  `rank_rows` takes the same data as sparse rows
+(dicts of the nonzero entries).  All four operations share one kernel:
+fraction-free forward elimination on sparse integer rows.  Each row is
+scaled by the lcm of its denominators, and every elimination step
+replaces a row r by (a r - b pivot) / content, where a and b are the
+pivot-column entries of the pivot and of r and the content is the gcd of
+the result.  So the arithmetic stays on Python ints, and a mostly-zero
+block costs what its nonzeros cost.  Back-substitution divides by each
+pivot entry into Fraction.  No floating point and no modular arithmetic
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import UsageError
-from .sparse import accumulate, as_fraction, scale
+from .sparse import accumulate, as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,23 +49,36 @@ def mat_mul(a, b):
 
 
 def _sparse_row(row, extra=()):
-    """The nonzero entries of a dense row (then `extra`) as col -> Fraction."""
-    out = {j: as_fraction(v) for j, v in enumerate(row) if v}
-    out.update((len(row) + j, as_fraction(v)) for j, v in enumerate(extra) if v)
+    """The nonzero entries of a dense row (then `extra`) as col -> value."""
+    out = {j: v for j, v in enumerate(row) if v}
+    out.update((len(row) + j, v) for j, v in enumerate(extra) if v)
     return out
 
 
+def _integral(row):
+    """The row scaled by the lcm of its denominators: same support, int entries."""
+    for v in row.values():
+        if not isinstance(v, (int, Fraction)):
+            raise UsageError(f"not an exact rational: {v!r}")
+    scale = lcm(*[v.denominator for v in row.values()])
+    return {col: v.numerator * (scale // v.denominator) for col, v in row.items()}
+
+
 def _eliminate(rows, cols):
-    """Forward elimination of sparse rows on columns 0..cols-1, in order.
+    """Fraction-free forward elimination of sparse rows on columns
+    0..cols-1, in order, each row first scaled to int entries.
 
     The pivot of a column is the shortest remaining row that is nonzero
-    there; it is scaled to 1 at the pivot and subtracted from the other
-    remaining rows nonzero there.  Rows above a pivot are never cleared.
-    Returns {pivot column: pivot row}, ascending, and the remaining rows,
-    which are nonzero only in columns >= cols.  The pivot columns are the
+    there.  Every other remaining row r nonzero there becomes
+    (a r - b pivot) / content, with a = pivot[c] and b = r[c] divided by
+    their gcd and the content the gcd of the new entries; it is a nonzero
+    multiple of the row that rational elimination would give, so it has
+    the same support.  Rows above a pivot are never cleared.  Returns
+    {pivot column: pivot row}, ascending, and the remaining rows, which are
+    nonzero only in columns >= cols.  The pivot columns are the
     lexicographically first independent columns, as in Gauss-Jordan.
     """
-    live = {i: row for i, row in enumerate(rows) if row}
+    live = {i: _integral(row) for i, row in enumerate(rows) if row}
     holders: dict[int, set] = {}  # column -> live rows nonzero there
     for i, row in live.items():
         for col in row:
@@ -73,12 +94,18 @@ def _eliminate(rows, cols):
         for col in pivot:
             if col != c:
                 holders[col].discard(p)
-        pivot = scale(pivot, ONE / pivot[c])
         pivots[c] = pivot
+        lead = pivot[c]
         for i in ids:
             row = live[i]
-            f = row[c]
-            new = accumulate(((col, -f * v) for col, v in pivot.items()), row)
+            g = gcd(lead, row[c])
+            a, b = lead // g, row[c] // g
+            new = accumulate(
+                chain(
+                    ((col, a * v) for col, v in row.items()),
+                    ((col, -b * v) for col, v in pivot.items()),
+                )
+            )
             for col in row:
                 if col != c and col not in new:
                     holders[col].discard(i)
@@ -86,6 +113,9 @@ def _eliminate(rows, cols):
                 if col not in row:
                     holders.setdefault(col, set()).add(i)
             if new:
+                content = gcd(*new.values())
+                if content != 1:
+                    new = {col: v // content for col, v in new.items()}
                 live[i] = new
             else:
                 del live[i]
@@ -94,19 +124,27 @@ def _eliminate(rows, cols):
 
 def _back_substitute(pivots, cols, rhs_col):
     """The solution with free variables zero, reading the right-hand side
-    from column `rhs_col` of the pivot rows."""
+    from column `rhs_col` of the pivot rows.  Each pivot row is an int row,
+    so x[c] is built as a Fraction, never by int division."""
     x = [ZERO] * cols
     for c in reversed(pivots):
         row = pivots[c]
         known = sum(v * x[col] for col, v in row.items() if c < col < cols)
-        x[c] = row.get(rhs_col, ZERO) - known
+        rhs = row.get(rhs_col, 0)
+        x[c] = Fraction(rhs - known, row[c])
     return x
+
+
+def rank_rows(rows, cols: int) -> int:
+    """The rank of a matrix given as sparse rows: dicts from column index
+    (below `cols`) to nonzero int or Fraction entries."""
+    return len(_eliminate(rows, cols)[0])
 
 
 def rank(matrix) -> int:
     if not matrix or not matrix[0]:
         return 0
-    return len(_eliminate([_sparse_row(row) for row in matrix], len(matrix[0]))[0])
+    return rank_rows([_sparse_row(row) for row in matrix], len(matrix[0]))
 
 
 def solve(matrix, rhs):

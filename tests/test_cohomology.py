@@ -1,10 +1,13 @@
 """Chevalley-Eilenberg machinery: differentials, dimensions, classes."""
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from test_linalg import dense_rank
 
 from formaldisc import cli, cohomology, linalg, tower
 from formaldisc.cohomology import (
@@ -20,6 +23,7 @@ from formaldisc.cohomology import (
 )
 from formaldisc.errors import UsageError
 from formaldisc.liealg import GradedLieAlgebra
+from formaldisc.sparse import accumulate
 
 
 def abelian(dim=1, weight=0, weights=None):
@@ -244,9 +248,9 @@ class TestBlockBasisByWeight:
         assert cohomology.tuple_weights((0, 0), 3) == []
 
 
-def _dims_json(tmp_path, algebra, n):
+def _dims_json(tmp_path, algebra, n, d=1):
     path = tmp_path / f"{algebra}.json"
-    args = ["cohomology", "dims", "--algebra", algebra, "--d", "1", "--N", str(n)]
+    args = ["cohomology", "dims", "--algebra", algebra, "--d", str(d), "--N", str(n)]
     assert cli.main(args + ["--json", str(path)]) == 0
     payload = json.loads(path.read_text())
     del payload["duration_s"]
@@ -255,7 +259,22 @@ def _dims_json(tmp_path, algebra, n):
 
 class TestPinnedDimensionTables:
     """Full `cohomology dims` tables of the benchmark inputs, as computed
-    before the sparse elimination kernel and the by-weight bases."""
+    before the sparse elimination kernel and the by-weight bases, and of
+    H(2,5), as computed before the sparse blocks and the integer kernel."""
+
+    def test_hamiltonian_d2_n5(self, tmp_path):
+        assert _dims_json(tmp_path, "H", 5, d=2) == {
+            "schema": 1,
+            "command": "cohomology dims",
+            "params": {"algebra": "H", "d": 2, "N": 5, "module": "trivial"},
+            "dimensions": {
+                "H^0(w=0)": 1,
+                "H^2(w=-2)": 1,
+                "H^2(w=4)": 84,
+                "H^2(w=5)": 1960,
+                "H^2(w=6)": 1540,
+            },
+        }
 
     def test_hamiltonian_d1_n8(self, tmp_path):
         assert _dims_json(tmp_path, "H", 8) == {
@@ -287,3 +306,172 @@ class TestPinnedDimensionTables:
                 "H^2(w=8)": 66,
             },
         }
+
+
+def _nonzero_rows(matrix):
+    return [row for row in matrix if any(row)]
+
+
+class TestCellOracle:
+    """Every cell of degrees 0-2 against rank-nullity on the dense blocks,
+    ranked by the dense Gauss-Jordan of `test_linalg` (zero rows dropped
+    first, which keeps the rank)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: tower.build_h(1, 8),
+            lambda: tower.build_w(1, 5),
+            lambda: tower.build_a_poisson(1, 6),
+            lambda: tower.sp_algebra(2),
+            lambda: tower.build_h(2, 4),
+        ],
+        ids=["H(1,8)", "W(1,5)", "A(1,6)", "sp(2)", "H(2,4)"],
+    )
+    def test_every_cell(self, build):
+        algebra = build()
+        module = trivial_module(algebra)
+        dense = {}
+
+        def rank(k, w):
+            if (k, w) not in dense:
+                matrix, src, _, _ = differential_block(module, k, w)
+                dense[(k, w)] = len(src), dense_rank(_nonzero_rows(matrix))
+            return dense[(k, w)]
+
+        cells = 0
+        for k in range(3):
+            for w in cohomology.tuple_weights(algebra.weights, k):
+                dim_ck, rank_k = rank(k, w)
+                rank_prev = rank(k - 1, w)[1] if k else 0
+                assert cohomology_dim(module, k, w) == dim_ck - rank_k - rank_prev, (k, w)
+                cells += 1
+        assert cells >= 3
+
+
+def test_a_dims_sweep_builds_each_block_once(monkeypatch, capsys):
+    built = Counter()
+    build = cohomology._block_rows
+
+    def counting(module, k, w):
+        built[(id(module), k, w)] += 1
+        return build(module, k, w)
+
+    monkeypatch.setattr(cohomology, "_block_rows", counting)
+    args = ["cohomology", "dims", "--algebra", "H", "--d", "1", "--N", "6"]
+    assert cli.main(args + ["--degrees", "0,1,2,3"]) == 0
+    weights = tower.build_h(1, 6).weights
+    needed = {
+        (j, w)
+        for k in range(4)
+        for w in cohomology.tuple_weights(weights, k)
+        for j in {k, k - 1} - {-1}
+    }
+    assert len({module for module, _, _ in built}) == 1
+    assert {(k, w) for _, k, w in built} == needed
+    assert set(built.values()) == {1}
+
+
+def reference_ce_differential(cochain, module):
+    """The CE differential over every (k+1)-tuple of the algebra, excluding
+    a tuple with an over-cutoff pair when its total weight could meet the
+    cochain's support."""
+    g = module.algebra
+    k = cochain.degree
+    reachable = {s + mw for s in cochain.support_weights() for mw in module.weights}
+    slots = list(combinations(range(k + 1), 2))
+    values, excluded = {}, 0
+    for idx in combinations(range(g.dim), k + 1):
+        in_cutoff = [g.in_cutoff_pair(idx[a], idx[b]) for a, b in slots]
+        if not all(in_cutoff) and sum(g.weights[i] for i in idx) in reachable:
+            excluded += 1
+            continue
+        pairs = []
+        for a in range(k + 1):
+            inner = cochain.value(idx[:a] + idx[a + 1 :])
+            for m, c in module.act(idx[a], inner).items():
+                pairs.append((m, c * (-1) ** a))
+        for (a, b), ok in zip(slots, in_cutoff):
+            if not ok:
+                continue
+            rest = [v for t, v in enumerate(idx) if t != a and t != b]
+            for comp, c in g.bracket(idx[a], idx[b]).items():
+                if comp in rest:
+                    continue
+                target = sorted(rest + [comp])
+                parity = (-1) ** target.index(comp)
+                for m, e in cochain.value(tuple(target)).items():
+                    pairs.append((m, e * c * parity * (-1) ** (a + b)))
+        acc = accumulate(pairs)
+        if acc:
+            values[idx] = acc
+    return values, excluded
+
+
+def _adjoint(algebra):
+    return cohomology.LieModule(
+        algebra,
+        "adjoint",
+        algebra.labels,
+        algebra.weights,
+        {
+            (i, m): algebra.bracket_vec({i: Fraction(1)}, {m: Fraction(1)})
+            for i in range(algebra.dim)
+            for m in range(algebra.dim)
+            if algebra.in_cutoff_pair(min(i, m), max(i, m))
+        },
+        max(algebra.weights),
+    )
+
+
+def _random_cochain(module, k, rng, weights):
+    """Up to 12 basis cochains of degree k at the given weights, with
+    small Fraction values."""
+    basis = [key for w in weights for key in cochain_block_basis(module, k, w)]
+    values = {}
+    for idx, m in rng.sample(basis, min(12, len(basis))):
+        value = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5]))
+        values.setdefault(idx, {})[m] = value
+    return Cochain(module, k, values)
+
+
+class TestDifferentialOracle:
+    """`ce_differential` visits only the tuples of reachable total weight;
+    the full sweep over every tuple must give the same values, in the same
+    order, and the same excluded count."""
+
+    def _check(self, cochain, module):
+        got = ce_differential(cochain, module)
+        values, excluded = reference_ce_differential(cochain, module)
+        assert list(got.values.items()) == list(values.items())
+        assert got.excluded == excluded
+        return got
+
+    def test_classes(self):
+        for cls in (omega_class(1, 4), omega_class(2, 4)):
+            self._check(cls.representative, cls.representative.module)
+        obs = tower.tower_obstruction(1, 1, 6)
+        got = self._check(obs.cochain, obs.module)
+        assert got.is_zero() and got.excluded > 0
+
+    @pytest.mark.parametrize(
+        "module,overflows",
+        [
+            (trivial_module(tower.build_h(1, 5)), True),
+            (trivial_module(tower.build_w(1, 3), ("a", "b"), (0, 2)), True),
+            (_adjoint(tower.sp_algebra(1)), False),
+            (_adjoint(tower.build_h(1, 3)), True),
+        ],
+        ids=["H(1,5)-trivial", "W(1,3)-two-weights", "sp(2)-adjoint", "H(1,3)-adjoint"],
+    )
+    def test_random_cochains(self, module, overflows):
+        rng = random.Random(module.algebra.name)
+        totals = sorted(set(module.algebra.weights))
+        excluded = 0
+        for k in range(3):
+            for _ in range(6):
+                weights = rng.sample(totals, min(2, len(totals)))
+                got = self._check(_random_cochain(module, k, rng, weights), module)
+                excluded += got.excluded
+        self._check(Cochain(module, 1), module)
+        assert (excluded > 0) == overflows

@@ -1,4 +1,5 @@
-"""The sparse elimination kernel of `linalg` against dense Gauss-Jordan."""
+"""The fraction-free sparse elimination kernel of `linalg` against dense
+Gauss-Jordan over Fraction."""
 
 from fractions import Fraction
 
@@ -19,23 +20,27 @@ ONE = Fraction(1)
 
 
 def dense_eliminate(matrix):
-    """Row-reduce a copy; returns (rref, pivot column list)."""
-    m = [[Fraction(v) for v in row] for row in matrix]
+    """Row-reduce a copy; returns (rref, pivot column list).
+
+    Every row operation runs over the full width; an entry is only left
+    alone where the pivot row is zero, since a - f * 0 = a.
+    """
+    m = [[v if type(v) is Fraction else Fraction(v) for v in row] for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = ONE / m[r][c]
         m[r] = [v * inv for v in m[r]]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
+            if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -76,15 +81,16 @@ def dense_inverse(matrix):
 
 
 # ---------------------------------------------------------------------------
-# random matrices: shapes 0x0 .. 8x8, density 0-60 %, denominators 1-6, with
-# forced zero rows, zero columns and duplicated rows
+# random matrices: shapes 0x0 .. 8x8, density 0-60 %, denominators 1-6 (or
+# up to 10^6), with forced zero rows, zero columns and duplicated rows
 # ---------------------------------------------------------------------------
 
 entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+wide_entries = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, entries=entries):
     rows = draw(st.integers(0, 8))
     cols = draw(st.integers(0, 8)) if rows else 0
     density = draw(st.integers(0, 60))
@@ -110,9 +116,9 @@ def matrices(draw):
 
 
 @st.composite
-def systems(draw):
+def systems(draw, entries=entries):
     """A matrix and a right-hand side, consistent (matrix @ x) or arbitrary."""
-    matrix = draw(matrices())
+    matrix = draw(matrices(entries))
     rows, cols = len(matrix), len(matrix[0]) if matrix else 0
     if draw(st.booleans()):
         x = [draw(entries) for _ in range(cols)]
@@ -156,7 +162,7 @@ def test_inverse_matches_dense(matrix, corner):
 
 
 @st.composite
-def regular_matrices(draw):
+def regular_matrices(draw, entries=entries):
     """Row-permuted L @ U with nonzero diagonals: square and invertible."""
     n = draw(st.integers(1, 8))
     nonzero = entries.filter(bool)
@@ -187,6 +193,71 @@ def test_solve_picks_the_gauss_jordan_solution():
     assert linalg.solve([[1, 1], [1, 1]], [1, 2]) is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.booleans())
+def test_rank_rows_matches_dense(matrix, integral):
+    # the sparse entry point, on Fraction rows or on int rows of the same rank
+    if integral:
+        matrix = [[int(v * 720) for v in row] for row in matrix]
+    cols = len(matrix[0]) if matrix else 0
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    assert linalg.rank_rows(rows, cols) == dense_rank(matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_elimination_stays_on_integers(matrix):
+    cols = len(matrix[0]) if matrix else 0
+    rows = [linalg._sparse_row(row) for row in matrix]
+    pivots, rest = linalg._eliminate(rows, cols)
+    assert list(pivots) == dense_eliminate(matrix)[1]
+    assert not rest
+    assert all(type(v) is int for row in pivots.values() for v in row.values())
+
+
+class TestExactOutputs:
+    """Every entry `solve` and `inverse` return, and every value read off a
+    pivot row, is a Fraction.  Equality alone cannot show it: a float 0.5
+    compares equal to Fraction(1, 2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(systems(wide_entries))
+    def test_solve_with_large_denominators(self, system):
+        matrix, rhs = system
+        got = linalg.solve(matrix, rhs)
+        assert got == dense_solve(matrix, rhs)
+        if got is not None:
+            assert all(type(v) is Fraction for v in got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(regular_matrices(wide_entries))
+    def test_inverse_with_large_denominators(self, matrix):
+        got = linalg.inverse(matrix)
+        assert got == dense_inverse(matrix)
+        assert all(type(v) is Fraction for row in got for v in row)
+
+    def test_int_input_gives_fraction_output(self):
+        # every pivot entry and right-hand side is an int here, so an int
+        # division in back-substitution would hand back floats
+        got = linalg.solve([[2, 1], [0, 4]], [1, 1])
+        assert got == [Fraction(3, 8), Fraction(1, 4)]
+        assert all(type(v) is Fraction for v in got)
+        inv = linalg.inverse([[2, 0], [0, 4]])
+        assert inv == [[Fraction(1, 2), ZERO], [ZERO, Fraction(1, 4)]]
+        assert all(type(v) is Fraction for row in inv for v in row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(systems(wide_entries))
+    def test_back_substitution_reads_fractions(self, system):
+        # consistent or not, every value read off the pivot rows
+        matrix, rhs = system
+        cols = len(matrix[0]) if matrix else 0
+        rows = [linalg._sparse_row(row, (v,)) for row, v in zip(matrix, rhs)]
+        pivots, _ = linalg._eliminate(rows, cols)
+        x = linalg._back_substitute(pivots, cols, cols)
+        assert all(type(v) is Fraction for v in x)
+
+
 class TestFloatGuard:
     def test_rank_rejects_a_float_entry(self):
         with pytest.raises(UsageError):
@@ -201,3 +272,7 @@ class TestFloatGuard:
     def test_inverse_rejects_a_float_entry(self):
         with pytest.raises(UsageError):
             linalg.inverse([[2.0, 0], [0, 1]])
+
+    def test_rank_rows_rejects_a_float_entry(self):
+        with pytest.raises(UsageError):
+            linalg.rank_rows([{0: 1}, {1: 0.5}], 2)

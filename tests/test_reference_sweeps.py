@@ -27,8 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from formaldisc import tower
-from formaldisc.errors import CheckFailure, InternalError
+from formaldisc import linalg, tower
+from formaldisc.errors import CheckFailure, InternalError, UsageError
 from formaldisc.liealg import (
     ExtensionData,
     GradedLieAlgebra,
@@ -44,7 +44,7 @@ from formaldisc.series import (
     coordinate_name,
     standard_poisson,
 )
-from formaldisc.sparse import accumulate, add
+from formaldisc.sparse import accumulate, add, sub
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
 EXTENSION_CALL = re.compile(r"\bExtensionData\(")
@@ -771,3 +771,120 @@ def test_extensions_are_read_off_tags_only():
     # exactly one hit: the pattern finds the helper, and nothing else in src
     # writes a short exact sequence by hand
     assert _owners(EXTENSION_CALL) == ["liealg.aligned_extension"]
+
+
+# ---------------------------------------------------------------------------
+# sub coordinates: the solve-based route
+# ---------------------------------------------------------------------------
+
+
+def reference_sub_coordinates(e, vec):
+    """A total vector in im(inject) in sub coordinates, by one dense inject
+    block and one exact solve per weight of the vector."""
+    if not vec:
+        return {}
+    weights = {e.total.weights[k] for k in vec}
+    out = {}
+    for w in weights:
+        block, src, tgt = e.inject.matrix_block(w)
+        tgt_pos = {k: r for r, k in enumerate(tgt)}
+        rhs = [Fraction(0)] * len(tgt)
+        for k, c in vec.items():
+            if e.total.weights[k] == w:
+                rhs[tgt_pos[k]] = c
+        if not src:
+            if any(rhs):
+                raise CheckFailure(
+                    "vector not in image of inject", witness={"weight": w}
+                )
+            continue
+        sol = linalg.solve(block, rhs)
+        if sol is None:
+            raise CheckFailure("vector not in image of inject", witness={"weight": w})
+        for pos, c in zip(src, sol):
+            if c != 0:
+                out[pos] = c
+    return out
+
+
+def coordinates_outcome(find, vec):
+    try:
+        return ("ok", find(vec))
+    except CheckFailure as exc:
+        return ("fail", str(exc), exc.witness)
+
+
+def coordinate_probes(e, rng, pairs):
+    """Splitting defects of up to `pairs` in-cutoff quotient pairs, their
+    brackets against injected elements, and random vectors in and out of
+    im(inject)."""
+    q = e.quotient
+    in_cutoff = [
+        (i, j)
+        for i in range(q.dim)
+        for j in range(i + 1, q.dim)
+        if q.in_cutoff_pair(i, j)
+    ]
+    probes = []
+    for i, j in rng.sample(in_cutoff, min(pairs, len(in_cutoff))):
+        lhs = e.total.bracket_vec(e.splitting.column(i), e.splitting.column(j))
+        probes.append(sub(lhs, e.splitting.apply(q.bracket(i, j))))
+    for i in range(q.dim):
+        for m in range(e.sub.dim):
+            probes.append(
+                e.total.bracket_vec(e.splitting.column(i), e.inject.column(m))
+            )
+    coeffs = [Fraction(a, b) for a in (-3, -1, 1, 2) for b in (1, 2, 7)]
+    for _ in range(60):
+        inside = accumulate(
+            (k, rng.choice(coeffs))
+            for m in rng.sample(range(e.sub.dim), min(3, e.sub.dim))
+            for k in e.inject.column(m)
+        )
+        lifts = rng.sample(range(q.dim), rng.choice([1, 2, 3]))
+        outside = accumulate(
+            (k, rng.choice(coeffs)) for i in lifts for k in e.splitting.column(i)
+        )
+        probes += [inside, add(inside, outside)]
+    return probes
+
+
+class TestSubCoordinatesOracle:
+    @pytest.mark.parametrize(
+        "d,p,n,pairs", [(1, 1, 6, 1000), (2, 0, 4, 1000), (2, 1, 6, 300)]
+    )
+    def test_tower_extensions(self, d, p, n, pairs):
+        extensions = [
+            tower.cent_row(d, p, n),
+            tower.column_extension(d, p, n, "G"),
+            tower.column_extension(d, p, n, "DerD"),
+            tower.v_extension(d, p, n),
+            aligned_extension(tower.build_a_poisson(d, n), tower.build_h(d, n), "k"),
+        ]
+        rng = random.Random(f"{d}{p}{n}")
+        seen = set()
+        for e in extensions:
+            for vec in coordinate_probes(e, rng, pairs):
+                expected = coordinates_outcome(
+                    lambda v: reference_sub_coordinates(e, v), vec
+                )
+                assert coordinates_outcome(e.sub_coordinates, vec) == expected, vec
+                seen.add(expected[0])
+        assert seen == {"ok", "fail"}
+
+    def test_non_unit_inject_columns_are_refused(self):
+        e = tower.column_extension(1, 1, 6, "G")
+        columns = {m: dict(e.inject.column(m)) for m in range(e.sub.dim)}
+        a, b = next(
+            (a, b)
+            for a in range(e.sub.dim)
+            for b in range(a + 1, e.sub.dim)
+            if e.sub.weights[a] == e.sub.weights[b]
+        )
+        doubled = {**columns, a: {k: 2 * c for k, c in columns[a].items()}}
+        shared = {**columns, b: columns[a]}
+        missing = {**columns, a: {}}
+        for bad in (doubled, shared, missing):
+            inject = LieMap(e.sub, e.total, bad)
+            with pytest.raises(UsageError, match="inject must send"):
+                ExtensionData(e.sub, e.total, e.quotient, inject, e.project, e.splitting)
