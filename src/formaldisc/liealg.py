@@ -9,14 +9,15 @@ weights are negative, the span of over-cutoff weights is not an ideal, so a
 pair of basis elements is "in cutoff" only when the weight of its bracket
 fits under the cutoff; verification sweeps exempt (and count) the others.
 `tabulate` builds an algebra from a basis of tags and a bracket on tags,
-reading the bracket on the in-cutoff pairs only.
+reading the bracket on the in-cutoff pairs only; `restriction` reads a
+subalgebra, or a quotient by an ideal of tags, off an algebra already built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 from math import comb, lcm
@@ -177,14 +178,46 @@ class GradedLieAlgebra:
             i, j = j, i
         brackets = dict(self.brackets)
         brackets[(i, j)] = accumulate([(k, Fraction(delta))], brackets.get((i, j)))
-        return GradedLieAlgebra(
-            self.name + "(corrupted)",
-            self.labels,
-            self.weights,
-            brackets,
-            self.cutoff,
-            self.tags,
-        )
+        return replace(self, name=self.name + "(corrupted)", brackets=brackets)
+
+    def restriction(self, name, indices, ideal=frozenset(), cutoff=None):
+        """The algebra on the basis elements `indices`, bracketed as here.
+
+        The stored brackets of the kept pairs are reindexed, in ascending
+        pair order, and cut at `cutoff` (by default this algebra's; never
+        above it).  Components whose tags lie in `ideal` are dropped, which
+        is the quotient by that ideal; any other component off the kept basis
+        raises the CheckFailure of `tabulate`, naming the pair and its tag.
+        Labels, weights and tags are this algebra's, and the result is
+        verified graded.
+        """
+        cutoff = self.cutoff if cutoff is None else cutoff
+        if cutoff > self.cutoff or any(b <= a for a, b in zip(indices, indices[1:])):
+            raise UsageError(
+                f"{name}: a restriction of {self.name} keeps ascending indices "
+                f"at a cutoff of at most {self.cutoff}"
+            )
+        pos = {k: r for r, k in enumerate(indices)}
+        labels = tuple(self.labels[k] for k in indices)
+        weights = tuple(self.weights[k] for k in indices)
+        brackets = {}
+        for i, j in sorted(self.brackets):
+            a, b = pos.get(i), pos.get(j)
+            if a is None or b is None or weights[a] + weights[b] > cutoff:
+                continue
+            vec = {}
+            for k, c in self.brackets[(i, j)].items():
+                r = pos.get(k)
+                if r is not None:
+                    vec[r] = c
+                elif self.tags[k] not in ideal:
+                    raise _off_basis(name, labels, a, b, self.tags[k])
+            if vec:
+                brackets[(a, b)] = vec
+        tags = tuple(self.tags[k] for k in indices)
+        algebra = GradedLieAlgebra(name, labels, weights, brackets, cutoff, tags)
+        algebra.verify_graded()
+        return algebra
 
     def to_json(self):
         return {
@@ -218,11 +251,7 @@ def tabulate(name, tags, labels, weights, cutoff, bracket) -> GradedLieAlgebra:
         for tag, c in bracket(tags[i], tags[j]):
             k = index.get(tag)
             if k is None:
-                raise CheckFailure(
-                    f"{name}: bracket [{labels[i]},{labels[j]}] "
-                    f"has off-basis component {tag}",
-                    witness={"pair": (i, j), "component": tag},
-                )
+                raise _off_basis(name, labels, i, j, tag)
             yield k, c
 
     later = _later_indices(weights)
@@ -346,6 +375,14 @@ class LieMap(LinearMap):
                             "rhs": tgt.bracket_vec(self.column(i), self.column(j)),
                         },
                     )
+
+
+def _off_basis(name, labels, i, j, tag) -> CheckFailure:
+    """The refusal of a bracket [e_i, e_j] with a component `tag` off the basis."""
+    return CheckFailure(
+        f"{name}: bracket [{labels[i]},{labels[j]}] has off-basis component {tag}",
+        witness={"pair": (i, j), "component": tag},
+    )
 
 
 def _lcd(vectors) -> int:

@@ -1,19 +1,24 @@
 """The derivation and extension tower of the truncated Weyl algebra.
 
-Every algebra of the tower is a basis of tags plus a bracket on tags, handed
-to `liealg.tabulate`, which reads the bracket on the in-cutoff basis pairs,
-refuses components off the basis and verifies gradedness:
+Every algebra of the tower is a basis of tags plus a bracket on tags.  It is
+handed to `liealg.tabulate`, which reads the bracket on the in-cutoff basis
+pairs, refuses components off the basis and verifies gradedness, or it is
+read off an algebra already built by `GradedLieAlgebra.restriction`, which
+reindexes the stored brackets with the same refusal and check:
 
 - the level G_q = h^-1 D / h^q D has basis h^-1 m for the normal-ordered
   monomials m of h-order <= q, with [h^-1 a, h^-1 b] = h^-1([a, b]/h)
   taken by the closed-form Weyl commutator one h-order deeper, which sums
   only the contraction terms of the two orders (no star products);
-- the derivation level DerD_q is G_q read by tag with its central scalars
-  h^-1 k[h] dropped, so the Weyl commutators run once per level;
+- G_q is G_{q+1} with its h-order q+1 part, an ideal by the h-filtration,
+  dropped, so a ladder tabulates the Weyl commutators once, on its top
+  level, and reads every lower level off the one above it;
+- the derivation level DerD_q is G_q with its central scalars h^-1 k[h]
+  dropped;
 - H and A are the monomials (without and with the constant) under the
   closed-form Poisson bracket, W the monomial vector fields under the
   closed-form field bracket, and sp(2d) the quadratic symbols of a DerD
-  level read by tag.
+  level, a subalgebra read off it.
 
 Each is built once per parameter set and cached.  Weights are monomial
 weight minus 2 (minus 1 on W), so every map in the tower is
@@ -133,31 +138,12 @@ def _field_bracket(field1, field2):
         yield (u, g.mul(f_v)), Fraction(-e)
 
 
-def _bracket_by_tag(algebra: GradedLieAlgebra, keep=lambda tag: True):
-    """The bracket of `algebra` read by tag, with the components `keep` drops
-    left out."""
-    tags = algebra.tags
-    index = {tag: k for k, tag in enumerate(tags)}
-
-    def bracket(t1, t2):
-        return (
-            (tags[k], c)
-            for k, c in algebra.bracket(index[t1], index[t2]).items()
-            if keep(tags[k])
-        )
-
-    return bracket
-
-
-def _level(name: str, monos, cutoff: int, bracket) -> GradedLieAlgebra:
-    """The algebra on h^-1 m for the monomials m, in weight m.weight - 2."""
-    return tabulate(
-        name,
-        monos,
-        tuple(f"h^-1*{m}" for m in monos),
-        tuple(m.weight - 2 for m in monos),
-        cutoff,
-        bracket,
+def _quotient(algebra: GradedLieAlgebra, name: str, keep) -> GradedLieAlgebra:
+    """`algebra` modulo the span of the tags `keep` rejects, which must be an
+    ideal: its components are dropped from the brackets of the kept tags."""
+    indices = [k for k, tag in enumerate(algebra.tags) if keep(tag)]
+    return algebra.restriction(
+        name, indices, {tag for tag in algebra.tags if not keep(tag)}
     )
 
 
@@ -168,16 +154,27 @@ def build_g_level(d: int, q: int, n: int) -> GradedLieAlgebra:
     level q is k[h]/h^(q+1) (spanned by h^-1 h^c, c <= q), and the kernel of
     the quotient to level q-1 is a shifted copy of the function space.  Both
     are verified by commu_diagram_check.
+
+    When G_{q+1} is cached, G_q is read off it by dropping its h-order q+1
+    part; otherwise the Weyl commutators are tabulated.
     """
-    return _cached(
-        ("G", d, q, n),
-        lambda: _level(
-            f"G_{q}(d={d},N={n})",
-            level_monomials(d, q, n),
+    name = f"G_{q}(d={d},N={n})"
+
+    def build():
+        upper = _build_cache.get(("G", d, q + 1, n))
+        if upper is not None:
+            return _quotient(upper, name, lambda m: m.hexp <= q)
+        monos = level_monomials(d, q, n)
+        return tabulate(
+            name,
+            monos,
+            tuple(f"h^-1*{m}" for m in monos),
+            tuple(m.weight - 2 for m in monos),
             n - 2,
             lambda m1, m2: _transported_bracket(m1, m2, d, q),
-        ),
-    )
+        )
+
+    return _cached(("G", d, q, n), build)
 
 
 def build_derd_level(d: int, q: int, n: int) -> GradedLieAlgebra:
@@ -194,12 +191,7 @@ def _derd_from_g(g: GradedLieAlgebra, d: int, q: int, n: int) -> GradedLieAlgebr
     monomials in their G order, and its brackets are G's with the scalar
     components dropped.
     """
-    return _level(
-        f"DerD_{q}(d={d},N={n})",
-        [m for m in g.tags if not _is_scalar(m)],
-        g.cutoff,
-        _bracket_by_tag(g, keep=lambda m: not _is_scalar(m)),
-    )
+    return _quotient(g, f"DerD_{q}(d={d},N={n})", lambda m: not _is_scalar(m))
 
 
 def build_h(d: int, n: int) -> GradedLieAlgebra:
@@ -344,7 +336,7 @@ def commu_diagram_check(d: int, p: int, n: int, corrupt: bool = False) -> Report
     try:
         rows = {
             p: cent_row(d, p, n),
-            p + 1: cent_row(d, p + 1, n, g_upper),
+            p + 1: cent_row(d, p + 1, n, g_upper if corrupt else None),
         }
     except CheckFailure as exc:
         report.add("row-extension-build", False, witness=exc.witness, detail=str(exc))
@@ -516,12 +508,7 @@ def sp_subalgebra(derd: GradedLieAlgebra):
     Returns (sp as its own algebra, index list into the ambient level).
     """
     indices = [i for i, m in enumerate(derd.tags) if m.hexp == 0 and m.weight == 2]
-    sp = _level(
-        f"sp({2 * derd.tags[0].dimension})",
-        [derd.tags[i] for i in indices],
-        0,
-        _bracket_by_tag(derd),
-    )
+    sp = derd.restriction(f"sp({2 * derd.tags[0].dimension})", indices, cutoff=0)
     sp.verify_jacobi()
     return sp, indices
 
@@ -586,10 +573,11 @@ def d1_semidirect_split(d: int, n: int) -> LieMap:
 
     A Hamiltonian symbol f acts on the order-one algebra through its
     iota-even lift, so the section sends f to h^-1(f - (h/2) Laplace f),
-    scalar parts dropped.
+    scalar parts dropped.  DerD_1 is built first, so that G_0 is read off
+    the cached G_1.
     """
-    derd0 = build_derd_level(d, 0, n)
     derd1 = build_derd_level(d, 1, n)
+    derd0 = build_derd_level(d, 0, n)
     index1 = {m: k for k, m in enumerate(derd1.tags)}
     columns = {}
     for i, mono in enumerate(derd0.tags):

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from test_linalg import dense_rank
 
-from formaldisc import cli, cohomology, linalg, tower
+from formaldisc import cli, cohomology, linalg, suites, tower
 from formaldisc.cohomology import (
     Cochain,
     ce_differential,
@@ -23,6 +23,7 @@ from formaldisc.cohomology import (
 )
 from formaldisc.errors import UsageError
 from formaldisc.liealg import GradedLieAlgebra
+from formaldisc.reports import Report
 from formaldisc.sparse import accumulate
 
 
@@ -115,6 +116,34 @@ class TestDifferential:
             checked.append(w)
         assert len(checked) >= 3
         assert -1 in checked
+
+    def test_d_squared_check_sees_a_wrong_d1(self, monkeypatch):
+        # row r of every d_1 block scaled by r + 1: the suite's sparse
+        # composition must fail at the first weight where mat_mul does
+        rows_of = cohomology._block_rows
+
+        def scaled(module, k, weight):
+            rows, src, tgt, excluded = rows_of(module, k, weight)
+            if k == 1:
+                rows = [
+                    {c: (r + 1) * v for c, v in row.items()} for r, row in enumerate(rows)
+                ]
+            return rows, src, tgt, excluded
+
+        monkeypatch.setattr(cohomology, "_block_rows", scaled)
+        module = trivial_module(tower.build_h(1, 5))
+        failing = []
+        for w in sorted(set(module.algebra.weights)):
+            d1, src1, _, ex1 = differential_block(module, 1, w)
+            d2, _, _, ex2 = differential_block(module, 2, w)
+            if not (ex1 or ex2 or not src1) and any(map(any, linalg.mat_mul(d2, d1))):
+                failing.append(w)
+        assert failing
+        report = Report("verify cohomology", {})
+        suites.cohomology_suite(report, 1, 1, 5)
+        check = next(c for c in report.checks if c.name == "cohomology-d-squared")
+        assert not check.passed
+        assert check.witness == {"weight": failing[0]}
 
     def test_weight_blocks_partition(self):
         h_alg = tower.build_h(1, 4)

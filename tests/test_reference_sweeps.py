@@ -14,7 +14,9 @@ hand-written pair loops that `liealg.tabulate` replaced; each builder's
 algebra must equal its reference field by field, bracket order included.
 The `reference_*` extension builders write each short exact
 sequence out by hand, naming its kernel's monomials and the image of every
-tag, where `liealg.aligned_extension` reads the kernel off the tags.  The
+tag, where `liealg.aligned_extension` reads the kernel off the tags.
+`reference_restriction` tabulates a bracket read by tag, where
+`GradedLieAlgebra.restriction` reindexes the stored brackets.  The
 production routes must agree with them exactly: the same exempt counts, the
 same first failure and witness, the same algebra, the same maps.
 """
@@ -549,6 +551,157 @@ def test_tabulate_refuses_off_basis_components():
         tabulate("broken", (x, y), ("x", "y"), (-1, -1), 0, bracket)
     assert "[x,y]" in str(info.value) and "off-basis component 1" in str(info.value)
     assert info.value.witness == {"pair": (0, 1), "component": one}
+
+
+# ---------------------------------------------------------------------------
+# restriction: levels read off a built level
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    """An empty level cache for one test; the shared cache comes back after."""
+    monkeypatch.setattr(tower, "_build_cache", {})
+
+
+def reference_restriction(algebra, name, indices, ideal=(), cutoff=None):
+    """The restriction tabulated on a bracket read by tag, with the
+    components whose tags lie in `ideal` dropped."""
+    tags = algebra.tags
+    index = {tag: k for k, tag in enumerate(tags)}
+
+    def bracket(t1, t2):
+        return (
+            (tags[k], c)
+            for k, c in algebra.bracket(index[t1], index[t2]).items()
+            if tags[k] not in ideal
+        )
+
+    return tabulate(
+        name,
+        [tags[k] for k in indices],
+        [algebra.labels[k] for k in indices],
+        [algebra.weights[k] for k in indices],
+        algebra.cutoff if cutoff is None else cutoff,
+        bracket,
+    )
+
+
+def restriction_outcome(restrict, *args, **kwargs):
+    try:
+        return ("ok", algebra_fields(restrict(*args, **kwargs)))
+    except CheckFailure as exc:
+        return ("fail", str(exc), exc.witness)
+
+
+@pytest.mark.usefixtures("empty_cache")
+class TestRestriction:
+    @pytest.mark.parametrize(
+        "d,q,n", [(1, 0, 4), (1, 1, 6), (1, 2, 7), (2, 0, 5), (2, 1, 6)]
+    )
+    @pytest.mark.parametrize("path", ["read", "tabulated"])
+    def test_g_level_matches_reference(self, path, d, q, n):
+        if path == "read":
+            tower.build_g_level(d, q + 1, n)
+        g = tower.build_g_level(d, q, n)
+        assert (("G", d, q + 1, n) in tower._build_cache) == (path == "read")
+        assert algebra_fields(g) == algebra_fields(reference_g_level(d, q, n))
+
+    def test_a_ladder_tabulates_its_top_level_only(self, monkeypatch):
+        levels = []  # the level q of every Weyl commutator taken
+        bracket = tower._transported_bracket
+
+        def counting(m1, m2, d, q):
+            levels.append(q)
+            return bracket(m1, m2, d, q)
+
+        monkeypatch.setattr(tower, "_transported_bracket", counting)
+        tower.build_g_level(2, 2, 6)
+        assert set(levels) == {2}
+        levels.clear()
+        tower.build_g_level(2, 1, 6)
+        tower.build_g_level(2, 0, 6)
+        tower.build_derd_level(2, 1, 6)
+        assert levels == []
+        # the split asks for DerD_1 first, so G_0 is read off G_1
+        tower.d1_semidirect_split(1, 5)
+        assert set(levels) == {1}
+
+    def test_matches_tabulate_by_tag(self):
+        # the quotients and the subalgebra of the tower, then random subsets,
+        # on a cached level and on copies with one shifted constant: of a
+        # stored bracket, of a zero one (stored last, out of pair order) and
+        # one off its weight
+        g = tower.build_g_level(1, 2, 6)
+        w = g.weights
+        zero = [
+            (i, j)
+            for i in range(g.dim)
+            for j in range(i + 1, g.dim)
+            if g.in_cutoff_pair(i, j)
+            and (i, j) not in g.brackets
+            and g.basis_indices_of_weight(w[i] + w[j])
+        ]
+        algebras = [g]
+        for i, j in list(g.brackets)[:3] + zero[:2]:
+            for k in g.basis_indices_of_weight(w[i] + w[j])[:2]:
+                algebras.append(g.with_corrupted_bracket(i, j, k, Fraction(1, 2)))
+        i, j = next(iter(g.brackets))
+        off = next(k for k in range(g.dim) if w[k] != w[i] + w[j])
+        algebras.append(g.with_corrupted_bracket(i, j, off, 1))
+        rng = random.Random(11)
+        seen = set()
+        for algebra in algebras:
+            tags = algebra.tags
+            cases = [
+                ([k for k, m in enumerate(tags) if m.hexp <= 1], None),
+                ([k for k, m in enumerate(tags) if not tower._is_scalar(m)], None),
+                ([k for k, m in enumerate(tags) if m.hexp == 0 and m.weight == 2], 0),
+            ]
+            for size in (2, 3, 5, 8):
+                indices = sorted(rng.sample(range(algebra.dim), size))
+                cases.append((indices, rng.choice((None, 0, 2))))
+            for indices, cutoff in cases:
+                kept = {tags[k] for k in indices}
+                for ideal in (set(), {m for m in tags if m not in kept}):
+                    args = (algebra, "R", indices, ideal)
+                    expected = restriction_outcome(
+                        reference_restriction, *args, cutoff=cutoff
+                    )
+                    assert restriction_outcome(
+                        GradedLieAlgebra.restriction, *args, cutoff=cutoff
+                    ) == expected, (indices, ideal)
+                    seen.add(expected[0])
+        assert seen == {"ok", "fail"}
+
+    def test_refuses_off_basis_components(self):
+        # [x, y] = 1 in G_1, but the kept basis has no scalar
+        g = tower.build_g_level(1, 1, 5)
+        x, y = g.index("h^-1*x1"), g.index("h^-1*y1")
+        with pytest.raises(CheckFailure) as info:
+            g.restriction("broken", [y, x])
+        assert "[h^-1*y1,h^-1*x1]" in str(info.value)
+        assert "off-basis component 1" in str(info.value)
+        assert info.value.witness == {"pair": (0, 1), "component": g.tags[0]}
+
+    def test_sp_refuses_a_non_quadratic_component(self):
+        derd = tower.build_derd_level(1, 1, 5)
+        e, f = derd.index("h^-1*x1^2"), derd.index("h^-1*y1^2")
+        cube = derd.index("h^-1*x1^3")
+        bad = derd.with_corrupted_bracket(e, f, cube, 1)
+        with pytest.raises(CheckFailure) as info:
+            tower.sp_subalgebra(bad)
+        assert "off-basis component x1^3" in str(info.value)
+        sp, _ = tower.sp_subalgebra(derd)
+        pair = (sp.index("h^-1*y1^2"), sp.index("h^-1*x1^2"))
+        assert info.value.witness == {"pair": pair, "component": derd.tags[cube]}
+
+    def test_refuses_unordered_indices_and_a_higher_cutoff(self):
+        g = tower.build_g_level(1, 1, 5)
+        with pytest.raises(UsageError, match="ascending"):
+            g.restriction("R", [2, 1])
+        with pytest.raises(UsageError, match="cutoff of at most 3"):
+            g.restriction("R", [1, 2], cutoff=4)
 
 
 def _owners(pattern):
