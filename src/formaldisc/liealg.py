@@ -301,17 +301,6 @@ class LinearMap:
         cols = {i: self.apply(first.column(i)) for i in range(first.source.dim)}
         return LinearMap(first.source, self.target, cols)
 
-    def matrix_block(self, weight: int):
-        """Dense matrix of the map restricted to one source/target weight."""
-        src = self.source.basis_indices_of_weight(weight)
-        tgt = self.target.basis_indices_of_weight(weight)
-        tgt_pos = {k: r for r, k in enumerate(tgt)}
-        block = [[Fraction(0)] * len(src) for _ in tgt]
-        for c, i in enumerate(src):
-            for k, val in self.column(i).items():
-                block[tgt_pos[k]][c] = val
-        return block, src, tgt
-
 
 class LieMap(LinearMap):
     """A LinearMap verified bracket-preserving on every in-cutoff basis pair."""
@@ -385,6 +374,16 @@ def _off_basis(name, labels, i, j, tag) -> CheckFailure:
     )
 
 
+def _rank_at(linear_map: LinearMap, weight: int) -> int:
+    """The rank of a map restricted to one weight: its columns there, read as
+    the sparse rows of its transpose."""
+    rows = [
+        {k: c for k, c in linear_map.column(i).items() if c}
+        for i in linear_map.source.basis_indices_of_weight(weight)
+    ]
+    return linalg.rank_rows(rows, linear_map.target.dim)
+
+
 def _lcd(vectors) -> int:
     """The least common denominator of every coefficient of the vectors."""
     return lcm(*{c.denominator for vec in vectors for c in vec.values()})
@@ -433,13 +432,11 @@ class ExtensionData:
                     witness={"sub_index": i},
                 )
         for w in self.weights_involved():
-            inj_block, _, _ = self.inject.matrix_block(w)
-            proj_block, _, _ = self.project.matrix_block(w)
             sub_dim = len(self.sub.basis_indices_of_weight(w))
             quot_dim = len(self.quotient.basis_indices_of_weight(w))
             total_dim = len(self.total.basis_indices_of_weight(w))
-            inj_rank = linalg.rank(inj_block) if sub_dim and total_dim else 0
-            proj_rank = linalg.rank(proj_block) if quot_dim and total_dim else 0
+            inj_rank = _rank_at(self.inject, w)
+            proj_rank = _rank_at(self.project, w)
             if inj_rank != sub_dim:
                 raise CheckFailure(
                     f"{self.total.name}: inject not injective at weight {w}",

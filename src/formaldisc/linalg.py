@@ -1,16 +1,18 @@
 """Exact-rational linear algebra: rank, solve, inverse.
 
-Matrices are dense lists of rows with int or Fraction entries; a float
-entry raises UsageError.  `rank_rows` takes the same data as sparse rows
-(dicts of the nonzero entries).  All four operations share one kernel:
-fraction-free forward elimination on sparse integer rows.  Each row is
-scaled by the lcm of its denominators, and every elimination step
-replaces a row r by (a r - b pivot) / content, where a and b are the
-pivot-column entries of the pivot and of r and the content is the gcd of
-the result.  So the arithmetic stays on Python ints, and a mostly-zero
-block costs what its nonzeros cost.  Back-substitution divides by each
-pivot entry into Fraction.  No floating point and no modular arithmetic
-anywhere.
+The production entry points take sparse rows (dicts from column index to
+nonzero int or Fraction entries): `rank_rows` and `solve_rows`.  The dense
+wrappers `rank`, `solve` and `inverse` take lists of rows and convert them
+to sparse rows; `rank` and `solve` serve the tests and the benchmark, and
+`inverse` the small linear parts in `darboux`.  A float entry raises
+UsageError.  Every operation shares one kernel: fraction-free forward
+elimination on sparse integer rows.  Each row is scaled by the lcm of its
+denominators, and every elimination step replaces a row r by
+(a r - b pivot) / content, where a and b are the pivot-column entries of
+the pivot and of r and the content is the gcd of the result.  So the
+arithmetic stays on Python ints, and a mostly-zero block costs what its
+nonzeros cost.  Back-substitution divides by each pivot entry into
+Fraction.  No floating point and no modular arithmetic anywhere.
 """
 
 from __future__ import annotations
@@ -28,24 +30,6 @@ ONE = Fraction(1)
 
 def identity(n: int):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            c = a[i][k]
-            if c == 0:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(cols):
-                if brow[j] != 0:
-                    orow[j] += c * brow[j]
-    return out
 
 
 def _sparse_row(row, extra=()):
@@ -141,28 +125,35 @@ def rank_rows(rows, cols: int) -> int:
     return len(_eliminate(rows, cols)[0])
 
 
+def solve_rows(rows, cols: int, rhs):
+    """One exact solution x of rows @ x = rhs, or None if inconsistent.
+
+    `rows` are sparse rows as for `rank_rows`; the right-hand side goes in
+    as column `cols`.  Free variables are set to zero.
+    """
+    if len(rhs) != len(rows):
+        raise UsageError(f"{len(rows)} rows but a right-hand side of length {len(rhs)}")
+    augmented = [
+        {**row, cols: v} if v else row
+        for row, v in zip(rows, map(as_fraction, rhs))
+    ]
+    pivots, rest = _eliminate(augmented, cols)
+    if rest:
+        return None
+    return _back_substitute(pivots, cols, cols)
+
+
 def rank(matrix) -> int:
+    """Dense entry point of `rank_rows`, for the tests and the benchmark."""
     if not matrix or not matrix[0]:
         return 0
     return rank_rows([_sparse_row(row) for row in matrix], len(matrix[0]))
 
 
 def solve(matrix, rhs):
-    """One exact solution of matrix @ x = rhs, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    rhs = [as_fraction(v) for v in rhs]
-    rows = len(matrix)
-    if rows == 0:
-        return [] if not any(rhs) else None
-    cols = len(matrix[0])
-    pivots, rest = _eliminate(
-        [_sparse_row(matrix[i], (rhs[i],)) for i in range(rows)], cols
-    )
-    if rest:
-        return None
-    return _back_substitute(pivots, cols, cols)
+    """Dense entry point of `solve_rows`, for the tests and the benchmark."""
+    cols = len(matrix[0]) if matrix else 0
+    return solve_rows([_sparse_row(row) for row in matrix], cols, rhs)
 
 
 def inverse(matrix):

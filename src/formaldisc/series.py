@@ -149,7 +149,8 @@ class TruncatedPoly(LinearTerms):
         return (self.d, self.cutoff)
 
     def _with(self, terms) -> "TruncatedPoly":
-        return TruncatedPoly(self.d, self.cutoff, terms)
+        # +, -, neg, scaled and darboux's h-order cut all hand over clean terms
+        return TruncatedPoly._trusted(self.d, self.cutoff, terms)
 
     def _scalar(self, value) -> "TruncatedPoly":
         return TruncatedPoly.constant(value, self.d, self.cutoff)

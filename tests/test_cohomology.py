@@ -7,9 +7,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from test_linalg import dense_rank
+from test_linalg import dense_mat_mul, dense_rank
 
-from formaldisc import cli, cohomology, linalg, suites, tower
+from formaldisc import cli, cohomology, suites, tower
 from formaldisc.cohomology import (
     Cochain,
     ce_differential,
@@ -111,7 +111,7 @@ class TestDifferential:
             d2, _, _, ex2 = differential_block(module, 2, w)
             if ex1 or ex2 or not src1:
                 continue
-            product = linalg.mat_mul(d2, d1)
+            product = dense_mat_mul(d2, d1)
             assert all(v == 0 for row in product for v in row)
             checked.append(w)
         assert len(checked) >= 3
@@ -119,7 +119,7 @@ class TestDifferential:
 
     def test_d_squared_check_sees_a_wrong_d1(self, monkeypatch):
         # row r of every d_1 block scaled by r + 1: the suite's sparse
-        # composition must fail at the first weight where mat_mul does
+        # composition must fail at the first weight where the dense product does
         rows_of = cohomology._block_rows
 
         def scaled(module, k, weight):
@@ -136,7 +136,7 @@ class TestDifferential:
         for w in sorted(set(module.algebra.weights)):
             d1, src1, _, ex1 = differential_block(module, 1, w)
             d2, _, _, ex2 = differential_block(module, 2, w)
-            if not (ex1 or ex2 or not src1) and any(map(any, linalg.mat_mul(d2, d1))):
+            if not (ex1 or ex2 or not src1) and any(map(any, dense_mat_mul(d2, d1))):
                 failing.append(w)
         assert failing
         report = Report("verify cohomology", {})
@@ -204,6 +204,21 @@ class TestCoboundary:
         assert found
         assert ce_differential(recovered) == boundary
 
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["trivial", "adjoint"])
+    def test_primitives_at_d2(self, adjoint):
+        # is_coboundary solves the sparse rows of each block; whatever
+        # primitive it picks must bound the random coboundary it was given
+        sp = tower.sp_algebra(2)
+        module = _adjoint(sp) if adjoint else trivial_module(sp)
+        rng = random.Random(f"sp(4) {adjoint}")
+        for k in (0, 1) if adjoint else (1, 2):
+            for _ in range(4):
+                primitive = _random_cochain(module, k, rng, [0])
+                boundary = ce_differential(primitive)
+                found, recovered = is_coboundary(boundary)
+                assert found
+                assert ce_differential(recovered) == boundary
+
 
 class TestOmegaClass:
     def test_value_on_degree_one_pair(self):
@@ -229,6 +244,7 @@ class TestOmegaClass:
     def test_is_cocycle_and_weight(self):
         cls = omega_class(2, 4)
         assert is_cocycle(cls.representative)
+        assert cls.is_nonzero()
         assert cls.weight == -2
         assert cls.representative.support_weights() == [-2]
 
@@ -504,3 +520,41 @@ class TestDifferentialOracle:
                 excluded += got.excluded
         self._check(Cochain(module, 1), module)
         assert (excluded > 0) == overflows
+
+
+class TestObstructionFault:
+    """`tower_obstruction` refuses a defect that is not a cocycle, so neither
+    the suite nor the CLI needs to take its differential again."""
+
+    @pytest.fixture
+    def perturbed(self, monkeypatch):
+        defect_of = cohomology.extension_defect_cochain
+
+        def perturbed_defect(e):
+            # the last pair: a change on the first, of degree-1 symbols,
+            # would add a multiple of the omega cocycle and stay a cocycle
+            raw = defect_of(e)
+            pair = next(reversed(raw))
+            m = next(iter(raw[pair]))
+            raw[pair] = {**raw[pair], m: raw[pair][m] + 1}
+            return raw
+
+        monkeypatch.setattr(cohomology, "extension_defect_cochain", perturbed_defect)
+
+    def test_suite_check_fails(self, perturbed):
+        report = Report("verify cohomology", {})
+        suites.cohomology_suite(report, 1, 1, 6)
+        check = next(c for c in report.checks if c.name == "cohomology-obstruction")
+        assert not check.passed
+        assert "is not a cocycle" in check.detail
+        assert set(check.witness) == {"triple", "value"}
+
+    def test_cli_exits_nonzero(self, perturbed, capsys):
+        args = ["cohomology", "class", "--which", "obstruction"]
+        assert cli.main(args + ["--d", "1", "--p", "1", "--N", "6"]) == 1
+        assert "is not a cocycle" in capsys.readouterr().err
+
+    def test_cli_reports_a_cocycle_unperturbed(self, capsys):
+        args = ["cohomology", "class", "--which", "obstruction"]
+        assert cli.main(args + ["--d", "1", "--p", "1", "--N", "6"]) == 0
+        assert '"cocycle": true' in capsys.readouterr().out

@@ -1,7 +1,10 @@
 """The fraction-free sparse elimination kernel of `linalg` against dense
-Gauss-Jordan over Fraction."""
+Gauss-Jordan over Fraction, and the rule that production code reaches it
+through sparse rows only."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from formaldisc.errors import UsageError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +70,27 @@ def dense_solve(matrix, rhs):
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x
+
+
+def dense_mat_mul(a, b):
+    """a @ b over Fraction, entry by entry."""
+    columns = list(zip(*b))
+    return [
+        [sum((x * y for x, y in zip(row, col)), ZERO) for col in columns] for row in a
+    ]
+
+
+def dense_map_block(linear_map, weight):
+    """The dense matrix of a LinearMap restricted to one source and target
+    weight: (block, source indices, target indices)."""
+    src = linear_map.source.basis_indices_of_weight(weight)
+    tgt = linear_map.target.basis_indices_of_weight(weight)
+    tgt_pos = {k: r for r, k in enumerate(tgt)}
+    block = [[ZERO] * len(src) for _ in tgt]
+    for c, i in enumerate(src):
+        for k, val in linear_map.column(i).items():
+            block[tgt_pos[k]][c] = val
+    return block, src, tgt
 
 
 def dense_inverse(matrix):
@@ -158,7 +183,7 @@ def test_inverse_matches_dense(matrix, corner):
     got = linalg.inverse(square)
     assert got == expected
     assert all(type(v) is Fraction for row in got for v in row)
-    assert linalg.mat_mul(square, got) == linalg.identity(len(square))
+    assert dense_mat_mul(square, got) == linalg.identity(len(square))
 
 
 @st.composite
@@ -174,7 +199,7 @@ def regular_matrices(draw, entries=entries):
         [draw(nonzero) if i == j else draw(entries) if j > i else ZERO for j in range(n)]
         for i in range(n)
     ]
-    return draw(st.permutations(linalg.mat_mul(lower, upper)))
+    return draw(st.permutations(dense_mat_mul(lower, upper)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,7 +207,7 @@ def regular_matrices(draw, entries=entries):
 def test_inverse_of_regular_matrices(matrix):
     got = linalg.inverse(matrix)
     assert got == dense_inverse(matrix)
-    assert linalg.mat_mul(matrix, got) == linalg.identity(len(matrix))
+    assert dense_mat_mul(matrix, got) == linalg.identity(len(matrix))
     assert linalg.rank(matrix) == len(matrix)
 
 
@@ -213,6 +238,41 @@ def test_elimination_stays_on_integers(matrix):
     assert list(pivots) == dense_eliminate(matrix)[1]
     assert not rest
     assert all(type(v) is int for row in pivots.values() for v in row.values())
+
+
+def sparse_rows(matrix):
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+class TestSolveRows:
+    """The sparse entry point that `cohomology.is_coboundary` uses."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(systems(wide_entries))
+    def test_matches_dense_with_large_denominators(self, system):
+        matrix, rhs = system
+        cols = len(matrix[0]) if matrix else 0
+        got = linalg.solve_rows(sparse_rows(matrix), cols, rhs)
+        assert got == dense_solve(matrix, rhs)
+        if got is not None:
+            assert all(type(v) is Fraction for v in got)
+
+    def test_rows_are_not_changed(self):
+        rows = [{0: 1, 2: Fraction(1, 2)}, {1: 3}]
+        linalg.solve_rows(rows, 3, [1, 2])
+        assert rows == [{0: 1, 2: Fraction(1, 2)}, {1: 3}]
+
+    def test_rejects_a_float_entry_or_rhs(self):
+        with pytest.raises(UsageError):
+            linalg.solve_rows([{0: 1}, {1: 0.5}], 2, [1, 1])
+        with pytest.raises(UsageError):
+            linalg.solve_rows([{0: 1}, {1: 1}], 2, [1, 0.5])
+
+    def test_rhs_length_must_match_the_rows(self):
+        with pytest.raises(UsageError, match="2 rows but a right-hand side of length 3"):
+            linalg.solve_rows([{0: 1}, {1: 1}], 2, [1, 1, 1])
+        with pytest.raises(UsageError, match="length 1"):
+            linalg.solve([[1, 0], [0, 1]], [1])
 
 
 class TestExactOutputs:
@@ -276,3 +336,27 @@ class TestFloatGuard:
     def test_rank_rows_rejects_a_float_entry(self):
         with pytest.raises(UsageError):
             linalg.rank_rows([{0: 1}, {1: 0.5}], 2)
+
+
+# a call of a dense entry point: `linalg.rank(`, `differential_block(`, ...
+DENSE_CALL = re.compile(
+    r"(?<!def )\b(?:linalg\.rank|linalg\.solve|differential_block|matrix_block|mat_mul)\("
+)
+
+
+def test_production_linear_algebra_is_sparse():
+    # outside linalg, src reaches the elimination kernel through sparse rows
+    # only; the dense views serve the tests and the benchmark
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"]
+    assert len(modules) > 10
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in modules
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if DENSE_CALL.search(line) or "from .linalg import" in line
+    ]
+    assert hits == []
+    # the pattern is not vacuous: it finds the dense oracle calls of the tests
+    tests = Path(__file__).resolve().parent
+    assert DENSE_CALL.search((tests / "test_cohomology.py").read_text())
+    assert not DENSE_CALL.search("linalg.rank_rows(rows) linalg.solve_rows(rows)")

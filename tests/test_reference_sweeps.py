@@ -28,6 +28,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from test_linalg import dense_map_block
 
 from formaldisc import linalg, tower
 from formaldisc.errors import CheckFailure, InternalError, UsageError
@@ -939,7 +940,7 @@ def reference_sub_coordinates(e, vec):
     weights = {e.total.weights[k] for k in vec}
     out = {}
     for w in weights:
-        block, src, tgt = e.inject.matrix_block(w)
+        block, src, tgt = dense_map_block(e.inject, w)
         tgt_pos = {k: r for r, k in enumerate(tgt)}
         rhs = [Fraction(0)] * len(tgt)
         for k, c in vec.items():

@@ -113,6 +113,24 @@ class TestRingAxioms:
         with pytest.raises(UsageError):
             x(0, 1, 3) * TruncatedPoly.one(2, 3)
 
+    def test_floats_and_wrong_dimensions_are_refused(self):
+        # the public constructor checks every term; +, -, neg and scaled
+        # trust the clean terms they combine, so a float must stop at the door
+        mono = Monomial((1, 0), (0, 0), 0)
+        with pytest.raises(UsageError, match="not an exact rational"):
+            TruncatedPoly(D, N, {mono: 0.5})
+        with pytest.raises(UsageError, match="not an exact rational"):
+            x(0).scaled(0.5)
+        with pytest.raises(TypeError):
+            x(0) + 0.5
+        with pytest.raises(TypeError):
+            0.5 - x(0)
+        with pytest.raises(UsageError, match="does not match dimension 2"):
+            TruncatedPoly(D, N, {Monomial((1,), (0,), 0): Fraction(1)})
+        p = x(0).scaled(Fraction(1, 2)) - y(1)
+        assert all(type(c) is Fraction and c for c in p.terms.values())
+        assert (p - p).terms == {} and p.scaled(0).terms == {}
+
     def test_canonical_form_unique(self):
         p = x(0) + y(1) - x(0)
         q = y(1)

@@ -1,16 +1,18 @@
 """Lie tower: level builders, quotient ladder, splittings, obstruction data."""
 
+import dataclasses
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from formaldisc import cohomology, linalg, tower
-from formaldisc.errors import InternalError, UsageError
-from formaldisc.liealg import LieMap
+from formaldisc.errors import CheckFailure, InternalError, UsageError
+from formaldisc.liealg import ExtensionData, GradedLieAlgebra, LieMap, LinearMap
 from formaldisc.series import Monomial, TruncatedPoly, all_monomials
 from formaldisc.sparse import accumulate
 from formaldisc.weyl import TruncationSpec, WeylElement, commutator
+from test_linalg import dense_map_block
 from test_weyl import d1_from_function, d1_from_weyl, d1_to_weyl
 
 
@@ -104,7 +106,7 @@ class TestBuilders:
     def test_hamiltonian_map_injective_weightwise(self):
         hm = hamiltonian_map(1, 5)
         for w in set(hm.source.weights):
-            block, src, _ = hm.matrix_block(w)
+            block, src, _ = dense_map_block(hm, w)
             assert linalg.rank(block) == len(src)
 
     def test_dimension_zero_is_a_usage_error(self):
@@ -181,6 +183,61 @@ class TestTowerBundles:
             row.check_exact()
             row.check_sub_central()
             row.check_splitting()
+
+
+class TestExactnessRefusals:
+    """`ExtensionData.check_exact` on sequences that are not exact."""
+
+    @staticmethod
+    def _sequence(dims, inject, project):
+        # abelian algebras at weight 0; maps as {source: target} on basis
+        # elements, the splitting sends the quotient element to total 1
+        sub, total, quotient = (
+            GradedLieAlgebra(name, tuple(f"e{i}" for i in range(n)), (0,) * n, {}, 0)
+            for name, n in zip(("sub", "total", "quotient"), dims)
+        )
+
+        def columns(pairs):
+            return {i: {k: Fraction(1)} for i, k in pairs.items()}
+
+        return ExtensionData(
+            sub,
+            total,
+            quotient,
+            LieMap(sub, total, columns(inject)),
+            LieMap(total, quotient, columns(project)),
+            LinearMap(quotient, total, {0: {1: Fraction(1)}}),
+        )
+
+    def test_not_surjective(self):
+        e = tower.cent_row(1, 1, 6)
+        dropped = next(i for i in range(e.total.dim) if e.project.column(i))
+        w = e.total.weights[dropped]
+        kept = [i for i in range(e.total.dim) if i != dropped]
+        columns = {i: dict(e.project.column(i)) for i in kept}
+        broken = dataclasses.replace(e, project=LieMap(e.total, e.quotient, columns))
+        with pytest.raises(CheckFailure, match=f"not surjective at weight {w}") as info:
+            broken.check_exact()
+        dim = len(e.quotient.basis_indices_of_weight(w))
+        assert info.value.witness == {"weight": w, "rank": dim - 1, "dim": dim}
+        e.check_exact()
+
+    def test_kernel_larger_than_image(self):
+        # two columns on one quotient element: rank 1, not 2
+        e = self._sequence((1, 3, 1), inject={0: 0}, project={1: 0, 2: 0})
+        message = r"ker\(project\) != im\(inject\) at weight 0"
+        with pytest.raises(CheckFailure, match=message) as info:
+            e.check_exact()
+        assert info.value.witness == {"weight": 0, "kernel_dim": 2, "image_dim": 1}
+
+    def test_project_after_inject_nonzero(self):
+        e = self._sequence((1, 2, 1), inject={0: 0}, project={0: 0, 1: 0})
+        with pytest.raises(CheckFailure, match="project o inject nonzero on e0") as info:
+            e.check_exact()
+        assert info.value.witness == {"sub_index": 0}
+
+    def test_an_exact_sequence_passes(self):
+        self._sequence((1, 2, 1), inject={0: 0}, project={1: 0}).check_exact()
 
 
 class TestReadOnlyCache:
