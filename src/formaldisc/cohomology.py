@@ -20,6 +20,7 @@ from .liealg import (
     ExtensionData,
     GradedLieAlgebra,
     Vector,
+    _later_indices,
     aligned_extension,
     extension_defect_cochain,
 )
@@ -65,29 +66,28 @@ class LieModule:
     def module_indices_of_weight(self, w: int):
         return [m for m, wm in enumerate(self.weights) if wm == w]
 
-    def in_cutoff_act(self, i: int, m: int) -> bool:
-        return self.algebra.weights[i] + self.weights[m] <= self.cutoff
-
     def verify_representation(self):
         """rho([x,y]) = [rho(x), rho(y)] wherever no weight overflows.
 
         Returns the number of exempt triples (algebra pair, module vector).
+        They are counted, not visited: a pair over the cutoff exempts every
+        module vector, and an in-cutoff pair (i, j) every m of weight above
+        cutoff - max(w_i, w_j, w_i + w_j).
         """
         g = self.algebra
         exempt = 0
+        partners = _later_indices(g.weights)
+        acting = _later_indices(self.weights)
         for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                pair_ok = g.in_cutoff_pair(i, j)
-                bracket = g.bracket(i, j) if pair_ok else None
-                for m in range(self.dim):
-                    if (
-                        not pair_ok
-                        or not self.in_cutoff_act(j, m)
-                        or not self.in_cutoff_act(i, m)
-                        or g.weights[i] + g.weights[j] + self.weights[m] > self.cutoff
-                    ):
-                        exempt += 1
-                        continue
+            wi = g.weights[i]
+            js = partners(i, g.cutoff - wi)
+            exempt += (g.dim - 1 - i - len(js)) * self.dim
+            for j in js:
+                wj = g.weights[j]
+                checked = acting(-1, self.cutoff - max(wi, wj, wi + wj))
+                exempt += self.dim - len(checked)
+                bracket = g.bracket(i, j)
+                for m in checked:
                     via_bracket = accumulate(
                         (t, a * c)
                         for k, c in bracket.items()

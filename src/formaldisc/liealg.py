@@ -20,11 +20,19 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
-from math import comb, lcm
+from math import comb
 
 from . import linalg
 from .errors import CheckFailure, UsageError
-from .sparse import EMPTY, FrozenVectors, accumulate, scale, sub
+from .sparse import (
+    EMPTY,
+    FrozenVectors,
+    accumulate,
+    common_denominator,
+    integral,
+    scale,
+    sub,
+)
 
 # basis index -> nonzero Fraction; stored ones are read-only mappings
 Vector = dict
@@ -127,10 +135,10 @@ class GradedLieAlgebra:
         its defect as witness.
         """
         n, w, cutoff = self.dim, self.weights, self.cutoff
-        lcd = _lcd(self.brackets.values())
+        lcd = common_denominator(self.brackets.values())
         ad = [{} for _ in range(n)]
         for (i, j), vec in self.brackets.items():
-            ints = _integral(vec, lcd)
+            _, ints = integral(vec, lcd)
             ad[i][j] = ints
             ad[j][i] = {k: -c for k, c in ints.items()}
         later = _later_indices(w)
@@ -323,9 +331,10 @@ class LieMap(LinearMap):
         are recomputed over Q for the witness.
         """
         src, tgt = self.source, self.target
-        ls, lt = _lcd(src.brackets.values()), _lcd(tgt.brackets.values())
-        lc = _lcd(self.columns.values())
-        cols = {i: _integral(vec, lc) for i, vec in self.columns.items()}
+        ls = common_denominator(src.brackets.values())
+        lt = common_denominator(tgt.brackets.values())
+        lc = common_denominator(self.columns.values())
+        cols = {i: integral(vec, lc)[1] for i, vec in self.columns.items()}
         src_brackets, tgt_brackets = src.brackets, tgt.brackets
         empty = {}
 
@@ -382,16 +391,6 @@ def _rank_at(linear_map: LinearMap, weight: int) -> int:
         for i in linear_map.source.basis_indices_of_weight(weight)
     ]
     return linalg.rank_rows(rows, linear_map.target.dim)
-
-
-def _lcd(vectors) -> int:
-    """The least common denominator of every coefficient of the vectors."""
-    return lcm(*{c.denominator for vec in vectors for c in vec.values()})
-
-
-def _integral(vec, lcd: int) -> dict:
-    """The vector scaled by `lcd`, as int coefficients."""
-    return {k: c.numerator * (lcd // c.denominator) for k, c in vec.items()}
 
 
 @dataclass

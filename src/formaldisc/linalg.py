@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 from .errors import UsageError
-from .sparse import accumulate, as_fraction
+from .sparse import accumulate, as_fraction, integral
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -39,15 +39,6 @@ def _sparse_row(row, extra=()):
     return out
 
 
-def _integral(row):
-    """The row scaled by the lcm of its denominators: same support, int entries."""
-    for v in row.values():
-        if not isinstance(v, (int, Fraction)):
-            raise UsageError(f"not an exact rational: {v!r}")
-    scale = lcm(*[v.denominator for v in row.values()])
-    return {col: v.numerator * (scale // v.denominator) for col, v in row.items()}
-
-
 def _eliminate(rows, cols):
     """Fraction-free forward elimination of sparse rows on columns
     0..cols-1, in order, each row first scaled to int entries.
@@ -62,7 +53,11 @@ def _eliminate(rows, cols):
     nonzero only in columns >= cols.  The pivot columns are the
     lexicographically first independent columns, as in Gauss-Jordan.
     """
-    live = {i: _integral(row) for i, row in enumerate(rows) if row}
+    for row in rows:
+        for v in row.values():
+            if not isinstance(v, (int, Fraction)):
+                raise UsageError(f"not an exact rational: {v!r}")
+    live = {i: integral(row)[1] for i, row in enumerate(rows) if row}
     holders: dict[int, set] = {}  # column -> live rows nonzero there
     for i, row in live.items():
         for col in row:

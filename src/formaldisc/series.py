@@ -6,15 +6,21 @@ the Weyl relation upstream stays weight-homogeneous.  Every value carries its
 weight cutoff; operations compute exactly and then discard monomials whose
 weight exceeds the cutoff.  Mixing values with different cutoff or dimension
 raises UsageError, never coerces.
+
+Products are integer-first: `TruncatedPoly.__mul__` and
+`Substitution.apply` scale their operands to ints by the lcm of the
+denominators (`sparse.integral`), sum the products on ints and divide once
+per output term (`sparse.rational`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import UsageError
-from .sparse import LinearTerms, accumulate, as_fraction
+from .sparse import LinearTerms, accumulate, as_fraction, integral, rational
 
 
 @dataclass(frozen=True)
@@ -198,18 +204,20 @@ class TruncatedPoly(LinearTerms):
             return NotImplemented
         self._check_compat(other)
         cutoff = self.cutoff
-        right = [(m2, c2, m2.weight) for m2, c2 in other.terms.items()]
-        left = [(m1, c1, cutoff - m1.weight) for m1, c1 in self.terms.items()]
-        return TruncatedPoly(
-            self.d,
-            cutoff,
-            accumulate(
-                (m1.mul(m2), c1 * c2)
-                for m1, c1, room in left
-                for m2, c2, w2 in right
+        la, left = integral(self.terms)
+        lb, right = integral(other.terms)
+        right = [(m2, n2, m2.weight) for m2, n2 in right.items()]
+        terms = rational(
+            (
+                (m1.mul(m2), n1 * n2)
+                for m1, n1 in left.items()
+                for room in (cutoff - m1.weight,)
+                for m2, n2, w2 in right
                 if w2 <= room
             ),
+            la * lb,
         )
+        return TruncatedPoly._trusted(self.d, cutoff, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -322,7 +330,10 @@ class Substitution:
     substitution never moves weight downwards and truncation stays exact.
     The term x^a y^b h^c maps to h^c * image(x^a y^b), truncated at the
     cutoff.  The powers of the images and the image of each monomial are
-    cached as they are first needed; no cached value is handed out.
+    cached as they are first needed; no cached value is handed out.  A
+    monomial's image is cached integer-first, as its int coefficients over
+    their lcm denominator, so `apply` multiplies and sums on ints and builds
+    one `Fraction` per output term.
     """
 
     __slots__ = ("d", "cutoff", "_powers", "_free", "_images")
@@ -345,7 +356,7 @@ class Substitution:
         # per coordinate v: [images[v]^0, images[v]^1, ...] as far as needed
         self._powers = [[one, TruncatedPoly(d, cutoff, img.terms)] for img in images]
         self._free = {unit_monomial(d): one}  # h-free monomial -> image
-        self._images = {}  # monomial -> (monomial, coefficient) pairs of its image
+        self._images = {}  # monomial -> (den, (monomial, int) pairs) of its image
 
     def _power(self, v: int, e: int) -> TruncatedPoly:
         powers = self._powers[v]
@@ -366,24 +377,39 @@ class Substitution:
         return image
 
     def _image(self, mono: Monomial) -> tuple:
-        pairs = self._images.get(mono)
-        if pairs is None:
+        """(den, (monomial, int) pairs): the image of `mono` times den."""
+        image = self._images.get(mono)
+        if image is None:
             c = mono.hexp
             free = self._free_image(Monomial(mono.xexp, mono.yexp, 0))
             room = self.cutoff - 2 * c
-            pairs = tuple(
-                (Monomial(m.xexp, m.yexp, c), coeff)
-                for m, coeff in free.terms.items()
-                if m.weight <= room
+            den, ints = integral(
+                {
+                    Monomial(m.xexp, m.yexp, c): coeff
+                    for m, coeff in free.terms.items()
+                    if m.weight <= room
+                }
             )
-            self._images[mono] = pairs
-        return pairs
+            image = self._images[mono] = (den, tuple(ints.items()))
+        return image
 
     def apply(self, terms) -> dict:
-        """The image of a term map (monomial -> coefficient), as a new dict."""
-        image = self._image
-        return accumulate(
-            (m, c * coeff) for mono, coeff in terms.items() for m, c in image(mono)
+        """The image of a term map (monomial -> coefficient), as a new dict.
+
+        The input is scaled to ints, each monomial's image is raised to the
+        lcm of the image denominators it uses, and every sum is divided once.
+        """
+        den, ints = integral(terms)
+        images = [(n, self._image(mono)) for mono, n in ints.items()]
+        scale = lcm(*[image_den for _, (image_den, _) in images])
+        return rational(
+            (
+                (m, f * k)
+                for n, (image_den, pairs) in images
+                for f in (n * (scale // image_den),)
+                for m, k in pairs
+            ),
+            den * scale,
         )
 
 

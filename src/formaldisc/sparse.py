@@ -7,12 +7,20 @@ values, form components and transported symbols all sum their terms through
 A stored vector never holds a zero.  Vectors kept inside shared objects
 (cached structure constants, map columns) are held in `FrozenVectors`, so a
 caller cannot change them in place.
+
+The products of term maps (`weyl.star` and `weyl.commutator`,
+`TruncatedPoly.__mul__` and `Substitution.apply`) compute integer-first
+through the bridge here: `integral` scales a term map by the lcm of its
+denominators to int coefficients, the products are summed on ints, and
+`rational` divides each summed int by the common scale, so one `Fraction`
+is built per output term.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
 from .errors import UsageError
@@ -32,6 +40,31 @@ def accumulate(pairs, start=None) -> dict:
         old = get(key)
         out[key] = coeff if old is None else old + coeff
     return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def integral(terms, den=None):
+    """(den, terms scaled by den as int coefficients).
+
+    `den` defaults to the lcm of the denominators of `terms` (1 for an
+    empty map); a given one must be a multiple of each of them.
+    """
+    if den is None:
+        den = lcm(*[c.denominator for c in terms.values()])
+    return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+
+
+def common_denominator(vectors) -> int:
+    """The lcm of the denominators of every coefficient of the vectors."""
+    return lcm(*{c.denominator for vec in vectors for c in vec.values()})
+
+
+def rational(pairs, den: int) -> dict:
+    """Sum (key, int) pairs and divide each sum by `den`, as Fractions.
+
+    The rational side of `integral`: keys whose ints cancel are dropped and
+    the order is that of `accumulate`.
+    """
+    return {key: Fraction(n, den) for key, n in accumulate(pairs).items()}
 
 
 def add(u, v) -> dict:

@@ -14,10 +14,14 @@ y^b x^a = sum_k (-h)^k k! C(b,k) C(a,k) x^(a-k) y^(b-k).  `star`, `iota`
 and `normal_order` all go through it.  `commutator` has a kernel of its own
 on the same contraction loop: the uncontracted terms of m1 m2 and m2 m1
 cancel, so it sums only the contractions of the two orders and never calls
-`star`.  Kernel outputs are wrapped without re-checking; the public
-`WeylElement` constructor checks every term.  `normal_order_random_strategy`
-rewrites words with the defining relation y_j x_i -> x_i y_j - delta_ij h
-at random positions; it is kept as the independent oracle.
+`star`.  Both kernels return int multipliers, and `star` and `commutator`
+extend them integer-first: each operand is scaled to ints by the lcm of its
+denominators, every pair product is summed on ints, and one `Fraction` is
+built per output term.  Kernel outputs are wrapped without re-checking; the
+public `WeylElement` constructor checks every term.
+`normal_order_random_strategy` rewrites words with the defining relation
+y_j x_i -> x_i y_j - delta_ij h at random positions; it is kept as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from math import comb, perm
 
 from .errors import InternalError, UsageError
 from .series import Monomial, TruncatedPoly, standard_poisson, unit_monomial
-from .sparse import LinearTerms, accumulate, as_fraction
+from .sparse import LinearTerms, accumulate, as_fraction, integral, rational
 
 
 @dataclass(frozen=True)
@@ -252,17 +256,33 @@ def _normal_commutator(m1: Monomial, m2: Monomial, spec: TruncationSpec):
 
 
 def _bilinear(kernel, a: WeylElement, b: WeylElement) -> WeylElement:
-    """The bilinear extension of a monomial kernel to every pair of terms."""
+    """The bilinear extension of a monomial kernel to every pair of terms.
+
+    Integer-first: each operand is scaled to ints by its own lcm
+    denominator, and the kernel's int multipliers are summed on ints and
+    divided once per output term by the product of the two.  Each weight is
+    read once per term, and a pair whose weights sum past the cutoff never
+    reaches the kernel.
+    """
     a._check_compat(b)
     spec = a.spec
-    terms = accumulate(
-        (mono, coeff * k)
-        for ma, ca in a.terms.items()
-        for mb, cb in b.terms.items()
-        for out in (kernel(ma, mb, spec),)
-        if out  # a pair the kernel drops costs no coefficient product
-        for coeff in (ca * cb,)
-        for mono, k in out
+    cutoff = spec.cutoff
+    la, left = integral(a.terms)
+    lb, right = integral(b.terms)
+    right = [(mb, ib, mb.weight) for mb, ib in right.items()]
+    terms = rational(
+        (
+            (mono, n * k)
+            for ma, ia in left.items()
+            for room in (cutoff - ma.weight,)
+            for mb, ib, wb in right
+            if wb <= room
+            for out in (kernel(ma, mb, spec),)
+            if out  # a pair the kernel drops costs no coefficient product
+            for n in (ia * ib,)
+            for mono, k in out
+        ),
+        la * lb,
     )
     return WeylElement._trusted(spec, terms)
 

@@ -24,7 +24,6 @@ same first failure and witness, the same algebra, the same maps.
 import random
 import re
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -47,7 +46,7 @@ from formaldisc.series import (
     coordinate_name,
     standard_poisson,
 )
-from formaldisc.sparse import accumulate, add, sub
+from formaldisc.sparse import accumulate, add, common_denominator, sub
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
 EXTENSION_CALL = re.compile(r"\bExtensionData\(")
@@ -435,10 +434,6 @@ def rebased(m, source_factors, target_factors, perm):
     )
 
 
-def _lcd(vectors):
-    return lcm(*{c.denominator for vec in vectors for c in vec.values()})
-
-
 class TestMapOracle:
     """The integer route of LieMap.verify against the Fraction route, on maps
     whose columns and both structure tables have denominators."""
@@ -463,9 +458,9 @@ class TestMapOracle:
 
     def test_valid_maps_verify(self):
         for m in self.fractional_maps():
-            assert _lcd(m.source.brackets.values()) > 1
-            assert _lcd(m.target.brackets.values()) > 1
-            assert _lcd(m.columns.values()) > 1
+            assert common_denominator(m.source.brackets.values()) > 1
+            assert common_denominator(m.target.brackets.values()) > 1
+            assert common_denominator(m.columns.values()) > 1
             assert outcome(reference_verify_map, m) == ("ok", None)
             assert outcome(LieMap.verify, m) == ("ok", None)
 

@@ -45,6 +45,37 @@ def test_accumulate_matches_naive_sum(pairs, cancel, start):
     assert sparse.add(start, dict(pairs[:1])) == sparse.accumulate(pairs[:1], start)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(0, 9),
+        st.fractions(max_denominator=2**61 - 1).filter(bool),
+        max_size=8,
+    ),
+    st.integers(1, 5),
+)
+def test_integral_and_rational_round_trip(terms, factor):
+    den, ints = sparse.integral(terms)
+    assert all(type(n) is int for n in ints.values())
+    assert all(den % c.denominator == 0 for c in terms.values())
+    assert list(sparse.rational(ints.items(), den).items()) == list(terms.items())
+    # a given multiple of the lcm scales the same support
+    _, wider = sparse.integral(terms, den * factor)
+    assert wider == {key: n * factor for key, n in ints.items()}
+    assert sparse.common_denominator([terms, {}]) == den
+
+
+def test_rational_drops_what_cancels():
+    assert sparse.integral({}) == (1, {})
+    assert sparse.integral({"a": Fraction(1, 2), "b": Fraction(-2, 3)}) == (
+        6,
+        {"a": 3, "b": -4},
+    )
+    got = sparse.rational([("a", 3), ("b", 2), ("a", -3), ("c", 4)], 6)
+    assert list(got.items()) == [("b", Fraction(1, 3)), ("c", Fraction(2, 3))]
+    assert all(type(c) is Fraction for c in got.values())
+
+
 def _hand_sums(path):
     """Lines of one module that sum a term map by hand.
 

@@ -391,6 +391,26 @@ class TestObstruction:
         obs = tower.tower_obstruction(1, 1, 6)
         obs.module.verify_representation()
 
+    def test_exempt_count_matches_brute_force(self):
+        # over-cutoff pairs are counted in one step; the count is that of
+        # the triple-by-triple sweep
+        module = tower.tower_obstruction(1, 1, 6).module
+        g, w, n = module.algebra, module.weights, module.cutoff
+        brute = sum(
+            not g.in_cutoff_pair(i, j)
+            or g.weights[i] + w[m] > n
+            or g.weights[j] + w[m] > n
+            or g.weights[i] + g.weights[j] + w[m] > n
+            for i in range(g.dim)
+            for j in range(i + 1, g.dim)
+            for m in range(module.dim)
+        )
+        over = sum(
+            not g.in_cutoff_pair(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)
+        )
+        assert over > 0
+        assert module.verify_representation() == brute > over * module.dim
+
     def test_pushforward_to_hamiltonian_is_cocycle(self):
         obs = tower.tower_obstruction(1, 1, 6)
         pushed = push_to_hamiltonian(obs)
