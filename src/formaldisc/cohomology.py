@@ -91,11 +91,11 @@ class LieModule:
                     via_bracket = accumulate(
                         (t, a * c)
                         for k, c in bracket.items()
-                        for t, a in self.act(k, {m: Fraction(1)}).items()
+                        for t, a in self.action.get((k, m), EMPTY).items()
                     )
                     direct = sub(
-                        self.act(i, self.act(j, {m: Fraction(1)})),
-                        self.act(j, self.act(i, {m: Fraction(1)})),
+                        self.act(i, self.action.get((j, m), EMPTY)),
+                        self.act(j, self.action.get((i, m), EMPTY)),
                     )
                     if via_bracket != direct:
                         raise CheckFailure(
@@ -252,15 +252,15 @@ def tuple_weights(weights, k: int) -> list[int]:
 
 def _tuples_in_range(weights, k: int, lo: int, hi: int):
     """Increasing k-tuples of indices whose weight sum lies in [lo, hi], in
-    lexicographic order, each with its sum.
+    lexicographic order, each with its sum, generated lazily.
 
     A pruned recursion: least[i][r] and most[i][r] bound the sum of r more
     indices taken from i on, so no branch is entered that cannot reach the
-    range.  The weights need not be sorted.
+    range; the last index is taken in a flat loop.  Weights need not be sorted.
     """
     n = len(weights)
     if k < 0 or k > n:
-        return []
+        return
     # filled for r <= n - i, the only (i, r) the recursion reaches
     least = [[0] * (k + 1) for _ in range(n + 1)]
     most = [[0] * (k + 1) for _ in range(n + 1)]
@@ -272,19 +272,21 @@ def _tuples_in_range(weights, k: int, lo: int, hi: int):
             if r < n - i:  # index i may also be skipped
                 least[i][r] = min(least[i][r], least[i + 1][r])
                 most[i][r] = max(most[i][r], most[i + 1][r])
-    out = []
 
     def extend(start, r, total, prefix):
         if total + least[start][r] > hi or total + most[start][r] < lo:
             return
-        if r == 0:
-            out.append((prefix, total))
-            return
-        for j in range(start, n - r + 1):
-            extend(j + 1, r - 1, total + weights[j], prefix + (j,))
+        if r == 0:  # k == 0: the empty tuple
+            yield prefix, total
+        elif r == 1:
+            for j in range(start, n):
+                if lo <= (t := total + weights[j]) <= hi:
+                    yield prefix + (j,), t
+        else:
+            for j in range(start, n - r + 1):
+                yield from extend(j + 1, r - 1, total + weights[j], prefix + (j,))
 
-    extend(0, k, 0, ())
-    return out
+    yield from extend(0, k, 0, ())
 
 
 def cochain_block_basis(module: LieModule, k: int, weight: int):

@@ -7,10 +7,12 @@ weight cutoff; operations compute exactly and then discard monomials whose
 weight exceeds the cutoff.  Mixing values with different cutoff or dimension
 raises UsageError, never coerces.
 
-Products are integer-first: `TruncatedPoly.__mul__` and
+Monomial calculus lives here alone: `derivative` and the closed-form
+bracket `monomial_poisson` underlie `partial`, both Poisson brackets and the
+tower's H, A and W.  Products are integer-first: `__mul__`, the brackets and
 `Substitution.apply` scale their operands to ints by the lcm of the
-denominators (`sparse.integral`), sum the products on ints and divide once
-per output term (`sparse.rational`).
+denominators (`sparse.integral`), sum on ints and divide once per output
+term (`sparse.rational`).
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ class Monomial:
 
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(
-            tuple(a + b for a, b in zip(self.xexp, other.xexp)),
-            tuple(a + b for a, b in zip(self.yexp, other.yexp)),
+            tuple(map(int.__add__, self.xexp, other.xexp)),
+            tuple(map(int.__add__, self.yexp, other.yexp)),
             self.hexp + other.hexp,
         )
 
@@ -71,6 +73,60 @@ class Monomial:
 
 def unit_monomial(d: int) -> Monomial:
     return Monomial((0,) * d, (0,) * d, 0)
+
+
+def _lower(exps: tuple, i: int) -> tuple:
+    return exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+
+
+def derivative(m: Monomial, v: int):
+    """(e, m') with d/dv m = e m', or (0, None) if m lacks coordinate v;
+    coordinates 0..d-1 are x's, d..2d-1 y's."""
+    d, exps = len(m.xexp), m.xexp + m.yexp
+    if not exps[v]:
+        return 0, None
+    less = _lower(exps, v)
+    return exps[v], Monomial(less[:d], less[d:], m.hexp)
+
+
+def _lowered(terms, v: int) -> dict:
+    """d/dv of a term map; lowering an exponent is injective, so none merge."""
+    return {m_v: c * e for m, c in terms.items() for e, m_v in (derivative(m, v),) if e}
+
+
+def monomial_poisson(m1: Monomial, m2: Monomial):
+    """{x^a y^b, x^c y^e} = sum_i (a_i e_i - b_i c_i) x^(a+c-1_i) y^(b+e-1_i),
+    as (monomial, int) pairs; the standard bracket of h-free monomials."""
+    a, b, c, e = m1.xexp, m1.yexp, m2.xexp, m2.yexp
+    xs, ys = tuple(map(int.__add__, a, c)), tuple(map(int.__add__, b, e))
+    for i in range(len(a)):
+        coeff = a[i] * e[i] - b[i] * c[i]
+        if coeff:
+            yield Monomial(_lower(xs, i), _lower(ys, i)), coeff
+
+
+def _pair_sum(f: "TruncatedPoly", g: "TruncatedPoly", room: int, product):
+    """The integer-first sum of n1 * n2 * product(m1, m2) over the term pairs
+    of f and g whose weights sum to at most `room`; `product` yields
+    (monomial, int) pairs within the cutoff."""
+    f._check_compat(g)
+    if not (f.terms and g.terms):  # nothing to scale or sum
+        return TruncatedPoly._trusted(f.d, f.cutoff, {})
+    la, left = integral(f.terms)
+    lb, right = integral(g.terms)
+    right = [(m2, n2, m2.weight) for m2, n2 in right.items()]
+    terms = rational(
+        (
+            (m, n1 * n2 * k)
+            for m1, n1 in left.items()
+            for rest in (room - m1.weight,)
+            for m2, n2, w2 in right
+            if w2 <= rest
+            for m, k in product(m1, m2)
+        ),
+        la * lb,
+    )
+    return TruncatedPoly._trusted(f.d, f.cutoff, terms)
 
 
 class TruncatedPoly(LinearTerms):
@@ -202,27 +258,9 @@ class TruncatedPoly(LinearTerms):
             return self.scaled(other)
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
-        self._check_compat(other)
-        cutoff = self.cutoff
-        la, left = integral(self.terms)
-        lb, right = integral(other.terms)
-        right = [(m2, n2, m2.weight) for m2, n2 in right.items()]
-        terms = rational(
-            (
-                (m1.mul(m2), n1 * n2)
-                for m1, n1 in left.items()
-                for room in (cutoff - m1.weight,)
-                for m2, n2, w2 in right
-                if w2 <= room
-            ),
-            la * lb,
-        )
-        return TruncatedPoly._trusted(self.d, cutoff, terms)
+        return _pair_sum(self, other, self.cutoff, lambda m1, m2: ((m1.mul(m2), 1),))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
+    __rmul__ = __mul__  # a TruncatedPoly operand is always on the left
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -246,20 +284,7 @@ class TruncatedPoly(LinearTerms):
         """
         if not 0 <= v < 2 * self.d:
             raise UsageError(f"coordinate index {v} out of range for d={self.d}")
-        i, on_x = v % self.d, v < self.d
-
-        def lowered():
-            for m, c in self.terms.items():
-                exps = m.xexp if on_x else m.yexp
-                e = exps[i]
-                if e:
-                    less = exps[:i] + (e - 1,) + exps[i + 1 :]
-                    if on_x:
-                        yield Monomial(less, m.yexp, m.hexp), c * e
-                    else:
-                        yield Monomial(m.xexp, less, m.hexp), c * e
-
-        return TruncatedPoly(self.d, self.cutoff, accumulate(lowered()))
+        return TruncatedPoly._trusted(self.d, self.cutoff, _lowered(self.terms, v))
 
     def substitute(self, sub: "Substitution") -> "TruncatedPoly":
         """Substitute coordinate v -> images[v] for all 2d disc coordinates.
@@ -425,21 +450,14 @@ def coordinate_name(v: int, d: int) -> str:
 def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
     """Concatenate strictly increasing index tuples; None if any repeats.
 
-    Returns (sign, sorted tuple) with the sign of the merging permutation.
+    Returns (sign, sorted tuple) with the sign of the merging permutation:
+    -1 to the number of (left, right) pairs that the merge puts in reverse.
     """
     merged = left + right
     if len(set(merged)) != len(merged):
         return None
-    arr = list(merged)
-    sign = 1
-    # insertion sort, counting swaps
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(arr)
+    swaps = sum(a > b for a in left for b in right)
+    return -1 if swaps % 2 else 1, tuple(sorted(merged))
 
 
 class DifferentialForm:
@@ -508,12 +526,7 @@ class DifferentialForm:
         return DifferentialForm(self.d, self.cutoff, self.degree, comps)
 
     def __neg__(self):
-        return DifferentialForm(
-            self.d,
-            self.cutoff,
-            self.degree,
-            {idx: -poly for idx, poly in self.components.items()},
-        )
+        return self.scaled(-1)
 
     def __sub__(self, other):
         if not isinstance(other, DifferentialForm):
@@ -668,13 +681,6 @@ class PoissonBivector:
         one = TruncatedPoly.one(d, cutoff)
         return PoissonBivector(d, cutoff, {(i, d + i): one for i in range(d)})
 
-    def entry(self, i: int, j: int) -> TruncatedPoly:
-        if i == j:
-            return TruncatedPoly.zero(self.d, self.cutoff)
-        if i < j:
-            return self.entries.get((i, j), TruncatedPoly.zero(self.d, self.cutoff))
-        return -self.entries.get((j, i), TruncatedPoly.zero(self.d, self.cutoff))
-
     def __eq__(self, other):
         if not isinstance(other, PoissonBivector):
             return NotImplemented
@@ -688,29 +694,40 @@ class PoissonBivector:
 def poisson_bracket(
     f: TruncatedPoly, g: TruncatedPoly, theta: PoissonBivector
 ) -> TruncatedPoly:
-    """{f, g} = sum Theta_uv d_u f d_v g for h-free functions on the disc."""
+    """{f, g} = sum Theta_uv d_u f d_v g for h-free functions on the disc: one
+    integer-first sum over (entry of Theta, orientation, term of the entry,
+    monomial of f, monomial of g) through `derivative`."""
     f._check_compat(g)
     if f.d != theta.d or f.cutoff != theta.cutoff:
         raise UsageError("bivector truncation mismatch")
     if f.depends_on_h() or g.depends_on_h():
         raise UsageError("poisson_bracket inputs must be h-free")
-    out = TruncatedPoly.zero(f.d, f.cutoff)
-    for (i, j), poly in theta.entries.items():
-        term = poly * (f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i))
-        out = out + term
-    return out
+    polys = (f, g, *theta.entries.values())
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    df, dg = (
+        [_lowered(integral(p.terms, den)[1], v) for v in range(2 * f.d)] for p in (f, g)
+    )
+    terms = rational(
+        (
+            (mt.mul(m1).mul(m2), sign * nt * n1 * n2)
+            for (i, j), entry in theta.entries.items()
+            for u, v, sign in ((i, j, 1), (j, i, -1))
+            for mt, nt in integral(entry.terms, den)[1].items()
+            for m1, n1 in df[u].items()
+            for m2, n2 in dg[v].items()
+            if mt.weight + m1.weight + m2.weight <= f.cutoff
+        ),
+        den**3,
+    )
+    return TruncatedPoly._trusted(f.d, f.cutoff, terms)
 
 
 def standard_poisson(f: TruncatedPoly, g: TruncatedPoly) -> TruncatedPoly:
-    """{f, g} for the constant standard bivector, computed directly."""
-    f._check_compat(g)
+    """{f, g} for the constant standard bivector: `monomial_poisson` summed
+    over the term pairs whose weights fit under cutoff + 2."""
     if f.depends_on_h() or g.depends_on_h():
         raise UsageError("standard_poisson inputs must be h-free")
-    d = f.d
-    out = TruncatedPoly.zero(d, f.cutoff)
-    for i in range(d):
-        out = out + (f.partial(i) * g.partial(d + i) - f.partial(d + i) * g.partial(i))
-    return out
+    return _pair_sum(f, g, f.cutoff + 2, monomial_poisson)
 
 
 def all_monomials(d: int, max_degree: int, min_degree: int = 0):

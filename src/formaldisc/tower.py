@@ -15,10 +15,10 @@ reindexes the stored brackets with the same refusal and check:
   level, and reads every lower level off the one above it;
 - the derivation level DerD_q is G_q with its central scalars h^-1 k[h]
   dropped;
-- H and A are the monomials (without and with the constant) under the
-  closed-form Poisson bracket, W the monomial vector fields under the
-  closed-form field bracket, and sp(2d) the quadratic symbols of a DerD
-  level, a subalgebra read off it.
+- H and A are the monomials (without and with the constant) under
+  `series.monomial_poisson`, W the monomial vector fields under the
+  closed-form field bracket through `series.derivative`, and sp(2d) the
+  quadratic symbols of a DerD level, a subalgebra read off it.
 
 Each is built once per parameter set and cached.  Weights are monomial
 weight minus 2 (minus 1 on W), so every map in the tower is
@@ -58,6 +58,8 @@ from .series import (
     TruncatedPoly,
     all_monomials,
     coordinate_name,
+    derivative,
+    monomial_poisson,
 )
 from .sparse import accumulate
 from .weyl import TruncationSpec, WeylElement, commutator, mixed_laplacian
@@ -74,19 +76,6 @@ def _cached(key, build):
 
 def _is_scalar(m: Monomial) -> bool:
     return not any(m.xexp) and not any(m.yexp)
-
-
-def _lower(exps: tuple, i: int) -> tuple:
-    return exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-
-
-def _derivative(m: Monomial, v: int):
-    """(e, m') with d/dv m = e m'; coordinates 0..d-1 are x's, d..2d-1 y's."""
-    d = m.dimension
-    i = v % d
-    if v < d:
-        return m.xexp[i], Monomial(_lower(m.xexp, i), m.yexp, m.hexp)
-    return m.yexp[i], Monomial(m.xexp, _lower(m.yexp, i), m.hexp)
 
 
 def level_monomials(d: int, h_max: int, n: int):
@@ -117,23 +106,13 @@ def _transported_bracket(m1: Monomial, m2: Monomial, d: int, q: int):
     )
 
 
-def _poisson_bracket(m1: Monomial, m2: Monomial):
-    """{x^a y^b, x^c y^e} = sum_i (a_i e_i - b_i c_i) x^(a+c-1_i) y^(b+e-1_i)."""
-    a, b, c, e = m1.xexp, m1.yexp, m2.xexp, m2.yexp
-    m = m1.mul(m2)
-    for i in range(len(a)):
-        coeff = a[i] * e[i] - b[i] * c[i]
-        if coeff:
-            yield Monomial(_lower(m.xexp, i), _lower(m.yexp, i)), Fraction(coeff)
-
-
 def _field_bracket(field1, field2):
     """[f d_u, g d_v] = f d_u(g) d_v - g d_v(f) d_u on monomials f, g."""
     (u, f), (v, g) = field1, field2
-    e, g_u = _derivative(g, u)
+    e, g_u = derivative(g, u)
     if e:
         yield (v, f.mul(g_u)), Fraction(e)
-    e, f_v = _derivative(f, v)
+    e, f_v = derivative(f, v)
     if e:
         yield (u, g.mul(f_v)), Fraction(-e)
 
@@ -218,7 +197,9 @@ def _poisson_algebra(name: str, d: int, n: int, min_degree: int) -> GradedLieAlg
         tuple(m.weight - 2 for m in monos),
         n - 2,
         lambda m1, m2: (
-            (m, c) for m, c in _poisson_bracket(m1, m2) if m.weight >= min_degree
+            (m, Fraction(c))
+            for m, c in monomial_poisson(m1, m2)
+            if m.weight >= min_degree
         ),
     )
 

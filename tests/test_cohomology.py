@@ -21,7 +21,7 @@ from formaldisc.cohomology import (
     omega_class,
     trivial_module,
 )
-from formaldisc.errors import UsageError
+from formaldisc.errors import CheckFailure, UsageError
 from formaldisc.liealg import GradedLieAlgebra
 from formaldisc.reports import Report
 from formaldisc.sparse import accumulate
@@ -101,6 +101,24 @@ class TestDifferential:
             image = ce_differential(zero_cochain)
             for i in range(sp.dim):
                 assert image.value((i,)) == module.act(i, {m: Fraction(1)})
+
+    def test_broken_action_names_its_witness(self):
+        # ad(x^2) x^2 = 0 shifted to y^2: the first triple that sees it is
+        # (x*y, x^2, x^2), the last pair of sp(2)
+        sp, _ = tower.sp_subalgebra(tower.build_derd_level(1, 1, 4))
+        action = {
+            (i, m): sp.bracket_vec({i: Fraction(1)}, {m: Fraction(1)})
+            for i in range(sp.dim)
+            for m in range(sp.dim)
+        }
+        action[(2, 2)] = {0: Fraction(1)}
+        module = cohomology.LieModule(sp, "broken", sp.labels, sp.weights, action, 0)
+        with pytest.raises(CheckFailure) as failure:
+            module.verify_representation()
+        assert str(failure.value) == (
+            "broken: not a representation on (h^-1*x1*y1, h^-1*x1^2, h^-1*x1^2)"
+        )
+        assert failure.value.witness == {"pair": (1, 2), "module_index": 2}
 
     def test_d_squared_matrix(self):
         h_alg = tower.build_h(1, 5)
@@ -291,6 +309,23 @@ class TestBlockBasisByWeight:
         module = trivial_module(abelian(2))
         assert cochain_block_basis(module, 3, 0) == []
         assert cohomology.tuple_weights((0, 0), 3) == []
+
+    def test_tuples_are_generated_lazily(self):
+        # the first tuple is handed out after the n-step table pass and a
+        # few more reads, not after all C(40, 3) = 9880 tuples are listed
+        class Counted(tuple):
+            reads = 0
+
+            def __getitem__(self, i):
+                Counted.reads += 1
+                return tuple.__getitem__(self, i)
+
+        weights = Counted((1,) * 40)
+        tuples = cohomology._tuples_in_range(weights, 3, 3, 3)
+        assert Counted.reads == 0
+        assert next(tuples) == ((0, 1, 2), 3)
+        assert Counted.reads < 2 * len(weights)
+        assert sum(1 for _ in tuples) == 9880 - 1
 
 
 def _dims_json(tmp_path, algebra, n, d=1):

@@ -104,7 +104,7 @@ class TestFormBivector:
         theta = form_to_bivector(check_symplectic(one_plus_x_form()))
         # (1+x)^{-1} by the alternating geometric series, checked by
         # multiplying back
-        entry = theta.entry(0, 1)
+        entry = theta.entries[(0, 1)]
         product = entry * (one(1, 8) + coord(0, 1, 8))
         assert product == one(1, 8)
         expected = TruncatedPoly.zero(1, 8)

@@ -1,9 +1,11 @@
 """Golden outputs of the CLI on fractional inputs.
 
 The files under `tests/golden/` were written by the Fraction-at-every-step
-kernels.  The stdout and the `--json` file of each command must stay
-byte-identical, so a change of coefficient arithmetic cannot change an
-answer, its term order or its printed form.
+kernels; the `poisson` ones by the bracket built from `partial`, `*` and
+`+`, before it became one sum over monomial pairs.  The stdout and the
+`--json` file of each command must stay byte-identical, so a change of
+coefficient arithmetic cannot change an answer, its term order or its
+printed form.
 """
 
 from pathlib import Path
@@ -16,6 +18,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 FLAGS = ["--d", "1", "--p", "2", "--N", "6"]
 LEFT, RIGHT = "1/2*x1^2 + 3/7*y1*h", "x1*y1 - 2/3*y1^2"
+# h-free, for the Poisson bracket; F's top term brackets past the cutoff
+F = "1/2*x1^2*y1 + 3/7*y1^2 - 5/11*x1^3 + 2/9*x1^2*y1^3"
+G = "x1*y1 - 2/3*y1^3 + 7/5*x1^2*y1^2"
 
 COMMANDS = {
     "transport": [
@@ -24,6 +29,8 @@ COMMANDS = {
     ],
     "weyl_mul": ["weyl", "mul", *FLAGS, LEFT, RIGHT],
     "weyl_comm": ["weyl", "comm", *FLAGS, LEFT, RIGHT],
+    "poisson_standard": ["poisson", F, G, *FLAGS],
+    "poisson_form": ["poisson", F, G, "--form", "(1+x1) * dx1 /\\ dy1", *FLAGS],
 }
 
 

@@ -8,13 +8,16 @@ checks bracket preservation the same way, over every basis pair, with
 `reference_derd_level` builds a derivation level directly from Weyl
 commutators, dropping scalar components, instead of reading it off the
 cached G level.  `reference_g_level`, `reference_derd_from_g`,
-`reference_poisson` (through `standard_poisson`), `reference_w` (through
-polynomial products and partials) and `reference_sp_subalgebra` are the
-hand-written pair loops that `liealg.tabulate` replaced; each builder's
-algebra must equal its reference field by field, bracket order included.
-The `reference_*` extension builders write each short exact
-sequence out by hand, naming its kernel's monomials and the image of every
-tag, where `liealg.aligned_extension` reads the kernel off the tags.
+`reference_poisson` (through `reference_poisson_bracket`, the chain of
+polynomial partials, products and sums), `reference_w` (through polynomial
+products and `reference_partial`) and `reference_sp_subalgebra` are the
+hand-written pair loops that `liealg.tabulate` replaced.  The H, A and W
+references share no code with `series.monomial_poisson` and
+`series.derivative`, the closed forms those algebras are tabulated from.
+Each builder's algebra must equal its reference field by field, bracket
+order included.  The `reference_*` extension builders write each short
+exact sequence out by hand, naming its kernel's monomials and the image of
+every tag, where `liealg.aligned_extension` reads the kernel off the tags.
 `reference_restriction` tabulates a bracket read by tag, where
 `GradedLieAlgebra.restriction` reindexes the stored brackets.  The
 production routes must agree with them exactly: the same exempt counts, the
@@ -28,6 +31,7 @@ from pathlib import Path
 
 import pytest
 from test_linalg import dense_map_block
+from test_series import reference_partial, reference_poisson_bracket
 
 from formaldisc import linalg, tower
 from formaldisc.errors import CheckFailure, InternalError, UsageError
@@ -41,10 +45,10 @@ from formaldisc.liealg import (
 )
 from formaldisc.series import (
     Monomial,
+    PoissonBivector,
     TruncatedPoly,
     all_monomials,
     coordinate_name,
-    standard_poisson,
 )
 from formaldisc.sparse import accumulate, add, common_denominator, sub
 
@@ -196,13 +200,14 @@ def reference_derd_from_g(g, d, q, n):
 
 
 def reference_poisson(d, n, name, min_degree):
-    """Monomials of degree >= min_degree under `standard_poisson`, with
-    components off the basis dropped."""
+    """Monomials of degree >= min_degree under `reference_poisson_bracket`
+    with the standard bivector, with components off the basis dropped."""
     monos = sorted(
         all_monomials(d, n, min_degree=min_degree), key=lambda m: m.sort_key()
     )
     index = {m: k for k, m in enumerate(monos)}
     cutoff = n - 2
+    theta = PoissonBivector.standard(d, n)
     brackets = {}
     for i, mi in enumerate(monos):
         pi = TruncatedPoly(d, n, {mi: Fraction(1)})
@@ -210,7 +215,8 @@ def reference_poisson(d, n, name, min_degree):
             mj = monos[j]
             if mi.weight + mj.weight - 4 > cutoff:
                 continue
-            pb = standard_poisson(pi, TruncatedPoly(d, n, {mj: Fraction(1)}))
+            pj = TruncatedPoly(d, n, {mj: Fraction(1)})
+            pb = reference_poisson_bracket(pi, pj, theta)
             vec = {index[m]: c for m, c in pb.terms.items() if m in index}
             if vec:
                 brackets[(i, j)] = vec
@@ -227,7 +233,8 @@ def reference_poisson(d, n, name, min_degree):
 
 
 def reference_w(d, n):
-    """Vector fields with brackets from polynomial products and partials."""
+    """Vector fields with brackets from polynomial products and partials
+    taken by `reference_partial`."""
     coeff_monos = sorted(all_monomials(d, n), key=lambda m: m.sort_key())
     basis = [(v, m) for m in coeff_monos for v in range(2 * d)]
     basis.sort(key=lambda t: (t[1].weight, t[0], t[1].sort_key()))
@@ -249,7 +256,10 @@ def reference_w(d, n):
                 continue
             fj = TruncatedPoly(d, n, {mj: Fraction(1)})
             # [fi d_u, fj d_v] = fi d_u(fj) d_v - fj d_v(fi) d_u
-            parts = ((fi * fj.partial(u), v, 1), (fj * fi.partial(v), u, -1))
+            parts = (
+                (fi * reference_partial(fj, u), v, 1),
+                (fj * reference_partial(fi, v), u, -1),
+            )
             vec = accumulate(
                 (index[(axis, mono)], sign * c)
                 for poly, axis, sign in parts

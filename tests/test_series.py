@@ -1,4 +1,11 @@
-"""Series kernel: exact ring arithmetic, calculus, forms, Poisson brackets."""
+"""Series kernel: exact ring arithmetic, calculus, forms, Poisson brackets.
+
+`reference_partial` (the per-polynomial exponent-lowering loop) and
+`reference_poisson_bracket` (sum Theta_uv d_u f d_v g through it, `*` and
+`+`) are the slow routes that `partial`, `standard_poisson` and
+`poisson_bracket` replaced with one pass over `derivative` and
+`monomial_poisson`; the kernels must agree with them exactly.
+"""
 
 import random
 from fractions import Fraction
@@ -7,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formaldisc.darboux import check_symplectic, form_to_bivector, standard_form
 from formaldisc.errors import UsageError
 from formaldisc.series import (
     DifferentialForm,
@@ -21,6 +29,7 @@ from formaldisc.series import (
     standard_poisson,
     wedge,
 )
+from formaldisc.sparse import accumulate
 
 D, N = 2, 7
 
@@ -308,6 +317,171 @@ class TestPoisson:
             # weight-N slice of a double bracket sees the discarded tail of
             # theta, so exactness is asserted through weight N-1
             assert jac.truncated(n - 1).is_zero()
+
+
+def reference_partial(p, v):
+    """d/dv by lowering the exponent of v term by term, re-checked by the
+    public constructor."""
+    i, on_x = v % p.d, v < p.d
+
+    def lowered():
+        for m, c in p.terms.items():
+            exps = m.xexp if on_x else m.yexp
+            e = exps[i]
+            if e:
+                less = exps[:i] + (e - 1,) + exps[i + 1 :]
+                if on_x:
+                    yield Monomial(less, m.yexp, m.hexp), c * e
+                else:
+                    yield Monomial(m.xexp, less, m.hexp), c * e
+
+    return TruncatedPoly(p.d, p.cutoff, accumulate(lowered()))
+
+
+def reference_poisson_bracket(f, g, theta):
+    """sum Theta_uv d_u f d_v g as a chain of polynomials: every partial,
+    product and sum is built and truncated on its own."""
+    out = TruncatedPoly.zero(f.d, f.cutoff)
+    for (i, j), entry in theta.entries.items():
+        out = out + entry * (
+            reference_partial(f, i) * reference_partial(g, j)
+            - reference_partial(f, j) * reference_partial(g, i)
+        )
+    return out
+
+
+def assert_trusted(p):
+    """The contract of `TruncatedPoly._trusted`: a dict of nonzero Fractions
+    on d-dimensional monomials within the cutoff."""
+    assert type(p.terms) is dict
+    for m, c in p.terms.items():
+        assert type(c) is Fraction and c != 0, (m, c)
+        assert len(m.xexp) == len(m.yexp) == p.d and m.weight <= p.cutoff, m
+
+
+# denominators up to the Mersenne prime 2^61 - 1, so no lcm is small
+BIG = 2**61 - 1
+wide_coeffs = st.one_of(
+    coeffs,
+    st.sampled_from([Fraction(1, BIG), Fraction(-BIG, 3), Fraction(7, BIG - 2)]),
+    st.fractions(min_value=-9, max_value=9, max_denominator=BIG),
+)
+
+
+@st.composite
+def wide_polys(draw, d, cutoff):
+    """h-free, up to the cutoff, so most term pairs bracket past it."""
+    monos = all_monomials(d, cutoff)
+    terms = draw(st.dictionaries(st.sampled_from(monos), wide_coeffs, max_size=5))
+    return TruncatedPoly(d, cutoff, terms)
+
+
+def curved_theta(d, n):
+    """The bivector of a closed form with non-constant coefficients: the
+    standard form plus d((1 + x1) x1 dy1), and at d=2 also d(x2 y1 dx1)."""
+    alpha = {(d,): TruncatedPoly.x(0, d, n) + TruncatedPoly.x(0, d, n) ** 2}
+    if d == 2:
+        alpha[(0,)] = TruncatedPoly.x(1, d, n) * TruncatedPoly.y(0, d, n)
+    exact = de_rham_d(DifferentialForm(d, n, 1, alpha))
+    return form_to_bivector(check_symplectic(standard_form(d, n) + exact))
+
+
+THETAS = {(1, 6): curved_theta(1, 6), (2, 5): curved_theta(2, 5)}
+
+
+class TestKernelOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([1, 2]), st.data())
+    def test_partial_matches_lowering_loop(self, d, data):
+        p = data.draw(polys(d, N))  # with h terms
+        v = data.draw(st.integers(0, 2 * d - 1))
+        got = p.partial(v)
+        assert_trusted(got)
+        assert got == reference_partial(p, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(1, 6), (2, 5)]), st.data())
+    def test_standard_poisson_matches_chain(self, dn, data):
+        d, n = dn
+        f, g = data.draw(wide_polys(d, n)), data.draw(wide_polys(d, n))
+        got = standard_poisson(f, g)
+        assert_trusted(got)
+        assert got == reference_poisson_bracket(f, g, PoissonBivector.standard(d, n))
+
+    @pytest.mark.parametrize("d, n", [(1, 6), (2, 5)])
+    def test_curved_theta_is_not_constant(self, d, n):
+        theta = THETAS[(d, n)]
+        assert any(len(entry.terms) > 1 for entry in theta.entries.values())
+        # at d=2 an entry off the standard pairs appears, zero at the origin
+        assert d == 1 or any(e.min_weight() > 0 for e in theta.entries.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(1, 6), (2, 5)]), st.data())
+    def test_poisson_bracket_matches_chain(self, dn, data):
+        d, n = dn
+        theta = THETAS[dn]
+        f, g = data.draw(wide_polys(d, n)), data.draw(wide_polys(d, n))
+        got = poisson_bracket(f, g, theta)
+        assert_trusted(got)
+        assert got == reference_poisson_bracket(f, g, theta)
+
+    @pytest.mark.parametrize("d, n", [(1, 6), (2, 5)])
+    def test_cancelling_and_overflowing_pairs(self, d, n):
+        rng = random.Random(14 + d)
+        monos = all_monomials(d, n)
+        theta = THETAS[(d, n)]
+        for _ in range(30):
+            f = TruncatedPoly(
+                d,
+                n,
+                {
+                    rng.choice(monos): Fraction(rng.randrange(-9, 10), BIG)
+                    for _ in range(4)
+                },
+            )
+            # {f, f * f} = 2 f {f, f} = 0 but for the terms f * f loses
+            g = f.scaled(Fraction(BIG, 5)) + f * f
+            for bracket, bivector in (
+                (standard_poisson, PoissonBivector.standard(d, n)),
+                (lambda a, b: poisson_bracket(a, b, theta), theta),
+            ):
+                for a, b in ((f, f), (f, g)):
+                    got = bracket(a, b)
+                    assert_trusted(got)
+                    assert got == reference_poisson_bracket(a, b, bivector)
+                    if a is b:
+                        assert got.terms == {}
+        # every pair over the cutoff: the bracket is the zero polynomial
+        top = [m for m in monos if m.weight == n]
+        f = TruncatedPoly(d, n, {m: Fraction(1, BIG) for m in top})
+        g = TruncatedPoly(d, n, {m: Fraction(BIG, 2) for m in top[::-1]})
+        for got in (standard_poisson(f, g), poisson_bracket(f, g, theta)):
+            assert_trusted(got)
+            assert got.terms == {}
+
+    def test_kernels_build_no_intermediate_polynomial(self, monkeypatch):
+        theta = THETAS[(2, 5)]
+        f = x(0, 2, 5) * y(1, 2, 5) + x(1, 2, 5).scaled(Fraction(1, 3))
+        g = y(0, 2, 5) * y(0, 2, 5) - x(0, 2, 5) * x(1, 2, 5)
+        expected = (
+            [reference_partial(f, v) for v in range(4)],
+            reference_poisson_bracket(f, g, PoissonBivector.standard(2, 5)),
+            reference_poisson_bracket(f, g, theta),
+        )
+        partial = TruncatedPoly.partial
+
+        def refuse(*args):
+            raise AssertionError("an intermediate polynomial was built")
+
+        for name in ("__mul__", "__add__", "__sub__", "partial"):
+            monkeypatch.setattr(TruncatedPoly, name, refuse)
+        got = (
+            [partial(f, v) for v in range(4)],
+            standard_poisson(f, g),
+            poisson_bracket(f, g, theta),
+        )
+        monkeypatch.undo()
+        assert got == expected
 
 
 def poly_from_json(data):
