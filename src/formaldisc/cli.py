@@ -220,9 +220,10 @@ def _cohomology_command(args) -> int:
             raise UsageError(
                 f"cohomology dims --algebra sp needs p >= 0; got p={args.p}"
             )
-        degrees = [int(tok) for tok in args.degrees.split(",") if tok.strip()]
-        if any(k < 0 for k in degrees):
-            raise UsageError(f"cohomology dims needs degrees >= 0; got {args.degrees}")
+        tokens = [tok.strip() for tok in args.degrees.split(",")]
+        if not all(tok.isdecimal() for tok in tokens):
+            raise UsageError(f"cohomology dims needs degrees >= 0; got {args.degrees!r}")
+        degrees = [int(tok) for tok in tokens]
         algebra = _pick_algebra(args.algebra, args.d, args.N)
         module = cohomology.trivial_module(algebra)
         table = {}

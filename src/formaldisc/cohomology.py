@@ -49,9 +49,6 @@ class LieModule:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self):
-        self._index = {label: k for k, label in enumerate(self.labels)}
-
     @property
     def dim(self) -> int:
         return len(self.labels)

@@ -18,7 +18,6 @@ from . import linalg
 from .errors import InternalError, UsageError
 from .series import (
     DifferentialForm,
-    Monomial,
     PoissonBivector,
     Substitution,
     TruncatedPoly,
@@ -26,7 +25,7 @@ from .series import (
     euler_contraction,
     wedge,
 )
-from .weyl import TruncationSpec, WeylElement, star
+from .weyl import TruncationSpec, WeylElement, h_linear_part, star
 
 
 class NotClosedError(UsageError):
@@ -513,11 +512,4 @@ def transported_induced_poisson(
     a2, b2 = a.lifted(phi.cutoff), b.lifted(phi.cutoff)
     pab = transported_product_symbol(phi, a2, b2, spec, phi_inv)
     pba = transported_product_symbol(phi, b2, a2, spec, phi_inv)
-    comm = pab - pba
-    out = {}
-    for mono, coeff in comm.terms.items():
-        if mono.hexp < 1:
-            raise InternalError("transported commutator not divisible by h")
-        if mono.hexp == 1 and mono.weight - 2 <= a.cutoff:
-            out[Monomial(mono.xexp, mono.yexp, 0)] = coeff
-    return TruncatedPoly(a.d, a.cutoff, out)
+    return h_linear_part((pab - pba).terms, a.d, a.cutoff)

@@ -177,31 +177,6 @@ def parse(text: str):
     return _Parser(text).parse()
 
 
-def to_text(node, parent_level=0) -> str:
-    """Print an expression; parse(to_text(e)) reproduces e's value."""
-    levels = {"+": 1, "-": 1, "/\\": 2, "*": 3}
-    if isinstance(node, Num):
-        txt = (
-            str(node.value)
-            if node.value.denominator == 1
-            else f"{node.value.numerator}/{node.value.denominator}"
-        )
-        return f"({txt})" if node.value < 0 and parent_level > 1 else txt
-    if isinstance(node, Sym):
-        return node.name
-    if isinstance(node, Neg):
-        inner = to_text(node.arg, 4)
-        return f"-{inner}" if parent_level <= 1 else f"(-{inner})"
-    if isinstance(node, Pow):
-        return f"{to_text(node.base, 5)}^{node.exponent}"
-    if isinstance(node, BinOp):
-        level = levels[node.op]
-        op = node.op if node.op != "/\\" else "/\\"
-        text = f"{to_text(node.left, level)} {op} {to_text(node.right, level + 1)}"
-        return f"({text})" if level < parent_level else text
-    raise UsageError(f"not an expression node: {node!r}")
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------

@@ -302,13 +302,6 @@ class LinearMap:
             (k, ck * c) for i, c in vec.items() for k, ck in self.column(i).items()
         )
 
-    def compose(self, first: "LinearMap") -> "LinearMap":
-        """self after first."""
-        if first.target is not self.source:
-            raise UsageError("compose chain mismatch")
-        cols = {i: self.apply(first.column(i)) for i in range(first.source.dim)}
-        return LinearMap(first.source, self.target, cols)
-
 
 class LieMap(LinearMap):
     """A LinearMap verified bracket-preserving on every in-cutoff basis pair."""

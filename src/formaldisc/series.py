@@ -9,10 +9,11 @@ raises UsageError, never coerces.
 
 Monomial calculus lives here alone: `derivative` and the closed-form
 bracket `monomial_poisson` underlie `partial`, both Poisson brackets and the
-tower's H, A and W.  Products are integer-first: `__mul__`, the brackets and
-`Substitution.apply` scale their operands to ints by the lcm of the
-denominators (`sparse.integral`), sum on ints and divide once per output
-term (`sparse.rational`).
+tower's H, A and W.  The term-map mechanics that `weyl` shares live here
+too: one checked constructor (`_checked_terms`) and one integer-first pair
+loop (`_pair_sum`) behind `__mul__`, `standard_poisson`, `weyl.star` and
+`weyl.commutator`.  The loop and `Substitution.apply` scale their operands
+to ints (`sparse.integral`), sum on ints and divide once per output term.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ def _lowered(terms, v: int) -> dict:
     return {m_v: c * e for m, c in terms.items() for e, m_v in (derivative(m, v),) if e}
 
 
+def _monomial_product(m1: Monomial, m2: Monomial):
+    return ((m1.mul(m2), 1),)
+
+
 def monomial_poisson(m1: Monomial, m2: Monomial):
     """{x^a y^b, x^c y^e} = sum_i (a_i e_i - b_i c_i) x^(a+c-1_i) y^(b+e-1_i),
     as (monomial, int) pairs; the standard bracket of h-free monomials."""
@@ -105,28 +110,43 @@ def monomial_poisson(m1: Monomial, m2: Monomial):
             yield Monomial(_lower(xs, i), _lower(ys, i)), coeff
 
 
-def _pair_sum(f: "TruncatedPoly", g: "TruncatedPoly", room: int, product):
+def _pair_sum(left: dict, right: dict, room: int, product) -> dict:
     """The integer-first sum of n1 * n2 * product(m1, m2) over the term pairs
-    of f and g whose weights sum to at most `room`; `product` yields
-    (monomial, int) pairs within the cutoff."""
-    f._check_compat(g)
-    if not (f.terms and g.terms):  # nothing to scale or sum
-        return TruncatedPoly._trusted(f.d, f.cutoff, {})
-    la, left = integral(f.terms)
-    lb, right = integral(g.terms)
+    of two term maps whose weights sum to at most `room`; `product` gives
+    (monomial, int) pairs within the truncation, and a pair it drops costs
+    no coefficient product."""
+    la, left = integral(left)
+    lb, right = integral(right)
     right = [(m2, n2, m2.weight) for m2, n2 in right.items()]
-    terms = rational(
+    return rational(
         (
-            (m, n1 * n2 * k)
+            (m, n * k)
             for m1, n1 in left.items()
             for rest in (room - m1.weight,)
             for m2, n2, w2 in right
             if w2 <= rest
-            for m, k in product(m1, m2)
+            for out in (product(m1, m2),)
+            if out
+            for n in (n1 * n2,)
+            for m, k in out
         ),
         la * lb,
     )
-    return TruncatedPoly._trusted(f.d, f.cutoff, terms)
+
+
+def _checked_terms(terms, d: int, cutoff: int, h_order: int) -> dict:
+    """The term map of a public constructor, checked: coefficients made exact,
+    zeros and monomials past the h-order or the weight cutoff dropped, and a
+    monomial of another dimension refused."""
+    clean = {}
+    for mono, coeff in (terms or {}).items():
+        coeff = as_fraction(coeff)
+        if coeff == 0 or mono.hexp > h_order or mono.weight > cutoff:
+            continue
+        if mono.dimension != d or len(mono.yexp) != d:
+            raise UsageError(f"monomial {mono} does not match dimension {d}")
+        clean[mono] = coeff
+    return clean
 
 
 class TruncatedPoly(LinearTerms):
@@ -147,16 +167,8 @@ class TruncatedPoly(LinearTerms):
             raise UsageError(f"cutoff must be >= 0, got {cutoff}")
         self.d = d
         self.cutoff = cutoff
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = as_fraction(coeff)
-                if coeff == 0 or mono.weight > cutoff:
-                    continue
-                if mono.dimension != d or len(mono.yexp) != d:
-                    raise UsageError(f"monomial {mono} does not match dimension {d}")
-                clean[mono] = coeff
-        self.terms = clean
+        # weight >= 2 * hexp, so h-order cutoff // 2 drops nothing more
+        self.terms = _checked_terms(terms, d, cutoff, cutoff // 2)
 
     # -- constructors ------------------------------------------------------
 
@@ -258,7 +270,9 @@ class TruncatedPoly(LinearTerms):
             return self.scaled(other)
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
-        return _pair_sum(self, other, self.cutoff, lambda m1, m2: ((m1.mul(m2), 1),))
+        self._check_compat(other)
+        terms = _pair_sum(self.terms, other.terms, self.cutoff, _monomial_product)
+        return TruncatedPoly._trusted(self.d, self.cutoff, terms)
 
     __rmul__ = __mul__  # a TruncatedPoly operand is always on the left
 
@@ -727,7 +741,9 @@ def standard_poisson(f: TruncatedPoly, g: TruncatedPoly) -> TruncatedPoly:
     over the term pairs whose weights fit under cutoff + 2."""
     if f.depends_on_h() or g.depends_on_h():
         raise UsageError("standard_poisson inputs must be h-free")
-    return _pair_sum(f, g, f.cutoff + 2, monomial_poisson)
+    f._check_compat(g)
+    terms = _pair_sum(f.terms, g.terms, f.cutoff + 2, monomial_poisson)
+    return TruncatedPoly._trusted(f.d, f.cutoff, terms)
 
 
 def all_monomials(d: int, max_degree: int, min_degree: int = 0):

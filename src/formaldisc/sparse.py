@@ -8,12 +8,12 @@ A stored vector never holds a zero.  Vectors kept inside shared objects
 (cached structure constants, map columns) are held in `FrozenVectors`, so a
 caller cannot change them in place.
 
-The products of term maps (`weyl.star` and `weyl.commutator`,
-`TruncatedPoly.__mul__` and `Substitution.apply`) compute integer-first
-through the bridge here: `integral` scales a term map by the lcm of its
-denominators to int coefficients, the products are summed on ints, and
-`rational` divides each summed int by the common scale, so one `Fraction`
-is built per output term.
+The products of term maps (`series._pair_sum`, the one pair loop behind
+`TruncatedPoly.__mul__`, `standard_poisson`, `weyl.star` and
+`weyl.commutator`, and `Substitution.apply`) compute integer-first here:
+`integral` scales a term map by the lcm of its denominators to int
+coefficients, the products are summed on ints, and `rational` divides each
+summed int by the common scale, so one `Fraction` is built per output term.
 """
 
 from __future__ import annotations

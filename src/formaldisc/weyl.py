@@ -14,11 +14,10 @@ y^b x^a = sum_k (-h)^k k! C(b,k) C(a,k) x^(a-k) y^(b-k).  `star`, `iota`
 and `normal_order` all go through it.  `commutator` has a kernel of its own
 on the same contraction loop: the uncontracted terms of m1 m2 and m2 m1
 cancel, so it sums only the contractions of the two orders and never calls
-`star`.  Both kernels return int multipliers, and `star` and `commutator`
-extend them integer-first: each operand is scaled to ints by the lcm of its
-denominators, every pair product is summed on ints, and one `Fraction` is
-built per output term.  Kernel outputs are wrapped without re-checking; the
-public `WeylElement` constructor checks every term.
+`star`.  Both kernels return int multipliers; the term-map mechanics are
+those of `series`: `star` and `commutator` extend a kernel through its
+integer-first pair loop, `WeylElement` checks its terms as `TruncatedPoly`
+does, and `h_linear_part` reads (1/h)[a, b] mod h for both bracket routes.
 `normal_order_random_strategy` rewrites words with the defining relation
 y_j x_i -> x_i y_j - delta_ij h at random positions; it is kept as the
 independent oracle.
@@ -28,11 +27,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, perm
 
 from .errors import InternalError, UsageError
-from .series import Monomial, TruncatedPoly, standard_poisson, unit_monomial
-from .sparse import LinearTerms, accumulate, as_fraction, integral, rational
+from .series import (
+    Monomial,
+    TruncatedPoly,
+    _checked_terms,
+    _pair_sum,
+    standard_poisson,
+    unit_monomial,
+)
+from .sparse import LinearTerms, accumulate, as_fraction
 
 
 @dataclass(frozen=True)
@@ -65,19 +72,7 @@ class WeylElement(LinearTerms):
 
     def __init__(self, spec: TruncationSpec, terms=None):
         self.spec = spec
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not isinstance(coeff, Fraction):
-                    coeff = as_fraction(coeff)
-                if coeff == 0:
-                    continue
-                if mono.hexp > spec.h_order or mono.weight > spec.cutoff:
-                    continue
-                if mono.dimension != spec.d:
-                    raise UsageError(f"monomial {mono} does not match d={spec.d}")
-                clean[mono] = coeff
-        self.terms = clean
+        self.terms = _checked_terms(terms, spec.d, spec.cutoff, spec.h_order)
 
     # -- constructors ------------------------------------------------------
 
@@ -255,41 +250,12 @@ def _normal_commutator(m1: Monomial, m2: Monomial, spec: TruncationSpec):
     return _contracted(m1, m2, forward) + _contracted(m1, m2, backward, -1)
 
 
-def _bilinear(kernel, a: WeylElement, b: WeylElement) -> WeylElement:
-    """The bilinear extension of a monomial kernel to every pair of terms.
-
-    Integer-first: each operand is scaled to ints by its own lcm
-    denominator, and the kernel's int multipliers are summed on ints and
-    divided once per output term by the product of the two.  Each weight is
-    read once per term, and a pair whose weights sum past the cutoff never
-    reaches the kernel.
-    """
-    a._check_compat(b)
-    spec = a.spec
-    cutoff = spec.cutoff
-    la, left = integral(a.terms)
-    lb, right = integral(b.terms)
-    right = [(mb, ib, mb.weight) for mb, ib in right.items()]
-    terms = rational(
-        (
-            (mono, n * k)
-            for ma, ia in left.items()
-            for room in (cutoff - ma.weight,)
-            for mb, ib, wb in right
-            if wb <= room
-            for out in (kernel(ma, mb, spec),)
-            if out  # a pair the kernel drops costs no coefficient product
-            for n in (ia * ib,)
-            for mono, k in out
-        ),
-        la * lb,
-    )
-    return WeylElement._trusted(spec, terms)
-
-
 def star(a: WeylElement, b: WeylElement) -> WeylElement:
     """Associative product of D_p: the product kernel on every pair of terms."""
-    return _bilinear(_normal_product, a, b)
+    a._check_compat(b)
+    spec = a.spec
+    kernel = partial(_normal_product, spec=spec)
+    return WeylElement._trusted(spec, _pair_sum(a.terms, b.terms, spec.cutoff, kernel))
 
 
 def normal_order(word, spec: TruncationSpec, scalar=1) -> WeylElement:
@@ -366,7 +332,10 @@ def normal_order_random_strategy(word, spec: TruncationSpec, rng, scalar=1) -> W
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """[a, b] = a b - b a: the commutator kernel on every pair of terms."""
-    return _bilinear(_normal_commutator, a, b)
+    a._check_compat(b)
+    spec = a.spec
+    kernel = partial(_normal_commutator, spec=spec)
+    return WeylElement._trusted(spec, _pair_sum(a.terms, b.terms, spec.cutoff, kernel))
 
 
 def iota(a: WeylElement) -> WeylElement:
@@ -410,16 +379,21 @@ def induced_poisson(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
     inner = TruncationSpec(a.d, 1, a.cutoff + 2)
     wa = WeylElement(inner, dict(a.terms))
     wb = WeylElement(inner, dict(b.terms))
-    comm = commutator(wa, wb)
+    return h_linear_part(commutator(wa, wb).terms, a.d, a.cutoff)
+
+
+def h_linear_part(terms, d: int, cutoff: int) -> TruncatedPoly:
+    """(1/h) times a commutator's term map, mod h, at weight cutoff; every
+    term of a commutator carries h, so one without is an internal fault."""
     out = {}
-    for mono, coeff in comm.terms.items():
+    for mono, coeff in terms.items():
         if mono.hexp < 1:
             raise InternalError(
                 f"commutator term {mono} not divisible by h (must never happen)"
             )
-        if mono.hexp == 1 and mono.weight - 2 <= a.cutoff:
+        if mono.hexp == 1 and mono.weight - 2 <= cutoff:
             out[Monomial(mono.xexp, mono.yexp, 0)] = coeff
-    return TruncatedPoly(a.d, a.cutoff, out)
+    return TruncatedPoly._trusted(d, cutoff, out)
 
 
 def center_check(a: WeylElement) -> bool:

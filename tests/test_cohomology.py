@@ -515,6 +515,15 @@ def _random_cochain(module, k, rng, weights):
     return Cochain(module, k, values)
 
 
+# (module, whether some tuple of it has an over-cutoff bracket pair)
+ORACLE_MODULES = {
+    "H(1,5)-trivial": (trivial_module(tower.build_h(1, 5)), True),
+    "W(1,3)-two-weights": (trivial_module(tower.build_w(1, 3), ("a", "b"), (0, 2)), True),
+    "sp(2)-adjoint": (_adjoint(tower.sp_algebra(1)), False),
+    "H(1,3)-adjoint": (_adjoint(tower.build_h(1, 3)), True),
+}
+
+
 class TestDifferentialOracle:
     """`ce_differential` visits only the tuples of reachable total weight;
     the full sweep over every tuple must give the same values, in the same
@@ -535,14 +544,7 @@ class TestDifferentialOracle:
         assert got.is_zero() and got.excluded > 0
 
     @pytest.mark.parametrize(
-        "module,overflows",
-        [
-            (trivial_module(tower.build_h(1, 5)), True),
-            (trivial_module(tower.build_w(1, 3), ("a", "b"), (0, 2)), True),
-            (_adjoint(tower.sp_algebra(1)), False),
-            (_adjoint(tower.build_h(1, 3)), True),
-        ],
-        ids=["H(1,5)-trivial", "W(1,3)-two-weights", "sp(2)-adjoint", "H(1,3)-adjoint"],
+        "module,overflows", list(ORACLE_MODULES.values()), ids=list(ORACLE_MODULES)
     )
     def test_random_cochains(self, module, overflows):
         rng = random.Random(module.algebra.name)
@@ -555,6 +557,33 @@ class TestDifferentialOracle:
                 excluded += got.excluded
         self._check(Cochain(module, 1), module)
         assert (excluded > 0) == overflows
+
+    @pytest.mark.parametrize(
+        "module,overflows", list(ORACLE_MODULES.values()), ids=list(ORACLE_MODULES)
+    )
+    def test_block_columns(self, module, overflows):
+        """Each column of `_block_rows` is the full sweep's differential of its
+        unit cochain, and each block excludes what the sweep excludes.  A
+        seeded sample of up to four columns per (k, w) block, k = 0..2."""
+        rng = random.Random(module.algebra.name)
+        columns, excluded = 0, 0
+        for k in range(3):
+            totals = cohomology.tuple_weights(module.algebra.weights, k)
+            for w in sorted({t - wm for t in totals for wm in module.weights}):
+                rows, src, tgt, block_excluded = cohomology._block_rows(module, k, w)
+                for c in sorted(rng.sample(range(len(src)), min(4, len(src)))):
+                    idx, m = src[c]
+                    unit = Cochain(module, k, {idx: {m: Fraction(1)}})
+                    values, sweep_excluded = reference_ce_differential(unit, module)
+                    column = {}
+                    for (target, m_out), row in zip(tgt, rows):
+                        if c in row:
+                            column.setdefault(target, {})[m_out] = row[c]
+                    assert column == values, (k, w, src[c])
+                    assert block_excluded == sweep_excluded, (k, w, src[c])
+                    columns += 1
+                    excluded += block_excluded
+        assert columns > 0 and (excluded > 0) == overflows
 
 
 class TestObstructionFault:

@@ -11,8 +11,11 @@ contract of the unchecked `_trusted` wrappers: nonzero `Fraction`s on
 monomials of the right dimension inside the truncation.
 """
 
+import ast
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +224,20 @@ def test_substitution_matches_the_fraction_route(d, cutoff):
         assert_clean(got, d, cutoff)
         got.clear()  # a returned dict is the caller's own
     assert sub.apply({}) == {}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
+# a call of the integer bridge of `sparse`: `integral(...)` or `rational(...)`
+BRIDGE_CALL = re.compile(r"\b(?:integral|rational)\(")
+
+
+def test_weyl_and_darboux_use_the_series_pair_loop():
+    """The integer-first pair loop is `series._pair_sum` alone: `weyl` and
+    `darboux` hand it term maps and never scale or divide on their own."""
+    for name in ("weyl.py", "darboux.py"):
+        text = (SRC / name).read_text()
+        assert not BRIDGE_CALL.search(text), name
+        defined = {getattr(node, "name", None) for node in ast.walk(ast.parse(text))}
+        assert "_bilinear" not in defined, name
+    # the pattern is not vacuous: it finds the calls of the pair loop itself
+    assert BRIDGE_CALL.search((SRC / "series.py").read_text())

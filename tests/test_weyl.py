@@ -401,6 +401,10 @@ class TestTrustedBoundary:
             WeylElement(SPEC, {Monomial((1, 0), (0, 0), 0): Fraction(1)})
         with pytest.raises(UsageError):
             commutator(gen("x1"), gen("x1")).scaled(0.5)
+        # y-exponents of the wrong length are refused at the door, with the
+        # message of TruncatedPoly, not left to fail when the element prints
+        with pytest.raises(UsageError, match=r"does not match dimension 1$"):
+            WeylElement(TruncationSpec(1, 2, 6), {Monomial((1,), (1, 0), 0): 1})
 
 
 class TestIota:
