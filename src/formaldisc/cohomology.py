@@ -5,6 +5,13 @@ output), so every computation here is blocked by degree and weight: each
 (k, w) block is an independent finite matrix over Q, and ranks are exact.
 Tuples whose brackets or actions overflow a cutoff are excluded from sweeps
 and counted, never silently truncated.
+
+Dimensions split each block further into torus slices.  The torus is read
+off the bracket table (`_grades`): weight-0 basis elements acting
+diagonally.  The differential keeps torus weight, and by the Cartan
+homotopy formula a slice of nonzero torus weight is acyclic unless one of
+its degree-k tuples is excluded, so `cohomology_dim` builds and ranks only
+the zero slice and the slices with exclusions.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import merge
 from itertools import combinations
+from operator import add, ge, le, sub
 
 from . import linalg
 from .errors import CheckFailure, UsageError
@@ -24,7 +33,8 @@ from .liealg import (
     aligned_extension,
     extension_defect_cochain,
 )
-from .sparse import EMPTY, accumulate, add, scale, sub
+from . import sparse
+from .sparse import EMPTY, accumulate, scale
 
 ZERO = Fraction(0)
 
@@ -44,10 +54,13 @@ class LieModule:
     weights: tuple[int, ...]
     action: dict[tuple[int, int], Vector]
     cutoff: int
-    # (k, w) -> (dim C^k(w), rank of d_k there), filled by cohomology_dim
+    # (k, w, tau) -> (dim C^k_tau(w), rank of d_k there) for a torus slice
+    # tau, ints only, filled by cohomology_dim; no basis outlives its slice
     _block_ranks: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # (algebra grades, module grades), read off the tables by `_grades`
+    _grades: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -59,6 +72,19 @@ class LieModule:
             for m, c in vec.items()
             for k, a in self.action.get((i, m), EMPTY).items()
         )
+
+    def acts_as_bracket(self, i: int, j: int, m: int) -> bool:
+        """rho([e_i, e_j]) v_m == [rho(e_i), rho(e_j)] v_m, as stored."""
+        via_bracket = accumulate(
+            (t, a * c)
+            for k, c in self.algebra.bracket(i, j).items()
+            for t, a in self.action.get((k, m), EMPTY).items()
+        )
+        direct = sparse.sub(
+            self.act(i, self.action.get((j, m), EMPTY)),
+            self.act(j, self.action.get((i, m), EMPTY)),
+        )
+        return via_bracket == direct
 
     def module_indices_of_weight(self, w: int):
         return [m for m, wm in enumerate(self.weights) if wm == w]
@@ -83,18 +109,8 @@ class LieModule:
                 wj = g.weights[j]
                 checked = acting(-1, self.cutoff - max(wi, wj, wi + wj))
                 exempt += self.dim - len(checked)
-                bracket = g.bracket(i, j)
                 for m in checked:
-                    via_bracket = accumulate(
-                        (t, a * c)
-                        for k, c in bracket.items()
-                        for t, a in self.action.get((k, m), EMPTY).items()
-                    )
-                    direct = sub(
-                        self.act(i, self.action.get((j, m), EMPTY)),
-                        self.act(j, self.action.get((i, m), EMPTY)),
-                    )
-                    if via_bracket != direct:
+                    if not self.acts_as_bracket(i, j, m):
                         raise CheckFailure(
                             f"{self.name}: not a representation on "
                             f"({self.algebra.labels[i]}, {self.algebra.labels[j]}, "
@@ -145,7 +161,7 @@ class Cochain:
             raise UsageError("cochain mismatch")
         values = dict(self.values)
         for idx, vec in other.values.items():
-            values[idx] = add(values.get(idx, EMPTY), vec)
+            values[idx] = sparse.add(values.get(idx, EMPTY), vec)
         values = {idx: vec for idx, vec in values.items() if vec}
         return Cochain(self.module, self.degree, values, self.excluded + other.excluded)
 
@@ -195,10 +211,9 @@ def ce_differential(cochain: Cochain, module: LieModule | None = None) -> Cochai
     slots = list(combinations(range(k + 1), 2))
     values: dict[tuple, Vector] = {}
     excluded = 0
-    lo, hi = min(reachable_totals), max(reachable_totals)
-    for idx, total in _tuples_in_range(g.weights, k + 1, lo, hi):
-        if total not in reachable_totals:
-            continue
+    grading = _Grading([(w,) for w in g.weights])
+    tuples = (_tuples_in_range(grading, k + 1, (t,)) for t in reachable_totals)
+    for idx in merge(*tuples):
         if not all(g.in_cutoff_pair(idx[a], idx[b]) for a, b in slots):
             excluded += 1
             continue
@@ -247,43 +262,106 @@ def tuple_weights(weights, k: int) -> list[int]:
     return sorted(sums[k])
 
 
-def _tuples_in_range(weights, k: int, lo: int, hi: int):
-    """Increasing k-tuples of indices whose weight sum lies in [lo, hi], in
-    lexicographic order, each with its sum, generated lazily.
+class _Grading:
+    """The grade vectors of a basis: grades[i] is the weight of index i, then
+    its torus weights (see `_grades`).
 
-    A pruned recursion: least[i][r] and most[i][r] bound the sum of r more
-    indices taken from i on, so no branch is entered that cannot reach the
-    range; the last index is taken in a flat loop.  Weights need not be sorted.
+    The pruning tables of `_tuples_in_range` are built on first use, to the
+    largest tuple size asked for so far, and kept, so that every slice of
+    one module shares them.
     """
-    n = len(weights)
-    if k < 0 or k > n:
+
+    def __init__(self, grades):
+        self.grades = grades
+        self.indices_of = {}  # grade -> its indices, ascending
+        self.least = self.most = None
+        self.depth = -1
+
+    def bounds(self, k: int):
+        """(least, most): least[i][r] and most[i][r] bound each coordinate of
+        the grade sum of r more indices taken from i on, for r <= k.  Filled
+        for r <= n - i, the only (i, r) the recursion reaches."""
+        if k > self.depth:
+            grades, n = self.grades, len(self.grades)
+            zero = tuple(0 for _ in grades[0]) if n else ()
+            least = [[zero] * (k + 1) for _ in range(n + 1)]
+            most = [[zero] * (k + 1) for _ in range(n + 1)]
+            fill = not self.indices_of
+            for i in range(n - 1, -1, -1):
+                g = grades[i]
+                if fill:
+                    self.indices_of.setdefault(g, []).insert(0, i)
+                for r in range(1, min(k, n - i) + 1):
+                    low = tuple(map(add, g, least[i + 1][r - 1]))
+                    high = tuple(map(add, g, most[i + 1][r - 1]))
+                    if r < n - i:  # index i may also be skipped
+                        low = tuple(map(min, low, least[i + 1][r]))
+                        high = tuple(map(max, high, most[i + 1][r]))
+                    least[i][r], most[i][r] = low, high
+            self.least, self.most, self.depth = least, most, k
+        return self.least, self.most
+
+
+def _tuples_in_range(grading: _Grading, k: int, target: tuple, cutoff=None):
+    """Increasing k-tuples of indices whose grades sum to `target`, in
+    lexicographic order, generated lazily; with a cutoff, only those whose
+    pairs all have weight sums within it.
+
+    A pruned recursion on the room left between the target and the sum so
+    far: an index is taken only when the tables of `_Grading.bounds` say,
+    coordinate by coordinate, that the indices after it can still fill that
+    room, and the loop over the next index stops once no index from there
+    on can (least[j][r] only grows with j, and most[j][r] only falls).  The
+    cutoff caps the weight of each later index by cutoff minus the largest
+    weight taken, so r more indices add at most r caps.  The last index is
+    looked up by its grade.  Grades need not be sorted.
+    """
+    grades, n = grading.grades, len(grading.grades)
+    if k == 0 and not any(target):
+        yield ()
+    if k < 1 or k > n:
         return
-    # filled for r <= n - i, the only (i, r) the recursion reaches
-    least = [[0] * (k + 1) for _ in range(n + 1)]
-    most = [[0] * (k + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        w = weights[i]
-        for r in range(1, min(k, n - i) + 1):
-            least[i][r] = w + least[i + 1][r - 1]
-            most[i][r] = w + most[i + 1][r - 1]
-            if r < n - i:  # index i may also be skipped
-                least[i][r] = min(least[i][r], least[i + 1][r])
-                most[i][r] = max(most[i][r], most[i + 1][r])
+    least, most = grading.bounds(k)
+    indices_of = grading.indices_of
 
-    def extend(start, r, total, prefix):
-        if total + least[start][r] > hi or total + most[start][r] < lo:
+    def extend(start, r, room, cap, prefix):
+        if r == 1:
+            js = indices_of.get(room, ()) if room[0] <= cap else ()
+            yield from (prefix + (j,) for j in js[bisect_left(js, start) :])
             return
-        if r == 0:  # k == 0: the empty tuple
-            yield prefix, total
-        elif r == 1:
-            for j in range(start, n):
-                if lo <= (t := total + weights[j]) <= hi:
-                    yield prefix + (j,), t
-        else:
-            for j in range(start, n - r + 1):
-                yield from extend(j + 1, r - 1, total + weights[j], prefix + (j,))
+        for j in range(start, n - r + 1):
+            if not (all(map(le, least[j][r], room)) and all(map(ge, most[j][r], room))):
+                break
+            g = grades[j]
+            inner = min(cap, cutoff - g[0])
+            rest = tuple(map(sub, room, g))
+            if (
+                g[0] <= cap
+                and rest[0] <= (r - 1) * inner
+                and all(map(le, least[j + 1][r - 1], rest))
+                and all(map(ge, most[j + 1][r - 1], rest))
+            ):
+                yield from extend(j + 1, r - 1, rest, inner, prefix + (j,))
 
-    yield from extend(0, k, 0, ())
+    top = most[0][1][0]  # the largest weight
+    if cutoff is None:
+        cutoff = 2 * top  # caps no index
+    yield from extend(0, k, target, top, ())
+
+
+def _graded_basis(grading: _Grading, module_grades, k: int, grade: tuple, cutoff=None):
+    """The (tuple, m) pairs of degree k whose input grade minus the grade of
+    v_m is `grade`, in lexicographic (tuple, m) order; with a cutoff, only
+    the tuples without an over-cutoff pair."""
+    targets: dict[tuple, list] = {}  # input grade -> module indices it pairs with
+    for m, gm in enumerate(module_grades):
+        targets.setdefault(tuple(map(add, grade, gm)), []).append(m)
+    return sorted(
+        (idx, m)
+        for target, ms in targets.items()
+        for idx in _tuples_in_range(grading, k, target, cutoff)
+        for m in ms
+    )
 
 
 def cochain_block_basis(module: LieModule, k: int, weight: int):
@@ -292,30 +370,81 @@ def cochain_block_basis(module: LieModule, k: int, weight: int):
     In lexicographic (tuple, m) order; only the tuples of a matching input
     weight are generated.
     """
-    targets: dict[int, list] = {}  # input weight -> module indices it pairs with
-    for m, wm in enumerate(module.weights):
-        targets.setdefault(weight + wm, []).append(m)
-    if not targets:
-        return []
-    tuples = _tuples_in_range(module.algebra.weights, k, min(targets), max(targets))
-    return [(idx, m) for idx, total in tuples for m in targets.get(total, ())]
+    grading = _Grading([(w,) for w in module.algebra.weights])
+    return _graded_basis(grading, [(w,) for w in module.weights], k, (weight,))
 
 
-def _block_rows(module: LieModule, k: int, weight: int):
-    """The CE differential C^k(w) -> C^{k+1}(w) as sparse rows.
+def _grades(module: LieModule):
+    """(grade of each algebra basis element, grade of each module vector):
+    its weight, then one torus weight per torus element, read off the
+    bracket table once per module.
+
+    A torus element is a weight-0 basis element t with [t, e_j] in cutoff
+    and equal to lambda_t(j) e_j for every j, and rho(t) v_m = mu_t(m) v_m
+    for every m; the multiples are read exactly.  An element acting by 0
+    throughout adds nothing and is left out.
+
+    Jacobi on (t, e_i, e_j) puts every stored [e_i, e_j] in torus weight
+    lambda_t(i) + lambda_t(j), and the representation rule on (t, e_i) puts
+    rho(e_i) v_m in lambda_t(i) + mu_t(m), so the differential keeps torus
+    weight.  The stored bracket obeys Jacobi wherever a truncated algebra
+    does, but a truncated action can fail the representation rule (a
+    negative weight brings an action past the module cutoff back under
+    it), and then d^2 != 0 and no slice may be skipped: a nonzero action
+    must represent the stored bracket on every in-cutoff pair and every
+    module vector, none exempt, or no torus is read.
+    """
+    if module._grades is None:
+        g = module.algebra
+        lams, mus = [], []
+        represents = not module.action or all(
+            module.acts_as_bracket(i, j, m)
+            for i, j in combinations(range(g.dim), 2)
+            if g.in_cutoff_pair(i, j)
+            for m in range(module.dim)
+        )
+        if represents and all(w <= g.cutoff for w in g.weights):
+            for t in g.basis_indices_of_weight(0):
+                lam = _eigenvalues([g.bracket(t, j) for j in range(g.dim)])
+                mu = _eigenvalues(
+                    [module.action.get((t, m), EMPTY) for m in range(module.dim)]
+                )
+                if lam is not None and mu is not None and (any(lam) or any(mu)):
+                    lams.append(lam)
+                    mus.append(mu)
+        module._grades = (
+            _Grading(list(zip(g.weights, *lams))),
+            list(zip(module.weights, *mus)),
+        )
+    return module._grades
+
+
+def _eigenvalues(images):
+    """[c_j] when images[j] is c_j e_j for every j, else None; a c_j that is
+    an integer is kept as an int."""
+    out = []
+    for j, vec in enumerate(images):
+        if any(i != j for i in vec):
+            return None
+        c = vec.get(j, 0)
+        out.append(c.numerator if c.denominator == 1 else c)
+    return out
+
+
+def _rows(module: LieModule, k: int, weight: int, src, tgt):
+    """The CE differential from the span of `src` to that of `tgt`, in
+    cochain weight w, as sparse rows.
 
     Built in a single pass over the target tuples: each target tuple's CE
     formula names exactly the source basis elements it reads, so the block
     costs O(#target tuples) rather than one full differential per column.
     Every target tuple pairs with a module vector of weight (tuple total - w),
     so a tuple with an over-cutoff bracket pair could meet the block; it is
-    dropped (its rows stay empty) and counted.  Returns (rows, source basis,
-    target basis, excluded tuple count), where rows[r] maps source positions
-    to the nonzero entries of the row of tgt[r], summed through `accumulate`.
+    dropped (its rows stay empty) and counted.  Returns (rows, excluded tuple
+    count), where rows[r] maps source positions to the nonzero entries of the
+    row of tgt[r], summed through `accumulate`.
     """
     g = module.algebra
-    src = cochain_block_basis(module, k, weight)
-    tgt = cochain_block_basis(module, k + 1, weight)
     src_pos = {key: c for c, key in enumerate(src)}
     slots = list(combinations(range(k + 1), 2))
     # tgt lists the module indices of each tuple next to each other
@@ -356,6 +485,18 @@ def _block_rows(module: LieModule, k: int, weight: int):
                         if col is not None:
                             terms[m].append((col, sign * parity * cb))
         rows.extend(accumulate(pairs) for pairs in terms.values())
+    return rows, excluded
+
+
+def _block_rows(module: LieModule, k: int, weight: int):
+    """The CE differential C^k(w) -> C^{k+1}(w) as sparse rows (see `_rows`).
+
+    Returns (rows, source basis, target basis, excluded tuple count), the
+    bases as `cochain_block_basis` lists them.
+    """
+    src = cochain_block_basis(module, k, weight)
+    tgt = cochain_block_basis(module, k + 1, weight)
+    rows, excluded = _rows(module, k, weight, src, tgt)
     return rows, src, tgt, excluded
 
 
@@ -375,20 +516,70 @@ def differential_block(module: LieModule, k: int, weight: int):
     return matrix, src, tgt, excluded
 
 
-def _block_rank(module: LieModule, k: int, weight: int):
-    """(dim C^k(w), rank of d_k on it), built and ranked once per module."""
-    key = (k, weight)
+def _slice_rows(module: LieModule, k: int, weight: int, tau: tuple):
+    """The torus slice tau of `_block_rows`: (rows, source basis), without
+    the empty rows of excluded target tuples, which are never generated.
+    The differential keeps torus weight, so no row of the slice reads a
+    column outside it."""
+    grading, module_grades = _grades(module)
+    grade, cutoff = (weight, *tau), module.algebra.cutoff
+    src = _graded_basis(grading, module_grades, k, grade)
+    tgt = _graded_basis(grading, module_grades, k + 1, grade, cutoff)
+    return _rows(module, k, weight, src, tgt)[0], src
+
+
+def _block_rank(module: LieModule, k: int, weight: int, tau: tuple):
+    """(dim C^k_tau(w), rank of d_k on it), built and ranked once per module."""
+    key = (k, weight, tau)
     if key not in module._block_ranks:
-        rows, src, _, _ = _block_rows(module, k, weight)
+        rows, src = _slice_rows(module, k, weight, tau)
         module._block_ranks[key] = (len(src), linalg.rank_rows(rows, len(src)))
     return module._block_ranks[key]
 
 
+def _live_slices(module: LieModule, k: int, weight: int):
+    """The torus slices of C^k(w) that can carry cohomology, ascending: 0, and
+    every slice holding a k-tuple with an over-cutoff bracket pair."""
+    grading, module_grades = _grades(module)
+    grades, g = grading.grades, module.algebra
+    live = {(0,) * (len(grades[0]) - 1 if grades else 0)}
+    slots = list(combinations(range(k), 2))
+    for idx, m in cochain_block_basis(module, k, weight) if slots else ():
+        if not all(g.in_cutoff_pair(idx[a], idx[b]) for a, b in slots):
+            total = map(sum, zip(*(grades[i] for i in idx)))
+            live.add(tuple(map(sub, total, module_grades[m]))[1:])
+    return sorted(live)
+
+
 def cohomology_dim(module: LieModule, k: int, weight: int) -> int:
-    """dim H^k at one cochain weight, by exact rank-nullity."""
-    dim_ck, rank_k = _block_rank(module, k, weight)
-    rank_prev = _block_rank(module, k - 1, weight)[1] if k else 0
-    return dim_ck - rank_k - rank_prev
+    """dim H^k at one cochain weight, by exact rank-nullity on torus slices.
+
+    Each torus element t (see `_grades`) acts on a cochain basis element
+    (X, m) of torus weight tau = sum of lambda_t(x) over x in X, minus
+    mu_t(m), by the Lie derivative L_t = -tau_t.  The differential keeps
+    tau, and a truncated block only drops whole target rows, so every block
+    is block-diagonal in tau and H^k(w) is the sum over slices of
+    dim C^k_tau - rank d_{k,tau} - rank d_{k-1,tau}.
+
+    A slice tau != 0 with no excluded k-tuple adds 0 (Fuks, Cohomology of
+    Infinite-Dimensional Lie Algebras, 1986):
+    - L_t = d i_t + i_t d holds formally, from antisymmetry and a diagonal
+      ad t alone;
+    - t has weight 0 and the basis sits in cutoff, so [t, x] is in cutoff
+      for every x: a k-tuple X without an over-cutoff pair gives a row
+      (t, X) of d_k without one;
+    - so a cocycle c of the slice has i_t dc = 0, and c = -(1/tau_t) d(i_t c)
+      for a t with tau_t != 0, a coboundary of d_{k-1}, which no exclusion
+      in the slice cuts.
+    Only the zero slice and the slices holding an excluded k-tuple are built
+    and ranked; an algebra without a torus has the one slice ().
+    """
+    dim = 0
+    for tau in _live_slices(module, k, weight):
+        dim_ck, rank_k = _block_rank(module, k, weight, tau)
+        rank_prev = _block_rank(module, k - 1, weight, tau)[1] if k else 0
+        dim += dim_ck - rank_k - rank_prev
+    return dim
 
 
 def is_cocycle(cochain: Cochain) -> bool:

@@ -462,14 +462,27 @@ def darboux_normalize(fs: FormalSymplecticForm) -> FormalCoordChange:
 
 
 def _lift_through(phi: FormalCoordChange, p: TruncatedPoly, spec: TruncationSpec):
-    """sigma(f): substitute phi (h untouched), then normal-order lift."""
+    """sigma(f): substitute phi (h untouched), then normal-order lift.
+
+    The caller has matched phi's d and cutoff with spec's, and the
+    substitution keeps them and leaves h at most spec's h-order, so the
+    lift takes its terms unchecked.
+    """
     kept = {m: c for m, c in p.terms.items() if m.hexp <= spec.h_order}
-    return WeylElement(spec, phi.apply_poly(p._with(kept)).terms)
+    return WeylElement._trusted(spec, phi.apply_poly(p._with(kept)).terms)
 
 
 def _symbol_through(phi_inv: FormalCoordChange, w: WeylElement) -> TruncatedPoly:
-    """sigma^{-1}: substitute the inverse change into a symbol (h untouched)."""
-    return phi_inv.apply_poly(TruncatedPoly(phi_inv.d, phi_inv.cutoff, w.terms))
+    """sigma^{-1}: substitute the inverse change into a symbol (h untouched).
+
+    A Weyl element's terms are already a clean symbol at its own d and
+    cutoff; only an inverse of another truncation re-checks them.
+    """
+    if (phi_inv.d, phi_inv.cutoff) == (w.spec.d, w.spec.cutoff):
+        symbol = TruncatedPoly._trusted(w.spec.d, w.spec.cutoff, w.terms)
+    else:
+        symbol = TruncatedPoly(phi_inv.d, phi_inv.cutoff, w.terms)
+    return phi_inv.apply_poly(symbol)
 
 
 def transported_product_symbol(

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from test_linalg import dense_mat_mul, dense_rank
 
-from formaldisc import cli, cohomology, suites, tower
+from formaldisc import cli, cohomology, linalg, suites, tower
 from formaldisc.cohomology import (
     Cochain,
     ce_differential,
@@ -320,11 +320,11 @@ class TestBlockBasisByWeight:
                 Counted.reads += 1
                 return tuple.__getitem__(self, i)
 
-        weights = Counted((1,) * 40)
-        tuples = cohomology._tuples_in_range(weights, 3, 3, 3)
+        grades = Counted(((1,),) * 40)
+        tuples = cohomology._tuples_in_range(cohomology._Grading(grades), 3, (3,))
         assert Counted.reads == 0
-        assert next(tuples) == ((0, 1, 2), 3)
-        assert Counted.reads < 2 * len(weights)
+        assert next(tuples) == (0, 1, 2)
+        assert Counted.reads < 2 * len(grades)
         assert sum(1 for _ in tuples) == 9880 - 1
 
 
@@ -429,27 +429,46 @@ class TestCellOracle:
         assert cells >= 3
 
 
-def test_a_dims_sweep_builds_each_block_once(monkeypatch, capsys):
+def _h_torus(tag):
+    """Torus weights of a monomial tag under the x_i y_i: {x_i y_i, x^a y^b}
+    = (b_i - a_i) x^a y^b."""
+    return tuple(b - a for a, b in zip(tag.xexp, tag.yexp))
+
+
+def test_a_dims_sweep_builds_each_live_slice_once(monkeypatch):
+    """`cohomology dims` builds each torus slice it needs once, on one module,
+    and no slice that the Cartan homotopy proves acyclic: the needed slices
+    of a cell (k, w) are its zero slice and each slice holding a k-tuple
+    with an over-cutoff pair, for d_k and d_{k-1}; found here by brute force
+    over all k-subsets, with the torus weights read off the tags."""
     built = Counter()
-    build = cohomology._block_rows
+    build = cohomology._slice_rows
 
-    def counting(module, k, w):
-        built[(id(module), k, w)] += 1
-        return build(module, k, w)
+    def counting(module, k, w, tau):
+        built[(id(module), k, w, tau)] += 1
+        return build(module, k, w, tau)
 
-    monkeypatch.setattr(cohomology, "_block_rows", counting)
+    monkeypatch.setattr(cohomology, "_slice_rows", counting)
     args = ["cohomology", "dims", "--algebra", "H", "--d", "1", "--N", "6"]
     assert cli.main(args + ["--degrees", "0,1,2,3"]) == 0
-    weights = tower.build_h(1, 6).weights
-    needed = {
-        (j, w)
-        for k in range(4)
-        for w in cohomology.tuple_weights(weights, k)
-        for j in {k, k - 1} - {-1}
-    }
-    assert len({module for module, _, _ in built}) == 1
-    assert {(k, w) for _, k, w in built} == needed
+    h = tower.build_h(1, 6)
+    needed, every_slice = set(), set()
+    for k in range(4):
+        live = {w: {(0,)} for w in cohomology.tuple_weights(h.weights, k)}
+        for idx in combinations(range(h.dim), k):
+            w = sum(h.weights[i] for i in idx)
+            tau = (sum(_h_torus(h.tags[i])[0] for i in idx),)
+            every_slice.add((k, w, tau))
+            if not all(h.in_cutoff_pair(a, b) for a, b in combinations(idx, 2)):
+                live[w].add(tau)
+        for w, taus in live.items():
+            needed.update((j, w, tau) for tau in taus for j in {k, k - 1} - {-1})
+    assert len({module for module, *_ in built}) == 1
+    assert {key[1:] for key in built} == needed
     assert set(built.values()) == {1}
+    # the sweep met slices of both kinds: skipped ones, and live ones off 0
+    assert any(tau != (0,) for _, _, tau in needed)
+    assert {(k, w, tau) for k, w, tau in every_slice if k < 3} - needed
 
 
 def reference_ce_differential(cochain, module):
@@ -622,3 +641,126 @@ class TestObstructionFault:
         args = ["cohomology", "class", "--which", "obstruction"]
         assert cli.main(args + ["--d", "1", "--p", "1", "--N", "6"]) == 0
         assert '"cocycle": true' in capsys.readouterr().out
+
+
+def _full_route_dims(module, degrees):
+    """Every cell (k, w) of `degrees` by rank-nullity on the full sparse
+    blocks of `_block_rows`, and the number of cells with excluded tuples."""
+    ranks = {}
+
+    def block(k, w):
+        if (k, w) not in ranks:
+            rows, src, _, excluded = cohomology._block_rows(module, k, w)
+            ranks[(k, w)] = len(src), linalg.rank_rows(rows, len(src)), excluded
+        return ranks[(k, w)]
+
+    dims, unclean = {}, 0
+    for k in degrees:
+        totals = cohomology.tuple_weights(module.algebra.weights, k)
+        for w in sorted({t - wm for t in totals for wm in module.weights}):
+            dim_ck, rank_k, excluded = block(k, w)
+            prev = block(k - 1, w) if k else (0, 0, 0)
+            dims[(k, w)] = dim_ck - rank_k - prev[1]
+            unclean += bool(excluded or prev[2])
+    return dims, unclean
+
+
+class TestTorusRoute:
+    """`cohomology_dim` ranks only the live torus slices; on every cell, the
+    unclean ones included, it must equal rank-nullity on the full blocks."""
+
+    @pytest.mark.parametrize(
+        "build,degrees",
+        [(lambda: tower.build_h(1, 8), 4), (lambda: tower.build_w(2, 3), 3)],
+        ids=["H(1,8)", "W(2,3)"],
+    )
+    def test_every_cell(self, build, degrees):
+        module = trivial_module(build())
+        full, unclean = _full_route_dims(module, range(degrees))
+        assert {cell: cohomology_dim(module, *cell) for cell in full} == full
+        assert unclean > 0 and len(cohomology._grades(module)[0].grades[0]) > 1
+
+    @pytest.mark.parametrize(
+        "module,overflows", list(ORACLE_MODULES.values()), ids=list(ORACLE_MODULES)
+    )
+    def test_oracle_modules(self, module, overflows):
+        full, unclean = _full_route_dims(module, range(3))
+        assert {cell: cohomology_dim(module, *cell) for cell in full} == full
+        assert (unclean > 0) == overflows
+
+
+def _shift_x1y1_x1_to_y1(h):
+    """H with a y1 term added to [x1*y1, x1], so ad(x1*y1) is not diagonal."""
+    return h.with_corrupted_bracket(h.index("x1*y1"), h.index("x1"), h.index("y1"), 1)
+
+
+def _torus_columns(algebra, module=None):
+    """The torus weights found on `algebra` (and on `module`): one column per
+    torus element, the algebra's columns sorted."""
+    grading, module_grades = cohomology._grades(module or trivial_module(algebra))
+    return sorted(list(zip(*grading.grades))[1:]), list(zip(*module_grades))[1:]
+
+
+class TestTorusReading:
+    """The torus is read off the bracket table: the weight-0 basis elements
+    whose ad is diagonal, exactly, and that act diagonally on the module."""
+
+    @pytest.mark.parametrize(
+        "algebra", [tower.build_h(1, 5), tower.build_h(2, 4), tower.sp_algebra(2)],
+        ids=lambda a: a.name,
+    )
+    def test_hamiltonian_and_sp_find_the_xi_yi(self, algebra):
+        columns, module_columns = _torus_columns(algebra)
+        d = len(algebra.tags[0].xexp)
+        expected = sorted(zip(*(_h_torus(tag) for tag in algebra.tags)))
+        assert columns == expected and len(columns) == d
+        assert module_columns == [(0,)] * d
+        assert all(type(c) is int for column in columns for c in column)
+
+    def test_witt_finds_the_xi_dxi_and_yi_dyi(self):
+        w = tower.build_w(2, 3)
+        columns, _ = _torus_columns(w)
+        # coordinate c of f d_v: the exponent of c in f, less 1 if v is c
+        expected = sorted(
+            tuple((m.xexp + m.yexp)[c] - (v == c) for v, m in w.tags)
+            for c in range(4)
+        )
+        assert columns == expected
+
+    def test_abelian_finds_none(self):
+        assert _torus_columns(abelian(weights=(0, 0, 1, -1))) == ([], [])
+
+    def test_the_torus_must_act_diagonally_on_the_module(self):
+        sp = tower.sp_algebra(1)
+        module, _ = ORACLE_MODULES["sp(2)-adjoint"]
+        columns, module_columns = _torus_columns(sp, module)
+        assert columns == [(-2, 0, 2)] or columns == [(2, 0, -2)]
+        assert module_columns == columns  # rho(t) is ad t
+        t = sp.index("h^-1*x1*y1")
+        mixing = cohomology.LieModule(
+            sp, "mixing", ("u", "v"), (0, 0), {(t, 0): {1: Fraction(1)}}, 0
+        )
+        assert _torus_columns(sp, mixing) == ([], [])
+
+    def test_a_truncated_action_reads_none(self):
+        # ad of H(1,3) cut at its top weight fails to represent the bracket
+        # where a negative weight brings an over-cutoff action back: d^2 != 0
+        # there, which the full blocks show as negative "dimensions"
+        module, _ = ORACLE_MODULES["H(1,3)-adjoint"]
+        assert len(_torus_columns(module.algebra)[0]) == 1  # x1*y1, trivially
+        assert _torus_columns(module.algebra, module) == ([], [])
+        full, _ = _full_route_dims(module, range(3))
+        assert min(full.values()) < 0
+
+    def test_a_corrupted_torus_element_is_dropped(self):
+        # x2*y2 is the torus left
+        bad = _shift_x1y1_x1_to_y1(tower.build_h(2, 4))
+        x2y2 = tuple(m.yexp[1] - m.xexp[1] for m in bad.tags)
+        assert _torus_columns(bad)[0] == [x2y2]
+
+    def test_a_corrupted_torus_leaves_the_dense_dims(self):
+        # x1*y1 is the only torus element of H(1,6): dropped, it leaves the
+        # one slice (), and every cell must match the dense route
+        bad = _shift_x1y1_x1_to_y1(tower.build_h(1, 6))
+        assert _torus_columns(bad) == ([], [])
+        TestCellOracle().test_every_cell(lambda: bad)
