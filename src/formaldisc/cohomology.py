@@ -4,14 +4,16 @@ The differential preserves the total weight of a cochain (inputs minus
 output), so every computation here is blocked by degree and weight: each
 (k, w) block is an independent finite matrix over Q, and ranks are exact.
 Tuples whose brackets or actions overflow a cutoff are excluded from sweeps
-and counted, never silently truncated.
+and counted, never silently truncated.  The CE formula of a target tuple
+is written once, in `_ce_terms`, for cochains and block rows alike.
 
 Dimensions split each block further into torus slices.  The torus is read
 off the bracket table (`_grades`): weight-0 basis elements acting
 diagonally.  The differential keeps torus weight, and by the Cartan
 homotopy formula a slice of nonzero torus weight is acyclic unless one of
 its degree-k tuples is excluded, so `cohomology_dim` builds and ranks only
-the zero slice and the slices with exclusions.
+the zero slice and the slices with exclusions.  It refuses a module that
+is not a representation of the stored bracket, where d^2 != 0.
 """
 
 from __future__ import annotations
@@ -85,9 +87,6 @@ class LieModule:
             self.act(j, self.action.get((i, m), EMPTY)),
         )
         return via_bracket == direct
-
-    def module_indices_of_weight(self, w: int):
-        return [m for m, wm in enumerate(self.weights) if wm == w]
 
     def verify_representation(self):
         """rho([x,y]) = [rho(x), rho(y)] wherever no weight overflows.
@@ -188,67 +187,75 @@ class Cochain:
         )
 
 
-def ce_differential(cochain: Cochain, module: LieModule | None = None) -> Cochain:
+def ce_differential(cochain: Cochain) -> Cochain:
     """The standard CE differential with both action and bracket terms.
 
     (d c)(x_0..x_k) = sum_i (-1)^i rho(x_i) c(..x_i^..)
                     + sum_{i<j} (-1)^{i+j} c([x_i,x_j], ..x_i^..x_j^..)
 
-    Both terms keep the input weight minus the output weight, so (d c) can
-    be nonzero only on tuples whose total weight is a support weight of c
-    plus a module weight; only those tuples are visited, in lexicographic
-    order.  Such a tuple containing a bracket pair that overflows the
-    algebra cutoff is excluded (and counted), since the unknown bracket
-    could meet the cochain's support.
+    read term by term off `_ce_terms`.  Both terms keep the input weight
+    minus the output weight, so (d c) can be nonzero only on tuples whose
+    total weight is a support weight of c plus a module weight; only those
+    tuples are visited, in lexicographic order.  Such a tuple containing a
+    bracket pair that overflows the algebra cutoff is excluded (and
+    counted), since the unknown bracket could meet the cochain's support.
     """
-    module = module or cochain.module
+    module = cochain.module
     g = module.algebra
     k = cochain.degree
     support = set(cochain.support_weights())
     reachable_totals = {s + mw for s in support for mw in set(module.weights)}
     if not reachable_totals:  # the zero cochain
         return Cochain(module, k + 1)
-    slots = list(combinations(range(k + 1), 2))
     values: dict[tuple, Vector] = {}
     excluded = 0
     grading = _Grading([(w,) for w in g.weights])
     tuples = (_tuples_in_range(grading, k + 1, (t,)) for t in reachable_totals)
     for idx in merge(*tuples):
-        if not all(g.in_cutoff_pair(idx[a], idx[b]) for a, b in slots):
+        if not _in_cutoff(g, idx):
             excluded += 1
             continue
-
-        def terms():
-            for a in range(k + 1):
-                inner = cochain.value(idx[:a] + idx[a + 1 :])
-                if inner:
-                    sign = -1 if a % 2 else 1
-                    for m, c in module.act(idx[a], inner).items():
-                        yield m, c * sign
-            for a, b in slots:
-                rest = tuple(v for t, v in enumerate(idx) if t != a and t != b)
-                sign = (-1) ** (a + b)
-                for comp, c in g.bracket(idx[a], idx[b]).items():
-                    inserted = _insert_sorted(comp, rest)
-                    if inserted:
-                        target, parity = inserted
-                        for m, e in cochain.value(target).items():
-                            yield m, e * (sign * parity * c)
-
-        acc = accumulate(terms())
+        pairs = []
+        for source, acting, sign, c in _ce_terms(g, idx):
+            inner = cochain.values.get(source)
+            if inner:
+                if acting is not None:
+                    inner = module.act(acting, inner)
+                pairs.extend((m, sign * c * e) for m, e in inner.items())
+        acc = accumulate(pairs)
         if acc:
             values[idx] = acc
     return Cochain(module, k + 1, values, excluded)
 
 
-def _insert_sorted(comp: int, rest: tuple):
-    """(the increasing tuple rest with comp put in, sign) where sign is the
-    parity of moving comp there from slot 0; None if comp is already in rest."""
-    if comp in rest:
-        return None
-    pos = bisect_left(rest, comp)
-    # moving comp from slot 0 to slot pos costs pos transpositions
-    return rest[:pos] + (comp,) + rest[pos:], -1 if pos % 2 else 1
+def _in_cutoff(g: GradedLieAlgebra, idx: tuple) -> bool:
+    """Whether every bracket pair of the increasing tuple idx is in cutoff."""
+    return all(g.in_cutoff_pair(i, j) for i, j in combinations(idx, 2))
+
+
+def _ce_terms(g: GradedLieAlgebra, idx: tuple):
+    """The CE formula of the target tuple idx = (x_0..x_k), term by term:
+    (source tuple, acting index or None, sign, coefficient).  First the
+    action terms (idx without x_a, x_a, (-1)^a, 1); then, for a < b, each
+    component of [x_a, x_b] not already in the rest, sorted into it:
+    (that tuple, None, (-1)^(a+b) times the parity of the move from slot 0,
+    its coefficient).  Sign and coefficient stay apart, so a consumer
+    multiplies them only where the source has a value.
+    """
+    for a, x in enumerate(idx):
+        yield idx[:a] + idx[a + 1 :], x, -1 if a % 2 else 1, 1
+    for (a, x), (b, y) in combinations(enumerate(idx), 2):
+        bracket = g.bracket(x, y)
+        if not bracket:
+            continue
+        rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
+        sign = -1 if (a + b) % 2 else 1
+        for comp, c in bracket.items():
+            if comp in rest:
+                continue
+            pos = bisect_left(rest, comp)
+            parity_sign = -sign if pos % 2 else sign
+            yield rest[:pos] + (comp,) + rest[pos:], None, parity_sign, c
 
 
 def tuple_weights(weights, k: int) -> list[int]:
@@ -390,20 +397,22 @@ def _grades(module: LieModule):
     weight.  The stored bracket obeys Jacobi wherever a truncated algebra
     does, but a truncated action can fail the representation rule (a
     negative weight brings an action past the module cutoff back under
-    it), and then d^2 != 0 and no slice may be skipped: a nonzero action
-    must represent the stored bracket on every in-cutoff pair and every
-    module vector, none exempt, or no torus is read.
+    it), and then d^2 != 0 and rank-nullity on the blocks is not
+    cohomology: a nonzero action must represent the stored bracket on every
+    in-cutoff pair and every module vector, none exempt, or the module is
+    refused with a UsageError naming the first failing (pair, vector).
     """
     if module._grades is None:
         g = module.algebra
+        for i, j in combinations(range(g.dim), 2) if module.action else ():
+            for m in range(module.dim) if g.in_cutoff_pair(i, j) else ():
+                if not module.acts_as_bracket(i, j, m):
+                    raise UsageError(
+                        f"{module.name}: not a representation on "
+                        f"({g.labels[i]}, {g.labels[j]}, {module.labels[m]})"
+                    )
         lams, mus = [], []
-        represents = not module.action or all(
-            module.acts_as_bracket(i, j, m)
-            for i, j in combinations(range(g.dim), 2)
-            if g.in_cutoff_pair(i, j)
-            for m in range(module.dim)
-        )
-        if represents and all(w <= g.cutoff for w in g.weights):
+        if all(w <= g.cutoff for w in g.weights):
             for t in g.basis_indices_of_weight(0):
                 lam = _eigenvalues([g.bracket(t, j) for j in range(g.dim)])
                 mu = _eigenvalues(
@@ -435,9 +444,9 @@ def _rows(module: LieModule, k: int, weight: int, src, tgt):
     """The CE differential from the span of `src` to that of `tgt`, in
     cochain weight w, as sparse rows.
 
-    Built in a single pass over the target tuples: each target tuple's CE
-    formula names exactly the source basis elements it reads, so the block
-    costs O(#target tuples) rather than one full differential per column.
+    Built in a single pass over the target tuples: the `_ce_terms` of each
+    name exactly the source basis elements it reads, so the block costs
+    O(#target tuples) rather than one full differential per column.
     Every target tuple pairs with a module vector of weight (tuple total - w),
     so a tuple with an over-cutoff bracket pair could meet the block; it is
     dropped (its rows stay empty) and counted.  Returns (rows, excluded tuple
@@ -446,7 +455,9 @@ def _rows(module: LieModule, k: int, weight: int, src, tgt):
     """
     g = module.algebra
     src_pos = {key: c for c, key in enumerate(src)}
-    slots = list(combinations(range(k + 1), 2))
+    of_weight: dict[int, list] = {}  # module weight -> its module indices
+    for m, wm in enumerate(module.weights):
+        of_weight.setdefault(wm, []).append(m)
     # tgt lists the module indices of each tuple next to each other
     tuples_in_block: dict[tuple, list] = {}
     for idx, m in tgt:
@@ -454,36 +465,26 @@ def _rows(module: LieModule, k: int, weight: int, src, tgt):
     rows = []
     excluded = 0
     for idx, ms in tuples_in_block.items():
-        if not all(g.in_cutoff_pair(idx[a], idx[b]) for a, b in slots):
+        if not _in_cutoff(g, idx):
             excluded += 1
             rows.extend({} for _ in ms)
             continue
         terms = {m: [] for m in ms}  # (source position, value) pairs per row
-        for a in range(k + 1):
-            rest = idx[:a] + idx[a + 1 :]
-            rest_total = sum(g.weights[i] for i in rest)
-            sign = -1 if a % 2 else 1
-            for m_src in module.module_indices_of_weight(rest_total - weight):
-                col = src_pos.get((rest, m_src))
+        total = sum(g.weights[i] for i in idx)
+        for source, acting, sign, c in _ce_terms(g, idx):
+            if acting is None:
+                for m in ms:
+                    col = src_pos.get((source, m))
+                    if col is not None:
+                        terms[m].append((col, sign * c))
+                continue
+            for m_src in of_weight.get(total - g.weights[acting] - weight, ()):
+                col = src_pos.get((source, m_src))
                 if col is None:
                     continue
-                for m_out, c in module.action.get((idx[a], m_src), EMPTY).items():
+                for m_out, a in module.action.get((acting, m_src), EMPTY).items():
                     if m_out in terms:
-                        terms[m_out].append((col, sign * c))
-        for a, b in slots:
-            bracket = g.bracket(idx[a], idx[b])
-            if not bracket:
-                continue
-            rest = tuple(v for t, v in enumerate(idx) if t != a and t != b)
-            sign = -1 if (a + b) % 2 else 1
-            for comp, cb in bracket.items():
-                inserted = _insert_sorted(comp, rest)
-                if inserted:
-                    target, parity = inserted
-                    for m in ms:
-                        col = src_pos.get((target, m))
-                        if col is not None:
-                            terms[m].append((col, sign * parity * cb))
+                        terms[m_out].append((col, sign * c * a))
         rows.extend(accumulate(pairs) for pairs in terms.values())
     return rows, excluded
 
@@ -543,9 +544,8 @@ def _live_slices(module: LieModule, k: int, weight: int):
     grading, module_grades = _grades(module)
     grades, g = grading.grades, module.algebra
     live = {(0,) * (len(grades[0]) - 1 if grades else 0)}
-    slots = list(combinations(range(k), 2))
-    for idx, m in cochain_block_basis(module, k, weight) if slots else ():
-        if not all(g.in_cutoff_pair(idx[a], idx[b]) for a, b in slots):
+    for idx, m in cochain_block_basis(module, k, weight) if k > 1 else ():
+        if not _in_cutoff(g, idx):
             total = map(sum, zip(*(grades[i] for i in idx)))
             live.add(tuple(map(sub, total, module_grades[m]))[1:])
     return sorted(live)
@@ -596,8 +596,6 @@ def is_coboundary(cochain: Cochain):
         raise UsageError("is_coboundary input is not a cocycle")
     module = cochain.module
     k = cochain.degree
-    if k == 0:
-        return (cochain.is_zero(), Cochain(module, 0) if cochain.is_zero() else None)
     primitive_values: dict[tuple, Vector] = {}
     for w in cochain.support_weights():
         rows, src, tgt, _ = _block_rows(module, k - 1, w)
@@ -662,16 +660,16 @@ def module_from_extension(e: ExtensionData, name=None) -> LieModule:
     return module
 
 
-def extension_cocycle(e: ExtensionData, module: LieModule | None = None) -> Cochain:
+def extension_cocycle(e: ExtensionData, module: LieModule) -> Cochain:
     """The CE 2-cocycle of an extension with abelian kernel.
 
     c(xi, eta) = [s(xi), s(eta)] - s([xi, eta]) in sub coordinates, verified
-    to satisfy the cocycle identity for the quotient action on the kernel.
+    to satisfy the cocycle identity in `module`, the kernel with the
+    quotient action.
     """
-    module = module or module_from_extension(e)
     raw = extension_defect_cochain(e)
     cochain = Cochain(module, 2, raw)
-    boundary = ce_differential(cochain, module)
+    boundary = ce_differential(cochain)
     if not boundary.is_zero():
         bad = next(idx for idx, vec in boundary.values.items() if vec)
         raise CheckFailure(

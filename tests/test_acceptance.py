@@ -508,7 +508,7 @@ def test_criterion_10_obstruction_cocycle():
         module = module_from_extension(e, name="V")
         module.verify_representation()
         c1 = extension_cocycle(e, module)
-        boundary = ce_differential(c1, module)
+        boundary = ce_differential(c1)
         assert boundary.is_zero()
 
         # second splitting: perturb by a weight-preserving map into V,
@@ -537,7 +537,7 @@ def test_criterion_10_obstruction_cocycle():
 
         difference = c2 - c1
         lam_cochain = Cochain(module, 1, {(i,): v for i, v in lam.items()})
-        assert ce_differential(lam_cochain, module) == difference
+        assert ce_differential(lam_cochain) == difference
         found, primitive = is_coboundary(difference)
         assert found
         assert ce_differential(primitive) == difference

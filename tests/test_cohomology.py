@@ -1,5 +1,6 @@
 """Chevalley-Eilenberg machinery: differentials, dimensions, classes."""
 
+import inspect
 import json
 import random
 from collections import Counter
@@ -236,6 +237,20 @@ class TestCoboundary:
                 found, recovered = is_coboundary(boundary)
                 assert found
                 assert ce_differential(recovered) == boundary
+
+    @pytest.mark.parametrize(
+        "algebra", [tower.sp_algebra(1), tower.build_h(1, 4)], ids=lambda a: a.name
+    )
+    def test_degree_zero(self, algebra):
+        # the zero 0-cochain bounds the zero cochain of degree -1; a nonzero
+        # invariant 0-cochain is a cocycle that bounds nothing
+        module = trivial_module(algebra)
+        zero = Cochain(module, 0)
+        found, primitive = is_coboundary(zero)
+        assert found and primitive.degree == -1
+        assert ce_differential(primitive) == zero
+        invariant = Cochain(module, 0, {(): {0: Fraction(1)}})
+        assert is_coboundary(invariant) == (False, None)
 
 
 class TestOmegaClass:
@@ -549,7 +564,7 @@ class TestDifferentialOracle:
     order, and the same excluded count."""
 
     def _check(self, cochain, module):
-        got = ce_differential(cochain, module)
+        got = ce_differential(cochain)
         values, excluded = reference_ce_differential(cochain, module)
         assert list(got.values.items()) == list(values.items())
         assert got.excluded == excluded
@@ -594,15 +609,58 @@ class TestDifferentialOracle:
                     idx, m = src[c]
                     unit = Cochain(module, k, {idx: {m: Fraction(1)}})
                     values, sweep_excluded = reference_ce_differential(unit, module)
-                    column = {}
-                    for (target, m_out), row in zip(tgt, rows):
-                        if c in row:
-                            column.setdefault(target, {})[m_out] = row[c]
-                    assert column == values, (k, w, src[c])
+                    assert _column(rows, tgt, c) == values, (k, w, src[c])
                     assert block_excluded == sweep_excluded, (k, w, src[c])
                     columns += 1
                     excluded += block_excluded
         assert columns > 0 and (excluded > 0) == overflows
+
+
+def _column(rows, tgt, c):
+    """Column c of sparse block rows, as cochain values on the target basis."""
+    column = {}
+    for (target, m_out), row in zip(tgt, rows):
+        if c in row:
+            column.setdefault(target, {})[m_out] = row[c]
+    return column
+
+
+class TestOneFormula:
+    """The CE formula of a target tuple is written once, in `_ce_terms`;
+    the cochain differential and the block rows both read it."""
+
+    def test_both_consumers_read_the_one_generator(self):
+        for consumer in (cohomology.ce_differential, cohomology._rows):
+            source = inspect.getsource(consumer)
+            assert "_ce_terms(" in source, consumer.__name__
+            for call in (".bracket(", "in_cutoff_pair(", "bisect_left("):
+                assert call not in source, (consumer.__name__, call)
+        assert not hasattr(cohomology, "_insert_sorted")
+
+    def test_a_wrong_bracket_sign_shows_in_both_consumers(self, monkeypatch):
+        module, _ = ORACLE_MODULES["H(1,5)-trivial"]
+        w, c = 0, 0
+        idx, m = cochain_block_basis(module, 1, w)[c]
+        unit = Cochain(module, 1, {idx: {m: Fraction(1)}})
+        values, _ = reference_ce_differential(unit, module)
+        # not a cocycle: on a trivial module, flipping every bracket sign
+        # keeps a cocycle a cocycle, and the fault would not show
+        assert values
+
+        def both():
+            rows, _, tgt, _ = cohomology._block_rows(module, 1, w)
+            return ce_differential(unit).values, _column(rows, tgt, c)
+
+        assert both() == (values, values)
+        terms_of = cohomology._ce_terms
+
+        def flipped(g, idx):
+            for source, acting, sign, coefficient in terms_of(g, idx):
+                yield source, acting, sign if acting is not None else -sign, coefficient
+
+        monkeypatch.setattr(cohomology, "_ce_terms", flipped)
+        differential, column = both()
+        assert differential != values and column != values
 
 
 class TestObstructionFault:
@@ -685,8 +743,14 @@ class TestTorusRoute:
     )
     def test_oracle_modules(self, module, overflows):
         full, unclean = _full_route_dims(module, range(3))
-        assert {cell: cohomology_dim(module, *cell) for cell in full} == full
         assert (unclean > 0) == overflows
+        if module is ORACLE_MODULES["H(1,3)-adjoint"][0]:
+            # not a representation (see TestTorusReading): every cell refused
+            for cell in full:
+                with pytest.raises(UsageError, match="not a representation"):
+                    cohomology_dim(module, *cell)
+            return
+        assert {cell: cohomology_dim(module, *cell) for cell in full} == full
 
 
 def _shift_x1y1_x1_to_y1(h):
@@ -736,19 +800,37 @@ class TestTorusReading:
         columns, module_columns = _torus_columns(sp, module)
         assert columns == [(-2, 0, 2)] or columns == [(2, 0, -2)]
         assert module_columns == columns  # rho(t) is ad t
-        t = sp.index("h^-1*x1*y1")
+        # the same representation in the basis (e0 + e2, e1, e2): e0 and e2
+        # have different torus weights, so rho(t) moves e0 + e2 off its line
+        to_e = [{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
+        from_e = [{0: 1, 2: -1}, {1: 1}, {2: 1}]
+        action = {}
+        for i in range(sp.dim):
+            for m, vec in enumerate(to_e):
+                image = module.act(i, vec)
+                mixed = accumulate(
+                    (u, c * b) for e, c in image.items() for u, b in from_e[e].items()
+                )
+                if mixed:
+                    action[(i, m)] = mixed
         mixing = cohomology.LieModule(
-            sp, "mixing", ("u", "v"), (0, 0), {(t, 0): {1: Fraction(1)}}, 0
+            sp, "mixing", ("e0+e2", "e1", "e2"), module.weights, action, module.cutoff
         )
+        mixing.verify_representation()
         assert _torus_columns(sp, mixing) == ([], [])
 
     def test_a_truncated_action_reads_none(self):
         # ad of H(1,3) cut at its top weight fails to represent the bracket
         # where a negative weight brings an over-cutoff action back: d^2 != 0
-        # there, which the full blocks show as negative "dimensions"
+        # there, which the full blocks show as negative "dimensions", so the
+        # module is refused, naming the first failing (pair, vector)
         module, _ = ORACLE_MODULES["H(1,3)-adjoint"]
         assert len(_torus_columns(module.algebra)[0]) == 1  # x1*y1, trivially
-        assert _torus_columns(module.algebra, module) == ([], [])
+        with pytest.raises(UsageError) as refusal:
+            _torus_columns(module.algebra, module)
+        assert str(refusal.value) == (
+            "adjoint: not a representation on (y1, y1^3, x1^2*y1)"
+        )
         full, _ = _full_route_dims(module, range(3))
         assert min(full.values()) < 0
 

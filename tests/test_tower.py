@@ -461,6 +461,6 @@ class TestObstruction:
 
         difference = c2 - c1
         lam_cochain = cohomology.Cochain(module, 1, {(i,): v for i, v in lam.items()})
-        assert cohomology.ce_differential(lam_cochain, module) == difference
+        assert cohomology.ce_differential(lam_cochain) == difference
         found, _ = cohomology.is_coboundary(difference)
         assert found
