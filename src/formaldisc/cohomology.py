@@ -8,12 +8,13 @@ and counted, never silently truncated.  The CE formula of a target tuple
 is written once, in `_ce_terms`, for cochains and block rows alike.
 
 Dimensions split each block further into torus slices.  The torus is read
-off the bracket table (`_grades`): weight-0 basis elements acting
+off the bracket table (`_torus`): weight-0 basis elements acting
 diagonally.  The differential keeps torus weight, and by the Cartan
 homotopy formula a slice of nonzero torus weight is acyclic unless one of
-its degree-k tuples is excluded, so `cohomology_dim` builds and ranks only
-the zero slice and the slices with exclusions.  It refuses a module that
-is not a representation of the stored bracket, where d^2 != 0.
+its degree-k tuples is excluded.  So `cohomology_dim` enumerates a block's
+tuples once, by weight alone, buckets them by torus weight (`_slices`), and
+ranks only the zero slice and the slices with exclusions.  It refuses a
+module that is not a representation of the stored bracket, where d^2 != 0.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import merge
 from itertools import combinations
-from operator import add, ge, le, sub
 
 from . import linalg
 from .errors import CheckFailure, UsageError
@@ -36,7 +36,7 @@ from .liealg import (
     extension_defect_cochain,
 )
 from . import sparse
-from .sparse import EMPTY, accumulate, scale
+from .sparse import EMPTY, accumulate, as_fraction, scale
 
 ZERO = Fraction(0)
 
@@ -56,13 +56,11 @@ class LieModule:
     weights: tuple[int, ...]
     action: dict[tuple[int, int], Vector]
     cutoff: int
-    # (k, w, tau) -> (dim C^k_tau(w), rank of d_k there) for a torus slice
-    # tau, ints only, filled by cohomology_dim; no basis outlives its slice
-    _block_ranks: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # (algebra grades, module grades), read off the tables by `_grades`
-    _grades: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (k, w, tau) -> rank of d_k on the torus slice tau of C^k(w), ints
+    # only, filled by cohomology_dim; no basis outlives its block
+    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the torus weights that `_torus` reads off the tables
+    _torus: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -95,6 +93,11 @@ class LieModule:
         They are counted, not visited: a pair over the cutoff exempts every
         module vector, and an in-cutoff pair (i, j) every m of weight above
         cutoff - max(w_i, w_j, w_i + w_j).
+
+        This rule is weaker than the one `cohomology_dim` needs (see
+        `_torus`), which exempts no vector of an in-cutoff pair: the tower's
+        V modules pass here and are refused there, tower_obstruction(1, 1,
+        6).module on (h^-1*y1, h^-1*y1^3, h^-1*x1^2*h^2).
         """
         g = self.algebra
         exempt = 0
@@ -130,13 +133,35 @@ class Cochain:
 
     values maps strictly increasing index tuples to module vectors; absent
     tuples are zero.  excluded counts input tuples a producing computation
-    had to skip for weight overflow.
+    had to skip for weight overflow.  A key that is not a strictly
+    increasing `degree`-tuple of algebra indices, a module index out of
+    range and a coefficient that is not an int or a Fraction are refused
+    with a UsageError.
     """
 
     module: LieModule
     degree: int
     values: dict[tuple, Vector] = field(default_factory=dict)
     excluded: int = 0
+
+    def __post_init__(self):
+        n, dim = self.module.algebra.dim, self.module.dim
+        for idx, vec in self.values.items():
+            if not (
+                isinstance(idx, tuple)
+                and len(idx) == self.degree
+                and all(isinstance(i, int) for i in idx)
+                and all(a < b for a, b in zip((-1, *idx), (*idx, n)))
+            ):
+                raise UsageError(
+                    f"cochain key {idx!r} is not an increasing {self.degree}-tuple "
+                    f"of indices below {n}"
+                )
+            for m, c in vec.items():
+                if not (isinstance(m, int) and 0 <= m < dim):
+                    raise UsageError(f"module index {m!r} is not below {dim}")
+                if not isinstance(c, int) and as_fraction(c) is not c:
+                    raise UsageError(f"not an exact rational: {c!r}")
 
     def value(self, idx: tuple) -> Vector:
         return self.values.get(idx, {})
@@ -209,8 +234,7 @@ def ce_differential(cochain: Cochain) -> Cochain:
         return Cochain(module, k + 1)
     values: dict[tuple, Vector] = {}
     excluded = 0
-    grading = _Grading([(w,) for w in g.weights])
-    tuples = (_tuples_in_range(grading, k + 1, (t,)) for t in reachable_totals)
+    tuples = (_tuples_in_range(g.weights, k + 1, t) for t in reachable_totals)
     for idx in merge(*tuples):
         if not _in_cutoff(g, idx):
             excluded += 1
@@ -269,122 +293,98 @@ def tuple_weights(weights, k: int) -> list[int]:
     return sorted(sums[k])
 
 
-class _Grading:
-    """The grade vectors of a basis: grades[i] is the weight of index i, then
-    its torus weights (see `_grades`).
-
-    The pruning tables of `_tuples_in_range` are built on first use, to the
-    largest tuple size asked for so far, and kept, so that every slice of
-    one module shares them.
-    """
-
-    def __init__(self, grades):
-        self.grades = grades
-        self.indices_of = {}  # grade -> its indices, ascending
-        self.least = self.most = None
-        self.depth = -1
-
-    def bounds(self, k: int):
-        """(least, most): least[i][r] and most[i][r] bound each coordinate of
-        the grade sum of r more indices taken from i on, for r <= k.  Filled
-        for r <= n - i, the only (i, r) the recursion reaches."""
-        if k > self.depth:
-            grades, n = self.grades, len(self.grades)
-            zero = tuple(0 for _ in grades[0]) if n else ()
-            least = [[zero] * (k + 1) for _ in range(n + 1)]
-            most = [[zero] * (k + 1) for _ in range(n + 1)]
-            fill = not self.indices_of
-            for i in range(n - 1, -1, -1):
-                g = grades[i]
-                if fill:
-                    self.indices_of.setdefault(g, []).insert(0, i)
-                for r in range(1, min(k, n - i) + 1):
-                    low = tuple(map(add, g, least[i + 1][r - 1]))
-                    high = tuple(map(add, g, most[i + 1][r - 1]))
-                    if r < n - i:  # index i may also be skipped
-                        low = tuple(map(min, low, least[i + 1][r]))
-                        high = tuple(map(max, high, most[i + 1][r]))
-                    least[i][r], most[i][r] = low, high
-            self.least, self.most, self.depth = least, most, k
-        return self.least, self.most
-
-
-def _tuples_in_range(grading: _Grading, k: int, target: tuple, cutoff=None):
-    """Increasing k-tuples of indices whose grades sum to `target`, in
+def _tuples_in_range(weights, k: int, total: int, cutoff=None):
+    """Increasing k-tuples of indices whose weights sum to `total`, in
     lexicographic order, generated lazily; with a cutoff, only those whose
     pairs all have weight sums within it.
 
-    A pruned recursion on the room left between the target and the sum so
-    far: an index is taken only when the tables of `_Grading.bounds` say,
-    coordinate by coordinate, that the indices after it can still fill that
-    room, and the loop over the next index stops once no index from there
-    on can (least[j][r] only grows with j, and most[j][r] only falls).  The
-    cutoff caps the weight of each later index by cutoff minus the largest
-    weight taken, so r more indices add at most r caps.  The last index is
-    looked up by its grade.  Grades need not be sorted.
+    A pruned recursion on the room left between the total and the sum so
+    far.  The tables least[i][r] and most[i][r] bound the weight sum of r
+    more indices taken from i on; they are built once per call, in one pass
+    from the last index back.  An index is taken only when the indices
+    after it can still fill the room, and the loop over the next index stops
+    once no index from there on can (least[j][r] only grows with j, and
+    most[j][r] only falls).  The cutoff caps the weight of each later index
+    by cutoff minus the largest weight taken, so r more indices add at most
+    r caps.  The last index is looked up by its weight.  Weights need not be
+    sorted.
     """
-    grades, n = grading.grades, len(grading.grades)
-    if k == 0 and not any(target):
+    n = len(weights)
+    if k == 0 and total == 0:
         yield ()
     if k < 1 or k > n:
         return
-    least, most = grading.bounds(k)
-    indices_of = grading.indices_of
+    # filled for r <= n - i, the only (i, r) the recursion reaches
+    least = [[0] * (k + 1) for _ in range(n + 1)]
+    most = [[0] * (k + 1) for _ in range(n + 1)]
+    indices_of: dict[int, list] = {}  # weight -> its indices, ascending
+    for i in range(n - 1, -1, -1):
+        w = weights[i]
+        indices_of.setdefault(w, []).insert(0, i)
+        for r in range(1, min(k, n - i) + 1):
+            low, high = w + least[i + 1][r - 1], w + most[i + 1][r - 1]
+            if r < n - i:  # index i may also be skipped
+                low, high = min(low, least[i + 1][r]), max(high, most[i + 1][r])
+            least[i][r], most[i][r] = low, high
 
     def extend(start, r, room, cap, prefix):
         if r == 1:
-            js = indices_of.get(room, ()) if room[0] <= cap else ()
+            js = indices_of.get(room, ()) if room <= cap else ()
             yield from (prefix + (j,) for j in js[bisect_left(js, start) :])
             return
         for j in range(start, n - r + 1):
-            if not (all(map(le, least[j][r], room)) and all(map(ge, most[j][r], room))):
+            if not least[j][r] <= room <= most[j][r]:
                 break
-            g = grades[j]
-            inner = min(cap, cutoff - g[0])
-            rest = tuple(map(sub, room, g))
-            if (
-                g[0] <= cap
-                and rest[0] <= (r - 1) * inner
-                and all(map(le, least[j + 1][r - 1], rest))
-                and all(map(ge, most[j + 1][r - 1], rest))
+            w = weights[j]
+            inner = min(cap, cutoff - w)
+            rest = room - w
+            if w <= cap and least[j + 1][r - 1] <= rest <= min(
+                most[j + 1][r - 1], (r - 1) * inner
             ):
                 yield from extend(j + 1, r - 1, rest, inner, prefix + (j,))
 
-    top = most[0][1][0]  # the largest weight
+    top = most[0][1]  # the largest weight
     if cutoff is None:
         cutoff = 2 * top  # caps no index
-    yield from extend(0, k, target, top, ())
+    yield from extend(0, k, total, top, ())
 
 
-def _graded_basis(grading: _Grading, module_grades, k: int, grade: tuple, cutoff=None):
-    """The (tuple, m) pairs of degree k whose input grade minus the grade of
-    v_m is `grade`, in lexicographic (tuple, m) order; with a cutoff, only
-    the tuples without an over-cutoff pair."""
-    targets: dict[tuple, list] = {}  # input grade -> module indices it pairs with
-    for m, gm in enumerate(module_grades):
-        targets.setdefault(tuple(map(add, grade, gm)), []).append(m)
+def cochain_block_basis(module: LieModule, k: int, weight: int, cutoff=None):
+    """Basis of the (degree k, cochain weight w) block as (tuple, m) pairs.
+
+    In lexicographic (tuple, m) order; only the tuples of a matching input
+    weight are generated, with a cutoff only those without an over-cutoff
+    pair.
+    """
+    totals: dict[int, list] = {}  # input weight -> module indices it pairs with
+    for m, wm in enumerate(module.weights):
+        totals.setdefault(weight + wm, []).append(m)
+    weights = module.algebra.weights
     return sorted(
         (idx, m)
-        for target, ms in targets.items()
-        for idx in _tuples_in_range(grading, k, target, cutoff)
+        for total, ms in totals.items()
+        for idx in _tuples_in_range(weights, k, total, cutoff)
         for m in ms
     )
 
 
-def cochain_block_basis(module: LieModule, k: int, weight: int):
-    """Basis of the (degree k, cochain weight w) block as (tuple, m) pairs.
+def _slices(module: LieModule, k: int, weight: int, cutoff=None):
+    """`cochain_block_basis` bucketed by torus weight: {tau: its (tuple, m)
+    pairs, in block order}.  (X, m) has torus weight tau = the sum of the
+    torus weights of the x in X, minus that of v_m (see `_torus`)."""
+    lams, mus = _torus(module)
+    minus_mus = [tuple(-c for c in mu) for mu in mus]
+    buckets: dict[tuple, list] = {}
+    for idx, m in cochain_block_basis(module, k, weight, cutoff):
+        tau = tuple(map(sum, zip(minus_mus[m], *(lams[i] for i in idx))))
+        buckets.setdefault(tau, []).append((idx, m))
+    return buckets
 
-    In lexicographic (tuple, m) order; only the tuples of a matching input
-    weight are generated.
-    """
-    grading = _Grading([(w,) for w in module.algebra.weights])
-    return _graded_basis(grading, [(w,) for w in module.weights], k, (weight,))
 
-
-def _grades(module: LieModule):
-    """(grade of each algebra basis element, grade of each module vector):
-    its weight, then one torus weight per torus element, read off the
-    bracket table once per module.
+def _torus(module: LieModule):
+    """(torus weights of each algebra basis element, those of each module
+    vector): one entry per torus element, read off the bracket table once
+    per module.
 
     A torus element is a weight-0 basis element t with [t, e_j] in cutoff
     and equal to lambda_t(j) e_j for every j, and rho(t) v_m = mu_t(m) v_m
@@ -402,7 +402,7 @@ def _grades(module: LieModule):
     in-cutoff pair and every module vector, none exempt, or the module is
     refused with a UsageError naming the first failing (pair, vector).
     """
-    if module._grades is None:
+    if module._torus is None:
         g = module.algebra
         for i, j in combinations(range(g.dim), 2) if module.action else ():
             for m in range(module.dim) if g.in_cutoff_pair(i, j) else ():
@@ -421,11 +421,11 @@ def _grades(module: LieModule):
                 if lam is not None and mu is not None and (any(lam) or any(mu)):
                     lams.append(lam)
                     mus.append(mu)
-        module._grades = (
-            _Grading(list(zip(g.weights, *lams))),
-            list(zip(module.weights, *mus)),
+        module._torus = (
+            [tuple(lam[i] for lam in lams) for i in range(g.dim)],
+            [tuple(mu[m] for mu in mus) for m in range(module.dim)],
         )
-    return module._grades
+    return module._torus
 
 
 def _eigenvalues(images):
@@ -440,7 +440,7 @@ def _eigenvalues(images):
     return out
 
 
-def _rows(module: LieModule, k: int, weight: int, src, tgt):
+def _rows(module: LieModule, weight: int, src, tgt):
     """The CE differential from the span of `src` to that of `tgt`, in
     cochain weight w, as sparse rows.
 
@@ -497,7 +497,7 @@ def _block_rows(module: LieModule, k: int, weight: int):
     """
     src = cochain_block_basis(module, k, weight)
     tgt = cochain_block_basis(module, k + 1, weight)
-    rows, excluded = _rows(module, k, weight, src, tgt)
+    rows, excluded = _rows(module, weight, src, tgt)
     return rows, src, tgt, excluded
 
 
@@ -517,44 +517,32 @@ def differential_block(module: LieModule, k: int, weight: int):
     return matrix, src, tgt, excluded
 
 
-def _slice_rows(module: LieModule, k: int, weight: int, tau: tuple):
-    """The torus slice tau of `_block_rows`: (rows, source basis), without
-    the empty rows of excluded target tuples, which are never generated.
-    The differential keeps torus weight, so no row of the slice reads a
-    column outside it."""
-    grading, module_grades = _grades(module)
-    grade, cutoff = (weight, *tau), module.algebra.cutoff
-    src = _graded_basis(grading, module_grades, k, grade)
-    tgt = _graded_basis(grading, module_grades, k + 1, grade, cutoff)
-    return _rows(module, k, weight, src, tgt)[0], src
+def _slice_ranks(module: LieModule, k: int, weight: int, taus, source=None):
+    """The sum of the ranks of d_k on the torus slices `taus` of C^k(w),
+    each slice built and ranked once per module.
 
-
-def _block_rank(module: LieModule, k: int, weight: int, tau: tuple):
-    """(dim C^k_tau(w), rank of d_k on it), built and ranked once per module."""
-    key = (k, weight, tau)
-    if key not in module._block_ranks:
-        rows, src = _slice_rows(module, k, weight, tau)
-        module._block_ranks[key] = (len(src), linalg.rank_rows(rows, len(src)))
-    return module._block_ranks[key]
-
-
-def _live_slices(module: LieModule, k: int, weight: int):
-    """The torus slices of C^k(w) that can carry cohomology, ascending: 0, and
-    every slice holding a k-tuple with an over-cutoff bracket pair."""
-    grading, module_grades = _grades(module)
-    grades, g = grading.grades, module.algebra
-    live = {(0,) * (len(grades[0]) - 1 if grades else 0)}
-    for idx, m in cochain_block_basis(module, k, weight) if k > 1 else ():
-        if not _in_cutoff(g, idx):
-            total = map(sum, zip(*(grades[i] for i in idx)))
-            live.add(tuple(map(sub, total, module_grades[m]))[1:])
-    return sorted(live)
+    The block's source (`source`, its `_slices`, when the caller has them)
+    and its in-cutoff target are enumerated once for every slice not yet
+    ranked.  The differential keeps torus weight, so no row of a slice reads
+    a column outside it; the rows of excluded target tuples are empty and
+    never generated.  A slice absent from the source has rank 0.
+    """
+    ranks = module._ranks
+    missing = [tau for tau in taus if (k, weight, tau) not in ranks]
+    if missing:
+        source = source or _slices(module, k, weight)
+        target = _slices(module, k + 1, weight, module.algebra.cutoff)
+        for tau in missing:
+            src = source.get(tau, [])
+            rows, _ = _rows(module, weight, src, target.get(tau, []))
+            ranks[(k, weight, tau)] = linalg.rank_rows(rows, len(src))
+    return sum(ranks[(k, weight, tau)] for tau in taus)
 
 
 def cohomology_dim(module: LieModule, k: int, weight: int) -> int:
     """dim H^k at one cochain weight, by exact rank-nullity on torus slices.
 
-    Each torus element t (see `_grades`) acts on a cochain basis element
+    Each torus element t (see `_torus`) acts on a cochain basis element
     (X, m) of torus weight tau = sum of lambda_t(x) over x in X, minus
     mu_t(m), by the Lie derivative L_t = -tau_t.  The differential keeps
     tau, and a truncated block only drops whole target rows, so every block
@@ -571,15 +559,21 @@ def cohomology_dim(module: LieModule, k: int, weight: int) -> int:
     - so a cocycle c of the slice has i_t dc = 0, and c = -(1/tau_t) d(i_t c)
       for a t with tau_t != 0, a coboundary of d_{k-1}, which no exclusion
       in the slice cuts.
-    Only the zero slice and the slices holding an excluded k-tuple are built
-    and ranked; an algebra without a torus has the one slice ().
+    C^k(w) is enumerated once and bucketed by tau; only the zero slice and
+    the slices holding an excluded k-tuple are ranked.  An algebra without a
+    torus has the one slice ().
     """
-    dim = 0
-    for tau in _live_slices(module, k, weight):
-        dim_ck, rank_k = _block_rank(module, k, weight, tau)
-        rank_prev = _block_rank(module, k - 1, weight, tau)[1] if k else 0
-        dim += dim_ck - rank_k - rank_prev
-    return dim
+    g = module.algebra
+    source = _slices(module, k, weight)
+    live = [
+        tau
+        for tau, basis in source.items()
+        if not any(tau) or not all(_in_cutoff(g, idx) for idx, _ in basis)
+    ]
+    rank_prev = _slice_ranks(module, k - 1, weight, live) if k else 0
+    rank_k = _slice_ranks(module, k, weight, live, source)
+    return sum(len(source[tau]) for tau in live) - rank_k - rank_prev
+
 
 
 def is_cocycle(cochain: Cochain) -> bool:

@@ -253,6 +253,35 @@ class TestCoboundary:
         assert is_coboundary(invariant) == (False, None)
 
 
+class TestCochainInput:
+    """A Cochain refuses what the CE machinery would misread: a key that is
+    not an increasing degree-tuple of algebra indices, a module index out of
+    range, an inexact coefficient."""
+
+    @pytest.mark.parametrize(
+        "degree,values,message",
+        [
+            (2, {(1, 0): {0: 1}}, "not an increasing 2-tuple"),
+            (2, {(0, 0): {0: 1}}, "not an increasing 2-tuple"),
+            (2, {(0,): {0: 1}}, "not an increasing 2-tuple"),
+            (2, {(0, 7): {0: 1}}, "of indices below 3"),
+            (1, {(0,): {5: 1}}, "module index 5 is not below 1"),
+            (1, {(0,): {0: 0.5}}, "not an exact rational: 0.5"),
+            (1, {(0,): {0: "1/2"}}, "not an exact rational: '1/2'"),
+        ],
+        ids=["unsorted", "repeated", "short", "index", "module", "float", "str"],
+    )
+    def test_refused(self, degree, values, message):
+        sp, _ = tower.sp_subalgebra(tower.build_derd_level(1, 1, 4))
+        with pytest.raises(UsageError, match=message):
+            Cochain(trivial_module(sp), degree, values)
+
+    def test_exact_values_pass(self):
+        sp, _ = tower.sp_subalgebra(tower.build_derd_level(1, 1, 4))
+        values = {(0, 2): {0: 1}, (1, 2): {0: Fraction(1, 2)}}
+        assert Cochain(trivial_module(sp), 2, values).values is values
+
+
 class TestOmegaClass:
     def test_value_on_degree_one_pair(self):
         cls = omega_class(1, 4)
@@ -335,11 +364,11 @@ class TestBlockBasisByWeight:
                 Counted.reads += 1
                 return tuple.__getitem__(self, i)
 
-        grades = Counted(((1,),) * 40)
-        tuples = cohomology._tuples_in_range(cohomology._Grading(grades), 3, (3,))
+        weights = Counted((1,) * 40)
+        tuples = cohomology._tuples_in_range(weights, 3, 3)
         assert Counted.reads == 0
         assert next(tuples) == (0, 1, 2)
-        assert Counted.reads < 2 * len(grades)
+        assert Counted.reads < 2 * len(weights)
         assert sum(1 for _ in tuples) == 9880 - 1
 
 
@@ -451,39 +480,67 @@ def _h_torus(tag):
 
 
 def test_a_dims_sweep_builds_each_live_slice_once(monkeypatch):
-    """`cohomology dims` builds each torus slice it needs once, on one module,
+    """`cohomology dims` ranks each torus slice it needs once, on one module,
     and no slice that the Cartan homotopy proves acyclic: the needed slices
-    of a cell (k, w) are its zero slice and each slice holding a k-tuple
+    of a cell (k, w) are those of C^k(w) that are zero or hold a k-tuple
     with an over-cutoff pair, for d_k and d_{k-1}; found here by brute force
-    over all k-subsets, with the torus weights read off the tags."""
-    built = Counter()
-    build = cohomology._slice_rows
+    over all k-subsets, with the torus weights read off the tags.  A slice
+    absent from C^k(w) adds 0 and is not needed."""
+    ranked = Counter()
+    rank = cohomology._slice_ranks
 
-    def counting(module, k, w, tau):
-        built[(id(module), k, w, tau)] += 1
-        return build(module, k, w, tau)
+    def counting(module, k, w, taus, source=None):
+        # the slices ranked by this call: those not yet in the module's cache
+        fresh = {tau for tau in taus if (k, w, tau) not in module._ranks}
+        ranked.update((id(module), k, w, tau) for tau in fresh)
+        return rank(module, k, w, taus, source)
 
-    monkeypatch.setattr(cohomology, "_slice_rows", counting)
+    monkeypatch.setattr(cohomology, "_slice_ranks", counting)
     args = ["cohomology", "dims", "--algebra", "H", "--d", "1", "--N", "6"]
     assert cli.main(args + ["--degrees", "0,1,2,3"]) == 0
     h = tower.build_h(1, 6)
     needed, every_slice = set(), set()
     for k in range(4):
-        live = {w: {(0,)} for w in cohomology.tuple_weights(h.weights, k)}
+        live = {}
         for idx in combinations(range(h.dim), k):
             w = sum(h.weights[i] for i in idx)
             tau = (sum(_h_torus(h.tags[i])[0] for i in idx),)
             every_slice.add((k, w, tau))
-            if not all(h.in_cutoff_pair(a, b) for a, b in combinations(idx, 2)):
-                live[w].add(tau)
+            in_cutoff = all(h.in_cutoff_pair(a, b) for a, b in combinations(idx, 2))
+            if tau == (0,) or not in_cutoff:
+                live.setdefault(w, set()).add(tau)
         for w, taus in live.items():
             needed.update((j, w, tau) for tau in taus for j in {k, k - 1} - {-1})
-    assert len({module for module, *_ in built}) == 1
-    assert {key[1:] for key in built} == needed
-    assert set(built.values()) == {1}
+    assert len({module for module, *_ in ranked}) == 1
+    assert {key[1:] for key in ranked} == needed
+    assert set(ranked.values()) == {1}
     # the sweep met slices of both kinds: skipped ones, and live ones off 0
     assert any(tau != (0,) for _, _, tau in needed)
     assert {(k, w, tau) for k, w, tau in every_slice if k < 3} - needed
+
+
+def test_a_dims_cell_enumerates_blocks_not_slices(monkeypatch):
+    """One `cohomology_dim` call enumerates each block it reads once, for
+    every torus slice together: C^k(w), C^{k-1}(w), and the in-cutoff parts
+    of C^k(w) and C^{k+1}(w), each one enumerator call per module weight."""
+    calls = 0
+    enumerate_tuples = cohomology._tuples_in_range
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return enumerate_tuples(*args)
+
+    monkeypatch.setattr(cohomology, "_tuples_in_range", counting)
+    two_weights, _ = ORACLE_MODULES["W(1,3)-two-weights"]
+    for module in (trivial_module(tower.build_h(2, 4)), two_weights):
+        most = 0
+        for k in range(3):
+            for w in cohomology.tuple_weights(module.algebra.weights, k):
+                calls = 0
+                cohomology_dim(module, k, w)
+                most = max(most, calls)
+        assert 0 < most <= 4 * len(set(module.weights)), module.name
 
 
 def reference_ce_differential(cochain, module):
@@ -736,7 +793,7 @@ class TestTorusRoute:
         module = trivial_module(build())
         full, unclean = _full_route_dims(module, range(degrees))
         assert {cell: cohomology_dim(module, *cell) for cell in full} == full
-        assert unclean > 0 and len(cohomology._grades(module)[0].grades[0]) > 1
+        assert unclean > 0 and len(cohomology._torus(module)[0][0]) > 0
 
     @pytest.mark.parametrize(
         "module,overflows", list(ORACLE_MODULES.values()), ids=list(ORACLE_MODULES)
@@ -761,8 +818,8 @@ def _shift_x1y1_x1_to_y1(h):
 def _torus_columns(algebra, module=None):
     """The torus weights found on `algebra` (and on `module`): one column per
     torus element, the algebra's columns sorted."""
-    grading, module_grades = cohomology._grades(module or trivial_module(algebra))
-    return sorted(list(zip(*grading.grades))[1:]), list(zip(*module_grades))[1:]
+    lams, mus = cohomology._torus(module or trivial_module(algebra))
+    return sorted(zip(*lams)), list(zip(*mus))
 
 
 class TestTorusReading:
@@ -833,6 +890,18 @@ class TestTorusReading:
         )
         full, _ = _full_route_dims(module, range(3))
         assert min(full.values()) < 0
+
+    def test_the_tower_v_module_is_refused(self):
+        # verify_representation exempts the vectors above cutoff - max(w_i,
+        # w_j, w_i + w_j) and passes V(d=1,p=1); cohomology_dim exempts none
+        module = tower.tower_obstruction(1, 1, 6).module
+        assert module.verify_representation() > 0
+        with pytest.raises(UsageError) as refusal:
+            cohomology_dim(module, 2, 0)
+        assert str(refusal.value) == (
+            "V(d=1,p=1): not a representation on "
+            "(h^-1*y1, h^-1*y1^3, h^-1*x1^2*h^2)"
+        )
 
     def test_a_corrupted_torus_element_is_dropped(self):
         # x2*y2 is the torus left
