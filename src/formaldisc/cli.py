@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Subcommands: weyl mul|comm|iota, poisson, tower check, cohomology dims|class,
-darboux normalize|transport, verify <suite>.  Exit codes: 0 success, 1 a
-check failed, 2 usage error.  Reports carry `"schema": 1` and an echoed seed.
+darboux normalize|transport, verify <suite>.  Each has one handler that
+returns (stdout text, JSON payload, exit code), and `main` is the one exit
+path: it alone prints the text, writes the payload to `--json` and maps
+errors.  Exit codes: 0 success, 1 a check failed, 2 a usage error or an
+unwritable `--json` path.  Every payload is a schema-1 `reports.envelope`;
+reports echo their seed.
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ import time
 from . import cohomology, darboux, suites, tower
 from .errors import CheckFailure, UsageError
 from .exprs import EvalContext, eval_form, eval_poly, eval_weyl
-from .reports import _jsonable
+from .reports import envelope
 from .series import PoissonBivector, poisson_bracket
 from .weyl import TruncationSpec, commutator, iota, star
 
 
-def _add_common(parser, p_default=2, n_default=6):
+def _add_common(parser, handler, p_default=2, n_default=6):
+    parser.set_defaults(handler=handler)
     parser.add_argument("--d", type=int, default=1, help="disc dimension d")
     parser.add_argument("--p", type=int, default=p_default, help="h-order truncation")
     parser.add_argument("--N", type=int, default=n_default, help="weight cutoff")
@@ -41,7 +46,7 @@ def build_parser():
     for op, nargs in (("mul", 2), ("comm", 2), ("iota", 1)):
         wp = weyl_sub.add_parser(op)
         wp.add_argument("exprs", nargs=nargs, metavar="EXPR")
-        _add_common(wp)
+        _add_common(wp, _weyl)
 
     poisson = sub.add_parser("poisson", help="Poisson bracket of two functions")
     poisson.add_argument("f", metavar="F")
@@ -49,7 +54,7 @@ def build_parser():
     poisson.add_argument(
         "--form", help="symplectic form expression (default: standard bivector)"
     )
-    _add_common(poisson)
+    _add_common(poisson, _poisson)
 
     towp = sub.add_parser("tower", help="Lie tower checks")
     tow_sub = towp.add_subparsers(dest="op", required=True)
@@ -59,7 +64,7 @@ def build_parser():
         action="store_true",
         help="corrupt one structure constant first (the report must fail)",
     )
-    _add_common(check)
+    _add_common(check, _tower_check)
 
     coh = sub.add_parser("cohomology", help="Chevalley-Eilenberg computations")
     coh_sub = coh.add_subparsers(dest="op", required=True)
@@ -69,121 +74,94 @@ def build_parser():
     )
     dims.add_argument("--module", choices=("trivial",), default="trivial")
     dims.add_argument("--degrees", default="0,1,2", help="comma list of degrees")
-    _add_common(dims, n_default=5)
+    _add_common(dims, _cohomology_dims, n_default=5)
     cls = coh_sub.add_parser("class")
     cls.add_argument(
         "--which", choices=("omega", "obstruction"), default="omega"
     )
-    _add_common(cls)
+    _add_common(cls, _cohomology_class)
 
     dar = sub.add_parser("darboux", help="formal Darboux normalization")
     dar_sub = dar.add_subparsers(dest="op", required=True)
     norm = dar_sub.add_parser("normalize")
     norm.add_argument("--form", required=True, help="symplectic form expression")
-    _add_common(norm, n_default=8)
+    _add_common(norm, _darboux_normalize, n_default=8)
     trans = dar_sub.add_parser("transport")
     trans.add_argument("--form", required=True)
     trans.add_argument("--a", required=True)
     trans.add_argument("--b", required=True)
-    _add_common(trans)
+    _add_common(trans, _darboux_transport)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=suites.SUITES)
     verify.add_argument("--inject-fault", action="store_true")
-    _add_common(verify)
+    _add_common(verify, _verify)
 
     return parser
-
-
-def _emit(payload, path):
-    text = json.dumps(payload, indent=2)
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    return text
-
-
-def _result_payload(command, params, **results):
-    return {
-        "schema": 1,
-        "command": command,
-        "params": params,
-        **{k: _jsonable(v) for k, v in results.items()},
-    }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        text, payload, code = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        try:
+            with open(args.json, "w", encoding="utf-8") as handle:
+                handle.write(_json_text(payload) + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    print(text)
+    return code
 
 
-def _dispatch(args) -> int:
-    command = args.command
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2)
 
-    if command == "weyl":
-        spec = TruncationSpec(args.d, args.p, args.N)
-        params = {"d": args.d, "p": args.p, "N": args.N}
-        if args.op == "mul":
-            a, b = (eval_weyl(e, spec) for e in args.exprs)
-            result = star(a, b)
-        elif args.op == "comm":
-            a, b = (eval_weyl(e, spec) for e in args.exprs)
-            result = commutator(a, b)
-        else:
-            result = iota(eval_weyl(args.exprs[0], spec))
-        print(result)
-        if args.json:
-            _emit(
-                _result_payload(f"weyl {args.op}", params, result=result.to_json()),
-                args.json,
-            )
-        return 0
 
-    if command == "poisson":
-        ctx = EvalContext(args.d, args.N)
-        f, g = eval_poly(args.f, ctx), eval_poly(args.g, ctx)
-        if args.form:
-            fs = darboux.check_symplectic(eval_form(args.form, ctx))
-            theta = darboux.form_to_bivector(fs)
-        else:
-            theta = PoissonBivector.standard(args.d, args.N)
-        result = poisson_bracket(f, g, theta)
-        print(result)
-        if args.json:
-            _emit(
-                _result_payload(
-                    "poisson",
-                    {"d": args.d, "N": args.N},
-                    result=result.to_json(),
-                ),
-                args.json,
-            )
-        return 0
+def _report(report):
+    return report.render_text(), report.to_json(), report.exit_code
 
-    if command == "tower":
-        report = tower.commu_diagram_check(
-            args.d, args.p, args.N, corrupt=args.inject_fault
-        )
-        print(report.render_text())
-        if args.json:
-            _emit(report.to_json(), args.json)
-        return report.exit_code
 
-    if command == "cohomology":
-        return _cohomology_command(args)
+def _weyl(args):
+    spec = TruncationSpec(args.d, args.p, args.N)
+    if args.op == "iota":
+        result = iota(eval_weyl(args.exprs[0], spec))
+    else:
+        a, b = (eval_weyl(e, spec) for e in args.exprs)
+        result = (star if args.op == "mul" else commutator)(a, b)
+    params = {"d": args.d, "p": args.p, "N": args.N}
+    return str(result), envelope(f"weyl {args.op}", params, result=result.to_json()), 0
 
-    if command == "darboux":
-        return _darboux_command(args)
 
-    if command == "verify":
-        report = suites.run_suite(
+def _poisson(args):
+    ctx = EvalContext(args.d, args.N)
+    f, g = eval_poly(args.f, ctx), eval_poly(args.g, ctx)
+    if args.form:
+        fs = darboux.check_symplectic(eval_form(args.form, ctx))
+        theta = darboux.form_to_bivector(fs)
+    else:
+        theta = PoissonBivector.standard(args.d, args.N)
+    result = poisson_bracket(f, g, theta)
+    params = {"d": args.d, "N": args.N}
+    return str(result), envelope("poisson", params, result=result.to_json()), 0
+
+
+def _tower_check(args):
+    return _report(
+        tower.commu_diagram_check(args.d, args.p, args.N, corrupt=args.inject_fault)
+    )
+
+
+def _verify(args):
+    return _report(
+        suites.run_suite(
             args.suite,
             d=args.d,
             p=args.p,
@@ -191,12 +169,7 @@ def _dispatch(args) -> int:
             seed=args.seed,
             inject_fault=args.inject_fault,
         )
-        print(report.render_text())
-        if args.json:
-            _emit(report.to_json(), args.json)
-        return report.exit_code
-
-    raise UsageError(f"unknown command {command}")
+    )
 
 
 def _pick_algebra(name, d, n):
@@ -209,115 +182,98 @@ def _pick_algebra(name, d, n):
     return tower.sp_algebra(d)
 
 
-def _cohomology_command(args) -> int:
+def _cohomology_dims(args):
     started = time.monotonic()
-    if args.op == "dims":
-        if args.d < 1 or args.N < 0:
-            raise UsageError(
-                f"cohomology dims needs d >= 1 and N >= 0; got d={args.d}, N={args.N}"
-            )
-        if args.algebra == "sp" and args.p < 0:
-            raise UsageError(
-                f"cohomology dims --algebra sp needs p >= 0; got p={args.p}"
-            )
-        tokens = [tok.strip() for tok in args.degrees.split(",")]
-        if not all(tok.isdecimal() for tok in tokens):
-            raise UsageError(f"cohomology dims needs degrees >= 0; got {args.degrees!r}")
-        degrees = [int(tok) for tok in tokens]
-        algebra = _pick_algebra(args.algebra, args.d, args.N)
-        module = cohomology.trivial_module(algebra)
-        table = {}
-        for k in degrees:
-            for w in cohomology.tuple_weights(algebra.weights, k):
-                dim = cohomology.cohomology_dim(module, k, w)
-                if dim:
-                    table[f"H^{k}(w={w})"] = dim
-        params = {"algebra": args.algebra, "d": args.d, "N": args.N, "module": "trivial"}
-        if args.algebra == "sp":
-            del params["N"]  # sp(2d) depends on d alone
-        payload = _result_payload(
-            "cohomology dims",
-            params,
-            dimensions=table,
-            duration_s=round(time.monotonic() - started, 3),
+    if args.d < 1 or args.N < 0:
+        raise UsageError(
+            f"cohomology dims needs d >= 1 and N >= 0; got d={args.d}, N={args.N}"
         )
-        print(_emit(payload, args.json))
-        return 0
-
-    if args.which == "omega":
-        cls = cohomology.omega_class(args.d, args.N)
-        nonzero = cls.is_nonzero()
-        payload = _result_payload(
-            "cohomology class omega",
-            {"d": args.d, "N": args.N},
-            degree=cls.degree,
-            weight=cls.weight,
-            nonzero=nonzero,
-            support={
-                str(idx): {str(m): str(c) for m, c in vec.items()}
-                for idx, vec in cls.representative.values.items()
-            },
-        )
-        print(_emit(payload, args.json))
-        return 0 if nonzero else 1
-
-    # extension_cocycle raises CheckFailure unless the cochain is a cocycle
-    obs = tower.tower_obstruction(args.d, args.p, args.N)
-    payload = _result_payload(
-        "cohomology class obstruction",
-        {"d": args.d, "p": args.p, "N": args.N},
-        cocycle=True,
-        support_pairs=len(obs.cochain.values),
+    if args.algebra == "sp" and args.p < 0:
+        raise UsageError(f"cohomology dims --algebra sp needs p >= 0; got p={args.p}")
+    tokens = [tok.strip() for tok in args.degrees.split(",")]
+    if not all(tok.isdecimal() for tok in tokens):
+        raise UsageError(f"cohomology dims needs degrees >= 0; got {args.degrees!r}")
+    algebra = _pick_algebra(args.algebra, args.d, args.N)
+    module = cohomology.trivial_module(algebra)
+    table = {}
+    for k in map(int, tokens):
+        for w in cohomology.tuple_weights(algebra.weights, k):
+            dim = cohomology.cohomology_dim(module, k, w)
+            if dim:
+                table[f"H^{k}(w={w})"] = dim
+    params = {"algebra": args.algebra, "d": args.d, "N": args.N, "module": "trivial"}
+    if args.algebra == "sp":
+        del params["N"]  # sp(2d) depends on d alone
+    payload = envelope(
+        "cohomology dims",
+        params,
+        dimensions=table,
+        duration_s=round(time.monotonic() - started, 3),
     )
-    print(_emit(payload, args.json))
-    return 0
+    return _json_text(payload), payload, 0
 
 
-def _darboux_command(args) -> int:
-    if args.op == "transport" and args.p < 0:
+def _cohomology_class(args):
+    if args.which == "obstruction":
+        # extension_cocycle raises CheckFailure unless the cochain is a cocycle
+        obs = tower.tower_obstruction(args.d, args.p, args.N)
+        payload = envelope(
+            "cohomology class obstruction",
+            {"d": args.d, "p": args.p, "N": args.N},
+            cocycle=True,
+            support_pairs=len(obs.cochain.values),
+        )
+        return _json_text(payload), payload, 0
+    cls = cohomology.omega_class(args.d, args.N)
+    nonzero = cls.is_nonzero()
+    payload = envelope(
+        "cohomology class omega",
+        {"d": args.d, "N": args.N},
+        degree=cls.degree,
+        weight=cls.weight,
+        nonzero=nonzero,
+        support={
+            str(idx): {str(m): str(c) for m, c in vec.items()}
+            for idx, vec in cls.representative.values.items()
+        },
+    )
+    return _json_text(payload), payload, 0 if nonzero else 1
+
+
+def _darboux_normalize(args):
+    fs = darboux.check_symplectic(eval_form(args.form, EvalContext(args.d, args.N)))
+    phi = darboux.darboux_normalize(fs)
+    residual = darboux.pullback_residual(fs, phi)
+    zero = residual.is_zero()
+    text = (
+        f"coordinate change:\n  {phi}\n"
+        f"verification residual: {'0' if zero else residual}"
+    )
+    payload = envelope(
+        "darboux normalize",
+        {"d": args.d, "N": args.N},
+        phi=phi.to_json(),
+        residual_zero=zero,
+    )
+    return text, payload, 0 if zero else 1
+
+
+def _darboux_transport(args):
+    if args.p < 0:
         raise UsageError(f"darboux transport needs p >= 0; got p={args.p}")
     ctx = EvalContext(args.d, args.N)
     fs = darboux.check_symplectic(eval_form(args.form, ctx))
-    if args.op == "normalize":
-        phi = darboux.darboux_normalize(fs)
-        residual = darboux.pullback_residual(fs, phi)
-        print("coordinate change:")
-        print(f"  {phi}")
-        print(f"verification residual: {residual if not residual.is_zero() else '0'}")
-        if args.json:
-            _emit(
-                _result_payload(
-                    "darboux normalize",
-                    {"d": args.d, "N": args.N},
-                    phi=phi.to_json(),
-                    residual_zero=residual.is_zero(),
-                ),
-                args.json,
-            )
-        return 0 if residual.is_zero() else 1
-
-    deep = darboux.check_symplectic(
-        darboux.lift_form(fs.form, args.N + 2)
-    )
+    deep = darboux.check_symplectic(darboux.lift_form(fs.form, args.N + 2))
     phi = darboux.darboux_normalize(deep)
     phi_inv = phi.inverse()
     spec = TruncationSpec(args.d, args.p, phi.cutoff)
     a = eval_poly(args.a, ctx).lifted(phi.cutoff)
     b = eval_poly(args.b, ctx).lifted(phi.cutoff)
-    product = darboux.transported_product_symbol(phi, a, b, spec, phi_inv).truncated(
-        args.N
-    )
-    print(product)
-    if args.json:
-        _emit(
-            _result_payload(
-                "darboux transport",
-                {"d": args.d, "p": args.p, "N": args.N},
-                result=product.to_json(),
-            ),
-            args.json,
-        )
-    return 0
+    product = darboux.transported_product_symbol(phi, a, b, spec, phi_inv)
+    result = product.truncated(args.N)
+    params = {"d": args.d, "p": args.p, "N": args.N}
+    payload = envelope("darboux transport", params, result=result.to_json())
+    return str(result), payload, 0
 
 
 if __name__ == "__main__":

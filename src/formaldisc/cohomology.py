@@ -36,7 +36,7 @@ from .liealg import (
     extension_defect_cochain,
 )
 from . import sparse
-from .sparse import EMPTY, accumulate, as_fraction, scale
+from .sparse import EMPTY, accumulate, check_exact_vectors, scale
 
 ZERO = Fraction(0)
 
@@ -47,7 +47,8 @@ class LieModule:
 
     action[(i, m)] is the vector rho(e_i) @ v_m in module coordinates; absent
     keys act by zero.  The module carries its own weight cutoff; actions that
-    would land above it must not be stored.
+    would land above it must not be stored.  An action constant that is not
+    an int or a Fraction is refused with a UsageError.
     """
 
     algebra: GradedLieAlgebra
@@ -61,6 +62,9 @@ class LieModule:
     _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the torus weights that `_torus` reads off the tables
     _torus: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_exact_vectors(self.action, f"{self.name}: action on")
 
     @property
     def dim(self) -> int:
@@ -157,11 +161,10 @@ class Cochain:
                     f"cochain key {idx!r} is not an increasing {self.degree}-tuple "
                     f"of indices below {n}"
                 )
-            for m, c in vec.items():
+            for m in vec:
                 if not (isinstance(m, int) and 0 <= m < dim):
                     raise UsageError(f"module index {m!r} is not below {dim}")
-                if not isinstance(c, int) and as_fraction(c) is not c:
-                    raise UsageError(f"not an exact rational: {c!r}")
+        check_exact_vectors(self.values, "cochain value at")
 
     def value(self, idx: tuple) -> Vector:
         return self.values.get(idx, {})
@@ -283,8 +286,9 @@ def _ce_terms(g: GradedLieAlgebra, idx: tuple):
 
 
 def tuple_weights(weights, k: int) -> list[int]:
-    """The weight sums of the k-element subsets of `weights`, ascending."""
-    if k < 0:
+    """The weight sums of the k-element subsets of `weights`, ascending;
+    none when k is negative or exceeds the number of weights."""
+    if not 0 <= k <= len(weights):
         return []
     sums = [{0}] + [set() for _ in range(k)]
     for w in weights:
@@ -349,35 +353,41 @@ def _tuples_in_range(weights, k: int, total: int, cutoff=None):
     yield from extend(0, k, total, top, ())
 
 
-def cochain_block_basis(module: LieModule, k: int, weight: int, cutoff=None):
-    """Basis of the (degree k, cochain weight w) block as (tuple, m) pairs.
-
-    In lexicographic (tuple, m) order; only the tuples of a matching input
-    weight are generated, with a cutoff only those without an over-cutoff
-    pair.
-    """
+def _block_pairs(module: LieModule, k: int, weight: int, cutoff=None):
+    """The (tuple, m) pairs of the (degree k, cochain weight w) block,
+    streamed: one tuple stream per input weight, each tuple with its module
+    indices next to each other.  Only the tuples of a matching input weight
+    are generated, with a cutoff only those without an over-cutoff pair."""
     totals: dict[int, list] = {}  # input weight -> module indices it pairs with
     for m, wm in enumerate(module.weights):
         totals.setdefault(weight + wm, []).append(m)
     weights = module.algebra.weights
-    return sorted(
-        (idx, m)
-        for total, ms in totals.items()
-        for idx in _tuples_in_range(weights, k, total, cutoff)
-        for m in ms
-    )
+    for total, ms in totals.items():
+        for idx in _tuples_in_range(weights, k, total, cutoff):
+            for m in ms:
+                yield idx, m
 
 
-def _slices(module: LieModule, k: int, weight: int, cutoff=None):
-    """`cochain_block_basis` bucketed by torus weight: {tau: its (tuple, m)
-    pairs, in block order}.  (X, m) has torus weight tau = the sum of the
-    torus weights of the x in X, minus that of v_m (see `_torus`)."""
+def cochain_block_basis(module: LieModule, k: int, weight: int, cutoff=None):
+    """Basis of the (degree k, cochain weight w) block as (tuple, m) pairs,
+    in lexicographic (tuple, m) order (see `_block_pairs`)."""
+    return sorted(_block_pairs(module, k, weight, cutoff))
+
+
+def _slices(module: LieModule, k: int, weight: int, cutoff=None, taus=None):
+    """The pairs of `_block_pairs` bucketed by torus weight, {tau: its (tuple,
+    m) pairs}; with `taus`, only the buckets in it are kept.  (X, m) has
+    torus weight tau = the sum of the torus weights of the x in X, minus
+    that of v_m (see `_torus`).  Buckets fill straight off the tuple
+    streams, so they keep the module indices of a tuple together (as `_rows`
+    needs) but not block order, which no rank depends on."""
     lams, mus = _torus(module)
     minus_mus = [tuple(-c for c in mu) for mu in mus]
     buckets: dict[tuple, list] = {}
-    for idx, m in cochain_block_basis(module, k, weight, cutoff):
+    for idx, m in _block_pairs(module, k, weight, cutoff):
         tau = tuple(map(sum, zip(minus_mus[m], *(lams[i] for i in idx))))
-        buckets.setdefault(tau, []).append((idx, m))
+        if taus is None or tau in taus:
+            buckets.setdefault(tau, []).append((idx, m))
     return buckets
 
 
@@ -523,15 +533,16 @@ def _slice_ranks(module: LieModule, k: int, weight: int, taus, source=None):
 
     The block's source (`source`, its `_slices`, when the caller has them)
     and its in-cutoff target are enumerated once for every slice not yet
-    ranked.  The differential keeps torus weight, so no row of a slice reads
-    a column outside it; the rows of excluded target tuples are empty and
-    never generated.  A slice absent from the source has rank 0.
+    ranked, and only those slices are kept.  The differential keeps torus
+    weight, so no row of a slice reads a column outside it; the rows of
+    excluded target tuples are empty and never generated.  A slice absent
+    from the source has rank 0.
     """
     ranks = module._ranks
-    missing = [tau for tau in taus if (k, weight, tau) not in ranks]
+    missing = {tau for tau in taus if (k, weight, tau) not in ranks}
     if missing:
-        source = source or _slices(module, k, weight)
-        target = _slices(module, k + 1, weight, module.algebra.cutoff)
+        source = source or _slices(module, k, weight, taus=missing)
+        target = _slices(module, k + 1, weight, module.algebra.cutoff, missing)
         for tau in missing:
             src = source.get(tau, [])
             rows, _ = _rows(module, weight, src, target.get(tau, []))

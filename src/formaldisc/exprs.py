@@ -277,10 +277,15 @@ def eval_weyl(text: str, spec: TruncationSpec) -> WeylElement:
         if isinstance(node, Neg):
             return -walk(node.arg)
         if isinstance(node, Pow):
-            base = walk(node.base)
+            # by squaring, as star is associative
+            base, n = walk(node.base), node.exponent
             out = WeylElement.one(spec)
-            for _ in range(node.exponent):
-                out = star(out, base)
+            while n:
+                if n & 1:
+                    out = star(out, base)
+                n >>= 1
+                if n:
+                    base = star(base, base)
             return out
         if isinstance(node, BinOp):
             left, right = walk(node.left), walk(node.right)

@@ -28,6 +28,7 @@ from .sparse import (
     EMPTY,
     FrozenVectors,
     accumulate,
+    check_exact_vectors,
     common_denominator,
     integral,
     scale,
@@ -72,6 +73,7 @@ class GradedLieAlgebra:
         for (i, j) in self.brackets:
             if not 0 <= i < j < len(self.labels):
                 raise UsageError(f"bracket key ({i},{j}) must satisfy i<j")
+        check_exact_vectors(self.brackets, f"{self.name}: bracket")
         self.brackets = FrozenVectors(self.brackets)
         self._index = {label: k for k, label in enumerate(self.labels)}
 
@@ -227,21 +229,6 @@ class GradedLieAlgebra:
         algebra.verify_graded()
         return algebra
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "cutoff": self.cutoff,
-            "basis": list(self.labels),
-            "weights": list(self.weights),
-            "brackets": {
-                f"{i},{j}": {
-                    str(k): f"{c.numerator}/{c.denominator}" for k, c in sorted(vec.items())
-                }
-                for (i, j), vec in sorted(self.brackets.items())
-                if vec
-            },
-        }
-
 
 def tabulate(name, tags, labels, weights, cutoff, bracket) -> GradedLieAlgebra:
     """The graded Lie algebra on the basis `tags` with bracket `bracket`.
@@ -292,6 +279,7 @@ class LinearMap:
                         f"map {self.source.name} -> {self.target.name} shifts weight "
                         f"on {self.source.labels[i]}"
                     )
+        check_exact_vectors(self.columns, f"map {self.source.name}: column")
         self.columns = FrozenVectors(self.columns)
 
     def column(self, i: int) -> Vector:

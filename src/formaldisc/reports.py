@@ -1,4 +1,5 @@
-"""Machine-readable check reports shared by the verification suites and CLI."""
+"""Machine-readable check reports shared by the verification suites and CLI,
+and the one schema-1 JSON payload (`envelope`) both write."""
 
 from __future__ import annotations
 
@@ -22,6 +23,17 @@ class CheckResult:
         if self.witness is not None:
             out["witness"] = _jsonable(self.witness)
         return out
+
+
+def envelope(command: str, params: dict, **fields) -> dict:
+    """The schema-1 JSON payload of a command: schema, command, params, then
+    `fields` in the order given, each made JSON-ready."""
+    return {
+        "schema": 1,
+        "command": command,
+        "params": _jsonable(params),
+        **{k: _jsonable(v) for k, v in fields.items()},
+    }
 
 
 def _jsonable(value):
@@ -74,16 +86,14 @@ class Report:
         return 0 if self.all_passed else 1
 
     def to_json(self):
-        out = {
-            "schema": 1,
-            "command": self.command,
-            "params": _jsonable(self.params),
-            "checks": [c.to_json() for c in self.checks],
-            "duration_s": round(self.duration, 6),
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+        seed = {} if self.seed is None else {"seed": self.seed}
+        return envelope(
+            self.command,
+            self.params,
+            checks=[c.to_json() for c in self.checks],
+            duration_s=round(self.duration, 6),
+            **seed,
+        )
 
     def render_text(self) -> str:
         lines = [f"# {self.command}"]

@@ -137,9 +137,13 @@ def _pair_sum(left: dict, right: dict, room: int, product) -> dict:
 def _checked_terms(terms, d: int, cutoff: int, h_order: int) -> dict:
     """The term map of a public constructor, checked: coefficients made exact,
     zeros and monomials past the h-order or the weight cutoff dropped, and a
-    monomial of another dimension refused."""
+    monomial with an exponent that is not an int >= 0 or of another
+    dimension refused."""
     clean = {}
     for mono, coeff in (terms or {}).items():
+        exponents = (*mono.xexp, *mono.yexp, mono.hexp)
+        if not all(isinstance(e, int) and e >= 0 for e in exponents):
+            raise UsageError(f"monomial {mono!r} needs exponents that are ints >= 0")
         coeff = as_fraction(coeff)
         if coeff == 0 or mono.hexp > h_order or mono.weight > cutoff:
             continue
@@ -161,10 +165,10 @@ class TruncatedPoly(LinearTerms):
     __slots__ = ("d", "cutoff", "terms")
 
     def __init__(self, d: int, cutoff: int, terms=None):
-        if d < 1:
-            raise UsageError(f"dimension must be >= 1, got {d}")
-        if cutoff < 0:
-            raise UsageError(f"cutoff must be >= 0, got {cutoff}")
+        if not isinstance(d, int) or d < 1:
+            raise UsageError(f"dimension must be >= 1, got {d!r}")
+        if not isinstance(cutoff, int) or cutoff < 0:
+            raise UsageError(f"cutoff must be >= 0, got {cutoff!r}")
         self.d = d
         self.cutoff = cutoff
         # weight >= 2 * hexp, so h-order cutoff // 2 drops nothing more
@@ -593,17 +597,6 @@ class DifferentialForm:
 
     def __repr__(self):
         return f"DifferentialForm(d={self.d}, N={self.cutoff}, deg={self.degree}, {self})"
-
-    def to_json(self):
-        return {
-            "d": self.d,
-            "N": self.cutoff,
-            "degree": self.degree,
-            "components": {
-                ",".join(map(str, idx)): poly.to_json()["terms"]
-                for idx, poly in sorted(self.components.items())
-            },
-        }
 
 
 def de_rham_d(form: DifferentialForm) -> DifferentialForm:

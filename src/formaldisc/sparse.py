@@ -111,6 +111,16 @@ class FrozenVectors(Mapping):
         return len(self._vectors)
 
 
+def check_exact_vectors(vectors: Mapping, what: str):
+    """Refuse, with a UsageError naming `what` and the key, the first value
+    in the vectors of `vectors` that is not an int or a Fraction: the rule
+    of every constructor that stores vectors as given."""
+    for key, vec in vectors.items():
+        for c in vec.values():
+            if not isinstance(c, (int, Fraction)):
+                raise UsageError(f"{what} {key!r}: not an exact rational: {c!r}")
+
+
 def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value

@@ -51,10 +51,11 @@ class TruncationSpec:
     cutoff: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise UsageError(f"dimension must be >= 1, got {self.d}")
-        if self.h_order < 0 or self.cutoff < 0:
-            raise UsageError("h_order and cutoff must be non-negative")
+        if not isinstance(self.d, int) or self.d < 1:
+            raise UsageError(f"dimension must be >= 1, got {self.d!r}")
+        orders = (self.h_order, self.cutoff)
+        if not all(isinstance(n, int) and n >= 0 for n in orders):
+            raise UsageError("h_order and cutoff must be non-negative integers")
 
     def deepen(self, extra_h: int = 0, extra_weight: int = 0) -> "TruncationSpec":
         return TruncationSpec(self.d, self.h_order + extra_h, self.cutoff + extra_weight)

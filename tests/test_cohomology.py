@@ -3,6 +3,7 @@
 import inspect
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -281,6 +282,14 @@ class TestCochainInput:
         values = {(0, 2): {0: 1}, (1, 2): {0: Fraction(1, 2)}}
         assert Cochain(trivial_module(sp), 2, values).values is values
 
+    def test_a_module_action_must_be_exact(self):
+        sp, _ = tower.sp_subalgebra(tower.build_derd_level(1, 1, 4))
+        args = (sp, "m", ("v",), (0,))
+        with pytest.raises(UsageError, match=r"m: action on \(0, 0\): not an exact"):
+            cohomology.LieModule(*args, {(0, 0): {0: 0.5}}, 0)
+        exact = {(0, 0): {0: 1}, (1, 0): {0: Fraction(1, 2)}}
+        assert cohomology.LieModule(*args, exact, 0).action is exact
+
 
 class TestOmegaClass:
     def test_value_on_degree_one_pair(self):
@@ -353,6 +362,17 @@ class TestBlockBasisByWeight:
         module = trivial_module(abelian(2))
         assert cochain_block_basis(module, 3, 0) == []
         assert cohomology.tuple_weights((0, 0), 3) == []
+
+    def test_a_degree_past_the_dimension_allocates_nothing(self):
+        # C^k = 0 once k exceeds the dimension; a table of k + 1 weight
+        # sets, built before the weights are read, would take about 20 MB
+        tracemalloc.start()
+        try:
+            assert cohomology.tuple_weights((0, 1, 2), 10**5) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_tuples_are_generated_lazily(self):
         # the first tuple is handed out after the n-step table pass and a

@@ -1,10 +1,14 @@
 """Expression grammar, evaluation, CLI dispatch and report format."""
 
+import ast
+import inspect
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from formaldisc import cli, exprs
 from formaldisc.cli import main
 from formaldisc.errors import UsageError
 from formaldisc.exprs import (
@@ -96,6 +100,29 @@ class TestWeylWords:
         assert eval_weyl("(x1 + y1)^2", spec) == star(
             eval_weyl("x1 + y1", spec), eval_weyl("x1 + y1", spec)
         )
+
+    def test_powers_square(self, monkeypatch):
+        # a power takes about 2 log2(n) star products, not n, and equals the
+        # left-to-right word
+        spec = TruncationSpec(1, 3, 8)
+        base = eval_weyl("x1 + y1 + h", spec)
+        calls = 0
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return star(a, b)
+
+        monkeypatch.setattr(exprs, "star", counting)
+        for n in (0, 1, 5, 6, 1000):
+            calls = 0
+            value = eval_weyl(f"(x1 + y1 + h)^{n}", spec)
+            assert calls <= 2 * n.bit_length(), n
+            if n < 10:
+                word = WeylElement.one(spec)
+                for _ in range(n):
+                    word = star(word, base)
+                assert value == word, n
 
     def test_forms_rejected(self):
         with pytest.raises(UsageError):
@@ -331,3 +358,46 @@ class TestCLI:
         with pytest.raises(SystemExit) as err:
             main(["verify", "nonsense"])
         assert err.value.code == 2
+
+
+class TestOneExitPath:
+    """`main` is the one place a run leaves the CLI: it prints the text,
+    writes `--json` and maps errors to exit codes; the handlers only return
+    (text, payload, exit code)."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["weyl", "mul", "x1", "y1", "--d", "1"], ["cohomology", "dims"]],
+        ids=["weyl", "cohomology"],
+    )
+    def test_an_unwritable_json_path_is_exit_2(self, args, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        assert main([*args, "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_main_alone_prints_writes_and_catches(self):
+        tree = ast.parse(inspect.getsource(cli))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        assert "main" in {fn.name for fn in functions}
+        for fn in functions:
+            if fn.name == "main":
+                continue
+            for node in ast.walk(fn):
+                assert not isinstance(node, ast.Try), fn.name
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    assert called not in {"print", "open", "write", "exit"}, fn.name
+        for gone in ("_dispatch", "_cohomology_command", "_darboux_command", "_emit"):
+            assert not hasattr(cli, gone)
+
+    def test_the_schema_is_written_once(self):
+        src = Path(cli.__file__).parent
+        hits = [
+            path.name
+            for path in sorted(src.glob("*.py"))
+            for line in path.read_text().splitlines()
+            if '"schema": 1' in line
+        ]
+        assert hits == ["reports.py"]

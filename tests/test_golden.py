@@ -1,13 +1,19 @@
-"""Golden outputs of the CLI on fractional inputs.
+"""Golden outputs of the CLI, one pair of files per subcommand.
 
-The files under `tests/golden/` were written by the Fraction-at-every-step
-kernels; the `poisson` ones by the bracket built from `partial`, `*` and
-`+`, before it became one sum over monomial pairs.  The stdout and the
-`--json` file of each command must stay byte-identical, so a change of
-coefficient arithmetic cannot change an answer, its term order or its
-printed form.
+The `transport`, `weyl_mul`, `weyl_comm` and `poisson_*` files were written
+by the Fraction-at-every-step kernels on fractional inputs; the `poisson`
+ones by the bracket built from `partial`, `*` and `+`, before it became one
+sum over monomial pairs.  The others were written by the CLI in which each
+subcommand printed and wrote `--json` itself, before `main` became its one
+exit path.  The stdout and the `--json` file of each command must stay
+byte-identical, so a change of coefficient arithmetic or of the CLI's
+plumbing cannot change an answer, its term order or its printed form.  Only
+what changes between runs is dropped first: the `duration_s` of a JSON
+payload and the time on a report's closing "checks passed" line.
 """
 
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -31,12 +37,40 @@ COMMANDS = {
     "weyl_comm": ["weyl", "comm", *FLAGS, LEFT, RIGHT],
     "poisson_standard": ["poisson", F, G, *FLAGS],
     "poisson_form": ["poisson", F, G, "--form", "(1+x1) * dx1 /\\ dy1", *FLAGS],
+    "weyl_iota": ["weyl", "iota", *FLAGS, LEFT],
+    "cohomology_class_omega": ["cohomology", "class", "--which", "omega"],
+    "cohomology_class_obstruction": [
+        "cohomology", "class", "--which", "obstruction",
+        "--d", "1", "--p", "1", "--N", "6",
+    ],
+    "darboux_normalize": [
+        "darboux", "normalize", "--form", "(1+x1) * dx1 /\\ dy1", *FLAGS,
+    ],
+    "tower_check": ["tower", "check", "--d", "1", "--p", "1", "--N", "4"],
+    "cohomology_dims_H_d1_N5": [
+        "cohomology", "dims", "--algebra", "H", "--d", "1", "--N", "5",
+    ],
+    "verify_weyl": [
+        "verify", "weyl", "--d", "1", "--p", "1", "--N", "4", "--seed", "5",
+    ],
 }
+
+
+def _stable(text):
+    """`text` without what changes between runs.  A JSON payload, which must
+    read as `json.dumps(payload, indent=2)` and a newline, is written again
+    without its `duration_s`; a report drops the time off its closing line."""
+    if text.startswith("{"):
+        payload = json.loads(text)
+        assert json.dumps(payload, indent=2) + "\n" == text
+        payload.pop("duration_s", None)
+        return json.dumps(payload, indent=2) + "\n"
+    return re.sub(r" in \d+\.\d\ds\n\Z", "\n", text)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_is_pinned(name, capsys, tmp_path):
     out_file = tmp_path / f"{name}.json"
     assert main([*COMMANDS[name], "--json", str(out_file)]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
-    assert out_file.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert _stable(capsys.readouterr().out) == (GOLDEN / f"{name}.out").read_text()
+    assert _stable(out_file.read_text()) == (GOLDEN / f"{name}.json").read_text()

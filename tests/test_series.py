@@ -140,6 +140,27 @@ class TestRingAxioms:
         assert all(type(c) is Fraction and c for c in p.terms.values())
         assert (p - p).terms == {} and p.scaled(0).terms == {}
 
+    @pytest.mark.parametrize(
+        "mono",
+        [
+            Monomial((-1,), (0,), 0),
+            Monomial((1,), (0.5,), 0),
+            Monomial((1,), (0,), -1),
+            Monomial((1,), (0,), 1.0),
+        ],
+        ids=["negative", "float", "negative-h", "float-h"],
+    )
+    def test_exponents_must_be_naturals(self, mono):
+        # x1^-1 would be stored at weight -1, under every cutoff
+        with pytest.raises(UsageError, match="exponents that are ints >= 0"):
+            TruncatedPoly(1, 4, {mono: 1})
+
+    def test_truncation_must_be_integral(self):
+        with pytest.raises(UsageError, match="cutoff must be >= 0, got 4.5"):
+            TruncatedPoly(1, 4.5)
+        with pytest.raises(UsageError, match="dimension must be >= 1, got 1.0"):
+            TruncatedPoly(1.0, 4)
+
     def test_canonical_form_unique(self):
         p = x(0) + y(1) - x(0)
         q = y(1)

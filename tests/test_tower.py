@@ -240,6 +240,25 @@ class TestExactnessRefusals:
         self._sequence((1, 2, 1), inject={0: 0}, project={1: 0}).check_exact()
 
 
+class TestExactInput:
+    """The constructors that store vectors as given refuse an inexact
+    value, which Jacobi and the maps' checks would misread."""
+
+    def test_a_bracket_must_be_exact(self):
+        with pytest.raises(UsageError, match=r"a: bracket \(0, 1\): not an exact"):
+            GradedLieAlgebra("a", ("e0", "e1"), (0, 0), {(0, 1): {0: 0.5}}, 0)
+        brackets = {(0, 1): {0: 1, 1: Fraction(1, 2)}}
+        g = GradedLieAlgebra("a", ("e0", "e1"), (0, 0), brackets, 0)
+        assert g.bracket(0, 1) == brackets[(0, 1)]
+
+    def test_a_map_column_must_be_exact(self):
+        g = GradedLieAlgebra("a", ("e0", "e1"), (0, 0), {}, 0)
+        with pytest.raises(UsageError, match=r"map a: column 1: not an exact"):
+            LinearMap(g, g, {0: {0: 1}, 1: {1: "1"}})
+        half = {0: Fraction(1, 2)}
+        assert LinearMap(g, g, {1: half}).column(1) == half
+
+
 class TestReadOnlyCache:
     def test_cached_vectors_cannot_be_changed(self):
         g = tower.build_g_level(1, 1, 5)

@@ -406,6 +406,11 @@ class TestTrustedBoundary:
         with pytest.raises(UsageError, match=r"does not match dimension 1$"):
             WeylElement(TruncationSpec(1, 2, 6), {Monomial((1,), (1, 0), 0): 1})
 
+    @pytest.mark.parametrize("d,p,n", [(1, 2.5, 6), (1, 2, 6.0), (1.0, 2, 6)])
+    def test_a_truncation_must_be_integral(self, d, p, n):
+        with pytest.raises(UsageError, match="must be"):
+            TruncationSpec(d, p, n)
+
 
 class TestIota:
     def test_generators(self):
