@@ -24,10 +24,10 @@ from .series import PoissonBivector, poisson_bracket
 from .weyl import TruncationSpec, commutator, iota, star
 
 
-def _add_common(parser, handler, p_default=2, n_default=6):
+def _add_common(parser, handler, n_default=6):
     parser.set_defaults(handler=handler)
     parser.add_argument("--d", type=int, default=1, help="disc dimension d")
-    parser.add_argument("--p", type=int, default=p_default, help="h-order truncation")
+    parser.add_argument("--p", type=int, default=2, help="h-order truncation")
     parser.add_argument("--N", type=int, default=n_default, help="weight cutoff")
     parser.add_argument("--seed", type=int, default=2026, help="sweep seed")
     parser.add_argument("--json", metavar="PATH", help="write a JSON report/result")

@@ -7,14 +7,14 @@ Tuples whose brackets or actions overflow a cutoff are excluded from sweeps
 and counted, never silently truncated.  The CE formula of a target tuple
 is written once, in `_ce_terms`, for cochains and block rows alike.
 
-Dimensions split each block further into torus slices.  The torus is read
-off the bracket table (`_torus`): weight-0 basis elements acting
-diagonally.  The differential keeps torus weight, and by the Cartan
-homotopy formula a slice of nonzero torus weight is acyclic unless one of
-its degree-k tuples is excluded.  So `cohomology_dim` enumerates a block's
-tuples once, by weight alone, buckets them by torus weight (`_slices`), and
-ranks only the zero slice and the slices with exclusions.  It refuses a
-module that is not a representation of the stored bracket, where d^2 != 0.
+Blocks split further into torus slices, read off the tables (`_torus`),
+which the differential keeps.  `_slices` enumerates a block's tuples once,
+by weight alone, and buckets them by torus weight; every consumer builds
+its rows (`_rows`) one slice at a time.  By the Cartan homotopy formula a
+slice of nonzero torus weight is acyclic unless one of its degree-k tuples
+is excluded, so `cohomology_dim` ranks only the zero slice and the slices
+with exclusions; needing d^2 = 0, it refuses a module that is not a
+representation of the stored bracket.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import merge
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import linalg
 from .errors import CheckFailure, UsageError
@@ -58,8 +58,8 @@ class LieModule:
     action: dict[tuple[int, int], Vector]
     cutoff: int
     # (k, w, tau) -> rank of d_k on the torus slice tau of C^k(w), ints
-    # only, filled by cohomology_dim; no basis outlives its block
-    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # only, filled by cohomology_dim once it has checked the action
+    _ranks: dict | None = field(default=None, init=False, repr=False, compare=False)
     # the torus weights that `_torus` reads off the tables
     _torus: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -98,10 +98,10 @@ class LieModule:
         module vector, and an in-cutoff pair (i, j) every m of weight above
         cutoff - max(w_i, w_j, w_i + w_j).
 
-        This rule is weaker than the one `cohomology_dim` needs (see
-        `_torus`), which exempts no vector of an in-cutoff pair: the tower's
-        V modules pass here and are refused there, tower_obstruction(1, 1,
-        6).module on (h^-1*y1, h^-1*y1^3, h^-1*x1^2*h^2).
+        This rule is weaker than the one `cohomology_dim` needs, which
+        exempts no vector of an in-cutoff pair: the tower's V modules pass
+        here and are refused there, tower_obstruction(1, 1, 6).module on
+        (h^-1*y1, h^-1*y1^3, h^-1*x1^2*h^2).
         """
         g = self.algebra
         exempt = 0
@@ -353,89 +353,63 @@ def _tuples_in_range(weights, k: int, total: int, cutoff=None):
     yield from extend(0, k, total, top, ())
 
 
-def _block_pairs(module: LieModule, k: int, weight: int, cutoff=None):
-    """The (tuple, m) pairs of the (degree k, cochain weight w) block,
-    streamed: one tuple stream per input weight, each tuple with its module
-    indices next to each other.  Only the tuples of a matching input weight
-    are generated, with a cutoff only those without an over-cutoff pair."""
+def _slices(module: LieModule, k: int, weight: int, cutoff=None, taus=None):
+    """The (tuple, m) pairs of the (degree k, cochain weight w) block by
+    torus weight, {tau: its pairs}: with a cutoff only the tuples without an
+    over-cutoff pair, with `taus` only those buckets.  (X, m) has torus
+    weight the sum of those of the x in X, minus that of v_m (see `_torus`).
+    Buckets fill straight off one tuple stream per input weight, so they
+    keep the module indices of a tuple together (as `_rows` needs) but not
+    block order, which sorting restores."""
+    lams, mus = _torus(module)
+    minus_mus = [tuple(-c for c in mu) for mu in mus]
     totals: dict[int, list] = {}  # input weight -> module indices it pairs with
     for m, wm in enumerate(module.weights):
         totals.setdefault(weight + wm, []).append(m)
-    weights = module.algebra.weights
-    for total, ms in totals.items():
-        for idx in _tuples_in_range(weights, k, total, cutoff):
-            for m in ms:
-                yield idx, m
-
-
-def cochain_block_basis(module: LieModule, k: int, weight: int, cutoff=None):
-    """Basis of the (degree k, cochain weight w) block as (tuple, m) pairs,
-    in lexicographic (tuple, m) order (see `_block_pairs`)."""
-    return sorted(_block_pairs(module, k, weight, cutoff))
-
-
-def _slices(module: LieModule, k: int, weight: int, cutoff=None, taus=None):
-    """The pairs of `_block_pairs` bucketed by torus weight, {tau: its (tuple,
-    m) pairs}; with `taus`, only the buckets in it are kept.  (X, m) has
-    torus weight tau = the sum of the torus weights of the x in X, minus
-    that of v_m (see `_torus`).  Buckets fill straight off the tuple
-    streams, so they keep the module indices of a tuple together (as `_rows`
-    needs) but not block order, which no rank depends on."""
-    lams, mus = _torus(module)
-    minus_mus = [tuple(-c for c in mu) for mu in mus]
     buckets: dict[tuple, list] = {}
-    for idx, m in _block_pairs(module, k, weight, cutoff):
-        tau = tuple(map(sum, zip(minus_mus[m], *(lams[i] for i in idx))))
-        if taus is None or tau in taus:
-            buckets.setdefault(tau, []).append((idx, m))
+    for total, ms in totals.items():
+        for idx in _tuples_in_range(module.algebra.weights, k, total, cutoff):
+            for m in ms:
+                tau = tuple(map(sum, zip(minus_mus[m], *(lams[i] for i in idx))))
+                if taus is None or tau in taus:
+                    buckets.setdefault(tau, []).append((idx, m))
     return buckets
 
 
 def _torus(module: LieModule):
     """(torus weights of each algebra basis element, those of each module
-    vector): one entry per torus element, read off the bracket table once
-    per module.
+    vector), one entry per torus element, read off the tables once a module.
 
     A torus element is a weight-0 basis element t with [t, e_j] in cutoff
     and equal to lambda_t(j) e_j for every j, and rho(t) v_m = mu_t(m) v_m
     for every m; the multiples are read exactly.  An element acting by 0
-    throughout adds nothing and is left out.
-
-    Jacobi on (t, e_i, e_j) puts every stored [e_i, e_j] in torus weight
-    lambda_t(i) + lambda_t(j), and the representation rule on (t, e_i) puts
-    rho(e_i) v_m in lambda_t(i) + mu_t(m), so the differential keeps torus
-    weight.  The stored bracket obeys Jacobi wherever a truncated algebra
-    does, but a truncated action can fail the representation rule (a
-    negative weight brings an action past the module cutoff back under
-    it), and then d^2 != 0 and rank-nullity on the blocks is not
-    cohomology: a nonzero action must represent the stored bracket on every
-    in-cutoff pair and every module vector, none exempt, or the module is
-    refused with a UsageError naming the first failing (pair, vector).
+    throughout adds nothing and is left out, and so is one under which a
+    stored bracket component e_k of [e_i, e_j] or action component v_n of
+    rho(e_i) v_m breaks torus weight.  So each row of the differential
+    keeps torus weight, which is all that slicing needs.
     """
     if module._torus is None:
-        g = module.algebra
-        for i, j in combinations(range(g.dim), 2) if module.action else ():
-            for m in range(module.dim) if g.in_cutoff_pair(i, j) else ():
-                if not module.acts_as_bracket(i, j, m):
-                    raise UsageError(
-                        f"{module.name}: not a representation on "
-                        f"({g.labels[i]}, {g.labels[j]}, {module.labels[m]})"
-                    )
+        g, action = module.algebra, module.action
         lams, mus = [], []
-        if all(w <= g.cutoff for w in g.weights):
-            for t in g.basis_indices_of_weight(0):
-                lam = _eigenvalues([g.bracket(t, j) for j in range(g.dim)])
-                mu = _eigenvalues(
-                    [module.action.get((t, m), EMPTY) for m in range(module.dim)]
-                )
-                if lam is not None and mu is not None and (any(lam) or any(mu)):
-                    lams.append(lam)
-                    mus.append(mu)
+        basis_in_cutoff = all(w <= g.cutoff for w in g.weights)
+        for t in g.basis_indices_of_weight(0) if basis_in_cutoff else ():
+            lam = _eigenvalues([g.bracket(t, j) for j in range(g.dim)])
+            mu = _eigenvalues([action.get((t, m), EMPTY) for m in range(module.dim)])
+            if lam is None or mu is None or not (any(lam) or any(mu)):
+                continue
+            if _keeps_weight(g.brackets, lam, lam) and _keeps_weight(action, lam, mu):
+                lams.append(lam)
+                mus.append(mu)
         module._torus = (
             [tuple(lam[i] for lam in lams) for i in range(g.dim)],
             [tuple(mu[m] for mu in mus) for m in range(module.dim)],
         )
     return module._torus
+
+
+def _keeps_weight(table, lam, mu):
+    """Whether each component n of each table[(i, m)] is in weight lam[i] + mu[m]."""
+    return all(mu[n] == lam[i] + mu[m] for (i, m), vec in table.items() for n in vec)
 
 
 def _eigenvalues(images):
@@ -499,27 +473,17 @@ def _rows(module: LieModule, weight: int, src, tgt):
     return rows, excluded
 
 
-def _block_rows(module: LieModule, k: int, weight: int):
-    """The CE differential C^k(w) -> C^{k+1}(w) as sparse rows (see `_rows`).
-
-    Returns (rows, source basis, target basis, excluded tuple count), the
-    bases as `cochain_block_basis` lists them.
-    """
-    src = cochain_block_basis(module, k, weight)
-    tgt = cochain_block_basis(module, k + 1, weight)
-    rows, excluded = _rows(module, weight, src, tgt)
-    return rows, src, tgt, excluded
-
-
 def differential_block(module: LieModule, k: int, weight: int):
     """Dense view of the CE differential C^k(w) -> C^{k+1}(w), for the tests
     and the benchmark.
 
-    The rows of `_block_rows` written out as lists of Fractions.  Returns
-    (matrix with rows indexed by the target basis, source basis, target
-    basis, excluded tuple count).
+    The `_rows` of the sorted union of the block's torus slices, written out
+    as lists of Fractions.  Returns (matrix with rows indexed by the target
+    basis, source basis, target basis, excluded tuple count), each basis in
+    lexicographic (tuple, m) order.
     """
-    rows, src, tgt, excluded = _block_rows(module, k, weight)
+    src, tgt = (sorted(chain(*_slices(module, j, weight).values())) for j in (k, k + 1))
+    rows, excluded = _rows(module, weight, src, tgt)
     matrix = [[ZERO] * len(src) for _ in rows]
     for dense, row in zip(matrix, rows):
         for col, value in row.items():
@@ -533,10 +497,8 @@ def _slice_ranks(module: LieModule, k: int, weight: int, taus, source=None):
 
     The block's source (`source`, its `_slices`, when the caller has them)
     and its in-cutoff target are enumerated once for every slice not yet
-    ranked, and only those slices are kept.  The differential keeps torus
-    weight, so no row of a slice reads a column outside it; the rows of
-    excluded target tuples are empty and never generated.  A slice absent
-    from the source has rank 0.
+    ranked, and only those slices are kept: the rows of excluded target
+    tuples are empty.  A slice absent from the source has rank 0.
     """
     ranks = module._ranks
     missing = {tau for tau in taus if (k, weight, tau) not in ranks}
@@ -573,8 +535,22 @@ def cohomology_dim(module: LieModule, k: int, weight: int) -> int:
     C^k(w) is enumerated once and bucketed by tau; only the zero slice and
     the slices holding an excluded k-tuple are ranked.  An algebra without a
     torus has the one slice ().
+
+    Rank-nullity needs d^2 = 0, which a truncated action can break (a
+    negative weight brings an action past the module cutoff back under it).
+    So, once per module, the action must represent the stored bracket on
+    every in-cutoff pair and every vector, or a UsageError names a failure.
     """
     g = module.algebra
+    if module._ranks is None:
+        for i, j in combinations(range(g.dim), 2) if module.action else ():
+            for m in range(module.dim) if g.in_cutoff_pair(i, j) else ():
+                if not module.acts_as_bracket(i, j, m):
+                    raise UsageError(
+                        f"{module.name}: not a representation on "
+                        f"({g.labels[i]}, {g.labels[j]}, {module.labels[m]})"
+                    )
+        module._ranks = {}
     source = _slices(module, k, weight)
     live = [
         tau
@@ -586,40 +562,50 @@ def cohomology_dim(module: LieModule, k: int, weight: int) -> int:
     return sum(len(source[tau]) for tau in live) - rank_k - rank_prev
 
 
-
 def is_cocycle(cochain: Cochain) -> bool:
     return ce_differential(cochain).is_zero()
 
 
 def is_coboundary(cochain: Cochain):
-    """Exact solve for a primitive, weight block by weight block.
+    """Exact solve for a primitive, one torus slice at a time.
 
     Returns (True, primitive Cochain) or (False, None).  The input must be a
-    cocycle; anything else is a usage error.
+    cocycle with no value on a tuple with an over-cutoff bracket pair, where
+    d of a primitive is unknown; anything else is a usage error.  Each slice
+    of C^k(w) that the cocycle meets is solved from its in-cutoff rows over
+    its source in block order, so the free-variables-zero primitive is the
+    one the whole block gives.
     """
     if not is_cocycle(cochain):
         raise UsageError("is_coboundary input is not a cocycle")
-    module = cochain.module
-    k = cochain.degree
+    module, k = cochain.module, cochain.degree
+    g = module.algebra
+    for idx, vec in cochain.values.items():
+        if any(vec.values()) and not _in_cutoff(g, idx):
+            labels = ", ".join(g.labels[i] for i in idx)
+            raise UsageError(
+                f"is_coboundary input has a value on ({labels}), past the cutoff"
+            )
     primitive_values: dict[tuple, Vector] = {}
     for w in cochain.support_weights():
-        rows, src, tgt, _ = _block_rows(module, k - 1, w)
-        tgt_pos = {key: r for r, key in enumerate(tgt)}
-        rhs = [ZERO] * len(tgt)
-        for idx, vec in cochain.values.items():
-            ins = sum(module.algebra.weights[i] for i in idx)
-            for m, c in vec.items():
-                if ins - module.weights[m] == w:
-                    rhs[tgt_pos[(idx, m)]] = c
-        sol = linalg.solve_rows(rows, len(src), rhs)
-        if sol is None:
-            return (False, None)
-        # each (idx, m) lies in exactly one weight block, so nothing sums
-        for (idx, m), c in zip(src, sol):
-            if c != 0:
-                primitive_values.setdefault(idx, {})[m] = c
-    primitive = Cochain(module, k - 1, primitive_values)
-    return (True, primitive)
+        target = _slices(module, k, w, g.cutoff)
+        rhs = {}  # the slices the cocycle meets -> its values on their targets
+        for tau, tgt in target.items():
+            values = [cochain.value(idx).get(m, ZERO) for idx, m in tgt]
+            if any(values):
+                rhs[tau] = values
+        source = _slices(module, k - 1, w, taus=rhs)
+        for tau, values in rhs.items():
+            src = sorted(source.get(tau, []))
+            rows, _ = _rows(module, w, src, target[tau])
+            sol = linalg.solve_rows(rows, len(src), values)
+            if sol is None:
+                return (False, None)
+            # each (idx, m) lies in exactly one slice, so nothing sums
+            for (idx, m), c in zip(src, sol):
+                if c != 0:
+                    primitive_values.setdefault(idx, {})[m] = c
+    return (True, Cochain(module, k - 1, primitive_values))
 
 
 @dataclass
@@ -653,16 +639,9 @@ def module_from_extension(e: ExtensionData, name=None) -> LieModule:
             bracket = e.total.bracket_vec(lifted, e.inject.column(m))
             if bracket:
                 action[(i, m)] = e.sub_coordinates(bracket)
-    cutoff = max(e.sub.weights) if e.sub.weights else 0
-    module = LieModule(
-        e.quotient,
-        name or f"{e.sub.name} as {e.quotient.name}-module",
-        e.sub.labels,
-        e.sub.weights,
-        action,
-        cutoff,
-    )
-    return module
+    name = name or f"{e.sub.name} as {e.quotient.name}-module"
+    cutoff = max(e.sub.weights, default=0)
+    return LieModule(e.quotient, name, e.sub.labels, e.sub.weights, action, cutoff)
 
 
 def extension_cocycle(e: ExtensionData, module: LieModule) -> Cochain:
@@ -672,8 +651,7 @@ def extension_cocycle(e: ExtensionData, module: LieModule) -> Cochain:
     to satisfy the cocycle identity in `module`, the kernel with the
     quotient action.
     """
-    raw = extension_defect_cochain(e)
-    cochain = Cochain(module, 2, raw)
+    cochain = Cochain(module, 2, extension_defect_cochain(e))
     boundary = ce_differential(cochain)
     if not boundary.is_zero():
         bad = next(idx for idx, vec in boundary.values.items() if vec)

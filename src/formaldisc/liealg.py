@@ -438,6 +438,8 @@ class ExtensionData:
                 )
 
     def check_splitting(self):
+        """The splitting is a section: project o splitting is the identity.
+        Its only callers are the tests and the benchmark (`perfbench`)."""
         for i in range(self.quotient.dim):
             back = self.project.apply(self.splitting.column(i))
             if back != {i: Fraction(1)}:

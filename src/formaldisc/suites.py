@@ -209,20 +209,33 @@ def cohomology_suite(report: Report, d, p, n):
     def d_squared():
         h_alg = tower.build_h(d, min(n, 5))
         module = cohomology.trivial_module(h_alg)
+
+        def excluded(slices):
+            in_cutoff = cohomology._in_cutoff
+            return not all(in_cutoff(h_alg, i) for s in slices.values() for i, _ in s)
+
         checked = 0
         for w in sorted(set(h_alg.weights)):
-            d1, src1, _, ex1 = cohomology._block_rows(module, 1, w)
-            if ex1 or not src1:
+            # skipped when C^1(w) is empty or C^2(w) or C^3(w) holds an
+            # excluded tuple, decided before any row of d_2 is built
+            source = cohomology._slices(module, 1, w)
+            mid = cohomology._slices(module, 2, w) if source else {}
+            if not source or excluded(mid):
                 continue
-            d2, _, _, ex2 = cohomology._block_rows(module, 2, w)
-            if ex2:
+            top = cohomology._slices(module, 3, w)
+            if excluded(top):
                 continue
-            # row c of d_1 is the C^2 basis element that column c of d_2 reads
-            if any(
-                accumulate((k, v * u) for c, v in row.items() for k, u in d1[c].items())
-                for row in d2
-            ):
-                raise CheckFailure(f"d^2 != 0 at weight {w}", witness={"weight": w})
+            # one torus slice at a time: row c of d_1 is the C^2 basis
+            # element that column c of d_2 reads
+            for tau, src in source.items():
+                mid_tau = mid.get(tau, [])
+                d1, _ = cohomology._rows(module, w, src, mid_tau)
+                d2, _ = cohomology._rows(module, w, mid_tau, top.get(tau, []))
+                if any(
+                    accumulate((k, v * u) for c, v in row.items() for k, u in d1[c].items())
+                    for row in d2
+                ):
+                    raise CheckFailure(f"d^2 != 0 at weight {w}", witness={"weight": w})
             checked += 1
         if checked == 0:
             raise CheckFailure("no overflow-free weight block to check")
@@ -373,11 +386,17 @@ def run_suite(
 ) -> Report:
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    # the darboux suite inverts forms truncated at N, so it needs N >= 1
-    needs_n = name in ("darboux", "all")
-    if d < 1 or p < 0 or (needs_n and n < 1):
+    # the least N: darboux inverts forms at N; the ladder and obstruction need h^(p+1)
+    bound, least = {
+        "weyl": ("0", 0),
+        "tower": ("2(p+1)", 2 * (p + 1)),
+        "cohomology": ("2(min(p,1)+1)", 2 * (min(p, 1) + 1)),
+        "darboux": ("1", 1),
+        "all": ("2(p+1)", 2 * (p + 1)),
+    }[name]
+    if d < 1 or p < 0 or n < least:
         raise UsageError(
-            f"verify {name} needs d >= 1, p >= 0{' and N >= 1' if needs_n else ''}; "
+            f"verify {name} needs d >= 1, p >= 0 and N >= {bound}; "
             f"got d={d}, p={p}, N={n}"
         )
     report = Report(

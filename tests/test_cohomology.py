@@ -1,21 +1,22 @@
 """Chevalley-Eilenberg machinery: differentials, dimensions, classes."""
 
+import ast
 import inspect
 import json
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
-from test_linalg import dense_mat_mul, dense_rank
+from test_linalg import SRC, dense_mat_mul, dense_rank
 
 from formaldisc import cli, cohomology, linalg, suites, tower
 from formaldisc.cohomology import (
     Cochain,
+    CohomologyClass,
     ce_differential,
-    cochain_block_basis,
     cohomology_dim,
     differential_block,
     is_coboundary,
@@ -24,7 +25,7 @@ from formaldisc.cohomology import (
     trivial_module,
 )
 from formaldisc.errors import CheckFailure, UsageError
-from formaldisc.liealg import GradedLieAlgebra
+from formaldisc.liealg import ExtensionData, GradedLieAlgebra, LinearMap
 from formaldisc.reports import Report
 from formaldisc.sparse import accumulate
 
@@ -60,6 +61,49 @@ def shuffled_sp():
         brackets,
         sp.cutoff,
     )
+
+
+def cochain_block_basis(module, k, weight):
+    """The (degree k, cochain weight w) block basis as (tuple, m) pairs, in
+    lexicographic order: the basis of the sorted full-block route that the
+    torus slices replaced, kept as their oracle."""
+    weights = module.algebra.weights
+    return sorted(
+        (idx, m)
+        for m, wm in enumerate(module.weights)
+        for idx in cohomology._tuples_in_range(weights, k, weight + wm)
+    )
+
+
+def block_rows(module, k, weight):
+    """The CE differential C^k(w) -> C^{k+1}(w) as the `_rows` of the full
+    sorted blocks: (rows, source basis, target basis, excluded count)."""
+    src = cochain_block_basis(module, k, weight)
+    tgt = cochain_block_basis(module, k + 1, weight)
+    rows, excluded = cohomology._rows(module, weight, src, tgt)
+    return rows, src, tgt, excluded
+
+
+def full_block_is_coboundary(cochain):
+    """`is_coboundary` by one solve per full weight block: the oracle of the
+    one solve per torus slice."""
+    module, k = cochain.module, cochain.degree
+    values = {}
+    for w in cochain.support_weights():
+        rows, src, tgt, _ = block_rows(module, k - 1, w)
+        rhs = [cochain.value(idx).get(m, 0) for idx, m in tgt]
+        solution = linalg.solve_rows(rows, len(src), rhs)
+        if solution is None:
+            return (False, None)
+        for (idx, m), c in zip(src, solution):
+            if c:
+                values.setdefault(idx, {})[m] = c
+    return (True, Cochain(module, k - 1, values))
+
+
+def block_slices(module, k, weight):
+    """The pairs of all torus slices of C^k(w), in block order."""
+    return sorted(chain(*cohomology._slices(module, k, weight).values()))
 
 
 def all_subsets_basis(module, k, weight):
@@ -138,19 +182,22 @@ class TestDifferential:
         assert -1 in checked
 
     def test_d_squared_check_sees_a_wrong_d1(self, monkeypatch):
-        # row r of every d_1 block scaled by r + 1: the suite's sparse
-        # composition must fail at the first weight where the dense product does
-        rows_of = cohomology._block_rows
+        # the row of each C^2 basis element (X, m) in d_1 scaled by 1 + X[0],
+        # in the `_rows` that the suite composes slice by slice: it must fail
+        # at the first weight where the dense product of the faulted full
+        # blocks does
+        rows_of = cohomology._rows
 
-        def scaled(module, k, weight):
-            rows, src, tgt, excluded = rows_of(module, k, weight)
-            if k == 1:
+        def scaled(module, weight, src, tgt):
+            rows, excluded = rows_of(module, weight, src, tgt)
+            if src and len(src[0][0]) == 1:  # a block of d_1
                 rows = [
-                    {c: (r + 1) * v for c, v in row.items()} for r, row in enumerate(rows)
+                    {c: (idx[0] + 1) * v for c, v in row.items()}
+                    for (idx, _), row in zip(tgt, rows)
                 ]
-            return rows, src, tgt, excluded
+            return rows, excluded
 
-        monkeypatch.setattr(cohomology, "_block_rows", scaled)
+        monkeypatch.setattr(cohomology, "_rows", scaled)
         module = trivial_module(tower.build_h(1, 5))
         failing = []
         for w in sorted(set(module.algebra.weights)):
@@ -168,10 +215,7 @@ class TestDifferential:
     def test_weight_blocks_partition(self):
         h_alg = tower.build_h(1, 4)
         module = trivial_module(h_alg)
-        total = sum(
-            len(cochain_block_basis(module, 2, w))
-            for w in range(-10, 11)
-        )
+        total = sum(len(block_slices(module, 2, w)) for w in range(-10, 11))
         assert total == sum(1 for _ in combinations(range(h_alg.dim), 2))
 
 
@@ -252,6 +296,102 @@ class TestCoboundary:
         assert ce_differential(primitive) == zero
         invariant = Cochain(module, 0, {(): {0: Fraction(1)}})
         assert is_coboundary(invariant) == (False, None)
+
+    def test_a_value_on_an_over_cutoff_tuple_is_refused(self):
+        # [x1^4, y1^4] lies past the cutoff of H(1,4): the cochain passes
+        # is_cocycle with its 60 target tuples excluded, yet it is no cocycle
+        # at N = 6, 8 or 10, where H^2(w=4) = 0, so no class is made up
+        h = tower.build_h(1, 4)
+        pair = tuple(sorted((h.index("x1^4"), h.index("y1^4"))))
+        cochain = Cochain(trivial_module(h), 2, {pair: {0: 1}})
+        assert is_cocycle(cochain) and ce_differential(cochain).excluded == 60
+        message = r"^is_coboundary input has a value on \(y1\^4, x1\^4\), past the cutoff$"
+        with pytest.raises(UsageError, match=message):
+            is_coboundary(cochain)
+        with pytest.raises(UsageError, match=message):
+            CohomologyClass(2, 4, cochain).is_nonzero()
+        for n in (6, 8, 10):
+            bigger = tower.build_h(1, n)
+            pair = tuple(sorted((bigger.index("x1^4"), bigger.index("y1^4"))))
+            assert not is_cocycle(Cochain(trivial_module(bigger), 2, {pair: {0: 1}}))
+            assert cohomology_dim(trivial_module(bigger), 2, 4) == 0
+
+
+def _sp_obstruction(d, p, n):
+    """The sp-restricted tower obstruction, from the raw extension defect
+    (`tower_obstruction` also checks that it is a cocycle, which
+    `is_coboundary` does again)."""
+    e = tower.v_extension(d, p, n)
+    module = cohomology.module_from_extension(e, name=f"V(d={d},p={p})")
+    raw = cohomology.Cochain(module, 2, cohomology.extension_defect_cochain(e))
+    return tower.ObstructionCocycle(e, module, raw).scalar_restriction_to_sp()[0]
+
+
+def _v_difference(d, p, n):
+    """c2 - c1 of criterion 10: the V-valued defects of the monomial
+    splitting and of one moved by a weight-preserving map into V, which
+    touches both the scalar summand and the h^p-functions summand."""
+    e = tower.v_extension(d, p, n)
+    module = cohomology.module_from_extension(e, name="V")
+    quot, sub = e.quotient, e.sub
+    lam = {
+        "h^-1*x1^2": ("h^-1*h", Fraction(1)),
+        "h^-1*x1^2*y1^2": ("h^-1*h^2", Fraction(-2)),
+        "h^-1*x1^3*y1^2": ("h^-1*x1*h^2", Fraction(1, 2)),
+    }
+    columns = {i: dict(e.splitting.column(i)) for i in range(quot.dim)}
+    for label, (target, c) in lam.items():
+        column = columns[quot.index(label)]
+        for k, v in e.inject.column(sub.labels.index(target)).items():
+            column[k] = column.get(k, 0) + c * v
+    splitting = LinearMap(quot, e.total, columns)
+    moved = ExtensionData(e.sub, e.total, quot, e.inject, e.project, splitting)
+    return Cochain(module, 2, cohomology.extension_defect_cochain(moved)) - Cochain(
+        module, 2, cohomology.extension_defect_cochain(e)
+    )
+
+
+# name -> (cochain builder, whether it is a coboundary)
+SOLVED_COCYCLES = {
+    "omega-H(1,4)": (lambda: omega_class(1, 4).representative, False),
+    "omega-H(2,4)": (lambda: omega_class(2, 4).representative, False),
+    "sp-obstruction(1,1,6)": (lambda: _sp_obstruction(1, 1, 6), True),
+    "sp-obstruction(2,1,8)": (lambda: _sp_obstruction(2, 1, 8), True),
+    "levi(1,2,6)": (lambda: tower.levi_restriction_split(1, 2, 6)[3], True),
+    "levi(2,1,6)": (lambda: tower.levi_restriction_split(2, 1, 6)[3], True),
+    "V-difference(1,1,6)": (lambda: _v_difference(1, 1, 6), True),
+    "V-difference(1,1,8)": (lambda: _v_difference(1, 1, 8), True),
+    "V-difference(2,1,6)": (lambda: _v_difference(2, 1, 6), True),
+    # primitives with free variables: d_1 on the adjoint and d_2 have kernels
+    "d(random 1-cochain)-sp(4)-adjoint": (lambda: _random_boundary(1, "sp(4)"), True),
+    "d(random 2-cochain)-H(1,5)": (lambda: _random_boundary(2, "H(1,5)"), True),
+}
+
+
+def _random_boundary(k, algebra):
+    """d of a seeded random k-cochain of weights 0 and 1."""
+    module = {
+        "sp(4)": lambda: _adjoint(tower.sp_algebra(2)),
+        "H(1,5)": lambda: trivial_module(tower.build_h(1, 5)),
+    }[algebra]()
+    rng = random.Random(f"{algebra} {k}")
+    return ce_differential(_random_cochain(module, k, rng, [0, 1]))
+
+
+@pytest.mark.parametrize(
+    "build,bounds", list(SOLVED_COCYCLES.values()), ids=list(SOLVED_COCYCLES)
+)
+def test_slice_primitives_match_the_full_blocks(build, bounds):
+    """`is_coboundary` solves one torus slice at a time; on the cocycles the
+    package solves, its answer must be the free-variables-zero primitive of
+    one solve per full sorted weight block."""
+    cochain = build()
+    found, primitive = is_coboundary(cochain)
+    assert found == bounds
+    assert (found, primitive) == full_block_is_coboundary(cochain)
+    if found:
+        assert ce_differential(primitive) == cochain
+    assert len(cohomology._torus(cochain.module)[0][0]) > 0
 
 
 class TestCochainInput:
@@ -354,13 +494,11 @@ class TestBlockBasisByWeight:
             lo = min(sums, default=0) - max(module_weights) - 1
             hi = max(sums, default=0) - min(module_weights) + 1
             for w in range(lo, hi + 1):
-                assert cochain_block_basis(module, k, w) == all_subsets_basis(
-                    module, k, w
-                )
+                assert block_slices(module, k, w) == all_subsets_basis(module, k, w)
 
     def test_no_tuples_beyond_the_dimension(self):
         module = trivial_module(abelian(2))
-        assert cochain_block_basis(module, 3, 0) == []
+        assert cohomology._slices(module, 3, 0) == {}
         assert cohomology.tuple_weights((0, 0), 3) == []
 
     def test_a_degree_past_the_dimension_allocates_nothing(self):
@@ -673,7 +811,7 @@ class TestDifferentialOracle:
         "module,overflows", list(ORACLE_MODULES.values()), ids=list(ORACLE_MODULES)
     )
     def test_block_columns(self, module, overflows):
-        """Each column of `_block_rows` is the full sweep's differential of its
+        """Each column of `block_rows` is the full sweep's differential of its
         unit cochain, and each block excludes what the sweep excludes.  A
         seeded sample of up to four columns per (k, w) block, k = 0..2."""
         rng = random.Random(module.algebra.name)
@@ -681,7 +819,7 @@ class TestDifferentialOracle:
         for k in range(3):
             totals = cohomology.tuple_weights(module.algebra.weights, k)
             for w in sorted({t - wm for t in totals for wm in module.weights}):
-                rows, src, tgt, block_excluded = cohomology._block_rows(module, k, w)
+                rows, src, tgt, block_excluded = block_rows(module, k, w)
                 for c in sorted(rng.sample(range(len(src)), min(4, len(src)))):
                     idx, m = src[c]
                     unit = Cochain(module, k, {idx: {m: Fraction(1)}})
@@ -725,7 +863,7 @@ class TestOneFormula:
         assert values
 
         def both():
-            rows, _, tgt, _ = cohomology._block_rows(module, 1, w)
+            rows, _, tgt, _ = block_rows(module, 1, w)
             return ce_differential(unit).values, _column(rows, tgt, c)
 
         assert both() == (values, values)
@@ -780,12 +918,12 @@ class TestObstructionFault:
 
 def _full_route_dims(module, degrees):
     """Every cell (k, w) of `degrees` by rank-nullity on the full sparse
-    blocks of `_block_rows`, and the number of cells with excluded tuples."""
+    blocks of `block_rows`, and the number of cells with excluded tuples."""
     ranks = {}
 
     def block(k, w):
         if (k, w) not in ranks:
-            rows, src, _, excluded = cohomology._block_rows(module, k, w)
+            rows, src, _, excluded = block_rows(module, k, w)
             ranks[(k, w)] = len(src), linalg.rank_rows(rows, len(src)), excluded
         return ranks[(k, w)]
 
@@ -899,17 +1037,45 @@ class TestTorusReading:
     def test_a_truncated_action_reads_none(self):
         # ad of H(1,3) cut at its top weight fails to represent the bracket
         # where a negative weight brings an over-cutoff action back: d^2 != 0
-        # there, which the full blocks show as negative "dimensions", so the
-        # module is refused, naming the first failing (pair, vector)
+        # there, which the full blocks show as negative "dimensions".  Every
+        # stored action component keeps torus weight, so the torus reads as
+        # on the algebra; cohomology_dim reads no cell of it, and refuses the
+        # module naming the first failing (pair, vector)
         module, _ = ORACLE_MODULES["H(1,3)-adjoint"]
-        assert len(_torus_columns(module.algebra)[0]) == 1  # x1*y1, trivially
-        with pytest.raises(UsageError) as refusal:
-            _torus_columns(module.algebra, module)
-        assert str(refusal.value) == (
-            "adjoint: not a representation on (y1, y1^3, x1^2*y1)"
-        )
+        columns = _torus_columns(module.algebra)[0]
+        assert len(columns) == 1  # x1*y1, trivially
+        assert _torus_columns(module.algebra, module) == (columns, columns)
+        for k in range(3):
+            with pytest.raises(UsageError) as refusal:
+                cohomology_dim(module, k, 0)
+            assert str(refusal.value) == (
+                "adjoint: not a representation on (y1, y1^3, x1^2*y1)"
+            )
         full, _ = _full_route_dims(module, range(3))
         assert min(full.values()) < 0
+
+    def test_a_bracket_off_torus_weight_drops_the_element(self):
+        # [x1, y1^3] = 3 y1^2 given an x1^2 component: ad(x1*y1) stays
+        # diagonal, but x1^2 has torus weight -2, not -1 + 3, so a row of the
+        # differential would leave its slice
+        h = tower.build_h(1, 5)
+        bad = h.with_corrupted_bracket(h.index("x1"), h.index("y1^3"), h.index("x1^2"), 1)
+        assert len(_torus_columns(h)[0]) == 1
+        assert _torus_columns(bad) == ([], [])
+
+    def test_an_action_off_torus_weight_drops_the_element(self):
+        # rho(e0) e1 given an extra e1 component: rho(t) stays diagonal, but
+        # e1 has torus weight 0, not that of e0, so a row of the differential
+        # would leave its slice, and t = e1 is no torus element
+        sp = tower.sp_algebra(1)
+        module, _ = ORACLE_MODULES["sp(2)-adjoint"]
+        assert len(_torus_columns(sp, module)[0]) == 1
+        action = dict(module.action)
+        action[(0, 1)] = {**action[(0, 1)], 1: Fraction(1)}
+        off = cohomology.LieModule(
+            sp, "off", module.labels, module.weights, action, module.cutoff
+        )
+        assert _torus_columns(sp, off) == ([], [])
 
     def test_the_tower_v_module_is_refused(self):
         # verify_representation exempts the vectors above cutoff - max(w_i,
@@ -935,3 +1101,26 @@ class TestTorusReading:
         bad = _shift_x1y1_x1_to_y1(tower.build_h(1, 6))
         assert _torus_columns(bad) == ([], [])
         TestCellOracle().test_every_cell(lambda: bad)
+
+
+def test_slices_are_the_one_block_enumerator():
+    """In src, only `_slices` and `ce_differential` enumerate tuples, so
+    every block consumer reads the torus slices; the sorted full-block
+    route is gone, and `_torus` only reads the torus: it refuses nothing."""
+    callers = set()
+    for path in SRC.glob("*.py"):
+        text = path.read_text()
+        for name in ("_block_rows", "cochain_block_basis", "_block_pairs"):
+            assert name not in text, (path.name, name)
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, ast.FunctionDef):
+                callers.update(
+                    (path.name, fn.name)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and "_tuples_in_range"
+                    in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                )
+    assert callers == {("cohomology.py", "_slices"), ("cohomology.py", "ce_differential")}
+    torus = ast.parse(inspect.getsource(cohomology._torus))
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(torus))

@@ -201,6 +201,11 @@ class TestCLI:
             ("darboux", ["--p", "-1"]),
             ("darboux", ["--N", "0"]),
             ("all", ["--N", "0"]),
+            ("all", ["--p", "5", "--N", "8"]),
+            ("cohomology", ["--N", "3"]),
+            ("tower", ["--p", "1", "--N", "3"]),
+            ("cohomology", ["--p", "0", "--N", "1"]),
+            ("weyl", ["--N", "-1"]),
         ],
     )
     def test_verify_domain(self, capsys, suite, flags):
@@ -210,6 +215,34 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: verify {suite} needs d >= 1, p >= 0")
+
+    @pytest.mark.parametrize(
+        "suite,flags,domain,got",
+        [
+            ("all", ["--p", "5", "--N", "8"], "N >= 2(p+1)", "d=1, p=5, N=8"),
+            ("tower", ["--p", "0", "--N", "1"], "N >= 2(p+1)", "d=1, p=0, N=1"),
+            ("cohomology", ["--N", "3"], "N >= 2(min(p,1)+1)", "d=1, p=2, N=3"),
+            ("cohomology", ["--p", "0", "--N", "1"], "N >= 2(min(p,1)+1)", "d=1, p=0, N=1"),
+            ("weyl", ["--N", "-1"], "N >= 0", "d=1, p=2, N=-1"),
+        ],
+        ids=["all", "tower", "cohomology", "cohomology-p0", "weyl"],
+    )
+    def test_verify_domain_names_the_request(self, capsys, suite, flags, domain, got):
+        # the tower ladder and the obstruction need room for h^(p+1), the
+        # obstruction at its capped p, and a weyl truncation N >= 0; the
+        # message echoes the p asked for
+        assert main(["verify", suite] + flags) == 2
+        assert capsys.readouterr().err == (
+            f"error: verify {suite} needs d >= 1, p >= 0 and {domain}; got {got}\n"
+        )
+
+    def test_verify_domain_edges_run(self, capsys):
+        # the least N of each domain runs every check
+        assert main(["verify", "cohomology", "--p", "0", "--N", "2"]) == 0
+        assert main(["verify", "cohomology", "--p", "3", "--N", "4"]) == 0
+        assert main(["verify", "tower", "--p", "0", "--N", "2"]) == 0
+        assert main(["verify", "weyl", "--N", "0"]) == 0
+        capsys.readouterr()
 
     def test_verify_cohomology_names_what_it_ran(self, capsys, tmp_path):
         # each check runs at a capped size; its detail says which, and which

@@ -3,9 +3,11 @@
 The `transport`, `weyl_mul`, `weyl_comm` and `poisson_*` files were written
 by the Fraction-at-every-step kernels on fractional inputs; the `poisson`
 ones by the bracket built from `partial`, `*` and `+`, before it became one
-sum over monomial pairs.  The others were written by the CLI in which each
-subcommand printed and wrote `--json` itself, before `main` became its one
-exit path.  The stdout and the `--json` file of each command must stay
+sum over monomial pairs.  The `verify_cohomology` and `verify_tower` ones
+were written while `is_coboundary`, the d^2 check and the dense blocks still
+read the sorted full blocks, before every CE consumer read torus slices.
+The others were written by the CLI in which each subcommand printed and
+wrote `--json` itself, before `main` became its one exit path.  The stdout and the `--json` file of each command must stay
 byte-identical, so a change of coefficient arithmetic or of the CLI's
 plumbing cannot change an answer, its term order or its printed form.  Only
 what changes between runs is dropped first: the `duration_s` of a JSON
@@ -53,6 +55,10 @@ COMMANDS = {
     "verify_weyl": [
         "verify", "weyl", "--d", "1", "--p", "1", "--N", "4", "--seed", "5",
     ],
+    "verify_cohomology_d1_p1_N6": [
+        "verify", "cohomology", "--d", "1", "--p", "1", "--N", "6",
+    ],
+    "verify_tower_d1_p1_N4": ["verify", "tower", "--d", "1", "--p", "1", "--N", "4"],
 }
 
 
