@@ -140,7 +140,9 @@ class Cochain:
     had to skip for weight overflow.  A key that is not a strictly
     increasing `degree`-tuple of algebra indices, a module index out of
     range and a coefficient that is not an int or a Fraction are refused
-    with a UsageError.
+    with a UsageError.  Zero coefficients, and then the vectors left empty,
+    are dropped (clean values are kept as given), so equal cochains compare
+    equal.
     """
 
     module: LieModule
@@ -165,12 +167,18 @@ class Cochain:
                 if not (isinstance(m, int) and 0 <= m < dim):
                     raise UsageError(f"module index {m!r} is not below {dim}")
         check_exact_vectors(self.values, "cochain value at")
+        if not all(vec and all(vec.values()) for vec in self.values.values()):
+            values = {
+                idx: {m: c for m, c in vec.items() if c}
+                for idx, vec in self.values.items()
+            }
+            self.values = {idx: vec for idx, vec in values.items() if vec}
 
     def value(self, idx: tuple) -> Vector:
         return self.values.get(idx, {})
 
     def is_zero(self) -> bool:
-        return not any(self.values.values())
+        return not self.values
 
     def support_weights(self):
         """Cochain weight of each supported tuple: sum(inputs) - output."""
@@ -178,9 +186,8 @@ class Cochain:
         out = set()
         for idx, vec in self.values.items():
             ins = sum(g.weights[i] for i in idx)
-            for m, c in vec.items():
-                if c != 0:
-                    out.add(ins - self.module.weights[m])
+            for m in vec:
+                out.add(ins - self.module.weights[m])
         return sorted(out)
 
     def __add__(self, other: "Cochain") -> "Cochain":
@@ -189,7 +196,6 @@ class Cochain:
         values = dict(self.values)
         for idx, vec in other.values.items():
             values[idx] = sparse.add(values.get(idx, EMPTY), vec)
-        values = {idx: vec for idx, vec in values.items() if vec}
         return Cochain(self.module, self.degree, values, self.excluded + other.excluded)
 
     def __sub__(self, other: "Cochain") -> "Cochain":

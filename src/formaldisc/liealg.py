@@ -19,7 +19,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain
 from math import comb
 
 from . import linalg
@@ -28,9 +27,11 @@ from .sparse import (
     EMPTY,
     FrozenVectors,
     accumulate,
+    bracket_table,
     check_exact_vectors,
-    common_denominator,
     integral,
+    jacobi_sums,
+    map_defects,
     scale,
     sub,
 )
@@ -73,7 +74,8 @@ class GradedLieAlgebra:
         for (i, j) in self.brackets:
             if not 0 <= i < j < len(self.labels):
                 raise UsageError(f"bracket key ({i},{j}) must satisfy i<j")
-        check_exact_vectors(self.brackets, f"{self.name}: bracket")
+        # the lcm of the bracket denominators, for the integer sweeps
+        self.den = check_exact_vectors(self.brackets, f"{self.name}: bracket")
         self.brackets = FrozenVectors(self.brackets)
         self._index = {label: k for k, label in enumerate(self.labels)}
 
@@ -127,43 +129,28 @@ class GradedLieAlgebra:
         """Exact Jacobi on all in-cutoff basis triples.
 
         Only the in-cutoff triples i<j<k are visited, in lexicographic order.
-        The cyclic sum is taken over integer structure constants scaled by
-        the least common denominator L; Jacobi is homogeneous quadratic, so
-        the sum vanishes iff L^2 times it does.  The sums of all k for one
-        pair (i, j) are taken at once, keyed by (k, component), and the
-        smallest k left with a nonzero sum is the first violation.  Returns
-        the number of exempt (overflowing) triples, C(dim, 3) minus those
-        checked; raises on the first violation with the offending triple and
-        its defect as witness.
+        The stored brackets are read once into a `sparse.bracket_table`,
+        scaled by their least common denominator L to ints; Jacobi is
+        homogeneous quadratic, so a cyclic sum vanishes iff L^2 times it
+        does.  Each pair (i, j) is one call of `sparse.jacobi_sums` over its
+        k-range, and the smallest k left with a nonzero sum is the first
+        violation.  Returns the number of exempt (overflowing) triples,
+        C(dim, 3) minus those checked; raises on the first violation with the
+        offending triple and its defect over Q as witness.
         """
         n, w, cutoff = self.dim, self.weights, self.cutoff
-        lcd = common_denominator(self.brackets.values())
-        ad = [{} for _ in range(n)]
-        for (i, j), vec in self.brackets.items():
-            _, ints = integral(vec, lcd)
-            ad[i][j] = ints
-            ad[j][i] = {k: -c for k, c in ints.items()}
+        table = bracket_table(self.brackets.items(), n, self.den)
         later = _later_indices(w)
-        empty = {}
         checked = 0
         for i in range(n):
-            ad_i, wi = ad[i], w[i]
+            wi = w[i]
             for j in later(i, cutoff - wi):
-                ad_j, wj = ad[j], w[j]
-                ad_ij = ad_i.get(j, empty)
+                wj = w[j]
                 ks = later(j, min(cutoff - wi, cutoff - wj, cutoff - wi - wj))
                 checked += len(ks)
-                defects = accumulate(
-                    ((k, t), c * v)
-                    for k in ks
-                    for vec, other in (
-                        (ad_ij, k), (ad_j.get(k, empty), i), (ad[k].get(i, empty), j)
-                    )
-                    for m, c in vec.items()
-                    for t, v in ad[m].get(other, empty).items()
-                )
+                defects = jacobi_sums(table, i, j, ks)
                 if defects:
-                    k = min(k for k, _ in defects)
+                    k = min(defects) // n
                     raise CheckFailure(
                         f"{self.name}: Jacobi fails on "
                         f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})",
@@ -211,12 +198,12 @@ class GradedLieAlgebra:
         labels = tuple(self.labels[k] for k in indices)
         weights = tuple(self.weights[k] for k in indices)
         brackets = {}
-        for i, j in sorted(self.brackets):
+        for (i, j), stored in sorted(self.brackets.items()):
             a, b = pos.get(i), pos.get(j)
             if a is None or b is None or weights[a] + weights[b] > cutoff:
                 continue
             vec = {}
-            for k, c in self.brackets[(i, j)].items():
+            for k, c in stored.items():
                 r = pos.get(k)
                 if r is not None:
                     vec[r] = c
@@ -279,7 +266,7 @@ class LinearMap:
                         f"map {self.source.name} -> {self.target.name} shifts weight "
                         f"on {self.source.labels[i]}"
                     )
-        check_exact_vectors(self.columns, f"map {self.source.name}: column")
+        self.den = check_exact_vectors(self.columns, f"map {self.source.name}: column")
         self.columns = FrozenVectors(self.columns)
 
     def column(self, i: int) -> Vector:
@@ -304,47 +291,31 @@ class LieMap(LinearMap):
         """Raises on the first in-cutoff pair i<j, in lexicographic order,
         whose bracket the map does not preserve.
 
-        Each pair is compared on integers: the source brackets, the columns
-        and the target brackets are scaled by their own least common
-        denominators Ls, Lc and Lt, so that both sides of
-        f([e_i, e_j]) = [f(e_i), f(e_j)] sit at Ls Lc^2 Lt.  The target
-        table is read with a sign, not copied.  On a mismatch both sides
-        are recomputed over Q for the witness.
+        Each pair is one call of `sparse.map_defects` on integers: the
+        source brackets, the columns and the target brackets are scaled by
+        their own least common denominators Ls, Lc and Lt, and the source
+        and target tables by Lc Lt and Ls more, so that both sides of
+        f([e_i, e_j]) = [f(e_i), f(e_j)] sit at Ls Lc^2 Lt.  Both tables are
+        read once per sweep, in the orientation i < j; the target's only on
+        the pairs of basis elements that some column reaches.  On a mismatch
+        both sides are recomputed over Q for the witness.
         """
         src, tgt = self.source, self.target
-        ls = common_denominator(src.brackets.values())
-        lt = common_denominator(tgt.brackets.values())
-        lc = common_denominator(self.columns.values())
-        cols = {i: integral(vec, lc)[1] for i, vec in self.columns.items()}
-        src_brackets, tgt_brackets = src.brackets, tgt.brackets
-        empty = {}
-
-        def target_terms(a, b, scale):
-            """scale * Lt [e_a, e_b] in the target, read off its i<j table."""
-            if a > b:
-                a, b, scale = b, a, -scale
-            return (
-                (t, c.numerator * (lt // c.denominator) * scale)
-                for t, c in tgt_brackets.get((a, b), empty).items()
-            )
-
+        ls, lc, lt = src.den, self.den, tgt.den
+        cols = [tuple(integral(self.column(k), lc)[1].items()) for k in range(src.dim)]
+        image = {t for col in cols for t, _ in col}
+        source = bracket_table(src.brackets.items(), src.dim, ls, lc * lt, both=False)
+        target = bracket_table(
+            (item for item in tgt.brackets.items() if image.issuperset(item[0])),
+            tgt.dim,
+            lt,
+            ls,
+            both=False,
+        )
         later = _later_indices(src.weights)
         for i in range(src.dim):
-            col_i = cols.get(i, empty)
             for j in later(i, src.cutoff - src.weights[i]):
-                col_j = cols.get(j, empty)
-                lhs = (
-                    (t, c.numerator * (ls // c.denominator) * v * lc * lt)
-                    for k, c in src_brackets.get((i, j), empty).items()
-                    for t, v in cols.get(k, empty).items()
-                )
-                rhs = chain.from_iterable(
-                    target_terms(a, b, -ca * cb * ls)
-                    for a, ca in col_i.items()
-                    for b, cb in col_j.items()
-                    if a != b
-                )
-                if accumulate(chain(lhs, rhs)):
+                if map_defects(source, target, cols, i, j):
                     raise CheckFailure(
                         f"{name}: bracket not preserved on "
                         f"({src.labels[i]}, {src.labels[j]})",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import comb, perm
 
 from .errors import InternalError, UsageError
@@ -181,12 +181,15 @@ def parse_generator(name: str, d: int):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4096)
 def _contractions(ys, xs, room: int):
     """The ways to contract y^ys standing before x^xs, total k <= room.
 
     One (ks, total k, coefficient) triple per choice of k_i per dimension,
     with the coefficient prod_i (-1)^k_i k_i! C(b_i, k_i) C(a_i, k_i); the
-    uncontracted choice (all k_i = 0, coefficient 1) comes first.
+    uncontracted choice (all k_i = 0, coefficient 1) comes first.  A pure
+    function of its exponent tuples, so its tuples are memoized: the pairs
+    of one tabulated level repeat few (ys, xs, room) keys.
     """
     out = [((), 0, 1)]
     for b, a in zip(ys, xs):
@@ -195,7 +198,7 @@ def _contractions(ys, xs, room: int):
             for ks, used, coeff in out
             for k in range(min(a, b, room - used) + 1)
         ]
-    return out
+    return tuple(out)
 
 
 def _contracted(m1: Monomial, m2: Monomial, contractions, sign: int = 1):

@@ -422,6 +422,18 @@ class TestCochainInput:
         values = {(0, 2): {0: 1}, (1, 2): {0: Fraction(1, 2)}}
         assert Cochain(trivial_module(sp), 2, values).values is values
 
+    def test_zero_coefficients_are_dropped(self):
+        sp, _ = tower.sp_subalgebra(tower.build_derd_level(1, 1, 4))
+        module = trivial_module(sp)
+        zero = Cochain(module, 1, {(0,): {0: 0}})
+        assert zero.values == {} and zero.is_zero()
+        assert zero == Cochain(module, 1)
+        assert zero.support_weights() == [] and ce_differential(zero).is_zero()
+        half = {(1,): {0: Fraction(1, 2)}}
+        values = {(0,): {0: Fraction(0)}, (1,): {0: Fraction(1, 2)}, (2,): {}}
+        mixed = Cochain(module, 1, values)
+        assert mixed == Cochain(module, 1, half) and not mixed.is_zero()
+
     def test_a_module_action_must_be_exact(self):
         sp, _ = tower.sp_subalgebra(tower.build_derd_level(1, 1, 4))
         args = (sp, "m", ("v",), (0,))

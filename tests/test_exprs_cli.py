@@ -334,6 +334,43 @@ class TestCLI:
             ],
         }
 
+    def test_tower_fault_report_is_pinned_at_d2(self, capsys, tmp_path):
+        # the smallest failing k of the first failing pair, and the first
+        # failing pair of the map sweep, on the benchmark's ladder
+        out_file = tmp_path / "fault.json"
+        args = ["--d", "2", "--p", "1", "--N", "6", "--inject-fault"]
+        assert main(["tower", "check", *args, "--json", str(out_file)]) == 1
+        payload = json.loads(out_file.read_text())
+        payload.pop("duration_s")
+        passed = ["row2-exact", "row2-central", "row3-exact", "row3-central"]
+        assert payload == {
+            "schema": 1,
+            "command": "tower check",
+            "params": {"d": 2, "p": 1, "N": 6, "corrupt": True},
+            "checks": [
+                {
+                    "name": "row2-jacobi",
+                    "status": "fail",
+                    "detail": "G_2(d=2,N=6)(corrupted): Jacobi fails on "
+                    "(h^-1*y2, h^-1*y1, h^-1*x1*x2)",
+                    "witness": {"triple": [1, 2, 13], "defect": {"0": "1/1"}},
+                },
+                {
+                    "name": "row3-jacobi",
+                    "status": "pass",
+                    "detail": "G_1(d=2,N=6): jacobi ok, 3506156 overflow-exempt triples",
+                },
+                *({"name": name, "status": "pass"} for name in passed),
+                {
+                    "name": "column-build",
+                    "status": "fail",
+                    "detail": "G_2(d=2,N=6)(corrupted)->G_1(d=2,N=6): "
+                    "bracket not preserved on (h^-1*y2, h^-1*x2)",
+                    "witness": {"pair": [1, 3], "lhs": {}, "rhs": {"0": "-1/1"}},
+                },
+            ],
+        }
+
     def test_cohomology_dims(self, capsys, tmp_path):
         out_file = tmp_path / "dims.json"
         code = main(

@@ -50,7 +50,7 @@ from formaldisc.series import (
     all_monomials,
     coordinate_name,
 )
-from formaldisc.sparse import accumulate, add, common_denominator, sub
+from formaldisc.sparse import accumulate, add, sub
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
 EXTENSION_CALL = re.compile(r"\bExtensionData\(")
@@ -426,6 +426,68 @@ class TestJacobiOracle:
         assert failures > 10
 
 
+def hand_algebra(name, weights, brackets):
+    return GradedLieAlgebra(
+        name, tuple(f"e{a}" for a in range(len(weights))), weights, brackets, 10
+    )
+
+
+class TestJacobiOneTerm:
+    """Algebras whose only Jacobi defect enters through one term of the
+    cyclic sum on (e0, e1, e2), so each of the three reads of the table is
+    checked on its own; and a pair with two failing k."""
+
+    @pytest.mark.parametrize(
+        "weights,brackets,defect",
+        [
+            # [[e0,e1],e2]: [e0,e1] = e3, [e3,e2] = e4
+            ((1, 1, 1, 2, 3), {(0, 1): {3: Fraction(1)}, (2, 3): {4: Fraction(-1)}}, 1),
+            # [[e1,e2],e0]: [e1,e2] = e3, [e0,e3] = e4, so [e3,e0] = -e4
+            ((1, 1, 1, 2, 3), {(1, 2): {3: Fraction(1)}, (0, 3): {4: Fraction(1)}}, -1),
+            # [[e2,e0],e1]: [e0,e2] = e3, [e1,e3] = -2 e4, so [[e2,e0],e1] = -2 e4
+            ((1, 1, 1, 2, 3), {(0, 2): {3: Fraction(1)}, (1, 3): {4: Fraction(-2)}}, -2),
+        ],
+        ids=["ij-k", "jk-i", "ki-j"],
+    )
+    def test_the_defect_of_one_term(self, weights, brackets, defect):
+        algebra = hand_algebra("one-term", weights, brackets)
+        algebra.verify_graded()
+        expected = outcome(reference_verify_jacobi, algebra)
+        assert expected == (
+            "fail",
+            "one-term: Jacobi fails on (e0, e1, e2)",
+            {"triple": (0, 1, 2), "defect": {4: Fraction(defect)}},
+        )
+        assert outcome(GradedLieAlgebra.verify_jacobi, algebra) == expected
+
+    def test_the_smallest_failing_k_is_reported(self):
+        # [e0,e1] = e5/2; [e5,e2] = e6 fails k = 2 and [e5,e3] = e4 fails
+        # k = 3 on a lower component, so k must rank before the component
+        weights = (1, 1, 1, 1, 3, 2, 3)
+        brackets = {
+            (0, 1): {5: Fraction(1, 2)},
+            (2, 5): {6: Fraction(-1)},
+            (3, 5): {4: Fraction(-1)},
+        }
+        algebra = hand_algebra("two-k", weights, brackets)
+        algebra.verify_graded()
+        expected = outcome(reference_verify_jacobi, algebra)
+        assert expected == (
+            "fail",
+            "two-k: Jacobi fails on (e0, e1, e2)",
+            {"triple": (0, 1, 2), "defect": {6: Fraction(1, 2)}},
+        )
+        assert outcome(GradedLieAlgebra.verify_jacobi, algebra) == expected
+        # without k = 2 the pair fails first at k = 3
+        del brackets[(2, 5)]
+        later = hand_algebra("two-k", weights, brackets)
+        assert outcome(GradedLieAlgebra.verify_jacobi, later) == (
+            "fail",
+            "two-k: Jacobi fails on (e0, e1, e3)",
+            {"triple": (0, 1, 3), "defect": {4: Fraction(1, 2)}},
+        )
+
+
 def rebased(m, source_factors, target_factors, perm):
     """The map m on the source basis s_a = source_factors[a] e_a and the
     target basis t_c = target_factors[perm[c]] e_perm[c]."""
@@ -468,9 +530,9 @@ class TestMapOracle:
 
     def test_valid_maps_verify(self):
         for m in self.fractional_maps():
-            assert common_denominator(m.source.brackets.values()) > 1
-            assert common_denominator(m.target.brackets.values()) > 1
-            assert common_denominator(m.columns.values()) > 1
+            assert m.source.den > 1
+            assert m.target.den > 1
+            assert m.den > 1
             assert outcome(reference_verify_map, m) == ("ok", None)
             assert outcome(LieMap.verify, m) == ("ok", None)
 

@@ -3,8 +3,10 @@
 import ast
 import re
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,7 +64,7 @@ def test_integral_and_rational_round_trip(terms, factor):
     # a given multiple of the lcm scales the same support
     _, wider = sparse.integral(terms, den * factor)
     assert wider == {key: n * factor for key, n in ints.items()}
-    assert sparse.common_denominator([terms, {}]) == den
+    assert sparse.check_exact_vectors({0: terms, 1: {}}, "vector") == den
 
 
 def test_rational_drops_what_cancels():
@@ -74,6 +76,127 @@ def test_rational_drops_what_cancels():
     got = sparse.rational([("a", 3), ("b", 2), ("a", -3), ("c", 4)], 6)
     assert list(got.items()) == [("b", Fraction(1, 3)), ("c", Fraction(2, 3))]
     assert all(type(c) is Fraction for c in got.values())
+
+
+def _signed(brackets, a, b):
+    """[e_a, e_b] as a dict, read off a table stored on pairs a < b."""
+    if a < b:
+        return dict(brackets.get((a, b), {}))
+    if a > b:
+        return {t: -c for t, c in brackets.get((b, a), {}).items()}
+    return {}
+
+
+def _ordered_sum(terms):
+    """The nonzero sums of (key, value) terms, added in the order given."""
+    total = {}
+    for key, value in terms:
+        total[key] = total.get(key, 0) + value
+    return {key: value for key, value in total.items() if value}
+
+
+# brackets on pairs a < b of a small basis, with rational structure constants
+def bracket_maps(dim):
+    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    vectors = st.dictionaries(st.integers(0, dim - 1), coeffs.filter(bool), max_size=3)
+    return st.dictionaries(st.sampled_from(pairs), vectors, max_size=len(pairs))
+
+
+@st.composite
+def jacobi_cases(draw):
+    dim = draw(st.integers(3, 7))
+    brackets = draw(bracket_maps(dim))
+    i = draw(st.integers(0, dim - 3))
+    j = draw(st.integers(i + 1, dim - 2))
+    ks = sorted(draw(st.sets(st.integers(j + 1, dim - 1))))
+    return dim, brackets, i, j, ks, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(jacobi_cases())
+def test_jacobi_sums_match_an_ordered_sum(case):
+    dim, brackets, i, j, ks, factor = case
+    den = sparse.check_exact_vectors(brackets, "bracket")
+    table = sparse.bracket_table(brackets.items(), dim, den, factor)
+    scaled = {
+        key: {t: c * den * factor for t, c in vec.items()} for key, vec in brackets.items()
+    }
+    # [[e_a,e_b],e_c] for the three cyclic orders, term by term, keyed k*n + t
+    expected = _ordered_sum(
+        (k * dim + t, x * y)
+        for k in ks
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+        for m, x in _signed(scaled, a, b).items()
+        for t, y in _signed(scaled, m, c).items()
+    )
+    got = sparse.jacobi_sums(table, i, j, ks)
+    assert got == expected
+    assert all(type(v) is int and v for v in got.values())
+
+
+@st.composite
+def map_cases(draw):
+    src_dim, tgt_dim = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    source, target = draw(bracket_maps(src_dim)), draw(bracket_maps(tgt_dim))
+    column = st.dictionaries(st.integers(0, tgt_dim - 1), coeffs.filter(bool), max_size=3)
+    columns = draw(st.lists(column, min_size=src_dim, max_size=src_dim))
+    i = draw(st.integers(0, src_dim - 2))
+    j = draw(st.integers(i + 1, src_dim - 1))
+    return src_dim, tgt_dim, source, target, columns, i, j
+
+
+@settings(max_examples=150, deadline=None)
+@given(map_cases())
+def test_map_defects_match_an_ordered_sum(case):
+    src_dim, tgt_dim, source, target, columns, i, j = case
+    ls = sparse.check_exact_vectors(source, "source")
+    lt = sparse.check_exact_vectors(target, "target")
+    lc = sparse.check_exact_vectors(dict(enumerate(columns)), "column")
+    cols = [tuple(sparse.integral(col, lc)[1].items()) for col in columns]
+    got = sparse.map_defects(
+        sparse.bracket_table(source.items(), src_dim, ls, lc * lt, both=False),
+        sparse.bracket_table(target.items(), tgt_dim, lt, ls, both=False),
+        cols,
+        i,
+        j,
+    )
+    # f([e_i, e_j]) - [f e_i, f e_j], both at Ls Lc^2 Lt, term by term
+    scale = ls * lc * lc * lt
+    lhs = (
+        (t, c * v * scale)
+        for k, c in _signed(source, i, j).items()
+        for t, v in columns[k].items()
+    )
+    rhs = (
+        (t, -ca * cb * v * scale)
+        for a, ca in columns[i].items()
+        for b, cb in columns[j].items()
+        for t, v in _signed(target, a, b).items()
+    )
+    expected = _ordered_sum(chain(lhs, rhs))
+    assert got == expected
+    assert all(type(v) is int and v for v in got.values())
+
+
+def test_bracket_table_reads_both_orientations():
+    vectors = {(0, 2): {1: Fraction(1, 2), 0: Fraction(-3)}, (1, 2): {}}
+    rows = sparse.bracket_table(vectors.items(), 3, 2, 5)
+    assert rows == [{2: ((1, 5), (0, -30))}, {2: ()}, {0: ((1, -5), (0, 30)), 1: ()}]
+    one_way = sparse.bracket_table(vectors.items(), 3, 2, 5, both=False)
+    assert one_way == [{2: ((1, 5), (0, -30))}, {2: ()}, {}]
+
+
+def test_frozen_vectors_read_in_bulk_as_views():
+    inner = {"a": {0: Fraction(1)}, "b": {}}
+    frozen = sparse.FrozenVectors(inner)
+    items, values = frozen.items(), frozen.values()
+    assert list(items) == [("a", {0: 1}), ("b", {})] and len(items) == 2
+    assert ("a", {0: 1}) in items and {} in values
+    assert list(values) == [{0: 1}, {}] and len(values) == 2
+    for vec in chain(values, (vec for _, vec in items)):
+        with pytest.raises(TypeError):
+            vec[0] = Fraction(7)
+    assert inner == {"a": {0: Fraction(1)}, "b": {}}
 
 
 def _hand_sums(path):
