@@ -212,12 +212,10 @@ class Cochain:
     def __eq__(self, other):
         if not isinstance(other, Cochain):
             return NotImplemented
-        clean_self = {k: v for k, v in self.values.items() if v}
-        clean_other = {k: v for k, v in other.values.items() if v}
         return (
             self.module is other.module
             and self.degree == other.degree
-            and clean_self == clean_other
+            and self.values == other.values
         )
 
 
@@ -586,8 +584,8 @@ def is_coboundary(cochain: Cochain):
         raise UsageError("is_coboundary input is not a cocycle")
     module, k = cochain.module, cochain.degree
     g = module.algebra
-    for idx, vec in cochain.values.items():
-        if any(vec.values()) and not _in_cutoff(g, idx):
+    for idx in cochain.values:
+        if not _in_cutoff(g, idx):
             labels = ", ".join(g.labels[i] for i in idx)
             raise UsageError(
                 f"is_coboundary input has a value on ({labels}), past the cutoff"

@@ -49,7 +49,7 @@ def constant_matrix(form: DifferentialForm):
     """The 2d x 2d matrix of constant coefficients of a 2-form."""
     n = 2 * form.d
     m = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), poly in form.components.items():
+    for (i, j), poly in form.terms.items():
         c = poly.constant_term()
         m[i][j] = c
         m[j][i] = -c
@@ -103,13 +103,8 @@ def _poly_matrix(entries, d: int, cutoff: int):
 
 
 def _negated_upper(m):
-    """The nonzero entries of -m above the diagonal, keyed by (i, j)."""
-    return {
-        (i, j): -m[i][j]
-        for i in range(len(m))
-        for j in range(i + 1, len(m))
-        if not m[i][j].is_zero()
-    }
+    """The entries of -m above the diagonal, keyed by (i, j)."""
+    return {(i, j): -m[i][j] for i in range(len(m)) for j in range(i + 1, len(m))}
 
 
 def _poly_mat_mul(a, b, d, cutoff):
@@ -164,7 +159,7 @@ def form_to_bivector(fs: FormalSymplecticForm) -> PoissonBivector:
     {x_i, y_j} = delta_ij.
     """
     d, cutoff = fs.d, fs.cutoff
-    inv = _poly_matrix_inverse(_poly_matrix(fs.form.components, d, cutoff), d, cutoff)
+    inv = _poly_matrix_inverse(_poly_matrix(fs.form.terms, d, cutoff), d, cutoff)
     return PoissonBivector(d, cutoff, _negated_upper(inv))
 
 
@@ -297,16 +292,12 @@ def pullback(form: DifferentialForm, phi: FormalCoordChange) -> DifferentialForm
     if form.d != phi.d or form.cutoff != phi.cutoff:
         raise UsageError("pullback truncation mismatch")
     d, cutoff = form.d, form.cutoff
-    dphi = []
-    for v in range(2 * d):
-        comps = {}
-        for w in range(2 * d):
-            der = phi.components[v].partial(w)
-            if not der.is_zero():
-                comps[(w,)] = der
-        dphi.append(DifferentialForm(d, cutoff, 1, comps))
+    dphi = [
+        DifferentialForm(d, cutoff, 1, {(w,): comp.partial(w) for w in range(2 * d)})
+        for comp in phi.components
+    ]
     out = DifferentialForm.zero(d, cutoff, form.degree)
-    for idx, poly in form.components.items():
+    for idx, poly in form.terms.items():
         piece = DifferentialForm.from_poly(phi.apply_poly(poly))
         for v in idx:
             piece = wedge(piece, dphi[v])
@@ -366,7 +357,7 @@ def lift_form(form: DifferentialForm, cutoff: int) -> DifferentialForm:
         form.d,
         cutoff,
         form.degree,
-        {idx: poly.lifted(cutoff) for idx, poly in form.components.items()},
+        {idx: poly.lifted(cutoff) for idx, poly in form.terms.items()},
     )
 
 
@@ -375,7 +366,7 @@ def truncate_form(form: DifferentialForm, cutoff: int) -> DifferentialForm:
         form.d,
         cutoff,
         form.degree,
-        {idx: poly.truncated(cutoff) for idx, poly in form.components.items()},
+        {idx: poly.truncated(cutoff) for idx, poly in form.terms.items()},
     )
 
 
@@ -416,7 +407,7 @@ def darboux_normalize(fs: FormalSymplecticForm) -> FormalCoordChange:
         degree = min(
             (
                 w
-                for poly in residual.components.values()
+                for poly in residual.terms.values()
                 for w in [poly.min_weight()]
                 if w is not None
             ),
@@ -432,7 +423,7 @@ def darboux_normalize(fs: FormalSymplecticForm) -> FormalCoordChange:
             2,
             {
                 idx: poly.homogeneous_part(degree)
-                for idx, poly in residual.components.items()
+                for idx, poly in residual.terms.items()
             },
         )
         if 2 < 2 * d and not de_rham_d(homogeneous).is_zero():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
-from .series import DifferentialForm, TruncatedPoly
+from .series import DifferentialForm, TruncatedPoly, parse_coordinate
 from .weyl import TruncationSpec, WeylElement, star
 
 
@@ -189,22 +189,12 @@ class EvalContext:
 
 
 def _resolve_symbol(sym: Sym, ctx: EvalContext):
-    name = sym.name
-    if name == "h":
+    v, form = parse_coordinate(sym.name, ctx.d, sym.pos)
+    if v is None:
         return TruncatedPoly.h(ctx.d, ctx.cutoff)
-    form = name.startswith("d") and len(name) > 1
-    body = name[1:] if form else name
-    if len(body) >= 2 and body[0] in "xy" and body[1:].isdigit():
-        index = int(body[1:]) - 1
-        if not 0 <= index < ctx.d:
-            raise UsageError(
-                f"unknown variable {name} for d={ctx.d} (at position {sym.pos})"
-            )
-        flat = index if body[0] == "x" else ctx.d + index
-        if form:
-            return DifferentialForm.d_coordinate(flat, ctx.d, ctx.cutoff)
-        return TruncatedPoly.coordinate(flat, ctx.d, ctx.cutoff)
-    raise UsageError(f"unknown variable {name} (at position {sym.pos})")
+    if form:
+        return DifferentialForm.d_coordinate(v, ctx.d, ctx.cutoff)
+    return TruncatedPoly.coordinate(v, ctx.d, ctx.cutoff)
 
 
 def evaluate(node, ctx: EvalContext):
@@ -268,12 +258,7 @@ def eval_weyl(text: str, spec: TruncationSpec) -> WeylElement:
         if isinstance(node, Num):
             return WeylElement.scalar(node.value, spec)
         if isinstance(node, Sym):
-            if node.name.startswith("d") and node.name != "h":
-                raise UsageError(
-                    f"form symbol {node.name} is not a Weyl generator "
-                    f"(at position {node.pos})"
-                )
-            return WeylElement.generator(node.name, spec)
+            return WeylElement.generator(node.name, spec, node.pos)
         if isinstance(node, Neg):
             return -walk(node.arg)
         if isinstance(node, Pow):

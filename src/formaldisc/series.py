@@ -465,6 +465,32 @@ def coordinate_name(v: int, d: int) -> str:
     return f"x{v + 1}" if v < d else f"y{v - d + 1}"
 
 
+def parse_coordinate(name: str, d: int, pos=None, forms=True):
+    """The coordinate a name of the expression grammar stands for, as
+    (flat index, whether it is the 1-form): x1..xd are 0..d-1, y1..yd are
+    d..2d-1, dx_i and dy_i their 1-forms, and h is (None, False).
+
+    The inverse of `coordinate_name`, shared by the polynomial and the Weyl
+    readers so that both refuse a name alike: a UsageError, with `pos` if
+    given, for an unknown name, an index out of range and, unless `forms`,
+    a 1-form.
+    """
+    where = "" if pos is None else f" (at position {pos})"
+    if name == "h":
+        return None, False
+    form = name.startswith("d") and len(name) > 1
+    body = name[1:] if form else name
+    digits = body[1:]
+    if not (body[:1] in ("x", "y") and digits.isascii() and digits.isdigit()):
+        raise UsageError(f"unknown variable {name}{where}")
+    index = int(digits) - 1
+    if not 0 <= index < d:
+        raise UsageError(f"unknown variable {name} for d={d}{where}")
+    if form and not forms:
+        raise UsageError(f"form symbol {name} is not a Weyl generator{where}")
+    return (index if body[0] == "x" else d + index), form
+
+
 def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
     """Concatenate strictly increasing index tuples; None if any repeats.
 
@@ -478,34 +504,44 @@ def _merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
     return -1 if swaps % 2 else 1, tuple(sorted(merged))
 
 
-class DifferentialForm:
-    """A degree-k form with TruncatedPoly coefficients on the 2d-disc.
+def _checked_components(components, d: int, cutoff: int, degree: int) -> dict:
+    """The components of a degree-`degree` form or of a bivector (degree 2),
+    checked: each key a strictly increasing tuple of coordinates 0..2d-1,
+    each value a TruncatedPoly of dimension d and cutoff `cutoff`; zero
+    components are dropped."""
+    if not 0 <= degree <= 2 * d:
+        raise UsageError(f"form degree {degree} out of range for d={d}")
+    clean = {}
+    for idx, poly in (components or {}).items():
+        idx = tuple(idx)
+        if len(idx) != degree or list(idx) != sorted(set(idx)):
+            raise UsageError(f"bad index tuple {idx} for degree {degree}")
+        if any(not 0 <= v < 2 * d for v in idx):
+            raise UsageError(f"index tuple {idx} out of range for d={d}")
+        if poly.d != d or poly.cutoff != cutoff:
+            raise UsageError("component truncation mismatch")
+        if poly.terms:
+            clean[idx] = poly
+    return clean
 
-    Components are keyed by strictly increasing tuples over the 2d coordinate
-    1-forms (0..d-1 = dx_i, d..2d-1 = dy_i).
+
+class DifferentialForm(LinearTerms):
+    """A degree-k form with TruncatedPoly components on the 2d-disc.
+
+    `terms` maps strictly increasing tuples over the 2d coordinate 1-forms
+    (0..d-1 = dx_i, d..2d-1 = dy_i) to nonzero components.  The linear
+    structure (+, -, scaled, ==, hash) is the shared one of
+    `sparse.LinearTerms`, with components for coefficients: forms of another
+    truncation or degree are refused, and so is a scalar operand.
     """
 
-    __slots__ = ("d", "cutoff", "degree", "components")
+    __slots__ = ("d", "cutoff", "degree", "terms")
 
     def __init__(self, d: int, cutoff: int, degree: int, components=None):
-        if not 0 <= degree <= 2 * d:
-            raise UsageError(f"form degree {degree} out of range for d={d}")
         self.d = d
         self.cutoff = cutoff
         self.degree = degree
-        clean = {}
-        if components:
-            for idx, poly in components.items():
-                idx = tuple(idx)
-                if len(idx) != degree or list(idx) != sorted(set(idx)):
-                    raise UsageError(f"bad index tuple {idx} for degree {degree}")
-                if any(not 0 <= v < 2 * d for v in idx):
-                    raise UsageError(f"index tuple {idx} out of range for d={d}")
-                if poly.d != d or poly.cutoff != cutoff:
-                    raise UsageError("component truncation mismatch")
-                if not poly.is_zero():
-                    clean[idx] = poly
-        self.components = clean
+        self.terms = _checked_components(components, d, cutoff, degree)
 
     @staticmethod
     def zero(d: int, cutoff: int, degree: int) -> "DifferentialForm":
@@ -524,71 +560,40 @@ class DifferentialForm:
             d, cutoff, 1, {(v,): TruncatedPoly.one(d, cutoff)}
         )
 
+    # -- linear structure ----------------------------------------------------
+
     def _check_compat(self, other: "DifferentialForm"):
         if self.d != other.d or self.cutoff != other.cutoff:
             raise UsageError("form truncation mismatch")
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def component(self, idx) -> TruncatedPoly:
-        return self.components.get(tuple(idx), TruncatedPoly.zero(self.d, self.cutoff))
-
-    def __add__(self, other):
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        self._check_compat(other)
         if self.degree != other.degree:
             raise UsageError("cannot add forms of different degree")
-        comps = accumulate(other.components.items(), self.components)
-        return DifferentialForm(self.d, self.cutoff, self.degree, comps)
 
-    def __neg__(self):
-        return self.scaled(-1)
+    def _truncation(self):
+        return (self.d, self.cutoff, self.degree)
 
-    def __sub__(self, other):
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        return self + (-other)
+    def _with(self, terms) -> "DifferentialForm":
+        # sums and multiples of checked components: only the zeros to drop
+        form = object.__new__(DifferentialForm)
+        form.d, form.cutoff, form.degree = self.d, self.cutoff, self.degree
+        form.terms = {idx: poly for idx, poly in terms.items() if poly.terms}
+        return form
 
-    def scaled(self, value) -> "DifferentialForm":
-        return DifferentialForm(
-            self.d,
-            self.cutoff,
-            self.degree,
-            {idx: poly.scaled(value) for idx, poly in self.components.items()},
-        )
+    def _scalar(self, value):
+        raise UsageError(f"cannot add the scalar {value} to a {self.degree}-form")
+
+    def component(self, idx) -> TruncatedPoly:
+        return self.terms.get(tuple(idx), TruncatedPoly.zero(self.d, self.cutoff))
 
     def poly_mul(self, p: TruncatedPoly) -> "DifferentialForm":
-        return DifferentialForm(
-            self.d,
-            self.cutoff,
-            self.degree,
-            {idx: poly * p for idx, poly in self.components.items()},
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        return (
-            self.d == other.d
-            and self.cutoff == other.cutoff
-            and self.degree == other.degree
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.d, self.cutoff, self.degree, frozenset(self.components.items()))
-        )
+        return self._with({idx: poly * p for idx, poly in self.terms.items()})
 
     def __str__(self):
-        if not self.components:
+        if not self.terms:
             return "0"
         parts = []
-        for idx in sorted(self.components):
+        for idx in sorted(self.terms):
             basis = "/\\".join(f"d{coordinate_name(v, self.d)}" for v in idx)
-            poly = self.components[idx]
+            poly = self.terms[idx]
             if self.degree == 0:
                 parts.append(str(poly))
             else:
@@ -605,36 +610,35 @@ def de_rham_d(form: DifferentialForm) -> DifferentialForm:
         raise UsageError("de Rham differential undefined above top degree")
 
     def pieces():
-        for idx, poly in form.components.items():
+        for idx, poly in form.terms.items():
             for v in range(2 * form.d):
                 merged = _merge_indices((v,), idx)
                 if merged is None:
                     continue
                 sign, new_idx = merged
                 dpoly = poly.partial(v)
-                if not dpoly.is_zero():
-                    yield new_idx, dpoly if sign == 1 else -dpoly
+                yield new_idx, dpoly if sign == 1 else -dpoly
 
     return DifferentialForm(form.d, form.cutoff, form.degree + 1, accumulate(pieces()))
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     """Exterior product; graded-commutative and associative."""
-    a._check_compat(b)
+    if a.d != b.d or a.cutoff != b.cutoff:
+        raise UsageError("form truncation mismatch")
     degree = a.degree + b.degree
     if degree > 2 * a.d:
         raise UsageError("wedge degree overflow")
 
     def pieces():
-        for ia, pa in a.components.items():
-            for ib, pb in b.components.items():
+        for ia, pa in a.terms.items():
+            for ib, pb in b.terms.items():
                 merged = _merge_indices(ia, ib)
                 if merged is None:
                     continue
                 sign, idx = merged
                 piece = pa * pb
-                if not piece.is_zero():
-                    yield idx, piece if sign == 1 else -piece
+                yield idx, piece if sign == 1 else -piece
 
     return DifferentialForm(a.d, a.cutoff, degree, accumulate(pieces()))
 
@@ -645,11 +649,10 @@ def euler_contraction(form: DifferentialForm) -> DifferentialForm:
         raise UsageError("cannot contract a 0-form")
 
     def pieces():
-        for idx, poly in form.components.items():
+        for idx, poly in form.terms.items():
             for pos, v in enumerate(idx):
                 piece = poly * TruncatedPoly.coordinate(v, form.d, form.cutoff)
-                if not piece.is_zero():
-                    yield idx[:pos] + idx[pos + 1 :], -piece if pos % 2 else piece
+                yield idx[:pos] + idx[pos + 1 :], -piece if pos % 2 else piece
 
     return DifferentialForm(form.d, form.cutoff, form.degree - 1, accumulate(pieces()))
 
@@ -664,7 +667,8 @@ class PoissonBivector:
 
     The bracket convention is {f, g} = sum_{u,v} Theta_{uv} d_u f d_v g, and
     the standard bivector is normalized so {x_i, y_j} = delta_ij, matching
-    the Weyl commutator [x_i, y_j] = delta_ij h.
+    the Weyl commutator [x_i, y_j] = delta_ij h.  The upper triangle
+    `entries` is checked as the components of a 2-form are.
     """
 
     __slots__ = ("d", "cutoff", "entries")
@@ -672,16 +676,7 @@ class PoissonBivector:
     def __init__(self, d: int, cutoff: int, upper=None):
         self.d = d
         self.cutoff = cutoff
-        clean = {}
-        if upper:
-            for (i, j), poly in upper.items():
-                if not 0 <= i < j < 2 * d:
-                    raise UsageError(f"bivector indices ({i},{j}) must satisfy i<j")
-                if poly.d != d or poly.cutoff != cutoff:
-                    raise UsageError("bivector entry truncation mismatch")
-                if not poly.is_zero():
-                    clean[(i, j)] = poly
-        self.entries = clean
+        self.entries = _checked_components(upper, d, cutoff, 2)
 
     @staticmethod
     def standard(d: int, cutoff: int) -> "PoissonBivector":

@@ -240,11 +240,14 @@ def as_fraction(value) -> Fraction:
 class LinearTerms:
     """The vector-space structure of an element held as a `terms` vector.
 
-    Subclasses store `terms` (monomial -> nonzero Fraction, all within their
-    truncation) and provide `_check_compat(other)`, `_truncation()` (what two
-    elements must share to be equal), `_with(terms)` (an element of the same
-    truncation) and `_scalar(value)` (a multiple of the unit).  An int or
-    Fraction operand acts as a multiple of the unit.
+    Subclasses store `terms` (key -> nonzero coefficient, all within their
+    truncation: a Fraction on a monomial for polynomials and Weyl elements,
+    a nonzero polynomial on an index tuple for differential forms) and
+    provide `_check_compat(other)`, `_truncation()` (what two elements must
+    share to be equal), `_with(terms)` (an element of the same truncation,
+    dropping what the sum left zero where the coefficients are not plain
+    numbers) and `_scalar(value)` (a multiple of the unit, or a refusal).
+    An int or Fraction operand goes to `_scalar`.
     """
 
     __slots__ = ()

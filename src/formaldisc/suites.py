@@ -287,9 +287,7 @@ def darboux_suite(report: Report, d, p, n, rng):
         for v in range(2 * d):
             poly = random_poly(rng, d, cutoff, terms=2, max_weight=min(cutoff, 4))
             poly = poly - TruncatedPoly.constant(poly.constant_term(), d, cutoff)
-            poly = poly - poly.homogeneous_part(1)
-            if not poly.is_zero():
-                comps[(v,)] = poly
+            comps[(v,)] = poly - poly.homogeneous_part(1)
         beta = DifferentialForm(d, cutoff, 1, comps)
         return darboux.standard_form(d, cutoff) + de_rham_d(beta)
 

@@ -36,6 +36,7 @@ from .series import (
     TruncatedPoly,
     _checked_terms,
     _pair_sum,
+    parse_coordinate,
     standard_poisson,
     unit_monomial,
 )
@@ -90,19 +91,13 @@ class WeylElement(LinearTerms):
         return WeylElement.scalar(1, spec)
 
     @staticmethod
-    def generator(name: str, spec: TruncationSpec) -> "WeylElement":
-        kind, index = parse_generator(name, spec.d)
+    def generator(name: str, spec: TruncationSpec, pos=None) -> "WeylElement":
+        """x_i, y_i or h by name (see `series.parse_coordinate`)."""
+        v, _ = parse_coordinate(name, spec.d, pos, forms=False)
         d = spec.d
-        if kind == "x":
-            mono = Monomial(
-                tuple(1 if j == index else 0 for j in range(d)), (0,) * d, 0
-            )
-        elif kind == "y":
-            mono = Monomial(
-                (0,) * d, tuple(1 if j == index else 0 for j in range(d)), 0
-            )
-        else:
-            mono = Monomial((0,) * d, (0,) * d, 1)
+        exps = [0] * (2 * d + 1)  # the x's, the y's, then h
+        exps[2 * d if v is None else v] = 1
+        mono = Monomial(tuple(exps[:d]), tuple(exps[d:-1]), exps[-1])
         return WeylElement(spec, {mono: Fraction(1)})
 
     @staticmethod
@@ -162,18 +157,6 @@ class WeylElement(LinearTerms):
         data = self.symbol().to_json()
         data["p"] = self.spec.h_order
         return data
-
-
-def parse_generator(name: str, d: int):
-    """'x3' -> ('x', 2); 'h' -> ('h', None). Raises on anything else."""
-    if name == "h":
-        return ("h", None)
-    if len(name) >= 2 and name[0] in "xy" and name[1:].isdigit():
-        index = int(name[1:]) - 1
-        if 0 <= index < d:
-            return (name[0], index)
-        raise UsageError(f"generator {name} out of range for d={d}")
-    raise UsageError(f"unknown generator {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +276,11 @@ def normal_order_random_strategy(word, spec: TruncationSpec, rng, scalar=1) -> W
         if isinstance(item, (int, Fraction)):
             coeff *= item
             continue
-        kind, index = parse_generator(item, spec.d)
-        if kind == "h":
+        v, _ = parse_coordinate(item, spec.d, forms=False)
+        if v is None:
             central_h += 1  # h commutes with everything by the relations
         else:
-            letters.append((kind, index))
+            letters.append(("x", v) if v < spec.d else ("y", v - spec.d))
     letters.extend([("h", None)] * central_h)
     sums: dict[tuple, Fraction] = {tuple(letters): coeff}
     while True:

@@ -66,7 +66,7 @@ class TestGrammar:
     def test_precedence_wedge_tighter_than_plus(self):
         value = eval_form("dx1 /\\ dy1 + dx2 /\\ dy2", CTX)
         assert value.degree == 2
-        assert len(value.components) == 2
+        assert len(value.terms) == 2
 
     def test_unary_minus(self):
         assert eval_poly("-x1 + x1", CTX).is_zero()
@@ -152,6 +152,26 @@ class TestCLI:
 
     def test_unknown_variable_is_exit_2(self, capsys):
         assert main(["poisson", "x3", "y1", "--d", "2", "--N", "4"]) == 2
+
+    @pytest.mark.parametrize("name", ["x0", "x3", "d", "dz", "z1", "x\u00b2"])
+    def test_both_readers_refuse_a_name_alike(self, capsys, name):
+        # the polynomial and the Weyl reader share one coordinate-name parser
+        errors = []
+        for command in (["poisson", "y1", name], ["weyl", "mul", "y1", name]):
+            assert main([*command, "--d", "1"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert f"unknown variable {name}" in errors[0]
+        assert errors[0].rstrip().endswith("(at position 0)")
+
+    def test_a_form_symbol_is_no_weyl_generator(self, capsys):
+        assert main(["weyl", "mul", "y1", "dx1", "--d", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: form symbol dx1 is not a Weyl generator (at position 0)\n"
+        with pytest.raises(UsageError, match="form symbol dy1"):
+            WeylElement.generator("dy1", TruncationSpec(1, 2, 6))
 
     def test_tower_check(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"

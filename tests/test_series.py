@@ -7,8 +7,11 @@
 `monomial_poisson`; the kernels must agree with them exactly.
 """
 
+import ast
 import random
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,7 @@ from formaldisc.series import (
 from formaldisc.sparse import accumulate
 
 D, N = 2, 7
+SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
 
 coeffs = st.sampled_from(
     [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 4), Fraction(5)]
@@ -265,6 +269,154 @@ class TestForms:
         form = DifferentialForm(D, N, 1, {(0,): x(0) * y(1), (D,): x(1) * x(1)})
         lhs = de_rham_d(euler_contraction(form)) + euler_contraction(de_rham_d(form))
         assert lhs == form.scaled(2 + 1)
+
+
+# The hand-written linear structure that `DifferentialForm` had before it
+# took the shared one of `sparse.LinearTerms`, kept as the oracle for it.
+
+
+def parent_add(a, b):
+    if a.d != b.d or a.cutoff != b.cutoff:
+        raise UsageError("form truncation mismatch")
+    if a.degree != b.degree:
+        raise UsageError("cannot add forms of different degree")
+    comps = accumulate(b.terms.items(), a.terms)
+    return DifferentialForm(a.d, a.cutoff, a.degree, comps)
+
+
+def parent_scaled(a, value):
+    comps = {idx: poly.scaled(value) for idx, poly in a.terms.items()}
+    return DifferentialForm(a.d, a.cutoff, a.degree, comps)
+
+
+def parent_neg(a):
+    return parent_scaled(a, -1)
+
+
+def parent_sub(a, b):
+    return parent_add(a, parent_neg(b))
+
+
+def parent_eq(a, b):
+    return (a.d, a.cutoff, a.degree, a.terms) == (b.d, b.cutoff, b.degree, b.terms)
+
+
+def parent_hash(a):
+    return hash((a.d, a.cutoff, a.degree, frozenset(a.terms.items())))
+
+
+def outcome(call):
+    """What a call gives, comparable across routes: the form's fields, or the
+    text of its refusal."""
+    try:
+        form = call()
+    except UsageError as exc:
+        return ("refused", str(exc))
+    assert all(poly.terms for poly in form.terms.values()), "zero component kept"
+    return (form.d, form.cutoff, form.degree, form.terms)
+
+
+@st.composite
+def forms(draw, d, cutoff, degree):
+    """A form of any components, some of them drawn zero."""
+    comps = {}
+    for idx in combinations(range(2 * d), degree):
+        if draw(st.booleans()):
+            comps[idx] = draw(polys(d, cutoff))
+    return DifferentialForm(d, cutoff, degree, comps)
+
+
+@st.composite
+def form_pairs(draw):
+    """(a, b): a of any degree 0..2d at d = 1 or 2, and b of the same
+    truncation and degree (sometimes cancelling components of a in a sum or
+    a difference), or of another degree, cutoff or dimension."""
+    d = draw(st.sampled_from([1, 2]))
+    degree = draw(st.integers(0, 2 * d))
+    a = draw(forms(d, 4, degree))
+    kind = draw(st.sampled_from(["same", "cancel", "degree", "cutoff", "dimension"]))
+    if kind == "degree":
+        other = draw(st.integers(0, 2 * d).filter(lambda k: k != degree))
+        return a, draw(forms(d, 4, other))
+    if kind == "cutoff":
+        return a, draw(forms(d, 5, degree))
+    if kind == "dimension":
+        return a, draw(forms(3 - d, 4, min(degree, 2 * (3 - d))))
+    b = draw(forms(d, 4, degree))
+    if kind == "cancel":
+        sign = draw(st.sampled_from([1, -1]))
+        comps = dict(b.terms)
+        for idx, poly in a.terms.items():
+            if draw(st.booleans()):
+                comps[idx] = poly.scaled(sign)
+        b = DifferentialForm(d, 4, degree, comps)
+    return a, b
+
+
+class TestFormLinearStructure:
+    @settings(max_examples=150, deadline=None)
+    @given(form_pairs(), st.sampled_from([0, 1, -1, 2, Fraction(-3, 4)]))
+    def test_matches_the_parent_operations(self, pair, value):
+        a, b = pair
+        for new, old in (
+            (lambda: a + b, lambda: parent_add(a, b)),
+            (lambda: a - b, lambda: parent_sub(a, b)),
+            (lambda: -a, lambda: parent_neg(a)),
+            (lambda: a.scaled(value), lambda: parent_scaled(a, value)),
+        ):
+            assert outcome(new) == outcome(old)
+        assert (a == b) == parent_eq(a, b)
+        assert a.is_zero() == (not a.terms)
+        assert hash(a) == parent_hash(a)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_a_scalar_operand_is_refused(self):
+        form = DifferentialForm.d_coordinate(0, D, N)
+        for call in (
+            lambda: form + 1,
+            lambda: 1 + form,
+            lambda: form - Fraction(1, 2),
+            lambda: 2 - form,
+        ):
+            with pytest.raises(UsageError, match="scalar"):
+                call()
+
+    def test_forms_keep_no_linear_structure_of_their_own(self):
+        tree = ast.parse((SRC / "series.py").read_text())
+        classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+        form = classes["DifferentialForm"]
+        assert [base.id for base in form.bases] == ["LinearTerms"]
+        defined = {n.name for n in form.body if isinstance(n, ast.FunctionDef)}
+        linear = ("__add__", "__sub__", "__neg__", "scaled", "__eq__", "__hash__")
+        assert defined.isdisjoint({*linear, "is_zero"})
+        assert "components" not in defined  # no alias of `terms`
+        # forms and bivectors build their components through one check
+        for name in ("DifferentialForm", "PoissonBivector"):
+            body = classes[name].body
+            (init,) = [n for n in body if getattr(n, "name", "") == "__init__"]
+            calls = [
+                n.func.id
+                for n in ast.walk(init)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            ]
+            assert calls == ["_checked_components"], name
+            assert not any(isinstance(n, ast.Raise) for n in ast.walk(init)), name
+
+    def test_bivector_entries_are_checked_as_two_form_components(self):
+        one = TruncatedPoly.one(1, 4)
+        for upper, text in (
+            ({(1, 0): one}, "bad index tuple"),
+            ({(0, 2): one}, "out of range"),
+            ({(0, 1, 1): one}, "bad index tuple"),
+            ({(0, 1): TruncatedPoly.one(1, 5)}, "truncation mismatch"),
+        ):
+            with pytest.raises(UsageError, match=text):
+                PoissonBivector(1, 4, upper)
+            with pytest.raises(UsageError, match=text):
+                DifferentialForm(1, 4, 2, upper)
+        zero = TruncatedPoly.zero(1, 4)
+        assert PoissonBivector(1, 4, {(0, 1): zero}).entries == {}
 
 
 class TestPoisson:

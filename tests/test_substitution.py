@@ -105,7 +105,7 @@ def reference_pullback(form, phi):
         for v in range(2 * d)
     ]
     out = DifferentialForm.zero(d, cutoff, form.degree)
-    for idx, poly in form.components.items():
+    for idx, poly in form.terms.items():
         piece = DifferentialForm.from_poly(reference_substitute(poly, phi.components))
         for v in idx:
             piece = wedge(piece, dphi[v])
@@ -255,7 +255,7 @@ def test_changing_a_result_in_place_does_not_change_the_next():
         for name, call, expected in _tasks(phi, inputs):
             first = call(phi)
             if isinstance(first, DifferentialForm):
-                terms = [poly.terms for poly in first.components.values()]
+                terms = [poly.terms for poly in first.terms.values()]
             else:
                 terms = [first.terms]
             for t in terms:

@@ -2,11 +2,12 @@
 
 import dataclasses
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
 
-from formaldisc import cohomology, linalg, tower
+from formaldisc import cohomology, liealg, linalg, tower
 from formaldisc.errors import CheckFailure, InternalError, UsageError
 from formaldisc.liealg import ExtensionData, GradedLieAlgebra, LieMap, LinearMap
 from formaldisc.series import Monomial, TruncatedPoly, all_monomials
@@ -483,3 +484,70 @@ class TestObstruction:
         assert cohomology.ce_differential(lam_cochain) == difference
         found, _ = cohomology.is_coboundary(difference)
         assert found
+
+
+def _first_column_zeroed(columns):
+    """A copy of map columns with the first nonzero column made zero."""
+    columns = {i: dict(col) for i, col in columns.items()}
+    first = next(i for i, col in columns.items() if col)
+    return {**columns, first: {}}
+
+
+def _aligned_columns_broken(original, *args, **kwargs):
+    """Run a check with `aligned_columns` zeroing the first nonzero column."""
+
+    def aligned(source, target):
+        return _first_column_zeroed(liealg.aligned_columns(source, target))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tower, "aligned_columns", aligned)
+        return original(*args, **kwargs)
+
+
+def _derd_projection_broken(original, row_upper, row_lower, col_g, col_derd):
+    """Run the project square with the DerD column's projection broken."""
+    project = col_derd.project
+    columns = _first_column_zeroed(dict(project.columns.items()))
+    broken = LinearMap(project.source, project.target, columns)
+    col_derd = dataclasses.replace(col_derd, project=broken)
+    return original(row_upper, row_lower, col_g, col_derd)
+
+
+def _kernel_shrunk(constant):
+    """Run one kernel-dimension check on its kernel less the last element."""
+
+    def breaker(original, kernel, *args, include_constant):
+        if include_constant == constant:
+            kernel = kernel.restriction(kernel.name, tuple(range(kernel.dim - 1)))
+        return original(kernel, *args, include_constant=include_constant)
+
+    return breaker
+
+
+LADDER_FAULTS = [
+    ("col1-exact-and-trivial", "_scalar_column_check", _aligned_columns_broken),
+    ("square-inject", "_square_inject_check", _aligned_columns_broken),
+    ("square-project", "_square_project_check", _derd_projection_broken),
+    ("row1-exact", "_row1_check", _aligned_columns_broken),
+    ("col2-kernel-is-A", "_kernel_dims_check", _kernel_shrunk(True)),
+    ("col3-kernel-is-H", "_kernel_dims_check", _kernel_shrunk(False)),
+]
+
+
+@pytest.mark.parametrize(
+    "check,function,breaker", LADDER_FAULTS, ids=[case[0] for case in LADDER_FAULTS]
+)
+def test_a_broken_input_fails_its_ladder_check_alone(
+    monkeypatch, check, function, breaker
+):
+    # the corrupted bracket of --inject-fault stops the ladder at the column
+    # build, so these checks are made to fail one at a time instead
+    names = [c.name for c in tower.commu_diagram_check(1, 1, 6).checks]
+    assert check in names
+    original = getattr(tower, function)
+    monkeypatch.setattr(tower, function, partial(breaker, original))
+    report = tower.commu_diagram_check(1, 1, 6)
+    assert [c.name for c in report.checks] == names
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [check]
+    assert failed[0].witness and "message" not in failed[0].witness

@@ -232,6 +232,15 @@ class TestNormalOrder:
             )
             assert iota(WeylElement(spec, {m: Fraction(1)})) == expected, m
 
+    @pytest.mark.parametrize("name", ["x0", "y2", "z1", "dx1", "d", "x"])
+    def test_words_refuse_a_name_as_the_generator_does(self, name):
+        # both routes read a letter through `series.parse_coordinate`
+        with pytest.raises(UsageError) as direct:
+            normal_order([name], SPEC)
+        with pytest.raises(UsageError) as rewritten:
+            normal_order_random_strategy([name], SPEC, random.Random(0))
+        assert str(direct.value) == str(rewritten.value)
+
     def test_scalars_in_words(self):
         assert normal_order([Fraction(1, 2), "x1", 4, "y1"], SPEC) == star(
             gen("x1"), gen("y1")
