@@ -39,7 +39,9 @@ def envelope(command: str, params: dict, **fields) -> dict:
 def _jsonable(value):
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    # a plain list or tuple only: a value built on a tuple, such as a
+    # `series.Monomial`, is written as it prints
+    if type(value) in (list, tuple):
         return [_jsonable(v) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value

@@ -7,36 +7,66 @@ weight cutoff; operations compute exactly and then discard monomials whose
 weight exceeds the cutoff.  Mixing values with different cutoff or dimension
 raises UsageError, never coerces.
 
-Monomial calculus lives here alone: `derivative` and the closed-form
-bracket `monomial_poisson` underlie `partial`, both Poisson brackets and the
-tower's H, A and W.  The term-map mechanics that `weyl` shares live here
-too: one checked constructor (`_checked_terms`) and one integer-first pair
-loop (`_pair_sum`) behind `__mul__`, `standard_poisson`, `weyl.star` and
-`weyl.commutator`.  The loop and `Substitution.apply` scale their operands
-to ints (`sparse.integral`), sum on ints and divide once per output term.
+A `Monomial` is the tuple (xexp, yexp, hexp, weight), its weight stored at
+construction: it hashes and compares in C, equals the bare 4-tuple of its
+fields and is ordered only by `sort_key`.  Monomial calculus lives here
+alone: `derivative` and the closed-form bracket `monomial_poisson` underlie
+`partial`, both Poisson brackets and the tower's H, A and W.  The term-map
+mechanics that `weyl` shares live here too: one checked constructor
+(`_checked_terms`) and one integer-first pair loop (`_pair_sum`) behind
+`__mul__`, `standard_poisson`, `weyl.star` and `weyl.commutator`.  The loop
+and `Substitution.apply` scale their operands to ints (`sparse.integral`),
+sum on ints and divide once per output term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
+from operator import itemgetter
 
 from .errors import UsageError
 from .sparse import LinearTerms, accumulate, as_fraction, integral, rational
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """x^a y^b h^c with weight |a| + |b| + 2c."""
+class Monomial(tuple):
+    """x^a y^b h^c, packed as the tuple (xexp, yexp, hexp, weight) with its
+    weight |a| + |b| + 2c summed once, at construction.
 
-    xexp: tuple[int, ...]
-    yexp: tuple[int, ...]
-    hexp: int = 0
+    Hash and equality are those of that tuple, computed in C, so a monomial
+    equals the bare 4-tuple of its fields.  `sort_key` is the one order of
+    monomials: `<` and the other comparisons are refused.  An exponent that
+    cannot be summed is a UsageError here; `_checked_terms` refuses the
+    other exponents that are not ints >= 0.
+    """
 
-    @property
-    def weight(self) -> int:
-        return sum(self.xexp) + sum(self.yexp) + 2 * self.hexp
+    __slots__ = ()
+
+    xexp = property(itemgetter(0))
+    yexp = property(itemgetter(1))
+    hexp = property(itemgetter(2))
+    weight = property(itemgetter(3))
+
+    def __new__(cls, xexp: tuple[int, ...], yexp: tuple[int, ...], hexp: int = 0):
+        try:
+            weight = sum(xexp) + sum(yexp) + 2 * hexp
+        except TypeError:
+            raise UsageError(
+                f"monomial exponents {xexp!r}, {yexp!r}, {hexp!r} need to be ints >= 0"
+            ) from None
+        return tuple.__new__(cls, (xexp, yexp, hexp, weight))
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    def __repr__(self):
+        return f"Monomial(xexp={self.xexp!r}, yexp={self.yexp!r}, hexp={self.hexp!r})"
+
+    def _unordered(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     @property
     def dimension(self) -> int:
@@ -47,10 +77,13 @@ class Monomial:
         return (self.weight, self.hexp, self.xexp, self.yexp)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            tuple(map(int.__add__, self.xexp, other.xexp)),
-            tuple(map(int.__add__, self.yexp, other.yexp)),
-            self.hexp + other.hexp,
+        return _packed(
+            (
+                tuple(map(int.__add__, self.xexp, other.xexp)),
+                tuple(map(int.__add__, self.yexp, other.yexp)),
+                self.hexp + other.hexp,
+                self.weight + other.weight,
+            )
         )
 
     def __str__(self):
@@ -70,6 +103,12 @@ class Monomial:
         elif self.hexp > 1:
             parts.append(f"h^{self.hexp}")
         return "*".join(parts) if parts else "1"
+
+
+# The trusted constructor of kernels that know the weight of what they build
+# (a sum or contraction of checked monomials): the 4-tuple (xexp, yexp, hexp,
+# weight) is packed as given, without summing or checking.
+_packed = partial(tuple.__new__, Monomial)
 
 
 def unit_monomial(d: int) -> Monomial:
@@ -428,7 +467,7 @@ class Substitution:
             room = self.cutoff - 2 * c
             den, ints = integral(
                 {
-                    Monomial(m.xexp, m.yexp, c): coeff
+                    _packed((m.xexp, m.yexp, c, m.weight + 2 * c)): coeff
                     for m, coeff in free.terms.items()
                     if m.weight <= room
                 }
@@ -481,7 +520,13 @@ def parse_coordinate(name: str, d: int, pos=None, forms=True):
     form = name.startswith("d") and len(name) > 1
     body = name[1:] if form else name
     digits = body[1:]
-    if not (body[:1] in ("x", "y") and digits.isascii() and digits.isdigit()):
+    # ASCII digits without a leading zero: x01 is not x1
+    if not (
+        body[:1] in ("x", "y")
+        and digits.isascii()
+        and digits.isdigit()
+        and (digits == "0" or not digits.startswith("0"))
+    ):
         raise UsageError(f"unknown variable {name}{where}")
     index = int(digits) - 1
     if not 0 <= index < d:
@@ -518,6 +563,8 @@ def _checked_components(components, d: int, cutoff: int, degree: int) -> dict:
             raise UsageError(f"bad index tuple {idx} for degree {degree}")
         if any(not 0 <= v < 2 * d for v in idx):
             raise UsageError(f"index tuple {idx} out of range for d={d}")
+        if not isinstance(poly, TruncatedPoly):
+            raise UsageError(f"component {idx} is not a TruncatedPoly: {poly!r}")
         if poly.d != d or poly.cutoff != cutoff:
             raise UsageError("component truncation mismatch")
         if poly.terms:

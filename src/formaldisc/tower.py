@@ -56,6 +56,7 @@ from .reports import Report
 from .series import (
     Monomial,
     TruncatedPoly,
+    _packed,
     all_monomials,
     coordinate_name,
     derivative,
@@ -101,7 +102,7 @@ def _transported_bracket(m1: Monomial, m2: Monomial, d: int, q: int):
     a = WeylElement._trusted(spec, {m1: Fraction(1)})
     b = WeylElement._trusted(spec, {m2: Fraction(1)})
     return (
-        (Monomial(m.xexp, m.yexp, m.hexp - 1), c)
+        (_packed((m.xexp, m.yexp, m.hexp - 1, m.weight - 2)), c)
         for m, c in commutator(a, b).terms.items()
     )
 

@@ -14,10 +14,13 @@ y^b x^a = sum_k (-h)^k k! C(b,k) C(a,k) x^(a-k) y^(b-k).  `star`, `iota`
 and `normal_order` all go through it.  `commutator` has a kernel of its own
 on the same contraction loop: the uncontracted terms of m1 m2 and m2 m1
 cancel, so it sums only the contractions of the two orders and never calls
-`star`.  Both kernels return int multipliers; the term-map mechanics are
-those of `series`: `star` and `commutator` extend a kernel through its
-integer-first pair loop, `WeylElement` checks its terms as `TruncatedPoly`
-does, and `h_linear_part` reads (1/h)[a, b] mod h for both bracket routes.
+`star`.  Both kernels key their terms by the tuple-backed
+`series.Monomial`, which hashes and compares in C and stores its weight:
+the contraction loop packs each term with the known weight w1 + w2.  Both
+kernels return int multipliers; the term-map mechanics are those of
+`series`: `star` and `commutator` extend a kernel through its integer-first
+pair loop, `WeylElement` checks its terms as `TruncatedPoly` does, and
+`h_linear_part` reads (1/h)[a, b] mod h for both bracket routes.
 `normal_order_random_strategy` rewrites words with the defining relation
 y_j x_i -> x_i y_j - delta_ij h at random positions; it is kept as the
 independent oracle.
@@ -35,6 +38,7 @@ from .series import (
     Monomial,
     TruncatedPoly,
     _checked_terms,
+    _packed,
     _pair_sum,
     parse_coordinate,
     standard_poisson,
@@ -186,16 +190,20 @@ def _contractions(ys, xs, room: int):
 
 def _contracted(m1: Monomial, m2: Monomial, contractions, sign: int = 1):
     """sign times the terms x^(a1+a2-ks) y^(b1+b2-ks) h^(c1+c2+k) of the
-    given contractions of m1 and m2 (in either order)."""
-    xs = [a1 + a2 for a1, a2 in zip(m1.xexp, m2.xexp)]
-    ys = [b1 + b2 for b1, b2 in zip(m1.yexp, m2.yexp)]
-    hexp = m1.hexp + m2.hexp
+    given contractions of m1 and m2 (in either order).  A contraction trades
+    a pair x_i y_i for one h, so every term has weight w1 + w2."""
+    xs = tuple(map(int.__add__, m1.xexp, m2.xexp))
+    ys = tuple(map(int.__add__, m1.yexp, m2.yexp))
+    hexp, weight = m1.hexp + m2.hexp, m1.weight + m2.weight
     return [
         (
-            Monomial(
-                tuple(x - k for x, k in zip(xs, ks)),
-                tuple(y - k for y, k in zip(ys, ks)),
-                hexp + used,
+            _packed(
+                (
+                    tuple(map(int.__sub__, xs, ks)),
+                    tuple(map(int.__sub__, ys, ks)),
+                    hexp + used,
+                    weight,
+                )
             ),
             sign * coeff,
         )

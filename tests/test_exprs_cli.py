@@ -166,6 +166,15 @@ class TestCLI:
         assert f"unknown variable {name}" in errors[0]
         assert errors[0].rstrip().endswith("(at position 0)")
 
+    @pytest.mark.parametrize("name", ["x01", "y01", "dx01"])
+    def test_an_index_with_a_leading_zero_is_refused(self, capsys, name):
+        # x01 is not x1: both readers refuse it as an unknown name
+        for command in (["poisson", name, "y1"], ["weyl", "comm", name, "y1"]):
+            assert main([*command, "--d", "1"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: unknown variable {name} (at position 0)\n"
+
     def test_a_form_symbol_is_no_weyl_generator(self, capsys):
         assert main(["weyl", "mul", "y1", "dx1", "--d", "1"]) == 2
         err = capsys.readouterr().err

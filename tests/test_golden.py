@@ -6,11 +6,13 @@ ones by the bracket built from `partial`, `*` and `+`, before it became one
 sum over monomial pairs.  The `verify_cohomology` and `verify_tower` ones
 were written while `is_coboundary`, the d^2 check and the dense blocks still
 read the sorted full blocks, before every CE consumer read torus slices.
-The others were written by the CLI in which each subcommand printed and
-wrote `--json` itself, before `main` became its one exit path.  The stdout and the `--json` file of each command must stay
-byte-identical, so a change of coefficient arithmetic or of the CLI's
-plumbing cannot change an answer, its term order or its printed form.  Only
-what changes between runs is dropped first: the `duration_s` of a JSON
+The `_d2` ones were written while `Monomial` was a frozen dataclass that
+summed its weight on every read.  The others were written by the CLI in
+which each subcommand printed and wrote `--json` itself, before `main`
+became its one exit path.  The stdout and the `--json` file of each command
+must stay byte-identical, so a change of coefficient arithmetic or of the
+CLI's plumbing cannot change an answer, its term order or its printed form.
+Only what changes between runs is dropped first: the `duration_s` of a JSON
 payload and the time on a report's closing "checks passed" line.
 """
 
@@ -26,6 +28,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 FLAGS = ["--d", "1", "--p", "2", "--N", "6"]
 LEFT, RIGHT = "1/2*x1^2 + 3/7*y1*h", "x1*y1 - 2/3*y1^2"
+# d=2, where the exponent arithmetic runs per dimension
+FLAGS_D2 = ["--d", "2", "--p", "2", "--N", "6"]
+LEFT_D2, RIGHT_D2 = "1/2*x1*x2^2 + 3/7*y2*h", "x2*y2 - 2/3*y1^2*x1"
 # h-free, for the Poisson bracket; F's top term brackets past the cutoff
 F = "1/2*x1^2*y1 + 3/7*y1^2 - 5/11*x1^3 + 2/9*x1^2*y1^3"
 G = "x1*y1 - 2/3*y1^3 + 7/5*x1^2*y1^2"
@@ -35,8 +40,14 @@ COMMANDS = {
         "darboux", "transport", "--form", "(1+x1) * dx1 /\\ dy1",
         "--a", "x1^2 + 1/2*y1", "--b", "x1*y1 - 3*y1^2", *FLAGS,
     ],
+    "transport_d2": [
+        "darboux", "transport", "--form", "(1+x1) * dx1 /\\ dy1 + dx2 /\\ dy2",
+        "--a", "x1*y2 + 1/2*y1", "--b", "x2^2 - 3*y1*y2", *FLAGS_D2,
+    ],
     "weyl_mul": ["weyl", "mul", *FLAGS, LEFT, RIGHT],
     "weyl_comm": ["weyl", "comm", *FLAGS, LEFT, RIGHT],
+    "weyl_mul_d2": ["weyl", "mul", LEFT_D2, RIGHT_D2, *FLAGS_D2],
+    "weyl_comm_d2": ["weyl", "comm", LEFT_D2, RIGHT_D2, *FLAGS_D2],
     "poisson_standard": ["poisson", F, G, *FLAGS],
     "poisson_form": ["poisson", F, G, "--form", "(1+x1) * dx1 /\\ dy1", *FLAGS],
     "weyl_iota": ["weyl", "iota", *FLAGS, LEFT],

@@ -18,12 +18,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from formaldisc import tower
 from formaldisc.series import Monomial, Substitution, TruncatedPoly, all_monomials
 from formaldisc.sparse import accumulate
 from formaldisc.weyl import (
     TruncationSpec,
     WeylElement,
+    _contracted,
+    _contractions,
     _normal_commutator,
     _normal_product,
     commutator,
@@ -85,6 +90,44 @@ def assert_clean(terms, d, cutoff, h_order=None):
         assert mono.weight <= cutoff, mono
         if h_order is not None:
             assert mono.hexp <= h_order, mono
+
+
+def true_weight(mono):
+    return sum(mono.xexp) + sum(mono.yexp) + 2 * mono.hexp
+
+
+@st.composite
+def monomial_pairs(draw):
+    """d, then two monomials of dimension d with h-terms."""
+    d = draw(st.sampled_from([1, 2]))
+    exponents = st.tuples(*[st.integers(0, 3)] * d)
+    pair = [
+        Monomial(draw(exponents), draw(exponents), draw(st.integers(0, 2)))
+        for _ in range(2)
+    ]
+    return d, *pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_pairs())
+def test_every_built_monomial_carries_its_true_weight(pair):
+    """The kernels that build monomials from other monomials' exponents keep
+    the stored weight equal to |a| + |b| + 2c."""
+    d, m1, m2 = pair
+    room = 4
+    built = [m1.mul(m2)]
+    for first, second in ((m1, m2), (m2, m1)):
+        contractions = _contractions(first.yexp, second.xexp, room)
+        built += [m for m, _ in _contracted(m1, m2, contractions)]
+    built += [m for m, _ in tower._transported_bracket(m1, m2, d, 2)]
+    cutoff = 8
+    images = [
+        TruncatedPoly.coordinate(v, d, cutoff) + TruncatedPoly.coordinate(v, d, cutoff) ** 2
+        for v in range(2 * d)
+    ]
+    built += [m for m, _ in Substitution(images)._image(m1)[1]]
+    for mono in built:
+        assert mono.weight == true_weight(mono), mono
 
 
 def monomials(spec, min_weight=0):

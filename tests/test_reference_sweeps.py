@@ -24,6 +24,7 @@ production routes must agree with them exactly: the same exempt counts, the
 same first failure and witness, the same algebra, the same maps.
 """
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -43,6 +44,7 @@ from formaldisc.liealg import (
     aligned_extension,
     tabulate,
 )
+from formaldisc.reports import Report
 from formaldisc.series import (
     Monomial,
     PoissonBivector,
@@ -619,6 +621,22 @@ def test_tabulate_refuses_off_basis_components():
         tabulate("broken", (x, y), ("x", "y"), (-1, -1), 0, bracket)
     assert "[x,y]" in str(info.value) and "off-basis component 1" in str(info.value)
     assert info.value.witness == {"pair": (0, 1), "component": one}
+
+
+def test_a_monomial_witness_is_written_as_its_printed_form():
+    # a Monomial is a tuple, but a report writes it as it prints, not as a list
+    x, y, cube = Monomial((1,), (0,)), Monomial((0,), (1,)), Monomial((3,), (0,))
+
+    def bracket(m1, m2):
+        yield cube, Fraction(1)
+
+    report = Report("tabulate", {})
+    args = ("broken", (x, y), ("x", "y"), (-1, -1), 0, bracket)
+    assert not report.run("off-basis", tabulate, *args)
+    (check,) = report.to_json()["checks"]
+    assert check["witness"] == {"pair": [0, 1], "component": "x1^3"}
+    assert '"component": "x1^3"' in json.dumps(report.to_json())
+    assert 'witness: {"pair": [0, 1], "component": "x1^3"}' in report.render_text()
 
 
 # ---------------------------------------------------------------------------

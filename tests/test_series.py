@@ -8,6 +8,8 @@
 """
 
 import ast
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -33,6 +35,7 @@ from formaldisc.series import (
     wedge,
 )
 from formaldisc.sparse import accumulate
+from formaldisc.weyl import TruncationSpec, WeylElement
 
 D, N = 2, 7
 SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
@@ -159,6 +162,18 @@ class TestRingAxioms:
         with pytest.raises(UsageError, match="exponents that are ints >= 0"):
             TruncatedPoly(1, 4, {mono: 1})
 
+    @pytest.mark.parametrize(
+        "exps",
+        [(("a",), (0,), 0), ((1,), (None,), 0), ((1,), (0,), "h"), ((1,), (0,), None)],
+        ids=["str-x", "none-y", "str-h", "none-h"],
+    )
+    def test_non_numeric_exponents_are_usage_errors(self, exps):
+        # refused as a UsageError wherever the check happens, never a TypeError
+        with pytest.raises(UsageError, match="ints >= 0"):
+            TruncatedPoly(1, 4, {Monomial(*exps): 1})
+        with pytest.raises(UsageError, match="ints >= 0"):
+            WeylElement(TruncationSpec(1, 2, 4), {Monomial(*exps): 1})
+
     def test_truncation_must_be_integral(self):
         with pytest.raises(UsageError, match="cutoff must be >= 0, got 4.5"):
             TruncatedPoly(1, 4.5)
@@ -169,6 +184,19 @@ class TestRingAxioms:
         p = x(0) + y(1) - x(0)
         q = y(1)
         assert p == q and hash(p) == hash(q)
+
+    def test_monomial_is_a_packed_tuple(self):
+        m = Monomial(xexp=(1, 2), yexp=(0, 1), hexp=1)
+        # the weight is stored; hash and equality are those of the 4-tuple
+        assert tuple(m) == ((1, 2), (0, 1), 1, 6) == m
+        assert hash(m) == hash(((1, 2), (0, 1), 1, 6))
+        assert m == Monomial((1, 2), (0, 1), 1) and m != Monomial((1, 2), (0, 1))
+        assert repr(m) == "Monomial(xexp=(1, 2), yexp=(0, 1), hexp=1)"
+        assert str(m) == "x1*x2^2*y2*h" and m.dimension == 2
+        assert copy.copy(m) == m and type(pickle.loads(pickle.dumps(m))) is Monomial
+        # `sort_key` is the one order: monomials do not compare with `<`
+        with pytest.raises(TypeError):
+            sorted([m, Monomial((0, 0), (0, 0))])
 
     def test_monomial_order_total(self):
         monos = all_monomials(2, 3) + [Monomial((0, 0), (0, 0), 1)]
@@ -417,6 +445,14 @@ class TestFormLinearStructure:
                 DifferentialForm(1, 4, 2, upper)
         zero = TruncatedPoly.zero(1, 4)
         assert PoissonBivector(1, 4, {(0, 1): zero}).entries == {}
+
+    @pytest.mark.parametrize("component", [5, Fraction(1, 2), "x1", None])
+    def test_a_component_that_is_no_polynomial_is_refused(self, component):
+        text = r"component \(0, 1\) is not a TruncatedPoly"
+        with pytest.raises(UsageError, match=text):
+            DifferentialForm(1, 4, 2, {(0, 1): component})
+        with pytest.raises(UsageError, match=text):
+            PoissonBivector(1, 4, {(0, 1): component})
 
 
 class TestPoisson:
