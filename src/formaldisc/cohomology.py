@@ -270,22 +270,24 @@ def _ce_terms(g: GradedLieAlgebra, idx: tuple):
     action terms (idx without x_a, x_a, (-1)^a, 1); then, for a < b, each
     component of [x_a, x_b] not already in the rest, sorted into it:
     (that tuple, None, (-1)^(a+b) times the parity of the move from slot 0,
-    its coefficient).  Sign and coefficient stay apart, so a consumer
-    multiplies them only where the source has a value.
+    its coefficient, an int when den is 1).  Sign and coefficient stay
+    apart, so a consumer multiplies them only where the source has a value.
     """
     for a, x in enumerate(idx):
         yield idx[:a] + idx[a + 1 :], x, -1 if a % 2 else 1, 1
+    rows, den = g._rows, g.den
     for (a, x), (b, y) in combinations(enumerate(idx), 2):
-        bracket = g.bracket(x, y)
-        if not bracket:
+        terms = rows[x].get(y)
+        if terms is None:
             continue
         rest = idx[:a] + idx[a + 1 : b] + idx[b + 1 :]
         sign = -1 if (a + b) % 2 else 1
-        for comp, c in bracket.items():
+        for comp, n in terms:
             if comp in rest:
                 continue
             pos = bisect_left(rest, comp)
             parity_sign = -sign if pos % 2 else sign
+            c = n if den == 1 else Fraction(n, den)
             yield rest[:pos] + (comp,) + rest[pos:], None, parity_sign, c
 
 
@@ -396,12 +398,13 @@ def _torus(module: LieModule):
         g, action = module.algebra, module.action
         lams, mus = [], []
         basis_in_cutoff = all(w <= g.cutoff for w in g.weights)
+        components = {key: [k for k, _ in terms] for key, terms in g.brackets.items()}
         for t in g.basis_indices_of_weight(0) if basis_in_cutoff else ():
             lam = _eigenvalues([g.bracket(t, j) for j in range(g.dim)])
             mu = _eigenvalues([action.get((t, m), EMPTY) for m in range(module.dim)])
             if lam is None or mu is None or not (any(lam) or any(mu)):
                 continue
-            if _keeps_weight(g.brackets, lam, lam) and _keeps_weight(action, lam, mu):
+            if _keeps_weight(components, lam, lam) and _keeps_weight(action, lam, mu):
                 lams.append(lam)
                 mus.append(mu)
         module._torus = (

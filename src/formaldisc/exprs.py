@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
-from .series import DifferentialForm, TruncatedPoly, parse_coordinate
+from .series import DifferentialForm, TruncatedPoly, parse_coordinate, parse_int
 from .weyl import TruncationSpec, WeylElement, star
 
 
@@ -148,20 +148,22 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             tok = self.take("num")
-            return Pow(base, int(tok[1]))
+            return Pow(base, parse_int(tok[1], tok[2]))
         return base
 
     def atom(self):
         tok = self.peek()
         if tok[0] == "num":
             self.take()
+            value = Fraction(parse_int(tok[1], tok[2]))
             if self.peek()[0] == "/":
                 self.take()
-                den = self.take("num")
-                if int(den[1]) == 0:
-                    raise ParseError("zero denominator", den[2])
-                return Num(Fraction(int(tok[1]), int(den[1])))
-            return Num(Fraction(int(tok[1])))
+                tok = self.take("num")
+                den = parse_int(tok[1], tok[2])
+                if den == 0:
+                    raise ParseError("zero denominator", tok[2])
+                value /= den
+            return Num(value)
         if tok[0] == "name":
             self.take()
             return Sym(tok[1], tok[2])

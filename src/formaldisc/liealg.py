@@ -1,9 +1,17 @@
 """Weight-graded Lie algebras given by exact structure constants.
 
-A GradedLieAlgebra stores a finite ordered basis with integer weights and the
-brackets of basis pairs as sparse vectors (basis index -> nonzero Fraction,
-summed through `formaldisc.sparse`).  The stored brackets, like the columns
-of a LinearMap, are read-only, because built algebras are cached and shared.
+A GradedLieAlgebra has a finite ordered basis with integer weights.  It
+keeps its structure constants once, as ints over `den`, the lcm of their
+denominators: each nonzero [e_i, e_j], i < j, is one tuple of the (t, int)
+terms of den * [e_i, e_j], none of them zero.  Row a of the store maps b to
+the tuple of the pair {a, b}, so both orientations share it and a reader
+negates it when a > b.  `brackets` is the read-only map of the stored pairs
+i < j to their tuples, and `bracket(i, j)` reads one back as Fractions.  A
+LinearMap keeps its nonzero columns as (t, int) tuples over its own `den`.
+The sweeps (`sparse.jacobi_sums`, `sparse.map_defects`), `restriction` and
+the CE rows of `cohomology` read the ints as stored.  Tuples cannot change
+in place, so built algebras are cached and shared as they are.
+
 Brackets are graded: [w_a, w_b] lands in weight w_a + w_b.  Since some
 weights are negative, the span of over-cutoff weights is not an ideal, so a
 pair of basis elements is "in cutoff" only when the weight of its bracket
@@ -19,25 +27,36 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+from types import MappingProxyType
 
 from . import linalg
 from .errors import CheckFailure, UsageError
 from .sparse import (
-    EMPTY,
-    FrozenVectors,
     accumulate,
-    bracket_table,
     check_exact_vectors,
-    integral,
     jacobi_sums,
     map_defects,
-    scale,
+    rational,
     sub,
 )
 
-# basis index -> nonzero Fraction; stored ones are read-only mappings
+# basis index -> nonzero Fraction
 Vector = dict
+
+
+def _integer_terms(vectors, what: str):
+    """(den, {key: the nonzero (t, int) terms of den * vector}) for the
+    vectors that are not zero, den the lcm of their denominators."""
+    den = check_exact_vectors(vectors, what)
+    stored = {}
+    for key, vec in vectors.items():
+        terms = tuple(
+            [(t, c.numerator * (den // c.denominator)) for t, c in vec.items() if c]
+        )
+        if terms:
+            stored[key] = terms
+    return den, stored
 
 
 def _later_indices(weights):
@@ -64,9 +83,11 @@ class GradedLieAlgebra:
     name: str
     labels: tuple[str, ...]
     weights: tuple[int, ...]
+    # given as Fraction vectors on pairs i < j, kept as their int tuples
     brackets: dict[tuple[int, int], Vector]
     cutoff: int
     tags: tuple = ()
+    den: int = field(init=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.weights):
@@ -74,10 +95,24 @@ class GradedLieAlgebra:
         for (i, j) in self.brackets:
             if not 0 <= i < j < len(self.labels):
                 raise UsageError(f"bracket key ({i},{j}) must satisfy i<j")
-        # the lcm of the bracket denominators, for the integer sweeps
-        self.den = check_exact_vectors(self.brackets, f"{self.name}: bracket")
-        self.brackets = FrozenVectors(self.brackets)
         self._index = {label: k for k, label in enumerate(self.labels)}
+        self._keep(*_integer_terms(self.brackets, f"{self.name}: bracket"))
+
+    def _keep(self, den: int, stored: dict):
+        """Store `stored`, pairs i < j to their nonzero (t, int) terms over
+        den, with den reduced to the lcm of the denominators."""
+        if den > 1:
+            g = gcd(den, *(n for terms in stored.values() for _, n in terms))
+            if g > 1:
+                den //= g
+                stored = {
+                    key: tuple([(t, n // g) for t, n in terms])
+                    for key, terms in stored.items()
+                }
+        self._rows = [{} for _ in self.labels]
+        for (i, j), terms in stored.items():
+            self._rows[i][j] = self._rows[j][i] = terms
+        self.den, self.brackets = den, MappingProxyType(stored)
 
     @property
     def dim(self) -> int:
@@ -87,21 +122,21 @@ class GradedLieAlgebra:
         return self._index[label]
 
     def bracket(self, i: int, j: int) -> Vector:
-        if i == j:
-            return EMPTY
-        if i < j:
-            return self.brackets.get((i, j), EMPTY)
-        return scale(self.brackets.get((j, i), EMPTY), -1)
+        terms = self._rows[i].get(j, ())
+        return {t: Fraction(n if i < j else -n, self.den) for t, n in terms}
 
     def bracket_vec(self, u: Vector, v: Vector) -> Vector:
-        return accumulate(
-            (k, c * ck)
+        rows = self._rows
+        pairs = (
+            (t, c * n)
             for i, ci in u.items()
             for j, cj in v.items()
-            if i != j
-            for c in (ci * cj,)
-            for k, ck in self.bracket(i, j).items()
+            for terms in (rows[i].get(j),)
+            if terms
+            for c in (ci * cj if i < j else -ci * cj,)
+            for t, n in terms
         )
+        return accumulate(pairs) if self.den == 1 else rational(pairs, self.den)
 
     def in_cutoff_pair(self, i: int, j: int) -> bool:
         return self.weights[i] + self.weights[j] <= self.cutoff
@@ -116,9 +151,9 @@ class GradedLieAlgebra:
 
     def verify_graded(self):
         """Every stored bracket component sits in weight w_i + w_j."""
-        for (i, j), vec in self.brackets.items():
-            for k, c in vec.items():
-                if c != 0 and self.weights[k] != self.weights[i] + self.weights[j]:
+        for (i, j), terms in self.brackets.items():
+            for k, _ in terms:
+                if self.weights[k] != self.weights[i] + self.weights[j]:
                     raise CheckFailure(
                         f"{self.name}: bracket [{self.labels[i]},{self.labels[j]}] "
                         f"has off-weight component {self.labels[k]}",
@@ -129,17 +164,15 @@ class GradedLieAlgebra:
         """Exact Jacobi on all in-cutoff basis triples.
 
         Only the in-cutoff triples i<j<k are visited, in lexicographic order.
-        The stored brackets are read once into a `sparse.bracket_table`,
-        scaled by their least common denominator L to ints; Jacobi is
-        homogeneous quadratic, so a cyclic sum vanishes iff L^2 times it
+        The sums run on the stored ints, den times the brackets; Jacobi is
+        homogeneous quadratic, so a cyclic sum vanishes iff den^2 times it
         does.  Each pair (i, j) is one call of `sparse.jacobi_sums` over its
         k-range, and the smallest k left with a nonzero sum is the first
         violation.  Returns the number of exempt (overflowing) triples,
         C(dim, 3) minus those checked; raises on the first violation with the
         offending triple and its defect over Q as witness.
         """
-        n, w, cutoff = self.dim, self.weights, self.cutoff
-        table = bracket_table(self.brackets.items(), n, self.den)
+        n, w, cutoff, rows = self.dim, self.weights, self.cutoff, self._rows
         later = _later_indices(w)
         checked = 0
         for i in range(n):
@@ -148,7 +181,7 @@ class GradedLieAlgebra:
                 wj = w[j]
                 ks = later(j, min(cutoff - wi, cutoff - wj, cutoff - wi - wj))
                 checked += len(ks)
-                defects = jacobi_sums(table, i, j, ks)
+                defects = jacobi_sums(rows, i, j, ks)
                 if defects:
                     k = min(defects) // n
                     raise CheckFailure(
@@ -173,15 +206,15 @@ class GradedLieAlgebra:
         """A copy with one structure constant shifted; for fault-injection tests."""
         if i >= j:
             i, j = j, i
-        brackets = dict(self.brackets)
+        brackets = {key: self.bracket(*key) for key in self.brackets}
         brackets[(i, j)] = accumulate([(k, Fraction(delta))], brackets.get((i, j)))
         return replace(self, name=self.name + "(corrupted)", brackets=brackets)
 
     def restriction(self, name, indices, ideal=frozenset(), cutoff=None):
         """The algebra on the basis elements `indices`, bracketed as here.
 
-        The stored brackets of the kept pairs are reindexed, in ascending
-        pair order, and cut at `cutoff` (by default this algebra's; never
+        The stored ints of the kept pairs are reindexed, in ascending pair
+        order, and cut at `cutoff` (by default this algebra's; never
         above it).  Components whose tags lie in `ideal` are dropped, which
         is the quotient by that ideal; any other component off the kept basis
         raises the CheckFailure of `tabulate`, naming the pair and its tag.
@@ -197,22 +230,23 @@ class GradedLieAlgebra:
         pos = {k: r for r, k in enumerate(indices)}
         labels = tuple(self.labels[k] for k in indices)
         weights = tuple(self.weights[k] for k in indices)
-        brackets = {}
-        for (i, j), stored in sorted(self.brackets.items()):
+        stored = {}
+        for (i, j), terms in sorted(self.brackets.items()):
             a, b = pos.get(i), pos.get(j)
             if a is None or b is None or weights[a] + weights[b] > cutoff:
                 continue
-            vec = {}
-            for k, c in stored.items():
+            kept = []
+            for k, n in terms:
                 r = pos.get(k)
                 if r is not None:
-                    vec[r] = c
+                    kept.append((r, n))
                 elif self.tags[k] not in ideal:
                     raise _off_basis(name, labels, a, b, self.tags[k])
-            if vec:
-                brackets[(a, b)] = vec
+            if kept:
+                stored[(a, b)] = tuple(kept)
         tags = tuple(self.tags[k] for k in indices)
-        algebra = GradedLieAlgebra(name, labels, weights, brackets, cutoff, tags)
+        algebra = GradedLieAlgebra(name, labels, weights, {}, cutoff, tags)
+        algebra._keep(self.den, stored)
         algebra.verify_graded()
         return algebra
 
@@ -256,7 +290,9 @@ class LinearMap:
 
     source: GradedLieAlgebra
     target: GradedLieAlgebra
+    # given as Fraction vectors, kept as the int tuples of the nonzero ones
     columns: dict[int, Vector] = field(default_factory=dict)
+    den: int = field(init=False)
 
     def __post_init__(self):
         for i, vec in self.columns.items():
@@ -266,16 +302,17 @@ class LinearMap:
                         f"map {self.source.name} -> {self.target.name} shifts weight "
                         f"on {self.source.labels[i]}"
                     )
-        self.den = check_exact_vectors(self.columns, f"map {self.source.name}: column")
-        self.columns = FrozenVectors(self.columns)
+        what = f"map {self.source.name}: column"
+        self.den, columns = _integer_terms(self.columns, what)
+        self.columns = MappingProxyType(columns)
 
     def column(self, i: int) -> Vector:
-        return self.columns.get(i, EMPTY)
+        return {t: Fraction(n, self.den) for t, n in self.columns.get(i, ())}
 
     def apply(self, vec: Vector) -> Vector:
-        return accumulate(
-            (k, ck * c) for i, c in vec.items() for k, ck in self.column(i).items()
-        )
+        columns = self.columns
+        pairs = ((k, c * n) for i, c in vec.items() for k, n in columns.get(i, ()))
+        return accumulate(pairs) if self.den == 1 else rational(pairs, self.den)
 
 
 class LieMap(LinearMap):
@@ -291,31 +328,20 @@ class LieMap(LinearMap):
         """Raises on the first in-cutoff pair i<j, in lexicographic order,
         whose bracket the map does not preserve.
 
-        Each pair is one call of `sparse.map_defects` on integers: the
-        source brackets, the columns and the target brackets are scaled by
-        their own least common denominators Ls, Lc and Lt, and the source
-        and target tables by Lc Lt and Ls more, so that both sides of
-        f([e_i, e_j]) = [f(e_i), f(e_j)] sit at Ls Lc^2 Lt.  Both tables are
-        read once per sweep, in the orientation i < j; the target's only on
-        the pairs of basis elements that some column reaches.  On a mismatch
-        both sides are recomputed over Q for the witness.
+        Each pair is one call of `sparse.map_defects` on the stored ints:
+        the source brackets over Ls, the columns over Lc and the target
+        brackets over Lt.  The source side is scaled by Lc Lt and the target
+        side by Ls, so that both sides of f([e_i, e_j]) = [f(e_i), f(e_j)]
+        sit at Ls Lc^2 Lt.  On a mismatch both sides are recomputed over Q
+        for the witness.
         """
         src, tgt = self.source, self.target
-        ls, lc, lt = src.den, self.den, tgt.den
-        cols = [tuple(integral(self.column(k), lc)[1].items()) for k in range(src.dim)]
-        image = {t for col in cols for t, _ in col}
-        source = bracket_table(src.brackets.items(), src.dim, ls, lc * lt, both=False)
-        target = bracket_table(
-            (item for item in tgt.brackets.items() if image.issuperset(item[0])),
-            tgt.dim,
-            lt,
-            ls,
-            both=False,
-        )
+        cols = [self.columns.get(k, ()) for k in range(src.dim)]
+        scales = self.den * tgt.den, src.den
         later = _later_indices(src.weights)
         for i in range(src.dim):
             for j in later(i, src.cutoff - src.weights[i]):
-                if map_defects(source, target, cols, i, j):
+                if map_defects(src._rows, tgt._rows, cols, i, j, *scales):
                     raise CheckFailure(
                         f"{name}: bracket not preserved on "
                         f"({src.labels[i]}, {src.labels[j]})",
@@ -336,10 +362,10 @@ def _off_basis(name, labels, i, j, tag) -> CheckFailure:
 
 
 def _rank_at(linear_map: LinearMap, weight: int) -> int:
-    """The rank of a map restricted to one weight: its columns there, read as
-    the sparse rows of its transpose."""
+    """The rank of a map restricted to one weight: its stored int columns
+    there, read as the sparse rows of its transpose."""
     rows = [
-        {k: c for k, c in linear_map.column(i).items() if c}
+        dict(linear_map.columns.get(i, ()))
         for i in linear_map.source.basis_indices_of_weight(weight)
     ]
     return linalg.rank_rows(rows, linear_map.target.dim)
@@ -361,9 +387,9 @@ class ExtensionData:
         # total index -> sub index; sub_coordinates reads coordinates off it
         self._sub_index = {}
         for m in range(self.sub.dim):
-            column = self.inject.column(m)
-            k = next(iter(column), None)
-            if len(column) != 1 or column[k] != 1 or k in self._sub_index:
+            column = self.inject.columns.get(m, ())
+            k, n = column[0] if len(column) == 1 else (None, 0)
+            if n != self.inject.den or k in self._sub_index:
                 raise UsageError(
                     f"{self.total.name}: inject must send {self.sub.labels[m]} "
                     "to a basis element of its own with coefficient 1"
@@ -433,12 +459,12 @@ class ExtensionData:
                     )
 
     def check_sub_abelian(self):
-        for (i, j), vec in self.sub.brackets.items():
-            if vec:
-                raise CheckFailure(
-                    f"{self.sub.name}: sub not abelian at ({i},{j})",
-                    witness={"pair": (i, j)},
-                )
+        if self.sub.brackets:
+            i, j = next(iter(self.sub.brackets))
+            raise CheckFailure(
+                f"{self.sub.name}: sub not abelian at ({i},{j})",
+                witness={"pair": (i, j)},
+            )
 
     def sub_coordinates(self, vec: Vector) -> Vector:
         """Express a total-algebra vector lying in im(inject) in sub basis.

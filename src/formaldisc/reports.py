@@ -8,6 +8,8 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from .sparse import exact_str
+
 
 @dataclass
 class CheckResult:
@@ -46,7 +48,7 @@ def _jsonable(value):
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if hasattr(value, "numerator") and hasattr(value, "denominator"):
-        return f"{value.numerator}/{value.denominator}"
+        return exact_str(value, ratio=True)
     return str(value)
 
 

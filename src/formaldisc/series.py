@@ -21,13 +21,14 @@ sum on ints and divide once per output term.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import partial
 from math import lcm
 from operator import itemgetter
 
 from .errors import UsageError
-from .sparse import LinearTerms, accumulate, as_fraction, integral, rational
+from .sparse import LinearTerms, accumulate, as_fraction, exact_str, integral, rational
 
 
 class Monomial(tuple):
@@ -376,13 +377,13 @@ class TruncatedPoly(LinearTerms):
         for mono, coeff in self.sorted_terms():
             mono_txt = str(mono)
             if mono_txt == "1":
-                text = str(coeff)
+                text = exact_str(coeff)
             elif coeff == 1:
                 text = mono_txt
             elif coeff == -1:
                 text = f"-{mono_txt}"
             else:
-                text = f"{coeff}*{mono_txt}"
+                text = f"{exact_str(coeff)}*{mono_txt}"
             parts.append(text)
         out = parts[0]
         for p in parts[1:]:
@@ -397,7 +398,7 @@ class TruncatedPoly(LinearTerms):
             "d": self.d,
             "N": self.cutoff,
             "terms": [
-                [list(m.xexp), list(m.yexp), m.hexp, f"{c.numerator}/{c.denominator}"]
+                [list(m.xexp), list(m.yexp), m.hexp, exact_str(c, ratio=True)]
                 for m, c in self.sorted_terms()
             ],
         }
@@ -504,6 +505,17 @@ def coordinate_name(v: int, d: int) -> str:
     return f"x{v + 1}" if v < d else f"y{v - d + 1}"
 
 
+def parse_int(text: str, pos=None) -> int:
+    """int(text) of ASCII digits; past Python's int digit limit, a UsageError."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        where = "" if pos is None else f" (at position {pos})"
+        raise UsageError(
+            f"an integer of {len(text)} digits is past the limit of {limit} digits{where}"
+        )
+    return int(text)
+
+
 def parse_coordinate(name: str, d: int, pos=None, forms=True):
     """The coordinate a name of the expression grammar stands for, as
     (flat index, whether it is the 1-form): x1..xd are 0..d-1, y1..yd are
@@ -528,7 +540,7 @@ def parse_coordinate(name: str, d: int, pos=None, forms=True):
         and (digits == "0" or not digits.startswith("0"))
     ):
         raise UsageError(f"unknown variable {name}{where}")
-    index = int(digits) - 1
+    index = parse_int(digits, pos) - 1
     if not 0 <= index < d:
         raise UsageError(f"unknown variable {name} for d={d}{where}")
     if form and not forms:

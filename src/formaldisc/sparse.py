@@ -4,9 +4,8 @@ This module is the one owner of that format.  Polynomials and Weyl elements
 (keyed by monomial), Lie algebra vectors (keyed by basis index), cochain
 values, form components and transported symbols all sum their terms through
 `accumulate`, so a change of key or coefficient representation is made here.
-A stored vector never holds a zero.  Vectors kept inside shared objects
-(cached structure constants, map columns) are held in `FrozenVectors`, so a
-caller cannot change them in place.
+A stored vector never holds a zero.  `exact_str` writes a coefficient in
+full, also past Python's limit on the digits of str(int).
 
 The products of term maps (`series._pair_sum`, the one pair loop behind
 `TruncatedPoly.__mul__`, `standard_poisson`, `weyl.star` and
@@ -15,19 +14,20 @@ The products of term maps (`series._pair_sum`, the one pair loop behind
 coefficients, the products are summed on ints, and `rational` divides each
 summed int by the common scale, so one `Fraction` is built per output term.
 
-The verification sweeps of `liealg` check their sums on ints too.  Each
-sweep reads its stored brackets once into a `bracket_table` (row a, column b:
-the (t, int) terms of [e_a, e_b]; the Jacobi table holds both orientations)
-and checks each in-cutoff pair with one call of a kernel: `jacobi_sums` for
-the cyclic sums of `verify_jacobi` over the pair's k-range, `map_defects`
-for f([e_i, e_j]) - [f e_i, f e_j] in `LieMap.verify`.  A kernel runs its
-table lookups and int multiply-adds in one loop, with no tuple or generator
-frame per term.  The tables are dropped with their sweep.
+The verification sweeps of `liealg` check their sums on ints too, reading
+the structure constants as `liealg` stores them: rows[a][b] and rows[b][a],
+a < b, are one tuple of the nonzero (t, int) terms of den * [e_a, e_b], read
+negated in row b.  Each in-cutoff pair is one call of a kernel:
+`jacobi_sums` for the cyclic sums of `verify_jacobi` over the pair's
+k-range, `map_defects` for f([e_i, e_j]) - [f e_i, f e_j] in
+`LieMap.verify`.  A kernel runs its row lookups, its one sign comparison per
+term and its int multiply-adds in one loop, with no tuple or generator frame
+per term.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
@@ -63,89 +63,79 @@ def integral(terms, den=None):
 
 
 def rational(pairs, den: int) -> dict:
-    """Sum (key, int) pairs and divide each sum by `den`, as Fractions.
+    """Sum (key, int or Fraction) pairs and divide each sum by `den`, as
+    Fractions.
 
-    The rational side of `integral`: keys whose ints cancel are dropped and
+    The rational side of `integral`: keys whose sums cancel are dropped and
     the order is that of `accumulate`.
     """
     return {key: Fraction(n, den) for key, n in accumulate(pairs).items()}
 
 
-def bracket_table(items, dim: int, den: int, factor: int = 1, both=True) -> list:
-    """The integer table of an antisymmetric bracket on a basis of `dim`.
-
-    `items` gives each stored pair (a, b), a < b, with [e_a, e_b], whose
-    denominators divide `den`.  Row a of the table maps b to the terms of
-    [e_a, e_b] as a tuple of (t, int) pairs, scaled by den * factor, and,
-    when `both`, row b maps a to the same terms negated; a pair not given
-    and the diagonal are absent.
-    """
-    rows = [{} for _ in range(dim)]
-    scale = den * factor
-    for (a, b), vec in items:
-        terms = tuple(
-            [(t, c.numerator * (scale // c.denominator)) for t, c in vec.items()]
-        )
-        rows[a][b] = terms
-        if both:
-            rows[b][a] = tuple([(t, -n) for t, n in terms])
-    return rows
-
-
 _NONE = ()
 
 
-def jacobi_sums(table, i: int, j: int, ks) -> dict:
+def jacobi_sums(rows, i: int, j: int, ks) -> dict:
     """The cyclic sums [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
-    for every k of `ks`, on the ints of a `bracket_table`.
+    for every k of `ks`, i < j < k, on the ints of an algebra's store.
 
-    The sum for k and component t is keyed k * n + t, n the dimension of
-    the table, and only the nonzero sums are kept.  Each term [[e_a,e_b],e_c]
-    is read as -[e_c,[e_a,e_b]], in row c of the table.
+    rows[a][b] holds the (t, int) terms of [e_a, e_b] when a < b, and of
+    [e_b, e_a] when a > b, so a read there is negated.  The sum for k and
+    component t is keyed k * n + t, n the number of rows, and only the
+    nonzero sums are kept.  Each term [[e_a,e_b],e_c] is read as
+    -[e_c,[e_a,e_b]], in row c.
     """
-    n = len(table)
+    n = len(rows)
     out = {}
     get = out.get
-    row_i, row_j = table[i], table[j]
+    row_i, row_j = rows[i], rows[j]
     ij = row_i.get(j, _NONE)
     for k in ks:
         base = k * n
-        row_k = table[k]
+        row_k = rows[k]
         for m, c in ij:
+            if k > m:
+                c = -c
             for t, v in row_k.get(m, _NONE):
                 t += base
                 out[t] = get(t, 0) - c * v
         for m, c in row_j.get(k, _NONE):
+            if i > m:
+                c = -c
             for t, v in row_i.get(m, _NONE):
                 t += base
                 out[t] = get(t, 0) - c * v
+        # [e_k, e_i] is the stored [e_i, e_k] negated
         for m, c in row_k.get(i, _NONE):
+            if j < m:
+                c = -c
             for t, v in row_j.get(m, _NONE):
                 t += base
                 out[t] = get(t, 0) - c * v
     return {key: v for key, v in out.items() if v} if any(out.values()) else {}
 
 
-def map_defects(source, target, columns, i: int, j: int) -> dict:
+def map_defects(source, target, columns, i: int, j: int, source_scale, target_scale):
     """f([e_i, e_j]) - [f e_i, f e_j] on ints, keyed by target index; only
     the nonzero sums are kept.
 
-    `source` and `target` are `bracket_table`s in the orientation a < b
-    only, and `columns[k]` holds the (t, int) terms of f(e_k), all at
-    scales under which the two sides agree.
+    `source` and `target` are the rows of two algebras' stores (see
+    `jacobi_sums`), i < j, and `columns[k]` holds the (t, int) terms of
+    f(e_k).  The source side is multiplied by `source_scale` and the target
+    side by `target_scale`, the factors under which the two sides agree.
     """
     out = {}
     get = out.get
     for k, c in source[i].get(j, _NONE):
+        c *= source_scale
         for t, v in columns[k]:
             out[t] = get(t, 0) + c * v
     for a, ca in columns[i]:
+        row = target[a]
+        ca *= target_scale
         for b, cb in columns[j]:
-            if a < b:
-                cab, terms = ca * cb, target[a].get(b, _NONE)
-            else:
-                cab, terms = -ca * cb, target[b].get(a, _NONE)
-            for t, v in terms:
+            cab = ca * cb if a < b else -ca * cb
+            for t, v in row.get(b, _NONE):
                 out[t] = get(t, 0) - cab * v
     return {key: v for key, v in out.items() if v} if any(out.values()) else {}
 
@@ -164,62 +154,11 @@ def scale(u, value) -> dict:
     return {key: coeff * value for key, coeff in u.items()}
 
 
-class FrozenVectors(Mapping):
-    """A read-only map of vectors whose vectors also read as read-only.
-
-    It takes the dict of vectors over.  The vectors stay plain dicts inside,
-    so freezing costs no memory per vector; each read wraps one in a
-    `MappingProxyType`.  `items()` and `values()` walk the inner dict.
-    """
-
-    __slots__ = ("_vectors",)
-
-    def __init__(self, vectors):
-        self._vectors = vectors
-
-    def __getitem__(self, key):
-        return MappingProxyType(self._vectors[key])
-
-    def get(self, key, default=None):
-        vec = self._vectors.get(key)
-        return default if vec is None else MappingProxyType(vec)
-
-    def __contains__(self, key):
-        return key in self._vectors
-
-    def __iter__(self):
-        return iter(self._vectors)
-
-    def __len__(self):
-        return len(self._vectors)
-
-    def items(self):
-        return _FrozenItems(self)
-
-    def values(self):
-        return _FrozenValues(self)
-
-
-class _FrozenItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        for key, vec in self._mapping._vectors.items():
-            yield key, MappingProxyType(vec)
-
-
-class _FrozenValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return map(MappingProxyType, self._mapping._vectors.values())
-
-
 def check_exact_vectors(vectors: Mapping, what: str) -> int:
     """Refuse, with a UsageError naming `what` and the key, the first value
     in the vectors of `vectors` that is not an int or a Fraction: the rule
-    of every constructor that stores vectors as given.  Returns the lcm of
-    the denominators of their values (1 for none)."""
+    of every constructor that takes vectors.  Returns the lcm of the
+    denominators of their values (1 for none)."""
     dens = {1}
     for key, vec in vectors.items():
         for c in vec.values():
@@ -227,6 +166,21 @@ def check_exact_vectors(vectors: Mapping, what: str) -> int:
                 raise UsageError(f"{what} {key!r}: not an exact rational: {c!r}")
             dens.add(c.denominator)
     return lcm(*dens)
+
+
+def exact_str(c, ratio=False) -> str:
+    """str(c) of an int or a Fraction, in full, or "p/q" when `ratio` (the
+    JSON form).  Past `sys.get_int_max_str_digits()`, which guards the
+    reading of text, an int is written half by half around a power of ten."""
+    if ratio or c.denominator != 1:
+        return f"{exact_str(c.numerator)}/{exact_str(c.denominator)}"
+    try:
+        return str(c)
+    except ValueError:
+        n = abs(c.numerator)
+        k = n.bit_length() * 3 // 20  # about half its digits
+        high, low = divmod(n, 10**k)
+        return "-" * (c < 0) + exact_str(high) + exact_str(low).zfill(k)
 
 
 def as_fraction(value) -> Fraction:

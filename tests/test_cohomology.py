@@ -47,7 +47,8 @@ def shuffled_sp():
     perm = [2, 0, 1]
     inv = {v: k for k, v in enumerate(perm)}
     brackets = {}
-    for (i, j), vec in sp.brackets.items():
+    for i, j in sp.brackets:
+        vec = sp.bracket(i, j)
         a, b = inv[i], inv[j]
         new_vec = {inv[k]: c for k, c in vec.items()}
         if a < b:

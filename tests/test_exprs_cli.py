@@ -1,8 +1,10 @@
 """Expression grammar, evaluation, CLI dispatch and report format."""
 
 import ast
+import decimal
 import inspect
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -174,6 +176,42 @@ class TestCLI:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == f"error: unknown variable {name} (at position 0)\n"
+
+    def test_a_result_past_the_int_digit_limit_prints_in_full(self, capsys, tmp_path):
+        # {2^20000 x1, y1} = 2^20000 has 6,021 digits, past the 4,300 that
+        # str() of an int allows; decimal arithmetic is the oracle
+        expected = str(decimal.Context(prec=7000).power(decimal.Decimal(2), 20000))
+        assert len(expected) > sys.get_int_max_str_digits() > 0
+        out_file = tmp_path / "poisson.json"
+        args = ["poisson", "2^20000*x1", "y1", "--d", "1", "--json", str(out_file)]
+        assert main(args) == 0
+        assert capsys.readouterr().out == expected + "\n"
+        terms = json.loads(out_file.read_text())["result"]["terms"]
+        assert terms == [[[0], [0], 0, expected + "/1"]]
+
+    @staticmethod
+    def _refused_past_the_digit_limit(capsys, args, pos):
+        assert main([*args, "--d", "1"]) == 2
+        out, err = capsys.readouterr()
+        limit = sys.get_int_max_str_digits()
+        assert out == ""
+        assert err == (
+            f"error: an integer of 5000 digits is past the limit of {limit} digits "
+            f"(at position {pos})\n"
+        )
+
+    def test_an_exponent_past_the_int_digit_limit_is_refused(self, capsys):
+        self._refused_past_the_digit_limit(
+            capsys, ["weyl", "mul", "x1^" + "1" * 5000, "y1"], 3
+        )
+
+    def test_an_index_past_the_int_digit_limit_is_refused(self, capsys):
+        self._refused_past_the_digit_limit(capsys, ["poisson", "x" + "1" * 5000, "y1"], 0)
+
+    def test_a_number_past_the_int_digit_limit_is_refused(self, capsys):
+        self._refused_past_the_digit_limit(
+            capsys, ["weyl", "mul", "1" * 5000 + "*x1", "y1"], 0
+        )
 
     def test_a_form_symbol_is_no_weyl_generator(self, capsys):
         assert main(["weyl", "mul", "y1", "dx1", "--d", "1"]) == 2

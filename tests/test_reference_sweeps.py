@@ -187,7 +187,7 @@ def reference_derd_from_g(g, d, q, n):
     brackets = {}
     for i, j in sorted(g.brackets):
         if i in pos and j in pos:
-            vec = {pos[k]: c for k, c in g.brackets[(i, j)].items() if k in pos}
+            vec = {pos[k]: c for k, c in g.bracket(i, j).items() if k in pos}
             if vec:
                 brackets[(pos[i], pos[j])] = vec
     monos = [g.tags[k] for k in keep]
@@ -320,7 +320,8 @@ def algebra_fields(algebra):
         algebra.weights,
         algebra.tags,
         algebra.cutoff,
-        [(key, list(vec.items())) for key, vec in algebra.brackets.items()],
+        algebra.den,
+        [(key, list(algebra.bracket(*key).items())) for key in algebra.brackets],
     )
 
 
@@ -335,9 +336,9 @@ def permuted(algebra, perm):
     """The same algebra with basis element perm[a] moved to position a."""
     inv = {old: new for new, old in enumerate(perm)}
     brackets = {}
-    for (i, j), vec in algebra.brackets.items():
+    for i, j in algebra.brackets:
         a, b = inv[i], inv[j]
-        moved = {inv[k]: c for k, c in vec.items()}
+        moved = {inv[k]: c for k, c in algebra.bracket(i, j).items()}
         if a < b:
             brackets[(a, b)] = moved
         else:
@@ -354,8 +355,11 @@ def permuted(algebra, perm):
 def rescaled(algebra, factors):
     """The same algebra on the basis f_a = factors[a] * e_a."""
     brackets = {
-        (i, j): {k: c * factors[i] * factors[j] / factors[k] for k, c in vec.items()}
-        for (i, j), vec in algebra.brackets.items()
+        (i, j): {
+            k: c * factors[i] * factors[j] / factors[k]
+            for k, c in algebra.bracket(i, j).items()
+        }
+        for i, j in algebra.brackets
     }
     return GradedLieAlgebra(
         algebra.name + "-rescaled",
@@ -544,7 +548,7 @@ class TestMapOracle:
                 rng = random.Random(seed)
                 a = rng.choice([a for a in range(m.source.dim) if m.column(a)])
                 b = rng.choice(m.target.basis_indices_of_weight(m.source.weights[a]))
-                columns = {i: dict(m.columns[i]) for i in m.columns}
+                columns = {i: m.column(i) for i in m.columns}
                 columns[a] = accumulate(
                     [(b, Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 3])))],
                     columns[a],

@@ -6,11 +6,11 @@ from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formaldisc import sparse
+from formaldisc.liealg import GradedLieAlgebra, LinearMap
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
 
@@ -95,11 +95,17 @@ def _ordered_sum(terms):
     return {key: value for key, value in total.items() if value}
 
 
-# brackets on pairs a < b of a small basis, with rational structure constants
+# brackets on pairs a < b of a small basis, with rational structure
+# constants; a zero coefficient or an empty vector is kept out of the store
 def bracket_maps(dim):
     pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-    vectors = st.dictionaries(st.integers(0, dim - 1), coeffs.filter(bool), max_size=3)
+    vectors = st.dictionaries(st.integers(0, dim - 1), coeffs, max_size=3)
     return st.dictionaries(st.sampled_from(pairs), vectors, max_size=len(pairs))
+
+
+def algebra(dim, brackets):
+    """The algebra on `dim` basis elements of weight 0 with `brackets`."""
+    return GradedLieAlgebra("g", tuple(map(str, range(dim))), (0,) * dim, brackets, 0)
 
 
 @st.composite
@@ -109,18 +115,16 @@ def jacobi_cases(draw):
     i = draw(st.integers(0, dim - 3))
     j = draw(st.integers(i + 1, dim - 2))
     ks = sorted(draw(st.sets(st.integers(j + 1, dim - 1))))
-    return dim, brackets, i, j, ks, draw(st.integers(1, 3))
+    return dim, brackets, i, j, ks
 
 
 @settings(max_examples=150, deadline=None)
 @given(jacobi_cases())
 def test_jacobi_sums_match_an_ordered_sum(case):
-    dim, brackets, i, j, ks, factor = case
-    den = sparse.check_exact_vectors(brackets, "bracket")
-    table = sparse.bracket_table(brackets.items(), dim, den, factor)
-    scaled = {
-        key: {t: c * den * factor for t, c in vec.items()} for key, vec in brackets.items()
-    }
+    dim, brackets, i, j, ks = case
+    g = algebra(dim, brackets)
+    assert g.den == sparse.check_exact_vectors(brackets, "bracket")
+    scaled = {key: {t: c * g.den for t, c in vec.items()} for key, vec in brackets.items()}
     # [[e_a,e_b],e_c] for the three cyclic orders, term by term, keyed k*n + t
     expected = _ordered_sum(
         (k * dim + t, x * y)
@@ -129,7 +133,7 @@ def test_jacobi_sums_match_an_ordered_sum(case):
         for m, x in _signed(scaled, a, b).items()
         for t, y in _signed(scaled, m, c).items()
     )
-    got = sparse.jacobi_sums(table, i, j, ks)
+    got = sparse.jacobi_sums(g._rows, i, j, ks)
     assert got == expected
     assert all(type(v) is int and v for v in got.values())
 
@@ -138,7 +142,7 @@ def test_jacobi_sums_match_an_ordered_sum(case):
 def map_cases(draw):
     src_dim, tgt_dim = draw(st.integers(2, 6)), draw(st.integers(2, 6))
     source, target = draw(bracket_maps(src_dim)), draw(bracket_maps(tgt_dim))
-    column = st.dictionaries(st.integers(0, tgt_dim - 1), coeffs.filter(bool), max_size=3)
+    column = st.dictionaries(st.integers(0, tgt_dim - 1), coeffs, max_size=3)
     columns = draw(st.lists(column, min_size=src_dim, max_size=src_dim))
     i = draw(st.integers(0, src_dim - 2))
     j = draw(st.integers(i + 1, src_dim - 1))
@@ -149,16 +153,17 @@ def map_cases(draw):
 @given(map_cases())
 def test_map_defects_match_an_ordered_sum(case):
     src_dim, tgt_dim, source, target, columns, i, j = case
-    ls = sparse.check_exact_vectors(source, "source")
-    lt = sparse.check_exact_vectors(target, "target")
-    lc = sparse.check_exact_vectors(dict(enumerate(columns)), "column")
-    cols = [tuple(sparse.integral(col, lc)[1].items()) for col in columns]
+    f = LinearMap(algebra(src_dim, source), algebra(tgt_dim, target), dict(enumerate(columns)))
+    ls, lc, lt = f.source.den, f.den, f.target.den
+    assert lc == sparse.check_exact_vectors(dict(enumerate(columns)), "column")
     got = sparse.map_defects(
-        sparse.bracket_table(source.items(), src_dim, ls, lc * lt, both=False),
-        sparse.bracket_table(target.items(), tgt_dim, lt, ls, both=False),
-        cols,
+        f.source._rows,
+        f.target._rows,
+        [f.columns.get(k, ()) for k in range(src_dim)],
         i,
         j,
+        lc * lt,
+        ls,
     )
     # f([e_i, e_j]) - [f e_i, f e_j], both at Ls Lc^2 Lt, term by term
     scale = ls * lc * lc * lt
@@ -178,25 +183,27 @@ def test_map_defects_match_an_ordered_sum(case):
     assert all(type(v) is int and v for v in got.values())
 
 
-def test_bracket_table_reads_both_orientations():
-    vectors = {(0, 2): {1: Fraction(1, 2), 0: Fraction(-3)}, (1, 2): {}}
-    rows = sparse.bracket_table(vectors.items(), 3, 2, 5)
-    assert rows == [{2: ((1, 5), (0, -30))}, {2: ()}, {0: ((1, -5), (0, 30)), 1: ()}]
-    one_way = sparse.bracket_table(vectors.items(), 3, 2, 5, both=False)
-    assert one_way == [{2: ((1, 5), (0, -30))}, {2: ()}, {}]
-
-
-def test_frozen_vectors_read_in_bulk_as_views():
-    inner = {"a": {0: Fraction(1)}, "b": {}}
-    frozen = sparse.FrozenVectors(inner)
-    items, values = frozen.items(), frozen.values()
-    assert list(items) == [("a", {0: 1}), ("b", {})] and len(items) == 2
-    assert ("a", {0: 1}) in items and {} in values
-    assert list(values) == [{0: 1}, {}] and len(values) == 2
-    for vec in chain(values, (vec for _, vec in items)):
-        with pytest.raises(TypeError):
-            vec[0] = Fraction(7)
-    assert inner == {"a": {0: Fraction(1)}, "b": {}}
+def test_bracket_reads_both_orientations():
+    # one tuple per nonzero pair, ints over den, no zeros: the zero
+    # coefficient on (0, 1) and the empty (1, 2) leave nothing stored
+    brackets = {
+        (0, 2): {1: Fraction(1, 2), 0: Fraction(-3)},
+        (0, 1): {2: Fraction(2, 3), 1: 0},
+        (1, 2): {},
+        (2, 3): {0: Fraction(0)},
+    }
+    g = algebra(4, brackets)
+    assert g.den == 6
+    assert dict(g.brackets) == {(0, 2): ((1, 3), (0, -18)), (0, 1): ((2, 4),)}
+    for i in range(4):
+        for j in range(4):
+            expected = {t: -c for t, c in g.bracket(i, j).items()}
+            assert g.bracket(j, i) == expected
+            assert all(type(c) is Fraction and c for c in g.bracket(i, j).values())
+            if (i, j) in g.brackets:
+                assert g._rows[i][j] is g._rows[j][i] is g.brackets[(i, j)]
+    assert g.bracket(2, 0) == {1: Fraction(-1, 2), 0: Fraction(3)}
+    assert g.bracket(1, 2) == g.bracket(3, 2) == g.bracket(1, 1) == {}
 
 
 def _hand_sums(path):

@@ -4,6 +4,7 @@ import dataclasses
 from fractions import Fraction
 from functools import partial
 from math import comb
+from operator import setitem
 
 import pytest
 
@@ -260,31 +261,99 @@ class TestExactInput:
         assert LinearMap(g, g, {1: half}).column(1) == half
 
 
+def _level_fields(algebra):
+    """What a cached level holds: its basis, den and stored brackets."""
+    return (algebra.labels, algebra.weights, algebra.den, dict(algebra.brackets))
+
+
 class TestReadOnlyCache:
     def test_cached_vectors_cannot_be_changed(self):
         g = tower.build_g_level(1, 1, 5)
-        (i, j), vec = next(iter(g.brackets.items()))
-        k = next(iter(vec))
-        with pytest.raises(TypeError):
-            g.bracket(i, j)[k] = Fraction(7)
-        with pytest.raises(TypeError):
-            g.brackets[(i, j)][k] = Fraction(7)
-        with pytest.raises(TypeError):
-            g.brackets[(i, j)] = {}
         inject = tower.cent_row(1, 1, 5).inject
-        with pytest.raises(TypeError):
-            inject.column(0)[0] = Fraction(7)
+        before = _level_fields(g), dict(inject.columns), inject.den
+        (i, j), terms = next(iter(g.brackets.items()))
+        k = terms[0][0]
+        vec = g.bracket(i, j)
+        # a read is a new vector: writing into it leaves the store alone
+        g.bracket(i, j)[k] = Fraction(7)
+        g.bracket(j, i).clear()
+        g.bracket(i, i)[k] = Fraction(7)
+        inject.column(0)[0] = Fraction(7)
+        for store, key, value in (
+            (g.brackets, (i, j), {}),
+            (g.brackets[(i, j)], 0, (k, 7)),
+            (inject.columns, 0, ()),
+            (inject.columns[0], 0, (0, 7)),
+        ):
+            with pytest.raises(TypeError):
+                setitem(store, key, value)
         assert tower.build_g_level(1, 1, 5) is g
+        assert (_level_fields(g), dict(inject.columns), inject.den) == before
         assert g.bracket(i, j) == vec and k in vec
 
     def test_corrupted_copy_leaves_the_cache_alone(self):
         g = tower.build_g_level(1, 1, 5)
-        (i, j), vec = next(iter(g.brackets.items()))
-        k = next(iter(vec))
-        before = vec[k]
+        before = _level_fields(g)
+        (i, j), terms = next(iter(g.brackets.items()))
+        k = terms[0][0]
+        value = g.bracket(i, j)[k]
         bad = g.with_corrupted_bracket(i, j, k, Fraction(1, 2))
-        assert bad.bracket(i, j)[k] == before + Fraction(1, 2)
-        assert g.bracket(i, j)[k] == before
+        assert bad.bracket(i, j)[k] == value + Fraction(1, 2)
+        assert (g.den, bad.den) == (1, 2)
+        assert g.bracket(i, j)[k] == value
+        assert _level_fields(g) == before
+
+
+class TestOneStore:
+    """Structure constants are stored once, as ints over `den`."""
+
+    def test_zero_coefficients_are_not_stored(self):
+        # a zero coefficient leaves its pair, and a map its column, empty
+        ab = GradedLieAlgebra(
+            "ab", ("a", "b", "c"), (0, 0, 0), {(0, 1): {2: 0}}, 0, ("a", "b", "c")
+        )
+        assert not ab.brackets and ab.den == 1
+        assert ab.bracket(0, 1) == ab.bracket(1, 0) == {}
+        ab.verify_jacobi()
+        lower = GradedLieAlgebra("lower", ("a", "b"), (0, 0), {}, 0, ("a", "b"))
+        zero = LinearMap(ab, lower, {0: {0: Fraction(0)}, 1: {}, 2: {1: 0}})
+        assert not zero.columns and zero.column(0) == {} and zero.apply({0: 1}) == {}
+        f = LieMap.build(ab, lower, {0: {0: 1, 1: Fraction(0)}, 2: {1: Fraction(0)}})
+        assert dict(f.columns) == {0: ((0, 1),)}
+        e = ExtensionData(
+            ab,
+            ab,
+            lower,
+            LieMap.build(ab, ab, {i: {i: 1} for i in range(3)}),
+            f,
+            LinearMap(lower, ab, {0: {0: 1}}),
+        )
+        e.check_sub_abelian()
+        assert tower._scalar_column_check(ab, lower) == (
+            "trivial extension of trivial modules"
+        )
+
+    def test_sweeps_build_no_fraction(self, monkeypatch):
+        g = tower.build_g_level(2, 1, 6)
+        project = tower.cent_row(2, 1, 6).project
+        assert project.source is g and g.den == project.den == 1
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        g.verify_jacobi()
+        project.verify()
+        monkeypatch.undo()
+        assert made == []
+        # the hook counts: a read of the store builds its Fractions
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        vec = g.bracket(*next(iter(g.brackets)))
+        monkeypatch.undo()
+        assert len(made) == len(vec) > 0
 
 
 class TestCommuDiagram:
@@ -507,7 +576,7 @@ def _aligned_columns_broken(original, *args, **kwargs):
 def _derd_projection_broken(original, row_upper, row_lower, col_g, col_derd):
     """Run the project square with the DerD column's projection broken."""
     project = col_derd.project
-    columns = _first_column_zeroed(dict(project.columns.items()))
+    columns = _first_column_zeroed({i: project.column(i) for i in project.columns})
     broken = LinearMap(project.source, project.target, columns)
     col_derd = dataclasses.replace(col_derd, project=broken)
     return original(row_upper, row_lower, col_g, col_derd)
