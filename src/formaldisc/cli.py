@@ -5,7 +5,9 @@ darboux normalize|transport, verify <suite>.  Each has one handler that
 returns (stdout text, JSON payload, exit code), and `main` is the one exit
 path: it alone prints the text, writes the payload to `--json` and maps
 errors.  Exit codes: 0 success, 1 a check failed, 2 a usage error or an
-unwritable `--json` path.  Every payload is a schema-1 `reports.envelope`;
+unwritable `--json` path, 141 when the reader of stdout has closed it
+before the text is written (as `| head` may), with no traceback.  Every
+payload is a schema-1 `reports.envelope`;
 reports echo their seed.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -100,6 +103,10 @@ def build_parser():
     return parser
 
 
+# the status a shell reports for a writer killed by SIGPIPE: 128 + 13
+BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -117,7 +124,14 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull, as the
+        # SIGPIPE note of the Python docs does, so that no traceback follows
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     return code
 
 

@@ -66,9 +66,10 @@ def tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: str.isdigit also takes "²" and "٣"
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j

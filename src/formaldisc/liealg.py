@@ -45,9 +45,11 @@ from .sparse import (
 Vector = dict
 
 
-def _integer_terms(vectors, what: str):
+def _integer_terms(vectors, what: str, size: int):
     """(den, {key: the nonzero (t, int) terms of den * vector}) for the
-    vectors that are not zero, den the lcm of their denominators."""
+    vectors that are not zero, den the lcm of their denominators.  A nonzero
+    term off the basis 0..size-1 is a UsageError naming `what`, the key and
+    the index."""
     den = check_exact_vectors(vectors, what)
     stored = {}
     for key, vec in vectors.items():
@@ -55,6 +57,11 @@ def _integer_terms(vectors, what: str):
             [(t, c.numerator * (den // c.denominator)) for t, c in vec.items() if c]
         )
         if terms:
+            if min(terms)[0] < 0 or max(terms)[0] >= size:
+                bad = next(t for t, _ in terms if not 0 <= t < size)
+                raise UsageError(
+                    f"{what} {key!r}: index {bad} is off the basis 0..{size - 1}"
+                )
             stored[key] = terms
     return den, stored
 
@@ -96,7 +103,8 @@ class GradedLieAlgebra:
             if not 0 <= i < j < len(self.labels):
                 raise UsageError(f"bracket key ({i},{j}) must satisfy i<j")
         self._index = {label: k for k, label in enumerate(self.labels)}
-        self._keep(*_integer_terms(self.brackets, f"{self.name}: bracket"))
+        what = f"{self.name}: bracket"
+        self._keep(*_integer_terms(self.brackets, what, len(self.labels)))
 
     def _keep(self, den: int, stored: dict):
         """Store `stored`, pairs i < j to their nonzero (t, int) terms over
@@ -295,15 +303,21 @@ class LinearMap:
     den: int = field(init=False)
 
     def __post_init__(self):
-        for i, vec in self.columns.items():
-            for k, c in vec.items():
-                if c != 0 and self.target.weights[k] != self.source.weights[i]:
+        src, tgt = self.source, self.target
+        for i in self.columns:
+            if not 0 <= i < src.dim:
+                raise UsageError(
+                    f"map {src.name} -> {tgt.name}: column {i} is off the source "
+                    f"basis 0..{src.dim - 1}"
+                )
+        what = f"map {src.name}: column"
+        self.den, columns = _integer_terms(self.columns, what, tgt.dim)
+        for i, terms in columns.items():
+            for k, _ in terms:
+                if tgt.weights[k] != src.weights[i]:
                     raise UsageError(
-                        f"map {self.source.name} -> {self.target.name} shifts weight "
-                        f"on {self.source.labels[i]}"
+                        f"map {src.name} -> {tgt.name} shifts weight on {src.labels[i]}"
                     )
-        what = f"map {self.source.name}: column"
-        self.den, columns = _integer_terms(self.columns, what)
         self.columns = MappingProxyType(columns)
 
     def column(self, i: int) -> Vector:

@@ -17,6 +17,13 @@ mechanics that `weyl` shares live here too: one checked constructor
 `__mul__`, `standard_poisson`, `weyl.star` and `weyl.commutator`.  The loop
 and `Substitution.apply` scale their operands to ints (`sparse.integral`),
 sum on ints and divide once per output term.
+
+They sum on packed keys: x^a y^b h^c is the one int sum_i a_i B^i +
+sum_i b_i B^(d+i) + c B^(2d) (`_key`), so multiplying monomials is adding
+ints and a kernel moves a key by a shift.  B exceeds every exponent the
+sum reads or writes, so no field carries into the next.  Each output key
+is decoded once (`_unpacked`) into a `Monomial` packed with its weight:
+no other monomial type leaves this module.
 """
 
 from __future__ import annotations
@@ -135,43 +142,99 @@ def _lowered(terms, v: int) -> dict:
     return {m_v: c * e for m, c in terms.items() for e, m_v in (derivative(m, v),) if e}
 
 
-def _monomial_product(m1: Monomial, m2: Monomial):
-    return ((m1.mul(m2), 1),)
+def _key(m: Monomial, base: int) -> int:
+    """The packed key sum_i a_i B^i + sum_i b_i B^(d+i) + c B^(2d) of
+    x^a y^b h^c in base B (see `_pair_sum`)."""
+    key = m[2]
+    for e in reversed(m[0] + m[1]):
+        key = key * base + e
+    return key
+
+
+def _unpacked(sums: dict, base: int, d: int, den: int = 1) -> dict:
+    """The sums of a key map (packed key -> nonzero int or Fraction), each
+    divided by `den`, on the monomials of their keys: every key is decoded
+    once, into a monomial packed with its weight."""
+    out = {}
+    for key, n in sums.items():
+        fields = []
+        for _ in range(2 * d):
+            fields.append(key % base)
+            key //= base
+        weight = sum(fields) + 2 * key
+        out[_packed((tuple(fields[:d]), tuple(fields[d:]), key, weight))] = Fraction(n, den)
+    return out
+
+
+def _product_kernel(m1: Monomial, m2: Monomial, base: int):
+    return ((0, 1),)
+
+
+def _poisson_coefficients(m1: Monomial, m2: Monomial):
+    """(i, a_i e_i - b_i c_i) for each i where it is nonzero, in order of i:
+    {x^a y^b, x^c y^e} = sum_i (a_i e_i - b_i c_i) x^(a+c-1_i) y^(b+e-1_i),
+    the standard bracket of h-free monomials."""
+    a, b, c, e = m1[0], m1[1], m2[0], m2[1]
+    out = []
+    for i in range(len(a)):
+        n = a[i] * e[i] - b[i] * c[i]
+        if n:
+            out.append((i, n))
+    return out
 
 
 def monomial_poisson(m1: Monomial, m2: Monomial):
-    """{x^a y^b, x^c y^e} = sum_i (a_i e_i - b_i c_i) x^(a+c-1_i) y^(b+e-1_i),
-    as (monomial, int) pairs; the standard bracket of h-free monomials."""
-    a, b, c, e = m1.xexp, m1.yexp, m2.xexp, m2.yexp
-    xs, ys = tuple(map(int.__add__, a, c)), tuple(map(int.__add__, b, e))
-    for i in range(len(a)):
-        coeff = a[i] * e[i] - b[i] * c[i]
-        if coeff:
-            yield Monomial(_lower(xs, i), _lower(ys, i)), coeff
+    """{m1, m2} as (monomial, int) pairs (see `_poisson_coefficients`)."""
+    terms = _poisson_coefficients(m1, m2)
+    if terms:
+        xs = tuple(map(int.__add__, m1[0], m2[0]))
+        ys = tuple(map(int.__add__, m1[1], m2[1]))
+        for i, n in terms:
+            yield Monomial(_lower(xs, i), _lower(ys, i)), n
 
 
-def _pair_sum(left: dict, right: dict, room: int, product) -> dict:
-    """The integer-first sum of n1 * n2 * product(m1, m2) over the term pairs
-    of two term maps whose weights sum to at most `room`; `product` gives
-    (monomial, int) pairs within the truncation, and a pair it drops costs
-    no coefficient product."""
+def _poisson_kernel(m1: Monomial, m2: Monomial, base: int):
+    """{m1, m2} as (key shift, int) pairs: lowering x_i and y_i by one is
+    the shift -(B^i + B^(d+i))."""
+    d = len(m1[0])
+    return [(-(base**i + base ** (d + i)), n) for i, n in _poisson_coefficients(m1, m2)]
+
+
+def _pair_sum(left: dict, right: dict, room: int, kernel) -> dict:
+    """The integer-first sum of n1 * n2 * kernel(m1, m2) over the term pairs
+    of two term maps whose weights sum to at most `room`, summed on packed
+    keys.
+
+    Each monomial x^a y^b h^c is the int key sum_i a_i B^i + sum_i b_i
+    B^(d+i) + c B^(2d) in base B = room + 1, so a product of monomials is a
+    sum of keys.  `kernel(m1, m2, B)` gives (key shift, int) pairs: the
+    terms key(m1) + key(m2) + shift within the truncation.  No field ever
+    carries into the next: a pair is summed only when w1 + w2 <= `room`, so
+    every exponent of it, of its product and of each of its terms is at most
+    `room` < B, and a shift subtracts only from fields that hold at least
+    that much (a contraction lowers x_i and y_i by k_i <= min(b_i, a_i), a
+    Poisson term lowers fields that are at least 1).  Each output key is
+    decoded once.  A pair over `room` costs no kernel call and no
+    coefficient product.
+    """
+    if not left or not right:
+        return {}
+    d, base = len(next(iter(left))[0]), room + 1
     la, left = integral(left)
     lb, right = integral(right)
-    right = [(m2, n2, m2.weight) for m2, n2 in right.items()]
-    return rational(
-        (
-            (m, n * k)
-            for m1, n1 in left.items()
-            for rest in (room - m1.weight,)
-            for m2, n2, w2 in right
-            if w2 <= rest
-            for out in (product(m1, m2),)
-            if out
-            for n in (n1 * n2,)
-            for m, k in out
-        ),
-        la * lb,
+    left = [(m1, _key(m1, base), n1, room - m1[3]) for m1, n1 in left.items()]
+    right = [(m2, _key(m2, base), n2, m2[3]) for m2, n2 in right.items()]
+    sums = accumulate(
+        (k + shift, n * c)
+        for m1, k1, n1, rest in left
+        for m2, k2, n2, w2 in right
+        if w2 <= rest
+        for out in (kernel(m1, m2, base),)
+        if out
+        for k, n in ((k1 + k2, n1 * n2),)
+        for shift, c in out
     )
+    return _unpacked(sums, base, d, la * lb)
 
 
 def _checked_terms(terms, d: int, cutoff: int, h_order: int) -> dict:
@@ -315,7 +378,7 @@ class TruncatedPoly(LinearTerms):
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compat(other)
-        terms = _pair_sum(self.terms, other.terms, self.cutoff, _monomial_product)
+        terms = _pair_sum(self.terms, other.terms, self.cutoff, _product_kernel)
         return TruncatedPoly._trusted(self.d, self.cutoff, terms)
 
     __rmul__ = __mul__  # a TruncatedPoly operand is always on the left
@@ -415,8 +478,10 @@ class Substitution:
     cutoff.  The powers of the images and the image of each monomial are
     cached as they are first needed; no cached value is handed out.  A
     monomial's image is cached integer-first, as its int coefficients over
-    their lcm denominator, so `apply` multiplies and sums on ints and builds
-    one `Fraction` per output term.
+    their lcm denominator on the packed keys of `_pair_sum` in base
+    B = cutoff + 1 (no field of a monomial within the cutoff reaches B), so
+    `apply` multiplies and sums on ints and keys and decodes each output key
+    once, into one `Fraction` per output term.
     """
 
     __slots__ = ("d", "cutoff", "_powers", "_free", "_images")
@@ -439,7 +504,7 @@ class Substitution:
         # per coordinate v: [images[v]^0, images[v]^1, ...] as far as needed
         self._powers = [[one, TruncatedPoly(d, cutoff, img.terms)] for img in images]
         self._free = {unit_monomial(d): one}  # h-free monomial -> image
-        self._images = {}  # monomial -> (den, (monomial, int) pairs) of its image
+        self._images = {}  # monomial -> (den, (key, int) pairs) of its image
 
     def _power(self, v: int, e: int) -> TruncatedPoly:
         powers = self._powers[v]
@@ -460,20 +525,17 @@ class Substitution:
         return image
 
     def _image(self, mono: Monomial) -> tuple:
-        """(den, (monomial, int) pairs): the image of `mono` times den."""
+        """(den, (key, int) pairs): the image of `mono` times den, keyed."""
         image = self._images.get(mono)
         if image is None:
             c = mono.hexp
             free = self._free_image(Monomial(mono.xexp, mono.yexp, 0))
             room = self.cutoff - 2 * c
-            den, ints = integral(
-                {
-                    _packed((m.xexp, m.yexp, c, m.weight + 2 * c)): coeff
-                    for m, coeff in free.terms.items()
-                    if m.weight <= room
-                }
-            )
-            image = self._images[mono] = (den, tuple(ints.items()))
+            base = self.cutoff + 1
+            h_key = c * base ** (2 * self.d)
+            den, ints = integral({m: n for m, n in free.terms.items() if m.weight <= room})
+            pairs = tuple((_key(m, base) + h_key, n) for m, n in ints.items())
+            image = self._images[mono] = (den, pairs)
         return image
 
     def apply(self, terms) -> dict:
@@ -485,15 +547,13 @@ class Substitution:
         den, ints = integral(terms)
         images = [(n, self._image(mono)) for mono, n in ints.items()]
         scale = lcm(*[image_den for _, (image_den, _) in images])
-        return rational(
-            (
-                (m, f * k)
-                for n, (image_den, pairs) in images
-                for f in (n * (scale // image_den),)
-                for m, k in pairs
-            ),
-            den * scale,
+        sums = accumulate(
+            (key, f * k)
+            for n, (image_den, pairs) in images
+            for f in (n * (scale // image_den),)
+            for key, k in pairs
         )
+        return _unpacked(sums, self.cutoff + 1, self.d, den * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -784,12 +844,12 @@ def poisson_bracket(
 
 
 def standard_poisson(f: TruncatedPoly, g: TruncatedPoly) -> TruncatedPoly:
-    """{f, g} for the constant standard bivector: `monomial_poisson` summed
+    """{f, g} for the constant standard bivector: the Poisson kernel summed
     over the term pairs whose weights fit under cutoff + 2."""
     if f.depends_on_h() or g.depends_on_h():
         raise UsageError("standard_poisson inputs must be h-free")
     f._check_compat(g)
-    terms = _pair_sum(f.terms, g.terms, f.cutoff + 2, monomial_poisson)
+    terms = _pair_sum(f.terms, g.terms, f.cutoff + 2, _poisson_kernel)
     return TruncatedPoly._trusted(f.d, f.cutoff, terms)
 
 

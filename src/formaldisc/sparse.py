@@ -11,8 +11,9 @@ The products of term maps (`series._pair_sum`, the one pair loop behind
 `TruncatedPoly.__mul__`, `standard_poisson`, `weyl.star` and
 `weyl.commutator`, and `Substitution.apply`) compute integer-first here:
 `integral` scales a term map by the lcm of its denominators to int
-coefficients, the products are summed on ints, and `rational` divides each
-summed int by the common scale, so one `Fraction` is built per output term.
+coefficients, and the products are summed on ints through `accumulate`,
+keyed by packed int monomial keys (see `series`), before each summed int is
+divided by the common scale, so one `Fraction` is built per output term.
 
 The verification sweeps of `liealg` check their sums on ints too, reading
 the structure constants as `liealg` stores them: rows[a][b] and rows[b][a],

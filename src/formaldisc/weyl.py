@@ -12,15 +12,16 @@ of two monomials: only the y's of the left factor stand before the x's of
 the right one, and in each dimension
 y^b x^a = sum_k (-h)^k k! C(b,k) C(a,k) x^(a-k) y^(b-k).  `star`, `iota`
 and `normal_order` all go through it.  `commutator` has a kernel of its own
-on the same contraction loop: the uncontracted terms of m1 m2 and m2 m1
+on the same contraction table: the uncontracted terms of m1 m2 and m2 m1
 cancel, so it sums only the contractions of the two orders and never calls
-`star`.  Both kernels key their terms by the tuple-backed
-`series.Monomial`, which hashes and compares in C and stores its weight:
-the contraction loop packs each term with the known weight w1 + w2.  Both
-kernels return int multipliers; the term-map mechanics are those of
-`series`: `star` and `commutator` extend a kernel through its integer-first
-pair loop, `WeylElement` checks its terms as `TruncatedPoly` does, and
-`h_linear_part` reads (1/h)[a, b] mod h for both bracket routes.
+`star`.  Both kernels work on the packed int keys of `series._pair_sum`,
+where a contraction of k_i pairs x_i y_i into h^k_i is the key shift
+k_i (B^(2d) - B^i - B^(d+i)): `_contractions` caches those shifts with
+their int coefficients, and no kernel builds a monomial.  The term-map
+mechanics are those of `series`: `star` and `commutator` extend a kernel
+through its integer-first pair loop, `iota` moves keys by the same shifts,
+`WeylElement` checks its terms as `TruncatedPoly` does, and `h_linear_part`
+reads (1/h)[a, b] mod h for both bracket routes.
 `normal_order_random_strategy` rewrites words with the defining relation
 y_j x_i -> x_i y_j - delta_ij h at random positions; it is kept as the
 independent oracle.
@@ -38,8 +39,9 @@ from .series import (
     Monomial,
     TruncatedPoly,
     _checked_terms,
-    _packed,
+    _key,
     _pair_sum,
+    _unpacked,
     parse_coordinate,
     standard_poisson,
     unit_monomial,
@@ -169,87 +171,66 @@ class WeylElement(LinearTerms):
 
 
 @lru_cache(maxsize=4096)
-def _contractions(ys, xs, room: int):
-    """The ways to contract y^ys standing before x^xs, total k <= room.
+def _contractions(ys, xs, room: int, base: int):
+    """The ways to contract y^ys standing before x^xs, total k <= room, as
+    (key shift, int) pairs for the packed keys of `series._pair_sum` in
+    base B.
 
-    One (ks, total k, coefficient) triple per choice of k_i per dimension,
-    with the coefficient prod_i (-1)^k_i k_i! C(b_i, k_i) C(a_i, k_i); the
-    uncontracted choice (all k_i = 0, coefficient 1) comes first.  A pure
-    function of its exponent tuples, so its tuples are memoized: the pairs
-    of one tabulated level repeat few (ys, xs, room) keys.
+    One pair per choice of k_i per dimension: the coefficient is
+    prod_i (-1)^k_i k_i! C(b_i, k_i) C(a_i, k_i), and the shift
+    sum_i k_i (B^(2d) - B^i - B^(d+i)) trades k_i pairs x_i y_i for h^k_i,
+    so every term has the weight of the uncontracted product.  The
+    uncontracted choice (shift 0, coefficient 1) comes first.  A pure
+    function of its arguments, so its tuples are memoized: the pairs of one
+    tabulated level repeat few (ys, xs, room, B) keys.
     """
-    out = [((), 0, 1)]
-    for b, a in zip(ys, xs):
+    d = len(ys)
+    h_place = base ** (2 * d)
+    out = [(0, 0, 1)]
+    for i, (b, a) in enumerate(zip(ys, xs)):
+        unit = h_place - base**i - base ** (d + i)
         out = [
-            (ks + (k,), used + k, coeff * (-1) ** k * perm(b, k) * comb(a, k))
-            for ks, used, coeff in out
+            (shift + k * unit, used + k, coeff * (-1) ** k * perm(b, k) * comb(a, k))
+            for shift, used, coeff in out
             for k in range(min(a, b, room - used) + 1)
         ]
-    return tuple(out)
+    return tuple((shift, coeff) for shift, _, coeff in out)
 
 
-def _contracted(m1: Monomial, m2: Monomial, contractions, sign: int = 1):
-    """sign times the terms x^(a1+a2-ks) y^(b1+b2-ks) h^(c1+c2+k) of the
-    given contractions of m1 and m2 (in either order).  A contraction trades
-    a pair x_i y_i for one h, so every term has weight w1 + w2."""
-    xs = tuple(map(int.__add__, m1.xexp, m2.xexp))
-    ys = tuple(map(int.__add__, m1.yexp, m2.yexp))
-    hexp, weight = m1.hexp + m2.hexp, m1.weight + m2.weight
-    return [
-        (
-            _packed(
-                (
-                    tuple(map(int.__sub__, xs, ks)),
-                    tuple(map(int.__sub__, ys, ks)),
-                    hexp + used,
-                    weight,
-                )
-            ),
-            sign * coeff,
-        )
-        for ks, used, coeff in contractions
-    ]
-
-
-def _normal_product(m1: Monomial, m2: Monomial, spec: TruncationSpec):
-    """The normal form of the word m1 m2 as (monomial, int) pairs, truncated.
+def _star_kernel(h_order: int, m1: Monomial, m2: Monomial, base: int):
+    """The normal form of the word m1 m2, as the (key shift, int) pairs of
+    its contractions.
 
     Only y^b1 x^a2 in the middle is out of order, and in each dimension
-    y^b x^a = sum_k (-h)^k k! C(b,k) C(a,k) x^(a-k) y^(b-k).  Every term has
-    weight w1 + w2, so a pair over the cutoff contributes nothing; the
-    total k is capped by the h-order room p - c1 - c2.
+    y^b x^a = sum_k (-h)^k k! C(b,k) C(a,k) x^(a-k) y^(b-k); the total k is
+    capped by the h-order room p - c1 - c2.
     """
-    room = spec.h_order - m1.hexp - m2.hexp
-    if room < 0 or m1.weight + m2.weight > spec.cutoff:
-        return []
-    return _contracted(m1, m2, _contractions(m1.yexp, m2.xexp, room))
+    room = h_order - m1[2] - m2[2]
+    return _contractions(m1[1], m2[0], room, base) if room >= 0 else ()
 
 
-def _normal_commutator(m1: Monomial, m2: Monomial, spec: TruncationSpec):
-    """m1 m2 - m2 m1 in normal form as (monomial, int) pairs, truncated.
+def _commutator_kernel(h_order: int, m1: Monomial, m2: Monomial, base: int):
+    """m1 m2 - m2 m1 in normal form, as (key shift, int) pairs.
 
     The uncontracted terms of the two orders are the same monomial with
     coefficient 1, so they cancel: what is left are the contractions of
-    total k >= 1 of m1 m2, minus those of m2 m1.  Nothing is left when the
-    h-order room is below 1, the weights are over the cutoff, or neither
-    order has a contraction.  Equal monomials of the two orders are not
-    merged here.
+    total k >= 1 of m1 m2, then those of m2 m1 negated.  Both orders
+    contract the same product x^(a1+a2) y^(b1+b2), so their shifts are read
+    off one key.  Equal monomials of the two orders are not merged here.
     """
-    room = spec.h_order - m1.hexp - m2.hexp
-    if room < 1 or m1.weight + m2.weight > spec.cutoff:
-        return []
-    forward = _contractions(m1.yexp, m2.xexp, room)[1:]
-    backward = _contractions(m2.yexp, m1.xexp, room)[1:]
-    if not forward and not backward:
-        return []
-    return _contracted(m1, m2, forward) + _contracted(m1, m2, backward, -1)
+    room = h_order - m1[2] - m2[2]
+    if room < 1:
+        return ()
+    forward = _contractions(m1[1], m2[0], room, base)
+    backward = _contractions(m2[1], m1[0], room, base)
+    return [*forward[1:], *[(shift, -coeff) for shift, coeff in backward[1:]]]
 
 
 def star(a: WeylElement, b: WeylElement) -> WeylElement:
     """Associative product of D_p: the product kernel on every pair of terms."""
     a._check_compat(b)
     spec = a.spec
-    kernel = partial(_normal_product, spec=spec)
+    kernel = partial(_star_kernel, spec.h_order)
     return WeylElement._trusted(spec, _pair_sum(a.terms, b.terms, spec.cutoff, kernel))
 
 
@@ -329,7 +310,7 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """[a, b] = a b - b a: the commutator kernel on every pair of terms."""
     a._check_compat(b)
     spec = a.spec
-    kernel = partial(_normal_commutator, spec=spec)
+    kernel = partial(_commutator_kernel, spec.h_order)
     return WeylElement._trusted(spec, _pair_sum(a.terms, b.terms, spec.cutoff, kernel))
 
 
@@ -337,19 +318,19 @@ def iota(a: WeylElement) -> WeylElement:
     """The antiinvolution fixing x_i, y_i and negating h.
 
     On a normal-ordered word, iota reverses it: iota(x^a y^b h^c) =
-    (-1)^c h^c y^b x^a, which the kernel normal-orders as (y^b h^c)(x^a).
+    (-1)^c h^c y^b x^a, the word (y^b h^c)(x^a), whose normal form is the
+    key of x^a y^b h^c moved by the contractions of y^b before x^a.
     """
     spec = a.spec
-    zeros = (0,) * spec.d
-    terms = accumulate(
-        (m, signed * k)
+    base = spec.cutoff + 1
+    sums = accumulate(
+        (key + shift, signed * k)
         for mono, coeff in a.terms.items()
+        for key in (_key(mono, base),)
         for signed in (-coeff if mono.hexp % 2 else coeff,)
-        for m, k in _normal_product(
-            Monomial(zeros, mono.yexp, mono.hexp), Monomial(mono.xexp, zeros, 0), spec
-        )
+        for shift, k in _contractions(mono.yexp, mono.xexp, spec.h_order - mono.hexp, base)
     )
-    return WeylElement._trusted(spec, terms)
+    return WeylElement._trusted(spec, _unpacked(sums, base, spec.d))
 
 
 def mod_h(a: WeylElement) -> TruncatedPoly:

@@ -4,6 +4,8 @@ import ast
 import decimal
 import inspect
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -189,6 +191,22 @@ class TestCLI:
         terms = json.loads(out_file.read_text())["result"]["terms"]
         assert terms == [[[0], [0], 0, expected + "/1"]]
 
+    def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(self):
+        # as `weyl mul "2^20000*x1" y1 --d 1 | head -c 80` does; this ended
+        # in a BrokenPipeError traceback.  The read end is closed while the
+        # child is still starting up, so its first write finds no reader.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        command = [sys.executable, "-m", "formaldisc", "weyl", "mul", "2^20000*x1", "y1"]
+        child = subprocess.Popen(
+            [*command, "--d", "1"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == cli.BROKEN_PIPE == 141
+        assert err == b""
+
     @staticmethod
     def _refused_past_the_digit_limit(capsys, args, pos):
         assert main([*args, "--d", "1"]) == 2
@@ -212,6 +230,22 @@ class TestCLI:
         self._refused_past_the_digit_limit(
             capsys, ["weyl", "mul", "1" * 5000 + "*x1", "y1"], 0
         )
+
+    def _refused_as_a_character(self, capsys, char):
+        # str.isdigit takes this character; the grammar reads ASCII digits only
+        assert char.isdigit() and not char.isascii()
+        assert main(["poisson", f"x1^{char}", "y1", "--d", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: unexpected character {char!r} (at position 3)\n"
+
+    def test_a_superscript_digit_is_refused(self, capsys):
+        # int("²") fails: this exited 1 with a ValueError traceback
+        self._refused_as_a_character(capsys, "²")
+
+    def test_an_arabic_indic_digit_is_refused(self, capsys):
+        # int("٣") is 3: this was read as x1^3
+        self._refused_as_a_character(capsys, "٣")
 
     def test_a_form_symbol_is_no_weyl_generator(self, capsys):
         assert main(["weyl", "mul", "y1", "dx1", "--d", "1"]) == 2

@@ -7,7 +7,8 @@ sum over monomial pairs.  The `verify_cohomology` and `verify_tower` ones
 were written while `is_coboundary`, the d^2 check and the dense blocks still
 read the sorted full blocks, before every CE consumer read torus slices.
 The `_d2` ones were written while `Monomial` was a frozen dataclass that
-summed its weight on every read.  The others were written by the CLI in
+summed its weight on every read, the `_d3` ones while the pair loop and the
+substitution still summed on `Monomial` keys, before packed int keys.  The others were written by the CLI in
 which each subcommand printed and wrote `--json` itself, before `main`
 became its one exit path.  The stdout and the `--json` file of each command
 must stay byte-identical, so a change of coefficient arithmetic or of the
@@ -31,6 +32,8 @@ LEFT, RIGHT = "1/2*x1^2 + 3/7*y1*h", "x1*y1 - 2/3*y1^2"
 # d=2, where the exponent arithmetic runs per dimension
 FLAGS_D2 = ["--d", "2", "--p", "2", "--N", "6"]
 LEFT_D2, RIGHT_D2 = "1/2*x1*x2^2 + 3/7*y2*h", "x2*y2 - 2/3*y1^2*x1"
+# d=3, where a packed key has the most fields
+FLAGS_D3 = ["--d", "3", "--p", "3"]
 # h-free, for the Poisson bracket; F's top term brackets past the cutoff
 F = "1/2*x1^2*y1 + 3/7*y1^2 - 5/11*x1^3 + 2/9*x1^2*y1^3"
 G = "x1*y1 - 2/3*y1^3 + 7/5*x1^2*y1^2"
@@ -44,10 +47,24 @@ COMMANDS = {
         "darboux", "transport", "--form", "(1+x1) * dx1 /\\ dy1 + dx2 /\\ dy2",
         "--a", "x1*y2 + 1/2*y1", "--b", "x2^2 - 3*y1*y2", *FLAGS_D2,
     ],
+    "transport_d3": [
+        "darboux", "transport",
+        "--form", "(1+x1) * dx1 /\\ dy1 + dx2 /\\ dy2 + dx3 /\\ dy3",
+        "--a", "x1*y3 + 1/2*y1", "--b", "x3^2 - 3*y2*y3",
+        "--d", "3", "--p", "2", "--N", "6",
+    ],
     "weyl_mul": ["weyl", "mul", *FLAGS, LEFT, RIGHT],
     "weyl_comm": ["weyl", "comm", *FLAGS, LEFT, RIGHT],
     "weyl_mul_d2": ["weyl", "mul", LEFT_D2, RIGHT_D2, *FLAGS_D2],
     "weyl_comm_d2": ["weyl", "comm", LEFT_D2, RIGHT_D2, *FLAGS_D2],
+    "weyl_mul_d3": [
+        "weyl", "mul", "1/2*x1*y3^2 + 3*x3*y2*h", "y1*x3 - 2/5*x2^2*y3",
+        *FLAGS_D3, "--N", "8",
+    ],
+    "weyl_comm_d3": [
+        "weyl", "comm", "x1*y3^2 + 2/3*x3*y2*y1", "y1*x3^2 - x2*y2*y3",
+        *FLAGS_D3, "--N", "9",
+    ],
     "poisson_standard": ["poisson", F, G, *FLAGS],
     "poisson_form": ["poisson", F, G, "--form", "(1+x1) * dx1 /\\ dy1", *FLAGS],
     "weyl_iota": ["weyl", "iota", *FLAGS, LEFT],

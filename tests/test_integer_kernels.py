@@ -1,13 +1,18 @@
-"""The integer-first product kernels against their Fraction routes.
+"""The packed integer kernels against the routes they replaced.
 
-`star`, `commutator`, `TruncatedPoly.__mul__` and `Substitution.apply`
-scale their operands to ints, sum on ints and divide once per output term.
-The reference functions here are the routes they replaced: a `Fraction`
-product for every pair of terms, summed through `accumulate`.  They are
-compared on seeded inputs with denominators 1, 2, 3, 7 and 2^61 - 1, with
-h-terms, with terms that cancel, with an empty operand and with operands
-whose every pair is over the cutoff.  Every output must also keep the
-contract of the unchecked `_trusted` wrappers: nonzero `Fraction`s on
+`star`, `commutator`, `iota`, `TruncatedPoly.__mul__`, `standard_poisson`
+and `Substitution.apply` scale their operands to ints, sum on packed int
+keys and decode each output key once.  Two references stand here.  The
+Fraction references take a `Fraction` product for every pair of terms,
+summed through `accumulate`.  The Monomial-keyed references are the integer
+route before packed keys: the same pair loop and substitution, summed on
+`Monomial` keys, with the kernels `_normal_product`, `_normal_commutator`
+and `_contracted` that build a monomial per contraction.  Both are compared
+on seeded inputs with denominators 1, 2, 3, 7 and 2^61 - 1, with h-terms,
+with terms that cancel, with an empty operand and with operands whose every
+pair is over the cutoff; the Monomial-keyed one also on d = 1, 2, 3 up to
+N = 1000, where a key of d = 3 is past 2^63.  Every output must also keep
+the contract of the unchecked `_trusted` wrappers: nonzero `Fraction`s on
 monomials of the right dimension inside the truncation.
 """
 
@@ -15,6 +20,8 @@ import ast
 import random
 import re
 from fractions import Fraction
+from functools import partial
+from math import comb, lcm, perm
 from pathlib import Path
 
 import pytest
@@ -22,21 +29,136 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formaldisc import tower
-from formaldisc.series import Monomial, Substitution, TruncatedPoly, all_monomials
-from formaldisc.sparse import accumulate
-from formaldisc.weyl import (
-    TruncationSpec,
-    WeylElement,
-    _contracted,
-    _contractions,
-    _normal_commutator,
-    _normal_product,
-    commutator,
-    star,
+from formaldisc.series import (
+    Monomial,
+    Substitution,
+    TruncatedPoly,
+    _key,
+    all_monomials,
+    monomial_poisson,
+    standard_poisson,
 )
+from formaldisc.sparse import accumulate, integral, rational
+from formaldisc.weyl import TruncationSpec, WeylElement, commutator, iota, star
 
 DENOMINATORS = (1, 2, 3, 7, 2**61 - 1)
 SPECS = [TruncationSpec(1, 2, 6), TruncationSpec(2, 1, 5), TruncationSpec(1, 3, 9)]
+
+
+# -- the Monomial-keyed route ------------------------------------------------
+
+
+def contractions(ys, xs, room):
+    """(ks, total k, coefficient) per way to contract y^ys before x^xs, total
+    k <= room; the coefficient is prod_i (-1)^k_i k_i! C(b_i, k_i) C(a_i, k_i)
+    and the uncontracted choice comes first."""
+    out = [((), 0, 1)]
+    for b, a in zip(ys, xs):
+        out = [
+            (ks + (k,), used + k, coeff * (-1) ** k * perm(b, k) * comb(a, k))
+            for ks, used, coeff in out
+            for k in range(min(a, b, room - used) + 1)
+        ]
+    return out
+
+
+def _contracted(m1, m2, ways, sign=1):
+    """sign times the terms x^(a1+a2-ks) y^(b1+b2-ks) h^(c1+c2+k) of the
+    given contractions of m1 and m2 (in either order)."""
+    xs = tuple(map(int.__add__, m1.xexp, m2.xexp))
+    ys = tuple(map(int.__add__, m1.yexp, m2.yexp))
+    return [
+        (
+            Monomial(
+                tuple(map(int.__sub__, xs, ks)),
+                tuple(map(int.__sub__, ys, ks)),
+                m1.hexp + m2.hexp + used,
+            ),
+            sign * coeff,
+        )
+        for ks, used, coeff in ways
+    ]
+
+
+def _normal_product(m1, m2, spec):
+    """The normal form of the word m1 m2 as (monomial, int) pairs, truncated."""
+    room = spec.h_order - m1.hexp - m2.hexp
+    if room < 0 or m1.weight + m2.weight > spec.cutoff:
+        return []
+    return _contracted(m1, m2, contractions(m1.yexp, m2.xexp, room))
+
+
+def _normal_commutator(m1, m2, spec):
+    """m1 m2 - m2 m1 in normal form: the contractions of total k >= 1 of
+    m1 m2, then those of m2 m1 negated."""
+    room = spec.h_order - m1.hexp - m2.hexp
+    if room < 1 or m1.weight + m2.weight > spec.cutoff:
+        return []
+    forward = contractions(m1.yexp, m2.xexp, room)[1:]
+    backward = contractions(m2.yexp, m1.xexp, room)[1:]
+    return _contracted(m1, m2, forward) + _contracted(m1, m2, backward, -1)
+
+
+def monomial_product(m1, m2):
+    return [(m1.mul(m2), 1)]
+
+
+def monomial_pair_sum(left, right, room, product):
+    """The sum of n1 * n2 * product(m1, m2) over the term pairs whose weights
+    sum to at most `room`, on ints over the product of the lcm
+    denominators, keyed by `Monomial`."""
+    la, left = integral(left)
+    lb, right = integral(right)
+    return rational(
+        (
+            (m, n1 * n2 * k)
+            for m1, n1 in left.items()
+            for m2, n2 in right.items()
+            if m1.weight + m2.weight <= room
+            for m, k in product(m1, m2)
+        ),
+        la * lb,
+    )
+
+
+def monomial_iota(a):
+    """(-1)^c times the normal form of (y^b h^c)(x^a), per term x^a y^b h^c."""
+    spec, zeros = a.spec, (0,) * a.spec.d
+    return accumulate(
+        (m, (-coeff if mono.hexp % 2 else coeff) * k)
+        for mono, coeff in a.terms.items()
+        for m, k in _normal_product(
+            Monomial(zeros, mono.yexp, mono.hexp), Monomial(mono.xexp, zeros, 0), spec
+        )
+    )
+
+
+def monomial_apply(sub, terms):
+    """`sub` applied to a term map on ints, each monomial's image keyed by
+    `Monomial` and raised to the lcm of the image denominators it uses."""
+    den, ints = integral(terms)
+    images = []
+    for mono, n in ints.items():
+        free = sub._free_image(Monomial(mono.xexp, mono.yexp, 0))
+        room = sub.cutoff - 2 * mono.hexp
+        image = {
+            Monomial(m.xexp, m.yexp, mono.hexp): c
+            for m, c in free.terms.items()
+            if m.weight <= room
+        }
+        images.append((n, integral(image)))
+    scale = lcm(*[image_den for _, (image_den, _) in images])
+    return rational(
+        (
+            (m, n * (scale // image_den) * k)
+            for n, (image_den, image) in images
+            for m, k in image.items()
+        ),
+        den * scale,
+    )
+
+
+# -- the Fraction route ------------------------------------------------------
 
 
 def reference_bilinear(kernel, a, b):
@@ -99,7 +221,7 @@ def true_weight(mono):
 @st.composite
 def monomial_pairs(draw):
     """d, then two monomials of dimension d with h-terms."""
-    d = draw(st.sampled_from([1, 2]))
+    d = draw(st.sampled_from([1, 2, 3]))
     exponents = st.tuples(*[st.integers(0, 3)] * d)
     pair = [
         Monomial(draw(exponents), draw(exponents), draw(st.integers(0, 2)))
@@ -111,21 +233,27 @@ def monomial_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(monomial_pairs())
 def test_every_built_monomial_carries_its_true_weight(pair):
-    """The kernels that build monomials from other monomials' exponents keep
-    the stored weight equal to |a| + |b| + 2c."""
+    """The monomials that the kernels build from other monomials' exponents,
+    the keys they decode among them, keep the stored weight equal to
+    |a| + |b| + 2c."""
     d, m1, m2 = pair
-    room = 4
     built = [m1.mul(m2)]
-    for first, second in ((m1, m2), (m2, m1)):
-        contractions = _contractions(first.yexp, second.xexp, room)
-        built += [m for m, _ in _contracted(m1, m2, contractions)]
     built += [m for m, _ in tower._transported_bracket(m1, m2, d, 2)]
+    spec = TruncationSpec(d, 4, m1.weight + m2.weight)
+    a, b = WeylElement(spec, {m1: 1}), WeylElement(spec, {m2: 1, m1: Fraction(1, 3)})
+    for element in (star(a, b), star(b, a), commutator(a, b), iota(a), iota(b)):
+        built += element.terms
+    f, g = TruncatedPoly(d, spec.cutoff, a.terms), TruncatedPoly(d, spec.cutoff, b.terms)
+    built += (f * g).terms
+    h_free = [TruncatedPoly(d, spec.cutoff, {Monomial(m.xexp, m.yexp, 0): 1}) for m in (m1, m2)]
+    built += standard_poisson(*h_free).terms
     cutoff = 8
     images = [
         TruncatedPoly.coordinate(v, d, cutoff) + TruncatedPoly.coordinate(v, d, cutoff) ** 2
         for v in range(2 * d)
     ]
-    built += [m for m, _ in Substitution(images)._image(m1)[1]]
+    built += Substitution(images).apply({m1: Fraction(1), m2: Fraction(-2)})
+    assert len(built) > 1
     for mono in built:
         assert mono.weight == true_weight(mono), mono
 
@@ -196,6 +324,101 @@ def test_weyl_edge_cases_behave():
     product = star(x_plus, x_minus)
     assert Monomial((1,), (1,), 0) not in product.terms
     assert product.terms[Monomial((0,), (0,), 1)] == Fraction(-1, 7)
+
+
+@st.composite
+def packed_cases(draw):
+    """A truncation of d = 1, 2 or 3 and two term maps on it, with h-terms
+    and denominators from DENOMINATORS.  One side may be empty, both may lie
+    over half the cutoff (every pair over it), or they may be x1 + c y1 and
+    x1 - c y1, whose x1 y1 terms cancel.  At N = 1000 the exponents reach
+    150 and h^12, so the keys of d = 3, in base 1001 or 1003, pass 2^63."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    cutoff = draw(st.sampled_from([2, 5, 8, 1000]))
+    # at N = 1000 an h-order of 12 lets h^10 B^6 > 2^63 into a key
+    h_orders = st.sampled_from([1, 12]) if cutoff == 1000 else st.integers(0, 3)
+    spec = TruncationSpec(d, draw(h_orders), cutoff)
+    top = 150 if cutoff == 1000 else 3
+    shape = draw(st.sampled_from(["random", "random", "empty", "heavy", "cancel"]))
+    low = cutoff // 2 + 1 if shape == "heavy" else 0
+    coeff = st.builds(
+        Fraction, st.sampled_from([-3, -1, 1, 2, 5]), st.sampled_from(DENOMINATORS)
+    )
+    exponents = st.tuples(*[st.integers(0, top)] * d)
+    monomial = st.builds(Monomial, exponents, exponents, st.integers(0, spec.h_order))
+
+    def side():
+        terms = draw(st.dictionaries(monomial, coeff, max_size=5))
+        return {m: c for m, c in terms.items() if low <= m.weight <= cutoff}
+
+    left, right = side(), side()
+    if shape == "empty":
+        left = {}
+    if shape == "cancel":
+        x1 = Monomial((1,) + (0,) * (d - 1), (0,) * d)
+        y1 = Monomial((0,) * d, (1,) + (0,) * (d - 1))
+        c = draw(coeff)
+        left, right = {x1: Fraction(1), y1: c}, {x1: Fraction(1), y1: -c}
+    if draw(st.booleans()):
+        left, right = right, left
+    return spec, left, right
+
+
+def terms_in_order(element):
+    return list(getattr(element, "terms", element).items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_cases())
+def test_packed_route_matches_the_monomial_route(case):
+    """Every packed kernel gives the terms of the Monomial-keyed route, in the
+    same order, on d = 1, 2, 3 up to N = 1000."""
+    spec, left, right = case
+    d, cutoff = spec.d, spec.cutoff
+    a, b = WeylElement(spec, left), WeylElement(spec, right)
+    for product, kernel in ((star, _normal_product), (commutator, _normal_commutator)):
+        expected = monomial_pair_sum(a.terms, b.terms, cutoff, partial(kernel, spec=spec))
+        got = product(a, b)
+        assert terms_in_order(got) == terms_in_order(expected), (product, a, b)
+        assert_clean(got.terms, d, cutoff, spec.h_order)
+    assert terms_in_order(iota(a)) == terms_in_order(monomial_iota(a))
+    p, q = TruncatedPoly(d, cutoff, left), TruncatedPoly(d, cutoff, right)
+    expected = monomial_pair_sum(p.terms, q.terms, cutoff, monomial_product)
+    assert terms_in_order(p * q) == terms_in_order(expected)
+    f, g = ({m: c for m, c in t.items() if not m.hexp} for t in (left, right))
+    f, g = TruncatedPoly(d, cutoff, f), TruncatedPoly(d, cutoff, g)
+    expected = monomial_pair_sum(f.terms, g.terms, cutoff + 2, monomial_poisson)
+    assert terms_in_order(standard_poisson(f, g)) == terms_in_order(expected)
+    # one-term images at N = 1000, where the powers of a longer one blow up
+    scales = [Fraction(v + 2, 3) for v in range(2 * d)]
+    images = [TruncatedPoly.coordinate(v, d, cutoff).scaled(scales[v]) for v in range(2 * d)]
+    if cutoff < 1000:
+        images = [u + u * u.scaled(scales[v]) for v, u in enumerate(images)]
+    sub = Substitution(images)
+    for terms in (p.terms, q.terms, p.terms):  # the last reads cached images
+        got = sub.apply(terms)
+        assert terms_in_order(got) == terms_in_order(monomial_apply(sub, terms))
+        assert_clean(got, d, cutoff)
+
+
+def test_the_packed_cases_reach_their_edges():
+    """The cases of `packed_cases` do hold keys past 2^63 and cancelling
+    terms, and the routes agree on them."""
+    spec = TruncationSpec(3, 12, 1000)
+    m1 = Monomial((150, 0, 40), (3, 150, 2), 5)
+    m2 = Monomial((0, 150, 5), (149, 0, 140), 5)
+    a, b = WeylElement(spec, {m1: Fraction(1, 7)}), WeylElement(spec, {m2: Fraction(3)})
+    got = star(a, b)
+    top = max(got.terms, key=Monomial.sort_key)
+    assert top.hexp == 12 and _key(top, spec.cutoff + 1) > 2**63
+    expected = monomial_pair_sum(a.terms, b.terms, 1000, partial(_normal_product, spec=spec))
+    assert terms_in_order(got) == terms_in_order(expected)
+    # the x1 y1 terms of (x1 + 2/7 y1)(x1 - 2/7 y1) cancel, -2/7 h is left
+    x1, y1 = Monomial((1, 0, 0), (0, 0, 0)), Monomial((0, 0, 0), (1, 0, 0))
+    a = WeylElement(spec, {x1: 1, y1: Fraction(2, 7)})
+    b = WeylElement(spec, {x1: 1, y1: Fraction(-2, 7)})
+    assert Monomial((1, 0, 0), (1, 0, 0)) not in star(a, b).terms
+    assert star(a, b).terms[Monomial((0,) * 3, (0,) * 3, 1)] == Fraction(-2, 7)
 
 
 def poly_cases(d, cutoff, seed):

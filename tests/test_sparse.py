@@ -6,10 +6,12 @@ from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formaldisc import sparse
+from formaldisc.errors import UsageError
 from formaldisc.liealg import GradedLieAlgebra, LinearMap
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
@@ -204,6 +206,24 @@ def test_bracket_reads_both_orientations():
                 assert g._rows[i][j] is g._rows[j][i] is g.brackets[(i, j)]
     assert g.bracket(2, 0) == {1: Fraction(-1, 2), 0: Fraction(3)}
     assert g.bracket(1, 2) == g.bracket(3, 2) == g.bracket(1, 1) == {}
+
+
+def test_a_bracket_component_off_the_basis_is_refused():
+    # this built, then verify_graded raised IndexError and verify_jacobi passed
+    with pytest.raises(UsageError, match=r"bracket \(0, 1\): index 5 is off the basis 0..1"):
+        algebra(2, {(0, 1): {5: 1}})
+
+
+def test_a_map_index_off_the_target_basis_is_refused():
+    g = algebra(2, {(0, 1): {1: 1}})
+    with pytest.raises(UsageError, match=r"column 0: index 7 is off the basis 0..1"):
+        LinearMap(g, g, {0: {7: 1}})
+
+
+def test_a_map_column_off_the_source_basis_is_refused():
+    g = algebra(2, {(0, 1): {1: 1}})
+    with pytest.raises(UsageError, match=r"column 9 is off the source basis 0..1"):
+        LinearMap(g, g, {9: {0: 1}})
 
 
 def _hand_sums(path):
