@@ -48,7 +48,8 @@ class LieModule:
     action[(i, m)] is the vector rho(e_i) @ v_m in module coordinates; absent
     keys act by zero.  The module carries its own weight cutoff; actions that
     would land above it must not be stored.  An action constant that is not
-    an int or a Fraction is refused with a UsageError.
+    an int or a Fraction, a key off the algebra or the module basis and a
+    component off the module basis are refused with a UsageError.
     """
 
     algebra: GradedLieAlgebra
@@ -64,7 +65,18 @@ class LieModule:
     _torus: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_exact_vectors(self.action, f"{self.name}: action on")
+        what = f"{self.name}: action on"
+        check_exact_vectors(self.action, what)
+        for key, vec in self.action.items():
+            i, m = key
+            indices = [(i, self.algebra.dim, "algebra")]
+            indices += [(t, self.dim, "module") for t in (m, *vec)]
+            for index, size, basis in indices:
+                if not 0 <= index < size:
+                    raise UsageError(
+                        f"{what} {key!r}: index {index} is off the {basis} basis "
+                        f"0..{size - 1}"
+                    )
 
     @property
     def dim(self) -> int:

@@ -247,10 +247,9 @@ class FormalCoordChange:
             linalg.inverse(self.linear_matrix()), d, cutoff
         )
         ident = FormalCoordChange.identity(d, cutoff)
-        linear_part = FormalCoordChange.linear(self.linear_matrix(), d, cutoff)
-        tail = [
-            self.components[v] - linear_part.components[v] for v in range(2 * d)
-        ]
+        # the components vanish at the origin, so each less its linear part
+        # is its tail
+        tail = [c - c.homogeneous_part(1) for c in self.components]
         psi = lin_inv
         for _ in range(cutoff):
             # psi <- L^{-1}(id - tail o psi); gains one exact order per pass

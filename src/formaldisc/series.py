@@ -14,9 +14,9 @@ alone: `derivative` and the closed-form bracket `monomial_poisson` underlie
 `partial`, both Poisson brackets and the tower's H, A and W.  The term-map
 mechanics that `weyl` shares live here too: one checked constructor
 (`_checked_terms`) and one integer-first pair loop (`_pair_sum`) behind
-`__mul__`, `standard_poisson`, `weyl.star` and `weyl.commutator`.  The loop
-and `Substitution.apply` scale their operands to ints (`sparse.integral`),
-sum on ints and divide once per output term.
+`__mul__`, both Poisson brackets, `weyl.star` and `weyl.commutator`.  The
+loop and `Substitution.apply` scale their operands to ints
+(`sparse.integral`), sum on ints and divide once per output term.
 
 They sum on packed keys: x^a y^b h^c is the one int sum_i a_i B^i +
 sum_i b_i B^(d+i) + c B^(2d) (`_key`), so multiplying monomials is adding
@@ -35,7 +35,7 @@ from math import lcm
 from operator import itemgetter
 
 from .errors import UsageError
-from .sparse import LinearTerms, accumulate, as_fraction, exact_str, integral, rational
+from .sparse import LinearTerms, accumulate, as_fraction, exact_str, integral, sub
 
 
 class Monomial(tuple):
@@ -707,17 +707,16 @@ class DifferentialForm(LinearTerms):
         return self._with({idx: poly * p for idx, poly in self.terms.items()})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for idx in sorted(self.terms):
-            basis = "/\\".join(f"d{coordinate_name(v, self.d)}" for v in idx)
-            poly = self.terms[idx]
-            if self.degree == 0:
-                parts.append(str(poly))
-            else:
-                parts.append(f"({poly}) {basis}")
-        return " + ".join(parts)
+        """The form as the expression grammar reads it back: each component
+        times its basis form, (p)*dx1/\\dy1; a zero k-form, k > 0, is
+        0 times the first basis k-form, so that it keeps its degree."""
+        if self.degree == 0:
+            return str(self.component(()))
+        terms = self.terms or {tuple(range(self.degree)): "0"}
+        return " + ".join(
+            f"({poly})*" + "/\\".join(f"d{coordinate_name(v, self.d)}" for v in idx)
+            for idx, poly in sorted(terms.items())
+        )
 
     def __repr__(self):
         return f"DifferentialForm(d={self.d}, N={self.cutoff}, deg={self.degree}, {self})"
@@ -815,30 +814,23 @@ class PoissonBivector:
 def poisson_bracket(
     f: TruncatedPoly, g: TruncatedPoly, theta: PoissonBivector
 ) -> TruncatedPoly:
-    """{f, g} = sum Theta_uv d_u f d_v g for h-free functions on the disc: one
-    integer-first sum over (entry of Theta, orientation, term of the entry,
-    monomial of f, monomial of g) through `derivative`."""
+    """{f, g} = sum Theta_uv d_u f d_v g for h-free functions on the disc:
+    each derivative taken once, and each upper-triangle entry (i, j) of Theta
+    times d_i f d_j g - d_j f d_i g, every product a `_pair_sum` of term
+    maps.  No intermediate polynomial is built."""
     f._check_compat(g)
     if f.d != theta.d or f.cutoff != theta.cutoff:
         raise UsageError("bivector truncation mismatch")
     if f.depends_on_h() or g.depends_on_h():
         raise UsageError("poisson_bracket inputs must be h-free")
-    polys = (f, g, *theta.entries.values())
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    df, dg = (
-        [_lowered(integral(p.terms, den)[1], v) for v in range(2 * f.d)] for p in (f, g)
-    )
-    terms = rational(
-        (
-            (mt.mul(m1).mul(m2), sign * nt * n1 * n2)
-            for (i, j), entry in theta.entries.items()
-            for u, v, sign in ((i, j, 1), (j, i, -1))
-            for mt, nt in integral(entry.terms, den)[1].items()
-            for m1, n1 in df[u].items()
-            for m2, n2 in dg[v].items()
-            if mt.weight + m1.weight + m2.weight <= f.cutoff
-        ),
-        den**3,
+    df, dg = ([_lowered(p.terms, v) for v in range(2 * f.d)] for p in (f, g))
+    product = partial(_pair_sum, room=f.cutoff, kernel=_product_kernel)
+    terms = accumulate(
+        term
+        for (i, j), entry in theta.entries.items()
+        for term in product(
+            entry.terms, sub(product(df[i], dg[j]), product(df[j], dg[i]))
+        ).items()
     )
     return TruncatedPoly._trusted(f.d, f.cutoff, terms)
 

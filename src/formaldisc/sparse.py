@@ -8,7 +8,7 @@ A stored vector never holds a zero.  `exact_str` writes a coefficient in
 full, also past Python's limit on the digits of str(int).
 
 The products of term maps (`series._pair_sum`, the one pair loop behind
-`TruncatedPoly.__mul__`, `standard_poisson`, `weyl.star` and
+`TruncatedPoly.__mul__`, both Poisson brackets, `weyl.star` and
 `weyl.commutator`, and `Substitution.apply`) compute integer-first here:
 `integral` scales a term map by the lcm of its denominators to int
 coefficients, and the products are summed on ints through `accumulate`,
@@ -52,14 +52,10 @@ def accumulate(pairs, start=None) -> dict:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def integral(terms, den=None):
-    """(den, terms scaled by den as int coefficients).
-
-    `den` defaults to the lcm of the denominators of `terms` (1 for an
-    empty map); a given one must be a multiple of each of them.
-    """
-    if den is None:
-        den = lcm(*[c.denominator for c in terms.values()])
+def integral(terms):
+    """(den, terms scaled by den as int coefficients), den the lcm of the
+    denominators of `terms` (1 for an empty map)."""
+    den = lcm(*[c.denominator for c in terms.values()])
     return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
 
 

@@ -9,7 +9,8 @@ reindexes the stored brackets with the same refusal and check:
 - the level G_q = h^-1 D / h^q D has basis h^-1 m for the normal-ordered
   monomials m of h-order <= q, with [h^-1 a, h^-1 b] = h^-1([a, b]/h)
   taken by the closed-form Weyl commutator one h-order deeper, which sums
-  only the contraction terms of the two orders (no star products);
+  only the contraction terms of the two orders (no star products), on
+  lifts of the basis monomials made once into one truncation per level;
 - G_q is G_{q+1} with its h-order q+1 part, an ideal by the h-filtration,
   dropped, so a ladder tabulates the Weyl commutators once, on its top
   level, and reads every lower level off the one above it;
@@ -17,8 +18,9 @@ reindexes the stored brackets with the same refusal and check:
   dropped;
 - H and A are the monomials (without and with the constant) under
   `series.monomial_poisson`, W the monomial vector fields under the
-  closed-form field bracket through `series.derivative`, and sp(2d) the
-  quadratic symbols of a DerD level, a subalgebra read off it.
+  closed-form field bracket through `series.derivative`, both tabulated
+  from their int coefficients, and sp(2d) the quadratic symbols of a DerD
+  level, a subalgebra read off it.
 
 Each is built once per parameter set and cached.  Weights are monomial
 weight minus 2 (minus 1 on W), so every map in the tower is
@@ -91,16 +93,10 @@ def level_monomials(d: int, h_max: int, n: int):
     return out
 
 
-def _transported_bracket(m1: Monomial, m2: Monomial, d: int, q: int):
-    """[h^-1 m1, h^-1 m2] = h^-1([m1, m2]/h) as (monomial, coefficient) pairs.
-
-    Exact: the closed-form Weyl commutator is taken at h-order q+1 and full
-    weight w1 + w2, where every term carries h, and then divided by h.  Both
-    monomials lie within that truncation, so they are wrapped unchecked.
-    """
-    spec = TruncationSpec(d, q + 1, m1.weight + m2.weight)
-    a = WeylElement._trusted(spec, {m1: Fraction(1)})
-    b = WeylElement._trusted(spec, {m2: Fraction(1)})
+def _transported_bracket(a: WeylElement, b: WeylElement):
+    """[h^-1 a, h^-1 b] = h^-1([a, b]/h) as (monomial, coefficient) pairs for
+    two lifts of one truncation, exact when it holds the whole commutator
+    (see `build_g_level`): at h-order q+1 every term carries h."""
     return (
         (_packed((m.xexp, m.yexp, m.hexp - 1, m.weight - 2)), c)
         for m, c in commutator(a, b).terms.items()
@@ -112,10 +108,10 @@ def _field_bracket(field1, field2):
     (u, f), (v, g) = field1, field2
     e, g_u = derivative(g, u)
     if e:
-        yield (v, f.mul(g_u)), Fraction(e)
+        yield (v, f.mul(g_u)), e
     e, f_v = derivative(f, v)
     if e:
-        yield (u, g.mul(f_v)), Fraction(-e)
+        yield (u, g.mul(f_v)), -e
 
 
 def _quotient(algebra: GradedLieAlgebra, name: str, keep) -> GradedLieAlgebra:
@@ -136,7 +132,10 @@ def build_g_level(d: int, q: int, n: int) -> GradedLieAlgebra:
     are verified by commu_diagram_check.
 
     When G_{q+1} is cached, G_q is read off it by dropping its h-order q+1
-    part; otherwise the Weyl commutators are tabulated.
+    part; otherwise the Weyl commutators are tabulated.  Each basis monomial
+    is then lifted once into D / h^(q+2) D at weight n + 2: an in-cutoff
+    pair has (w1 - 2) + (w2 - 2) <= n - 2, so its commutator, of weight
+    w1 + w2, is never cut.
     """
     name = f"G_{q}(d={d},N={n})"
 
@@ -145,13 +144,15 @@ def build_g_level(d: int, q: int, n: int) -> GradedLieAlgebra:
         if upper is not None:
             return _quotient(upper, name, lambda m: m.hexp <= q)
         monos = level_monomials(d, q, n)
+        spec = TruncationSpec(d, q + 1, n + 2)
+        lifts = {m: WeylElement._trusted(spec, {m: Fraction(1)}) for m in monos}
         return tabulate(
             name,
             monos,
             tuple(f"h^-1*{m}" for m in monos),
             tuple(m.weight - 2 for m in monos),
             n - 2,
-            lambda m1, m2: _transported_bracket(m1, m2, d, q),
+            lambda m1, m2: _transported_bracket(lifts[m1], lifts[m2]),
         )
 
     return _cached(("G", d, q, n), build)
@@ -198,9 +199,7 @@ def _poisson_algebra(name: str, d: int, n: int, min_degree: int) -> GradedLieAlg
         tuple(m.weight - 2 for m in monos),
         n - 2,
         lambda m1, m2: (
-            (m, Fraction(c))
-            for m, c in monomial_poisson(m1, m2)
-            if m.weight >= min_degree
+            (m, c) for m, c in monomial_poisson(m1, m2) if m.weight >= min_degree
         ),
     )
 

@@ -443,6 +443,32 @@ class TestCochainInput:
         exact = {(0, 0): {0: 1}, (1, 0): {0: Fraction(1, 2)}}
         assert cohomology.LieModule(*args, exact, 0).action is exact
 
+    @staticmethod
+    def one_vector():
+        """A one-vector module over H(1, 3), which has 9 basis elements, less
+        its action: each refused action below built before, and
+        cohomology_dim then raised IndexError or read it as "not a
+        representation"."""
+        return tower.build_h(1, 3), "V", ("a",), (0,)
+
+    def test_an_action_key_off_the_algebra_basis_is_refused(self):
+        with pytest.raises(
+            UsageError, match=r"V: action on \(99, 0\): index 99 is off the algebra basis 0..8"
+        ):
+            cohomology.LieModule(*self.one_vector(), {(99, 0): {0: Fraction(1)}}, 0)
+
+    def test_an_action_key_off_the_module_basis_is_refused(self):
+        with pytest.raises(
+            UsageError, match=r"V: action on \(0, 3\): index 3 is off the module basis 0..0"
+        ):
+            cohomology.LieModule(*self.one_vector(), {(0, 3): {0: Fraction(1)}}, 0)
+
+    def test_an_action_component_off_the_module_basis_is_refused(self):
+        with pytest.raises(
+            UsageError, match=r"V: action on \(0, 0\): index 5 is off the module basis 0..0"
+        ):
+            cohomology.LieModule(*self.one_vector(), {(0, 0): {5: Fraction(1)}}, 0)
+
 
 class TestOmegaClass:
     def test_value_on_degree_one_pair(self):

@@ -7,10 +7,14 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formaldisc import cli, exprs
 from formaldisc.cli import main
@@ -24,7 +28,7 @@ from formaldisc.exprs import (
     evaluate,
     parse,
 )
-from formaldisc.series import Monomial, TruncatedPoly
+from formaldisc.series import DifferentialForm, Monomial, TruncatedPoly, all_monomials
 from formaldisc.weyl import TruncationSpec, WeylElement, star
 
 
@@ -88,6 +92,86 @@ class TestGrammar:
     def test_mixed_addition_rejected(self):
         with pytest.raises(UsageError):
             evaluate(parse("x1 + dx1"), CTX)
+
+
+# -3 * 10^4400 - 7 over 11: its numerator has 4,402 digits, past the 4,300
+# that str() and int() of an int allow by default
+BIG = Fraction(-3 * 10**4400 - 7, 11)
+
+
+@contextmanager
+def no_digit_limit():
+    """Python's int digit limit lifted, and restored after: the reader then
+    takes every literal in full, as `series.parse_int` allows."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@st.composite
+def printed_values(draw):
+    """(context, spec, polynomial, Weyl element, form) on one drawn term map,
+    d = 1 or 2, with h-terms, coefficients of sign -1 and 1, fractions and
+    BIG, and the zero of each when the map is empty."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([4, 6]))
+    monos = [Monomial(m.xexp, m.yexp, c) for m in all_monomials(d, n) for c in (0, 1)]
+    coeffs = st.one_of(
+        st.sampled_from([Fraction(1), Fraction(-1), BIG]),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool),
+    )
+    terms = st.dictionaries(st.sampled_from(monos), coeffs, max_size=4)
+    spec = TruncationSpec(d, 1, n)
+    poly = TruncatedPoly(d, n, draw(terms))
+    weyl = WeylElement(spec, draw(terms))
+    degree = draw(st.integers(0, 2 * d))
+    basis = list(combinations(range(2 * d), degree))
+    indices = draw(st.lists(st.sampled_from(basis), max_size=3, unique=True))
+    form = DifferentialForm(
+        d, n, degree, {idx: TruncatedPoly(d, n, draw(terms)) for idx in indices}
+    )
+    return EvalContext(d, n), spec, poly, weyl, form
+
+
+class TestPrintedFormsParseBack:
+    @settings(max_examples=60, deadline=None)
+    @given(printed_values())
+    def test_printed_values_parse_back(self, values):
+        ctx, spec, poly, weyl, form = values
+        with no_digit_limit():
+            assert eval_poly(str(poly), ctx) == poly
+            assert eval_weyl(str(weyl), spec) == weyl
+            assert eval_form(str(form), ctx) == form
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_parses_back(self, d):
+        ctx, spec = EvalContext(d, 4), TruncationSpec(d, 1, 4)
+        assert str(TruncatedPoly.zero(d, 4)) == str(WeylElement.zero(spec)) == "0"
+        assert eval_poly("0", ctx).is_zero() and eval_weyl("0", spec).is_zero()
+        for degree in range(2 * d + 1):
+            zero = DifferentialForm.zero(d, 4, degree)
+            assert eval_form(str(zero), ctx) == zero, degree
+
+    def test_a_form_prints_as_the_grammar_reads_it(self):
+        # the component and its basis form were printed apart, as
+        # (1 + x1) dx1/\dy1, which the grammar refuses at the dx1
+        form = eval_form("(1+x1) * dx1 /\\ dy1", CTX)
+        assert str(form) == "(1 + x1)*dx1/\\dy1"
+        assert eval_form(str(form), CTX) == form
+
+    def test_a_coefficient_past_the_digit_limit_parses_back_in_full(self):
+        # printed in full, and read in full once the limit is lifted; under
+        # the default limit the reader refuses it rather than lose digits
+        poly = TruncatedPoly(1, 4, {Monomial((1,), (0,), 0): BIG})
+        text = str(poly)
+        assert len(text) > sys.get_int_max_str_digits() > 0
+        with pytest.raises(UsageError, match="past the limit"):
+            eval_poly(text, EvalContext(1, 4))
+        with no_digit_limit():
+            assert eval_poly(text, EvalContext(1, 4)) == poly
 
 
 class TestWeylWords:

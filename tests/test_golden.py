@@ -6,11 +6,13 @@ ones by the bracket built from `partial`, `*` and `+`, before it became one
 sum over monomial pairs.  The `verify_cohomology` and `verify_tower` ones
 were written while `is_coboundary`, the d^2 check and the dense blocks still
 read the sorted full blocks, before every CE consumer read torus slices.
-The `_d2` ones were written while `Monomial` was a frozen dataclass that
-summed its weight on every read, the `_d3` ones while the pair loop and the
-substitution still summed on `Monomial` keys, before packed int keys.  The others were written by the CLI in
-which each subcommand printed and wrote `--json` itself, before `main`
-became its one exit path.  The stdout and the `--json` file of each command
+The other `_d2` ones were written while `Monomial` was a frozen dataclass
+that summed its weight on every read, the `_d3` ones while the pair loop and
+the substitution still summed on `Monomial` keys, before packed int keys,
+and `poisson_form_d2` while `poisson_bracket` summed its own loop over
+monomial triples, before it took its products from the pair loop.  The
+others were written by the CLI in which each subcommand printed and wrote
+`--json` itself, before `main` became its one exit path.  The stdout and the `--json` file of each command
 must stay byte-identical, so a change of coefficient arithmetic or of the
 CLI's plumbing cannot change an answer, its term order or its printed form.
 Only what changes between runs is dropped first: the `duration_s` of a JSON
@@ -37,6 +39,8 @@ FLAGS_D3 = ["--d", "3", "--p", "3"]
 # h-free, for the Poisson bracket; F's top term brackets past the cutoff
 F = "1/2*x1^2*y1 + 3/7*y1^2 - 5/11*x1^3 + 2/9*x1^2*y1^3"
 G = "x1*y1 - 2/3*y1^3 + 7/5*x1^2*y1^2"
+# d=2, a bivector with off-diagonal, non-constant entries
+FORM_D2 = "(1+x1) * dx1 /\\ dy1 + (1+y2) * dx2 /\\ dy2 + x1 * dx1 /\\ dx2"
 
 COMMANDS = {
     "transport": [
@@ -67,6 +71,10 @@ COMMANDS = {
     ],
     "poisson_standard": ["poisson", F, G, *FLAGS],
     "poisson_form": ["poisson", F, G, "--form", "(1+x1) * dx1 /\\ dy1", *FLAGS],
+    "poisson_form_d2": [
+        "poisson", "x1*y2 + 1/2*y1^2*x2", "x2^2*y1 - 3/5*y2*x1",
+        "--form", FORM_D2, "--d", "2", "--N", "6",
+    ],
     "weyl_iota": ["weyl", "iota", *FLAGS, LEFT],
     "cohomology_class_omega": ["cohomology", "class", "--which", "omega"],
     "cohomology_class_obstruction": [

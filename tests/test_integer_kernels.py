@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_reference_sweeps import reference_transported_bracket
 
 from formaldisc import tower
 from formaldisc.series import (
@@ -238,7 +239,11 @@ def test_every_built_monomial_carries_its_true_weight(pair):
     |a| + |b| + 2c."""
     d, m1, m2 = pair
     built = [m1.mul(m2)]
-    built += [m for m, _ in tower._transported_bracket(m1, m2, d, 2)]
+    built += [m for m, _ in reference_transported_bracket(m1, m2, d, 2)]
+    # the tower's route: lifts into one truncation wider than the pair
+    level = TruncationSpec(d, 3, m1.weight + m2.weight + 3)
+    lifts = [WeylElement._trusted(level, {m: Fraction(1)}) for m in (m1, m2)]
+    built += [m for m, _ in tower._transported_bracket(*lifts)]
     spec = TruncationSpec(d, 4, m1.weight + m2.weight)
     a, b = WeylElement(spec, {m1: 1}), WeylElement(spec, {m2: 1, m1: Fraction(1, 3)})
     for element in (star(a, b), star(b, a), commutator(a, b), iota(a), iota(b)):

@@ -7,7 +7,10 @@ checks bracket preservation the same way, over every basis pair, with
 `Fraction` arithmetic, against the integer route of `LieMap.verify`.
 `reference_derd_level` builds a derivation level directly from Weyl
 commutators, dropping scalar components, instead of reading it off the
-cached G level.  `reference_g_level`, `reference_derd_from_g`,
+cached G level.  It and `reference_g_level` take each commutator through
+`reference_transported_bracket`, in a truncation of its own per pair, where
+`tower` lifts each basis monomial once into one truncation per level.
+`reference_g_level`, `reference_derd_from_g`,
 `reference_poisson` (through `reference_poisson_bracket`, the chain of
 polynomial partials, products and sums), `reference_w` (through polynomial
 products and `reference_partial`) and `reference_sp_subalgebra` are the
@@ -34,7 +37,7 @@ import pytest
 from test_linalg import dense_map_block
 from test_series import reference_partial, reference_poisson_bracket
 
-from formaldisc import linalg, tower
+from formaldisc import linalg, tower, weyl
 from formaldisc.errors import CheckFailure, InternalError, UsageError
 from formaldisc.liealg import (
     ExtensionData,
@@ -49,10 +52,12 @@ from formaldisc.series import (
     Monomial,
     PoissonBivector,
     TruncatedPoly,
+    _packed,
     all_monomials,
     coordinate_name,
 )
 from formaldisc.sparse import accumulate, add, sub
+from formaldisc.weyl import TruncationSpec, WeylElement, commutator
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"
 EXTENSION_CALL = re.compile(r"\bExtensionData\(")
@@ -113,6 +118,21 @@ def reference_verify_map(m, name="map"):
                 )
 
 
+def reference_transported_bracket(m1, m2, d, q):
+    """[h^-1 m1, h^-1 m2] = h^-1([m1, m2]/h) as (monomial, coefficient)
+    pairs, with the commutator taken in a truncation of its own per pair:
+    h-order q+1, where every term carries h, and weight w1 + w2, the
+    weight of every term.  The route `tower` took before it lifted each
+    basis monomial once per level."""
+    spec = TruncationSpec(d, q + 1, m1.weight + m2.weight)
+    a = WeylElement._trusted(spec, {m1: Fraction(1)})
+    b = WeylElement._trusted(spec, {m2: Fraction(1)})
+    return (
+        (_packed((m.xexp, m.yexp, m.hexp - 1, m.weight - 2)), c)
+        for m, c in commutator(a, b).terms.items()
+    )
+
+
 def reference_derd_level(d, q, n):
     """DerD_q straight from Weyl commutators, with scalar components dropped."""
     monos = [m for m in tower.level_monomials(d, q, n) if not tower._is_scalar(m)]
@@ -125,7 +145,7 @@ def reference_derd_level(d, q, n):
             if mi.weight + mj.weight - 4 > cutoff:
                 continue
             vec = {}
-            for mono, coeff in tower._transported_bracket(mi, mj, d, q):
+            for mono, coeff in reference_transported_bracket(mi, mj, d, q):
                 if tower._is_scalar(mono) or mono.hexp > q or mono.weight > n:
                     continue
                 pos = index.get(mono)
@@ -159,7 +179,7 @@ def reference_g_level(d, q, n):
             if mi.weight + mj.weight - 4 > cutoff:
                 continue
             vec = {}
-            for mono, coeff in tower._transported_bracket(mi, mj, d, q):
+            for mono, coeff in reference_transported_bracket(mi, mj, d, q):
                 if mono.hexp > q or mono.weight > n:
                     continue
                 pos = index.get(mono)
@@ -701,9 +721,9 @@ class TestRestriction:
         levels = []  # the level q of every Weyl commutator taken
         bracket = tower._transported_bracket
 
-        def counting(m1, m2, d, q):
-            levels.append(q)
-            return bracket(m1, m2, d, q)
+        def counting(a, b):
+            levels.append(a.spec.h_order - 1)  # a level-q lift is at h-order q+1
+            return bracket(a, b)
 
         monkeypatch.setattr(tower, "_transported_bracket", counting)
         tower.build_g_level(2, 2, 6)
@@ -716,6 +736,14 @@ class TestRestriction:
         # the split asks for DerD_1 first, so G_0 is read off G_1
         tower.d1_semidirect_split(1, 5)
         assert set(levels) == {1}
+
+    def test_a_tabulated_level_keeps_one_contraction_base(self):
+        # one truncation per level, so one packed-key base: the contraction
+        # cache keeps one entry per (ys, xs, room) of the level's pairs.  A
+        # truncation sized to each pair kept one per base too: 1,792 here
+        weyl._contractions.cache_clear()
+        tower.build_g_level(2, 2, 6)
+        assert weyl._contractions.cache_info().currsize <= 709
 
     def test_matches_tabulate_by_tag(self):
         # the quotients and the subalgebra of the tower, then random subsets,

@@ -3,8 +3,10 @@
 `reference_partial` (the per-polynomial exponent-lowering loop) and
 `reference_poisson_bracket` (sum Theta_uv d_u f d_v g through it, `*` and
 `+`) are the slow routes that `partial`, `standard_poisson` and
-`poisson_bracket` replaced with one pass over `derivative` and
-`monomial_poisson`; the kernels must agree with them exactly.
+`poisson_bracket` replaced with one pass over `derivative` and the pair
+loop of `series`; the kernels must agree with them exactly.
+`fused_poisson_bracket` is the private loop over monomial triples that
+`poisson_bracket` ran before it took its products from that pair loop.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,7 @@ from formaldisc.series import (
     PoissonBivector,
     Substitution,
     TruncatedPoly,
+    _lowered,
     all_monomials,
     de_rham_d,
     euler_contraction,
@@ -34,7 +38,7 @@ from formaldisc.series import (
     standard_poisson,
     wedge,
 )
-from formaldisc.sparse import accumulate
+from formaldisc.sparse import accumulate, rational
 from formaldisc.weyl import TruncationSpec, WeylElement
 
 D, N = 2, 7
@@ -559,6 +563,33 @@ def reference_poisson_bracket(f, g, theta):
     return out
 
 
+def fused_poisson_bracket(f, g, theta):
+    """The route `poisson_bracket` took before it ran on `_pair_sum`: one
+    integer-first sum over (entry of Theta, orientation, term of the entry,
+    monomial of f, monomial of g), all scaled by one common lcm and built
+    with `Monomial.mul`."""
+    polys = (f, g, *theta.entries.values())
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+
+    def scaled(terms):
+        return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+    df, dg = ([_lowered(scaled(p.terms), v) for v in range(2 * f.d)] for p in (f, g))
+    terms = rational(
+        (
+            (mt.mul(m1).mul(m2), sign * nt * n1 * n2)
+            for (i, j), entry in theta.entries.items()
+            for u, v, sign in ((i, j, 1), (j, i, -1))
+            for mt, nt in scaled(entry.terms).items()
+            for m1, n1 in df[u].items()
+            for m2, n2 in dg[v].items()
+            if mt.weight + m1.weight + m2.weight <= f.cutoff
+        ),
+        den**3,
+    )
+    return TruncatedPoly(f.d, f.cutoff, terms)
+
+
 def assert_trusted(p):
     """The contract of `TruncatedPoly._trusted`: a dict of nonzero Fractions
     on d-dimensional monomials within the cutoff."""
@@ -633,6 +664,7 @@ class TestKernelOracles:
         got = poisson_bracket(f, g, theta)
         assert_trusted(got)
         assert got == reference_poisson_bracket(f, g, theta)
+        assert got == fused_poisson_bracket(f, g, theta)
 
     @pytest.mark.parametrize("d, n", [(1, 6), (2, 5)])
     def test_cancelling_and_overflowing_pairs(self, d, n):
