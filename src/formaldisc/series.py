@@ -21,16 +21,19 @@ loop and `Substitution.apply` scale their operands to ints
 They sum on packed keys: x^a y^b h^c is the one int sum_i a_i B^i +
 sum_i b_i B^(d+i) + c B^(2d) (`_key`), so multiplying monomials is adding
 ints and a kernel moves a key by a shift.  B exceeds every exponent the
-sum reads or writes, so no field carries into the next.  Each output key
-is decoded once (`_unpacked`) into a `Monomial` packed with its weight:
-no other monomial type leaves this module.
+sum reads or writes, so no field carries into the next.  Output keys turn
+back into monomials in `_unpacked` alone, through one process-wide table
+per (base, d) (`_decoded`): a key is decoded on its first use into a
+`Monomial` packed with its weight, and every later use at that truncation
+returns the same immutable monomial.  A table holds at most the monomials
+of weight below its base.  No other monomial type leaves this module.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import lcm
 from operator import itemgetter
 
@@ -151,19 +154,37 @@ def _key(m: Monomial, base: int) -> int:
     return key
 
 
+class _Decoded(dict):
+    """packed key -> `Monomial` at one (base, d): a key is decoded on its
+    first lookup, and every later lookup returns the same immutable
+    monomial.  The kernels' keys are of monomials of weight below the base,
+    so a table holds at most those."""
+
+    __slots__ = ("base", "d")
+
+    def __init__(self, base: int, d: int):
+        self.base, self.d = base, d
+
+    def __missing__(self, key: int) -> Monomial:
+        base, d, rest, fields = self.base, self.d, key, []
+        for _ in range(2 * d):
+            fields.append(rest % base)
+            rest //= base
+        weight = sum(fields) + 2 * rest
+        mono = self[key] = _packed((tuple(fields[:d]), tuple(fields[d:]), rest, weight))
+        return mono
+
+
+_decoded = cache(_Decoded)  # the one process-wide table of each (base, d)
+
+
 def _unpacked(sums: dict, base: int, d: int, den: int = 1) -> dict:
     """The sums of a key map (packed key -> nonzero int or Fraction), each
-    divided by `den`, on the monomials of their keys: every key is decoded
-    once, into a monomial packed with its weight."""
-    out = {}
-    for key, n in sums.items():
-        fields = []
-        for _ in range(2 * d):
-            fields.append(key % base)
-            key //= base
-        weight = sum(fields) + 2 * key
-        out[_packed((tuple(fields[:d]), tuple(fields[d:]), key, weight))] = Fraction(n, den)
-    return out
+    divided by `den`, on the monomials of their keys, in the order of
+    `sums`: each key is read from the (base, d) table, so it is decoded
+    once per process, into a monomial packed with its weight."""
+    table = _decoded(base, d)
+    return {table[key]: Fraction(n, den) for key, n in sums.items()}
 
 
 def _product_kernel(m1: Monomial, m2: Monomial, base: int):
@@ -213,9 +234,10 @@ def _pair_sum(left: dict, right: dict, room: int, kernel) -> dict:
     every exponent of it, of its product and of each of its terms is at most
     `room` < B, and a shift subtracts only from fields that hold at least
     that much (a contraction lowers x_i and y_i by k_i <= min(b_i, a_i), a
-    Poisson term lowers fields that are at least 1).  Each output key is
-    decoded once.  A pair over `room` costs no kernel call and no
-    coefficient product.
+    Poisson term lowers fields that are at least 1).  The output keys are
+    decoded through the (base, d) table of `_unpacked`, so a key this or an
+    earlier sum at the same truncation has decoded is not decoded again.  A
+    pair over `room` costs no kernel call and no coefficient product.
     """
     if not left or not right:
         return {}
@@ -256,6 +278,12 @@ def _checked_terms(terms, d: int, cutoff: int, h_order: int) -> dict:
     return clean
 
 
+def _checked_cutoff(cutoff) -> int:
+    if not isinstance(cutoff, int) or cutoff < 0:
+        raise UsageError(f"cutoff must be >= 0, got {cutoff!r}")
+    return cutoff
+
+
 class TruncatedPoly(LinearTerms):
     """Sparse polynomial over Q in x, y, h, truncated at a weight cutoff.
 
@@ -270,10 +298,8 @@ class TruncatedPoly(LinearTerms):
     def __init__(self, d: int, cutoff: int, terms=None):
         if not isinstance(d, int) or d < 1:
             raise UsageError(f"dimension must be >= 1, got {d!r}")
-        if not isinstance(cutoff, int) or cutoff < 0:
-            raise UsageError(f"cutoff must be >= 0, got {cutoff!r}")
         self.d = d
-        self.cutoff = cutoff
+        self.cutoff = _checked_cutoff(cutoff)
         # weight >= 2 * hexp, so h-order cutoff // 2 drops nothing more
         self.terms = _checked_terms(terms, d, cutoff, cutoff // 2)
 
@@ -354,10 +380,12 @@ class TruncatedPoly(LinearTerms):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def truncated(self, cutoff: int) -> "TruncatedPoly":
-        """Forget terms above a lower cutoff."""
-        if cutoff > self.cutoff:
+        """Forget terms above a lower cutoff (weight >= 2 * hexp, so that
+        bounds the h-order too)."""
+        if _checked_cutoff(cutoff) > self.cutoff:
             raise UsageError("truncated() cannot raise the cutoff; use lifted()")
-        return TruncatedPoly(self.d, cutoff, self.terms)
+        terms = {m: c for m, c in self.terms.items() if m.weight <= cutoff}
+        return TruncatedPoly._trusted(self.d, cutoff, terms)
 
     def lifted(self, cutoff: int) -> "TruncatedPoly":
         """Reinterpret at a higher cutoff.
@@ -366,9 +394,9 @@ class TruncatedPoly(LinearTerms):
         choice of lift (used internally where an operation must look two
         weights past its result, e.g. bracket-by-h division).
         """
-        if cutoff < self.cutoff:
+        if _checked_cutoff(cutoff) < self.cutoff:
             raise UsageError("lifted() cannot lower the cutoff; use truncated()")
-        return TruncatedPoly(self.d, cutoff, self.terms)
+        return TruncatedPoly._trusted(self.d, cutoff, self.terms)
 
     # -- ring operations ---------------------------------------------------
 
@@ -480,8 +508,9 @@ class Substitution:
     monomial's image is cached integer-first, as its int coefficients over
     their lcm denominator on the packed keys of `_pair_sum` in base
     B = cutoff + 1 (no field of a monomial within the cutoff reaches B), so
-    `apply` multiplies and sums on ints and keys and decodes each output key
-    once, into one `Fraction` per output term.
+    `apply` multiplies and sums on ints and keys, then reads each output key
+    from the (base, d) table of `_unpacked` and divides once, into one
+    `Fraction` per output term.
     """
 
     __slots__ = ("d", "cutoff", "_powers", "_free", "_images")

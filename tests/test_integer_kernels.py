@@ -2,7 +2,8 @@
 
 `star`, `commutator`, `iota`, `TruncatedPoly.__mul__`, `standard_poisson`
 and `Substitution.apply` scale their operands to ints, sum on packed int
-keys and decode each output key once.  Two references stand here.  The
+keys and decode each output key through one table per (base, d), tested
+below against the divmod loop it caches.  Two references stand here.  The
 Fraction references take a `Fraction` product for every pair of terms,
 summed through `accumulate`.  The Monomial-keyed references are the integer
 route before packed keys: the same pair loop and substitution, summed on
@@ -34,7 +35,9 @@ from formaldisc.series import (
     Monomial,
     Substitution,
     TruncatedPoly,
+    _decoded,
     _key,
+    _unpacked,
     all_monomials,
     monomial_poisson,
     standard_poisson,
@@ -495,6 +498,60 @@ def test_substitution_matches_the_fraction_route(d, cutoff):
         assert_clean(got, d, cutoff)
         got.clear()  # a returned dict is the caller's own
     assert sub.apply({}) == {}
+
+
+def reference_decode(key, base, d):
+    """The divmod loop: the monomial of a packed key in base `base`."""
+    fields = []
+    for _ in range(2 * d):
+        key, e = divmod(key, base)
+        fields.append(e)
+    return Monomial(tuple(fields[:d]), tuple(fields[d:]), key)
+
+
+@pytest.mark.parametrize(
+    "order", [[(5, 1), (5, 2)], [(5, 2), (5, 1)]], ids=["d1-first", "d2-first"]
+)
+def test_a_decoded_key_belongs_to_its_base_and_dimension(order):
+    """The decode tables are keyed by (base, d): key 5 in base 5 is y1 at
+    d = 1 and x2 at d = 2, whichever is decoded first, on a miss and on a
+    hit alike."""
+    _decoded.cache_clear()
+    names = {1: "y1", 2: "x2"}
+    rng = random.Random(30)
+    for base, d in order:
+        for _ in range(2):
+            ((mono, coeff),) = _unpacked({5: 3}, base, d, 2).items()
+            assert mono == reference_decode(5, base, d) and str(mono) == names[d]
+            assert mono.weight == true_weight(mono) and coeff == Fraction(3, 2)
+        sums = dict.fromkeys(rng.sample(range(base ** (2 * d + 1)), 40), 1)
+        expected = [reference_decode(k, base, d) for k in sums]
+        assert list(_unpacked(sums, base, d)) == expected == list(_unpacked(sums, base, d))
+        assert all(m.weight == true_weight(m) for m in _decoded(base, d).values())
+
+
+def test_a_truncation_table_holds_only_the_monomials_returned():
+    """After a star and a substitution sweep at one truncation, its table
+    holds the distinct monomials the sweeps returned, each the one object
+    every output shares, and no more."""
+    spec = TruncationSpec(2, 2, 7)
+    base = spec.cutoff + 1
+    rng = random.Random(31)
+    sub = Substitution(random_images(rng, spec.d, spec.cutoff))
+    pool = monomials(spec)
+    inputs = [random_terms(rng, pool, rng.randint(1, 8)) for _ in range(10)]
+    for terms in inputs:
+        sub.apply(terms)  # builds the images' powers before the sweeps
+    pairs = [
+        [WeylElement(spec, random_terms(rng, pool, rng.randint(1, 8))) for _ in range(2)]
+        for _ in range(10)
+    ]
+    table = _decoded(base, spec.d)
+    table.clear()
+    outputs = [star(a, b).terms for a, b in pairs] + [sub.apply(terms) for terms in inputs]
+    returned = {m for terms in outputs for m in terms}
+    assert len(table) == len(returned) < sum(map(len, outputs))
+    assert all(table[_key(m, base)] is m for terms in outputs for m in terms)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"

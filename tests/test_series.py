@@ -184,6 +184,28 @@ class TestRingAxioms:
         with pytest.raises(UsageError, match="dimension must be >= 1, got 1.0"):
             TruncatedPoly(1.0, 4)
 
+    @settings(max_examples=60, deadline=None)
+    @given(polys(), st.integers(0, N + 3))
+    def test_cutoff_moves_match_the_checked_constructor(self, p, cutoff):
+        # lifted wraps the clean terms and truncated filters them by weight,
+        # neither through the checked constructor, and both must keep what
+        # it keeps, in its order
+        moved = p.lifted(cutoff) if cutoff >= N else p.truncated(cutoff)
+        expected = TruncatedPoly(D, cutoff, p.terms)
+        assert moved.cutoff == cutoff and moved == expected
+        assert list(moved.terms.items()) == list(expected.terms.items())
+
+    def test_cutoff_moves_keep_their_refusals(self):
+        p = x(0) + y(1) ** 2
+        for bad in (4.5, 8.5, "8", None, -1):
+            for move in (p.truncated, p.lifted):
+                with pytest.raises(UsageError, match="cutoff must be >= 0"):
+                    move(bad)
+        with pytest.raises(UsageError, match="cannot raise the cutoff"):
+            p.truncated(N + 1)
+        with pytest.raises(UsageError, match="cannot lower the cutoff"):
+            p.lifted(N - 1)
+
     def test_canonical_form_unique(self):
         p = x(0) + y(1) - x(0)
         q = y(1)
