@@ -221,14 +221,14 @@ class FormalCoordChange:
         n = 2 * self.d
         m = [[Fraction(0)] * n for _ in range(n)]
         for v, comp in enumerate(self.components):
-            for mono, coeff in comp.terms.items():
+            for mono, n in comp.ints.items():
                 if mono.weight == 1:
                     w = (
                         mono.xexp.index(1)
                         if any(mono.xexp)
                         else self.d + mono.yexp.index(1)
                     )
-                    m[v][w] = coeff
+                    m[v][w] = Fraction(n, comp.den)
         return m
 
     def apply_poly(self, p: TruncatedPoly) -> TruncatedPoly:
@@ -452,27 +452,14 @@ def darboux_normalize(fs: FormalSymplecticForm) -> FormalCoordChange:
 
 
 def _lift_through(phi: FormalCoordChange, p: TruncatedPoly, spec: TruncationSpec):
-    """sigma(f): substitute phi (h untouched), then normal-order lift.
-
-    The caller has matched phi's d and cutoff with spec's, and the
-    substitution keeps them and leaves h at most spec's h-order, so the
-    lift takes its terms unchecked.
-    """
-    kept = {m: c for m, c in p.terms.items() if m.hexp <= spec.h_order}
-    return WeylElement._trusted(spec, phi.apply_poly(p._with(kept)).terms)
+    """sigma(f): substitute phi (h untouched), then normal-order lift."""
+    return WeylElement.from_poly(phi.apply_poly(p), spec)
 
 
 def _symbol_through(phi_inv: FormalCoordChange, w: WeylElement) -> TruncatedPoly:
-    """sigma^{-1}: substitute the inverse change into a symbol (h untouched).
-
-    A Weyl element's terms are already a clean symbol at its own d and
-    cutoff; only an inverse of another truncation re-checks them.
-    """
-    if (phi_inv.d, phi_inv.cutoff) == (w.spec.d, w.spec.cutoff):
-        symbol = TruncatedPoly._trusted(w.spec.d, w.spec.cutoff, w.terms)
-    else:
-        symbol = TruncatedPoly(phi_inv.d, phi_inv.cutoff, w.terms)
-    return phi_inv.apply_poly(symbol)
+    """sigma^{-1}: substitute the inverse change, of w's d and cutoff, into
+    w's symbol (h untouched)."""
+    return phi_inv.apply_poly(w.symbol())
 
 
 def transported_product_symbol(
@@ -485,11 +472,14 @@ def transported_product_symbol(
     """The star product conjugated by composition with phi, as an A[h] symbol.
 
     Associative, unital and commutative mod h by construction (it is the
-    conjugate of the standard product by a linear isomorphism).
+    conjugate of the standard product by a linear isomorphism).  A given
+    `phi_inv` must share phi's d and cutoff.
     """
     if phi.cutoff != spec.cutoff or phi.d != spec.d:
         raise UsageError("coordinate change must match the truncation")
     phi_inv = phi_inv or phi.inverse()
+    if (phi_inv.d, phi_inv.cutoff) != (phi.d, phi.cutoff):
+        raise UsageError("the inverse change must share the change's d and cutoff")
     prod = star(_lift_through(phi, a, spec), _lift_through(phi, b, spec))
     return _symbol_through(phi_inv, prod)
 
@@ -503,7 +493,8 @@ def transported_induced_poisson(
     """(1/h) of the transported commutator, mod h.
 
     phi must carry two weights more than the inputs so the h-linear part of
-    the commutator is exact at the result cutoff.
+    the commutator is exact at the result cutoff, and a given `phi_inv` must
+    share phi's d and cutoff.
     """
     if a.depends_on_h() or b.depends_on_h():
         raise UsageError("bracket inputs must be h-free")
@@ -515,4 +506,4 @@ def transported_induced_poisson(
     a2, b2 = a.lifted(phi.cutoff), b.lifted(phi.cutoff)
     pab = transported_product_symbol(phi, a2, b2, spec, phi_inv)
     pba = transported_product_symbol(phi, b2, a2, spec, phi_inv)
-    return h_linear_part((pab - pba).terms, a.d, a.cutoff)
+    return h_linear_part(pab - pba, a.d, a.cutoff)

@@ -13,10 +13,11 @@ fields and is ordered only by `sort_key`.  Monomial calculus lives here
 alone: `derivative` and the closed-form bracket `monomial_poisson` underlie
 `partial`, both Poisson brackets and the tower's H, A and W.  The term-map
 mechanics that `weyl` shares live here too: one checked constructor
-(`_checked_terms`) and one integer-first pair loop (`_pair_sum`) behind
-`__mul__`, both Poisson brackets, `weyl.star` and `weyl.commutator`.  The
-loop and `Substitution.apply` scale their operands to ints
-(`sparse.integral`), sum on ints and divide once per output term.
+(`_checked_terms`) and one integer pair loop (`_pair_sum`) behind `__mul__`,
+both Poisson brackets, `weyl.star` and `weyl.commutator`.  A term map is
+kept as ints over one denominator, in the canonical form of
+`sparse.reduced`: the loop and `Substitution.apply` take that form, sum on
+ints and return it reduced, so no `Fraction` is built between kernel calls.
 
 They sum on packed keys: x^a y^b h^c is the one int sum_i a_i B^i +
 sum_i b_i B^(d+i) + c B^(2d) (`_key`), so multiplying monomials is adding
@@ -38,7 +39,8 @@ from math import lcm
 from operator import itemgetter
 
 from .errors import UsageError
-from .sparse import LinearTerms, accumulate, as_fraction, exact_str, integral, sub
+from .sparse import IntTerms, LinearTerms, accumulate, as_fraction, combined, exact_str
+from .sparse import integral, reduced
 
 
 class Monomial(tuple):
@@ -178,13 +180,13 @@ class _Decoded(dict):
 _decoded = cache(_Decoded)  # the one process-wide table of each (base, d)
 
 
-def _unpacked(sums: dict, base: int, d: int, den: int = 1) -> dict:
-    """The sums of a key map (packed key -> nonzero int or Fraction), each
-    divided by `den`, on the monomials of their keys, in the order of
-    `sums`: each key is read from the (base, d) table, so it is decoded
+def _unpacked(sums: dict, base: int, d: int, den: int = 1) -> tuple:
+    """The canonical (den, ints) of the sums of a key map (packed key ->
+    nonzero int) over `den`, on the monomials of their keys, in the order
+    of `sums`: each key is read from the (base, d) table, so it is decoded
     once per process, into a monomial packed with its weight."""
     table = _decoded(base, d)
-    return {table[key]: Fraction(n, den) for key, n in sums.items()}
+    return reduced(den, {table[key]: n for key, n in sums.items()})
 
 
 def _product_kernel(m1: Monomial, m2: Monomial, base: int):
@@ -221,10 +223,11 @@ def _poisson_kernel(m1: Monomial, m2: Monomial, base: int):
     return [(-(base**i + base ** (d + i)), n) for i, n in _poisson_coefficients(m1, m2)]
 
 
-def _pair_sum(left: dict, right: dict, room: int, kernel) -> dict:
-    """The integer-first sum of n1 * n2 * kernel(m1, m2) over the term pairs
-    of two term maps whose weights sum to at most `room`, summed on packed
-    keys.
+def _pair_sum(left: tuple, right: tuple, room: int, kernel) -> tuple:
+    """The sum of n1 * n2 * kernel(m1, m2) over the term pairs of two int
+    term maps (den, ints) whose weights sum to at most `room`, summed on
+    packed keys and returned as the canonical (den, ints) over the product
+    of the two dens.
 
     Each monomial x^a y^b h^c is the int key sum_i a_i B^i + sum_i b_i
     B^(d+i) + c B^(2d) in base B = room + 1, so a product of monomials is a
@@ -239,11 +242,10 @@ def _pair_sum(left: dict, right: dict, room: int, kernel) -> dict:
     earlier sum at the same truncation has decoded is not decoded again.  A
     pair over `room` costs no kernel call and no coefficient product.
     """
+    (la, left), (lb, right) = left, right
     if not left or not right:
-        return {}
+        return 1, {}
     d, base = len(next(iter(left))[0]), room + 1
-    la, left = integral(left)
-    lb, right = integral(right)
     left = [(m1, _key(m1, base), n1, room - m1[3]) for m1, n1 in left.items()]
     right = [(m2, _key(m2, base), n2, m2[3]) for m2, n2 in right.items()]
     sums = accumulate(
@@ -259,11 +261,12 @@ def _pair_sum(left: dict, right: dict, room: int, kernel) -> dict:
     return _unpacked(sums, base, d, la * lb)
 
 
-def _checked_terms(terms, d: int, cutoff: int, h_order: int) -> dict:
-    """The term map of a public constructor, checked: coefficients made exact,
-    zeros and monomials past the h-order or the weight cutoff dropped, and a
-    monomial with an exponent that is not an int >= 0 or of another
-    dimension refused."""
+def _checked_terms(terms, d: int, cutoff: int, h_order: int) -> tuple:
+    """The term map of a public constructor, checked and stored: coefficients
+    made exact, zeros and monomials past the h-order or the weight cutoff
+    dropped, a monomial with an exponent that is not an int >= 0 or of
+    another dimension refused, and the rest scaled to the canonical
+    (den, ints) (`sparse.integral`)."""
     clean = {}
     for mono, coeff in (terms or {}).items():
         exponents = (*mono.xexp, *mono.yexp, mono.hexp)
@@ -275,7 +278,7 @@ def _checked_terms(terms, d: int, cutoff: int, h_order: int) -> dict:
         if mono.dimension != d or len(mono.yexp) != d:
             raise UsageError(f"monomial {mono} does not match dimension {d}")
         clean[mono] = coeff
-    return clean
+    return integral(clean)
 
 
 def _checked_cutoff(cutoff) -> int:
@@ -284,16 +287,18 @@ def _checked_cutoff(cutoff) -> int:
     return cutoff
 
 
-class TruncatedPoly(LinearTerms):
+class TruncatedPoly(IntTerms):
     """Sparse polynomial over Q in x, y, h, truncated at a weight cutoff.
 
-    Immutable by convention: no method mutates `terms`, and instances may be
-    shared freely.  Zero coefficients and over-cutoff monomials are never
-    stored, so equal values compare equal as dicts.  The linear structure
-    (+, -, scaled, ==, hash) is the shared one of `sparse.LinearTerms`.
+    Immutable by convention: no method mutates `ints`, and instances may be
+    shared freely.  The terms are stored as `den` and `ints` (monomial ->
+    nonzero int) in the canonical form of `sparse.reduced`, with no
+    over-cutoff monomial, so equal values have equal ints; `terms` reads
+    them as `Fraction`s.  The linear structure (+, -, scaled, ==, hash) is
+    the shared one of `sparse.IntTerms`.
     """
 
-    __slots__ = ("d", "cutoff", "terms")
+    __slots__ = ("d", "cutoff", "den", "ints")
 
     def __init__(self, d: int, cutoff: int, terms=None):
         if not isinstance(d, int) or d < 1:
@@ -301,7 +306,7 @@ class TruncatedPoly(LinearTerms):
         self.d = d
         self.cutoff = _checked_cutoff(cutoff)
         # weight >= 2 * hexp, so h-order cutoff // 2 drops nothing more
-        self.terms = _checked_terms(terms, d, cutoff, cutoff // 2)
+        self.den, self.ints = _checked_terms(terms, d, cutoff, cutoff // 2)
 
     # -- constructors ------------------------------------------------------
 
@@ -355,26 +360,26 @@ class TruncatedPoly(LinearTerms):
     def _truncation(self):
         return (self.d, self.cutoff)
 
-    def _with(self, terms) -> "TruncatedPoly":
-        # +, -, neg, scaled and darboux's h-order cut all hand over clean terms
-        return TruncatedPoly._trusted(self.d, self.cutoff, terms)
+    def _with(self, den: int, ints: dict) -> "TruncatedPoly":
+        # +, -, neg, scaled and the subsets below hand over clean ints
+        return TruncatedPoly._trusted(self.d, self.cutoff, *reduced(den, ints))
 
     def _scalar(self, value) -> "TruncatedPoly":
         return TruncatedPoly.constant(value, self.d, self.cutoff)
 
     @staticmethod
-    def _trusted(d: int, cutoff: int, terms: dict) -> "TruncatedPoly":
-        """Wrap a kernel output that is already clean (nonzero Fractions on
-        d-dimensional monomials within the cutoff) without re-checking it."""
+    def _trusted(d: int, cutoff: int, den: int, ints: dict) -> "TruncatedPoly":
+        """Wrap a kernel output that is already clean (canonical nonzero ints
+        on d-dimensional monomials within the cutoff) without re-checking it."""
         poly = object.__new__(TruncatedPoly)
-        poly.d, poly.cutoff, poly.terms = d, cutoff, terms
+        poly.d, poly.cutoff, poly.den, poly.ints = d, cutoff, den, ints
         return poly
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(unit_monomial(self.d), Fraction(0))
+        return Fraction(self.ints.get(unit_monomial(self.d), 0), self.den)
 
     def depends_on_h(self) -> bool:
-        return any(m.hexp > 0 for m in self.terms)
+        return any(m.hexp > 0 for m in self.ints)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
@@ -384,8 +389,8 @@ class TruncatedPoly(LinearTerms):
         bounds the h-order too)."""
         if _checked_cutoff(cutoff) > self.cutoff:
             raise UsageError("truncated() cannot raise the cutoff; use lifted()")
-        terms = {m: c for m, c in self.terms.items() if m.weight <= cutoff}
-        return TruncatedPoly._trusted(self.d, cutoff, terms)
+        ints = {m: n for m, n in self.ints.items() if m.weight <= cutoff}
+        return TruncatedPoly._trusted(self.d, cutoff, *reduced(self.den, ints))
 
     def lifted(self, cutoff: int) -> "TruncatedPoly":
         """Reinterpret at a higher cutoff.
@@ -396,7 +401,7 @@ class TruncatedPoly(LinearTerms):
         """
         if _checked_cutoff(cutoff) < self.cutoff:
             raise UsageError("lifted() cannot lower the cutoff; use truncated()")
-        return TruncatedPoly._trusted(self.d, cutoff, self.terms)
+        return TruncatedPoly._trusted(self.d, cutoff, self.den, self.ints)
 
     # -- ring operations ---------------------------------------------------
 
@@ -406,8 +411,8 @@ class TruncatedPoly(LinearTerms):
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check_compat(other)
-        terms = _pair_sum(self.terms, other.terms, self.cutoff, _product_kernel)
-        return TruncatedPoly._trusted(self.d, self.cutoff, terms)
+        product = _pair_sum(self.store, other.store, self.cutoff, _product_kernel)
+        return TruncatedPoly._trusted(self.d, self.cutoff, *product)
 
     __rmul__ = __mul__  # a TruncatedPoly operand is always on the left
 
@@ -433,7 +438,7 @@ class TruncatedPoly(LinearTerms):
         """
         if not 0 <= v < 2 * self.d:
             raise UsageError(f"coordinate index {v} out of range for d={self.d}")
-        return TruncatedPoly._trusted(self.d, self.cutoff, _lowered(self.terms, v))
+        return self._with(self.den, _lowered(self.ints, v))
 
     def substitute(self, sub: "Substitution") -> "TruncatedPoly":
         """Substitute coordinate v -> images[v] for all 2d disc coordinates.
@@ -447,22 +452,18 @@ class TruncatedPoly(LinearTerms):
         if not isinstance(sub, Substitution):
             raise UsageError(f"need a Substitution, got {type(sub).__name__}")
         self._check_compat(sub)
-        return TruncatedPoly._trusted(self.d, self.cutoff, sub.apply(self.terms))
+        return TruncatedPoly._trusted(self.d, self.cutoff, *sub.apply(self.store))
 
     def homogeneous_part(self, weight: int) -> "TruncatedPoly":
-        return TruncatedPoly(
-            self.d,
-            self.cutoff,
-            {m: c for m, c in self.terms.items() if m.weight == weight},
-        )
+        return self._with(self.den, {m: n for m, n in self.ints.items() if m.weight == weight})
 
     def min_weight(self):
-        return min((m.weight for m in self.terms), default=None)
+        return min((m.weight for m in self.ints), default=None)
 
     # -- presentation ------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.ints:
             return "0"
         parts = []
         for mono, coeff in self.sorted_terms():
@@ -505,12 +506,11 @@ class Substitution:
     The term x^a y^b h^c maps to h^c * image(x^a y^b), truncated at the
     cutoff.  The powers of the images and the image of each monomial are
     cached as they are first needed; no cached value is handed out.  A
-    monomial's image is cached integer-first, as its int coefficients over
-    their lcm denominator on the packed keys of `_pair_sum` in base
-    B = cutoff + 1 (no field of a monomial within the cutoff reaches B), so
-    `apply` multiplies and sums on ints and keys, then reads each output key
-    from the (base, d) table of `_unpacked` and divides once, into one
-    `Fraction` per output term.
+    monomial's image is cached as its canonical ints over their den on the
+    packed keys of `_pair_sum` in base B = cutoff + 1 (no field of a
+    monomial within the cutoff reaches B), so `apply` takes an int term map,
+    multiplies and sums on ints and keys, then reads each output key from
+    the (base, d) table of `_unpacked` and returns the sums reduced.
     """
 
     __slots__ = ("d", "cutoff", "_powers", "_free", "_images")
@@ -531,7 +531,7 @@ class Substitution:
         self.d, self.cutoff = d, cutoff
         one = TruncatedPoly.one(d, cutoff)
         # per coordinate v: [images[v]^0, images[v]^1, ...] as far as needed
-        self._powers = [[one, TruncatedPoly(d, cutoff, img.terms)] for img in images]
+        self._powers = [[one, img] for img in images]
         self._free = {unit_monomial(d): one}  # h-free monomial -> image
         self._images = {}  # monomial -> (den, (key, int) pairs) of its image
 
@@ -562,18 +562,17 @@ class Substitution:
             room = self.cutoff - 2 * c
             base = self.cutoff + 1
             h_key = c * base ** (2 * self.d)
-            den, ints = integral({m: n for m, n in free.terms.items() if m.weight <= room})
+            den, ints = reduced(free.den, {m: n for m, n in free.ints.items() if m.weight <= room})
             pairs = tuple((_key(m, base) + h_key, n) for m, n in ints.items())
             image = self._images[mono] = (den, pairs)
         return image
 
-    def apply(self, terms) -> dict:
-        """The image of a term map (monomial -> coefficient), as a new dict.
-
-        The input is scaled to ints, each monomial's image is raised to the
-        lcm of the image denominators it uses, and every sum is divided once.
+    def apply(self, store: tuple) -> tuple:
+        """The image of an int term map (den, monomial -> int), as a new
+        canonical (den, ints): each monomial's image is raised to the lcm of
+        the image denominators it uses, and the sums are reduced once.
         """
-        den, ints = integral(terms)
+        den, ints = store
         images = [(n, self._image(mono)) for mono, n in ints.items()]
         scale = lcm(*[image_den for _, (image_den, _) in images])
         sums = accumulate(
@@ -668,7 +667,7 @@ def _checked_components(components, d: int, cutoff: int, degree: int) -> dict:
             raise UsageError(f"component {idx} is not a TruncatedPoly: {poly!r}")
         if poly.d != d or poly.cutoff != cutoff:
             raise UsageError("component truncation mismatch")
-        if poly.terms:
+        if poly.ints:
             clean[idx] = poly
     return clean
 
@@ -723,7 +722,7 @@ class DifferentialForm(LinearTerms):
         # sums and multiples of checked components: only the zeros to drop
         form = object.__new__(DifferentialForm)
         form.d, form.cutoff, form.degree = self.d, self.cutoff, self.degree
-        form.terms = {idx: poly for idx, poly in terms.items() if poly.terms}
+        form.terms = {idx: poly for idx, poly in terms.items() if poly.ints}
         return form
 
     def _scalar(self, value):
@@ -845,23 +844,24 @@ def poisson_bracket(
 ) -> TruncatedPoly:
     """{f, g} = sum Theta_uv d_u f d_v g for h-free functions on the disc:
     each derivative taken once, and each upper-triangle entry (i, j) of Theta
-    times d_i f d_j g - d_j f d_i g, every product a `_pair_sum` of term
-    maps.  No intermediate polynomial is built."""
+    times d_i f d_j g - d_j f d_i g, every product a `_pair_sum` of int term
+    maps and every sum a `sparse.combined`.  No intermediate polynomial is
+    built."""
     f._check_compat(g)
     if f.d != theta.d or f.cutoff != theta.cutoff:
         raise UsageError("bivector truncation mismatch")
     if f.depends_on_h() or g.depends_on_h():
         raise UsageError("poisson_bracket inputs must be h-free")
-    df, dg = ([_lowered(p.terms, v) for v in range(2 * f.d)] for p in (f, g))
+    df, dg = ([(p.den, _lowered(p.ints, v)) for v in range(2 * f.d)] for p in (f, g))
     product = partial(_pair_sum, room=f.cutoff, kernel=_product_kernel)
-    terms = accumulate(
-        term
-        for (i, j), entry in theta.entries.items()
-        for term in product(
-            entry.terms, sub(product(df[i], dg[j]), product(df[j], dg[i]))
-        ).items()
+    bracket = combined(
+        *(
+            product(entry.store, combined(product(df[i], dg[j]), (-den, ji)))
+            for (i, j), entry in theta.entries.items()
+            for den, ji in (product(df[j], dg[i]),)
+        )
     )
-    return TruncatedPoly._trusted(f.d, f.cutoff, terms)
+    return TruncatedPoly._trusted(f.d, f.cutoff, *bracket)
 
 
 def standard_poisson(f: TruncatedPoly, g: TruncatedPoly) -> TruncatedPoly:
@@ -870,8 +870,8 @@ def standard_poisson(f: TruncatedPoly, g: TruncatedPoly) -> TruncatedPoly:
     if f.depends_on_h() or g.depends_on_h():
         raise UsageError("standard_poisson inputs must be h-free")
     f._check_compat(g)
-    terms = _pair_sum(f.terms, g.terms, f.cutoff + 2, _poisson_kernel)
-    return TruncatedPoly._trusted(f.d, f.cutoff, terms)
+    bracket = _pair_sum(f.store, g.store, f.cutoff + 2, _poisson_kernel)
+    return TruncatedPoly._trusted(f.d, f.cutoff, *bracket)
 
 
 def all_monomials(d: int, max_degree: int, min_degree: int = 0):

@@ -7,13 +7,12 @@ values, form components and transported symbols all sum their terms through
 A stored vector never holds a zero.  `exact_str` writes a coefficient in
 full, also past Python's limit on the digits of str(int).
 
-The products of term maps (`series._pair_sum`, the one pair loop behind
-`TruncatedPoly.__mul__`, both Poisson brackets, `weyl.star` and
-`weyl.commutator`, and `Substitution.apply`) compute integer-first here:
-`integral` scales a term map by the lcm of its denominators to int
-coefficients, and the products are summed on ints through `accumulate`,
-keyed by packed int monomial keys (see `series`), before each summed int is
-divided by the common scale, so one `Fraction` is built per output term.
+Polynomials and Weyl elements store a term map once (`IntTerms`), as `den`
+and key -> nonzero int with gcd(den, *ints) == 1 (`reduced`).  Their
+kernels (`series._pair_sum`, behind `TruncatedPoly.__mul__`, both Poisson
+brackets, `weyl.star` and `weyl.commutator`, and `Substitution.apply`) take
+and return that form, summing on ints through `accumulate` on packed
+monomial keys (see `series`); `integral` makes it at a checked constructor.
 
 The verification sweeps of `liealg` check their sums on ints too, reading
 the structure constants as `liealg` stores them: rows[a][b] and rows[b][a],
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import UsageError
@@ -57,6 +56,23 @@ def integral(terms):
     denominators of `terms` (1 for an empty map)."""
     den = lcm(*[c.denominator for c in terms.values()])
     return den, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+
+
+def reduced(den: int, ints: dict) -> tuple:
+    """(den, ints) divided by gcd(den, *ints), for den >= 1: the canonical
+    form of an int term map, (1, {}) when it has no terms."""
+    g = gcd(den, *ints.values())
+    return (den, ints) if g == 1 else (den // g, {key: n // g for key, n in ints.items()})
+
+
+def combined(*stores) -> tuple:
+    """The canonical (den, ints) of the sum of int term maps (den, ints),
+    each raised to the lcm of the denominators; a negative den subtracts its
+    map.  Keys keep the order of `accumulate`."""
+    den = lcm(*[d for d, _ in stores])
+    return reduced(
+        den, accumulate((key, n * (den // d)) for d, ints in stores for key, n in ints.items())
+    )
 
 
 def rational(pairs, den: int) -> dict:
@@ -192,13 +208,13 @@ class LinearTerms:
     """The vector-space structure of an element held as a `terms` vector.
 
     Subclasses store `terms` (key -> nonzero coefficient, all within their
-    truncation: a Fraction on a monomial for polynomials and Weyl elements,
-    a nonzero polynomial on an index tuple for differential forms) and
-    provide `_check_compat(other)`, `_truncation()` (what two elements must
-    share to be equal), `_with(terms)` (an element of the same truncation,
-    dropping what the sum left zero where the coefficients are not plain
-    numbers) and `_scalar(value)` (a multiple of the unit, or a refusal).
-    An int or Fraction operand goes to `_scalar`.
+    truncation: for differential forms, a nonzero polynomial on an index
+    tuple) and provide `_check_compat(other)`, `_truncation()` (what two
+    elements must share to be equal), `_with(terms)` (an element of the same
+    truncation, dropping what the sum left zero where the coefficients are
+    not plain numbers) and `_scalar(value)` (a multiple of the unit, or a
+    refusal).  An int or Fraction operand goes to `_scalar`.  `IntTerms`
+    keeps the int form of polynomials and Weyl elements instead.
     """
 
     __slots__ = ()
@@ -213,23 +229,22 @@ class LinearTerms:
 
     def __add__(self, other):
         other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self._with(add(self.terms, other.terms))
+        return NotImplemented if other is None else self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return self._with(sub(self.terms, other.terms))
+        return NotImplemented if other is None else self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return self._with({key: -coeff for key, coeff in self.terms.items()})
+        return self.scaled(-1)
+
+    def _sum(self, other, sign: int):
+        return self._with((add if sign > 0 else sub)(self.terms, other.terms))
 
     def scaled(self, value):
         return self._with(scale(self.terms, as_fraction(value)))
@@ -237,10 +252,66 @@ class LinearTerms:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def store(self):
+        return self.terms
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._truncation() == other._truncation() and self.terms == other.terms
+        return self._truncation() == other._truncation() and self.store == other.store
 
     def __hash__(self):
         return hash(self._truncation() + (frozenset(self.terms.items()),))
+
+
+class FractionView(Mapping):
+    """The term map of an `IntTerms` element read as `Fraction`s, each built
+    when its key is read; length, iteration and keys read the ints alone."""
+
+    __slots__ = ("den", "ints")
+
+    def __init__(self, den: int, ints: dict):
+        self.den, self.ints = den, ints
+
+    def __getitem__(self, key):
+        return Fraction(self.ints[key], self.den)
+
+    def __iter__(self):
+        return iter(self.ints)
+
+    def __len__(self):
+        return len(self.ints)
+
+
+class IntTerms(LinearTerms):
+    """The linear structure of an element whose term map is stored once, as
+    `den` and `ints` (key -> nonzero int) in the canonical form of
+    `reduced`.  The form is unique, so == and hash read the ints, and
+    `terms` is a read-only `FractionView` of them.  `_with(den, ints)`
+    gives the element of the same truncation with those ints reduced.
+    """
+
+    __slots__ = ()
+
+    @property
+    def terms(self) -> FractionView:
+        return FractionView(self.den, self.ints)
+
+    @property
+    def store(self) -> tuple:
+        return self.den, self.ints
+
+    def _sum(self, other, sign: int):
+        return self._with(*combined(self.store, (sign * other.den, other.ints)))
+
+    def scaled(self, value):
+        value = as_fraction(value)
+        ints = {key: n * value.numerator for key, n in self.ints.items()} if value else {}
+        return self._with(self.den * value.denominator, ints)
+
+    def is_zero(self) -> bool:
+        return not self.ints
+
+    def __hash__(self):
+        return hash(self._truncation() + (self.den, frozenset(self.ints.items())))

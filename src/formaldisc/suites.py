@@ -349,7 +349,7 @@ def darboux_suite(report: Report, d, p, n, rng):
             if darboux.transported_product_symbol(phi, a2, one, spec, phi_inv) != a2:
                 raise CheckFailure("transported product not unital")
             sym = prod - darboux.transported_product_symbol(phi, b2, a2, spec, phi_inv)
-            if any(m.hexp == 0 for m in sym.terms):
+            if any(m.hexp == 0 for m in sym.ints):
                 raise CheckFailure("transported product not commutative mod h")
             bracket = darboux.transported_induced_poisson(phi, a, b, phi_inv)
             if bracket != poisson_bracket(a, b, theta):

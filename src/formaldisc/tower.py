@@ -94,12 +94,13 @@ def level_monomials(d: int, h_max: int, n: int):
 
 
 def _transported_bracket(a: WeylElement, b: WeylElement):
-    """[h^-1 a, h^-1 b] = h^-1([a, b]/h) as (monomial, coefficient) pairs for
-    two lifts of one truncation, exact when it holds the whole commutator
-    (see `build_g_level`): at h-order q+1 every term carries h."""
+    """[h^-1 a, h^-1 b] = h^-1([a, b]/h) as (monomial, int) pairs for two
+    unit lifts (one monomial each, coefficient 1) of one truncation, exact
+    when it holds the whole commutator (see `build_g_level`): at h-order
+    q+1 every term carries h, and the commutator's den is 1."""
     return (
-        (_packed((m.xexp, m.yexp, m.hexp - 1, m.weight - 2)), c)
-        for m, c in commutator(a, b).terms.items()
+        (_packed((m.xexp, m.yexp, m.hexp - 1, m.weight - 2)), n)
+        for m, n in commutator(a, b).ints.items()
     )
 
 
@@ -145,7 +146,7 @@ def build_g_level(d: int, q: int, n: int) -> GradedLieAlgebra:
             return _quotient(upper, name, lambda m: m.hexp <= q)
         monos = level_monomials(d, q, n)
         spec = TruncationSpec(d, q + 1, n + 2)
-        lifts = {m: WeylElement._trusted(spec, {m: Fraction(1)}) for m in monos}
+        lifts = {m: WeylElement._trusted(spec, 1, {m: 1}) for m in monos}
         return tabulate(
             name,
             monos,

@@ -18,10 +18,11 @@ cancel, so it sums only the contractions of the two orders and never calls
 where a contraction of k_i pairs x_i y_i into h^k_i is the key shift
 k_i (B^(2d) - B^i - B^(d+i)): `_contractions` caches those shifts with
 their int coefficients, and no kernel builds a monomial.  The term-map
-mechanics are those of `series`: `star` and `commutator` extend a kernel
-through its integer-first pair loop, `iota` moves keys by the same shifts,
-`WeylElement` checks its terms as `TruncatedPoly` does, and `h_linear_part`
-reads (1/h)[a, b] mod h for both bracket routes.
+mechanics are those of `series`: `WeylElement` stores its terms as ints over
+one denominator and checks them as `TruncatedPoly` does, `star` and
+`commutator` extend a kernel through its integer pair loop, `iota` moves
+keys by the same shifts, and `h_linear_part` reads (1/h)[a, b] mod h off
+the ints for both bracket routes.  No kernel builds a `Fraction`.
 `normal_order_random_strategy` rewrites words with the defining relation
 y_j x_i -> x_i y_j - delta_ij h at random positions; it is kept as the
 independent oracle.
@@ -46,7 +47,7 @@ from .series import (
     standard_poisson,
     unit_monomial,
 )
-from .sparse import LinearTerms, accumulate, as_fraction
+from .sparse import IntTerms, accumulate, as_fraction, reduced
 
 
 @dataclass(frozen=True)
@@ -68,19 +69,20 @@ class TruncationSpec:
         return TruncationSpec(self.d, self.h_order + extra_h, self.cutoff + extra_weight)
 
 
-class WeylElement(LinearTerms):
+class WeylElement(IntTerms):
     """Normal-ordered element of D_p: finite map from monomials to rationals.
 
-    Two elements are equal iff their term maps are equal; the map is the
-    canonical form.  The linear structure (+, -, scaled, ==, hash) is the
-    shared one of `sparse.LinearTerms`.
+    The map is stored as `den` and `ints` (monomial -> nonzero int) in the
+    canonical form of `sparse.reduced`, so two elements are equal iff their
+    ints are; `terms` reads them as `Fraction`s.  The linear structure
+    (+, -, scaled, ==, hash) is the shared one of `sparse.IntTerms`.
     """
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "den", "ints")
 
     def __init__(self, spec: TruncationSpec, terms=None):
         self.spec = spec
-        self.terms = _checked_terms(terms, spec.d, spec.cutoff, spec.h_order)
+        self.den, self.ints = _checked_terms(terms, spec.d, spec.cutoff, spec.h_order)
 
     # -- constructors ------------------------------------------------------
 
@@ -113,7 +115,8 @@ class WeylElement(LinearTerms):
             raise UsageError("dimension mismatch in lift")
         if p.cutoff != spec.cutoff:
             raise UsageError("cutoff mismatch in lift")
-        return WeylElement(spec, dict(p.terms))
+        kept = {m: n for m, n in p.ints.items() if m.hexp <= spec.h_order}
+        return WeylElement._trusted(spec, *reduced(p.den, kept))
 
     # -- linear structure ----------------------------------------------------
 
@@ -124,23 +127,24 @@ class WeylElement(LinearTerms):
     def _truncation(self):
         return (self.spec,)
 
-    def _with(self, terms) -> "WeylElement":
-        return WeylElement._trusted(self.spec, terms)
+    def _with(self, den: int, ints: dict) -> "WeylElement":
+        return WeylElement._trusted(self.spec, *reduced(den, ints))
 
     @staticmethod
-    def _trusted(spec: TruncationSpec, terms: dict) -> "WeylElement":
-        """Wrap a kernel output that is already clean (nonzero Fractions on
-        d-dimensional monomials within the truncation) without re-checking it."""
+    def _trusted(spec: TruncationSpec, den: int, ints: dict) -> "WeylElement":
+        """Wrap a kernel output that is already clean (canonical nonzero ints
+        on d-dimensional monomials within the truncation) without re-checking."""
         element = object.__new__(WeylElement)
-        element.spec, element.terms = spec, terms
+        element.spec, element.den, element.ints = spec, den, ints
         return element
 
     def _scalar(self, value) -> "WeylElement":
         return WeylElement.scalar(value, self.spec)
 
     def symbol(self) -> TruncatedPoly:
-        """The normal-order symbol: the same exponents read commutatively."""
-        return TruncatedPoly(self.spec.d, self.spec.cutoff, dict(self.terms))
+        """The normal-order symbol: the same exponents read commutatively
+        (weight <= N bounds the h-order by N // 2, as a polynomial's is)."""
+        return TruncatedPoly._trusted(self.spec.d, self.spec.cutoff, self.den, self.ints)
 
     def respec(self, spec: TruncationSpec) -> "WeylElement":
         """Reinterpret under another truncation.
@@ -150,7 +154,7 @@ class WeylElement(LinearTerms):
         """
         if spec.d != self.spec.d:
             raise UsageError("cannot respec across dimensions")
-        return WeylElement(spec, dict(self.terms))
+        return WeylElement(spec, self.terms)
 
     def __str__(self):
         return str(self.symbol())
@@ -231,7 +235,7 @@ def star(a: WeylElement, b: WeylElement) -> WeylElement:
     a._check_compat(b)
     spec = a.spec
     kernel = partial(_star_kernel, spec.h_order)
-    return WeylElement._trusted(spec, _pair_sum(a.terms, b.terms, spec.cutoff, kernel))
+    return WeylElement._trusted(spec, *_pair_sum(a.store, b.store, spec.cutoff, kernel))
 
 
 def normal_order(word, spec: TruncationSpec, scalar=1) -> WeylElement:
@@ -311,7 +315,7 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     a._check_compat(b)
     spec = a.spec
     kernel = partial(_commutator_kernel, spec.h_order)
-    return WeylElement._trusted(spec, _pair_sum(a.terms, b.terms, spec.cutoff, kernel))
+    return WeylElement._trusted(spec, *_pair_sum(a.store, b.store, spec.cutoff, kernel))
 
 
 def iota(a: WeylElement) -> WeylElement:
@@ -325,21 +329,18 @@ def iota(a: WeylElement) -> WeylElement:
     base = spec.cutoff + 1
     sums = accumulate(
         (key + shift, signed * k)
-        for mono, coeff in a.terms.items()
+        for mono, n in a.ints.items()
         for key in (_key(mono, base),)
-        for signed in (-coeff if mono.hexp % 2 else coeff,)
+        for signed in (-n if mono.hexp % 2 else n,)
         for shift, k in _contractions(mono.yexp, mono.xexp, spec.h_order - mono.hexp, base)
     )
-    return WeylElement._trusted(spec, _unpacked(sums, base, spec.d))
+    return WeylElement._trusted(spec, *_unpacked(sums, base, spec.d, a.den))
 
 
 def mod_h(a: WeylElement) -> TruncatedPoly:
     """Projection D_p -> A dropping every term divisible by h."""
-    return TruncatedPoly(
-        a.spec.d,
-        a.spec.cutoff,
-        {m: c for m, c in a.terms.items() if m.hexp == 0},
-    )
+    kept = {m: n for m, n in a.ints.items() if m.hexp == 0}
+    return TruncatedPoly._trusted(a.spec.d, a.spec.cutoff, *reduced(a.den, kept))
 
 
 def induced_poisson(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
@@ -353,23 +354,23 @@ def induced_poisson(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
     if a.depends_on_h() or b.depends_on_h():
         raise UsageError("induced_poisson inputs must be h-free")
     inner = TruncationSpec(a.d, 1, a.cutoff + 2)
-    wa = WeylElement(inner, dict(a.terms))
-    wb = WeylElement(inner, dict(b.terms))
-    return h_linear_part(commutator(wa, wb).terms, a.d, a.cutoff)
+    wa, wb = (WeylElement._trusted(inner, p.den, p.ints) for p in (a, b))
+    return h_linear_part(commutator(wa, wb), a.d, a.cutoff)
 
 
-def h_linear_part(terms, d: int, cutoff: int) -> TruncatedPoly:
-    """(1/h) times a commutator's term map, mod h, at weight cutoff; every
-    term of a commutator carries h, so one without is an internal fault."""
+def h_linear_part(bracket, d: int, cutoff: int) -> TruncatedPoly:
+    """(1/h) times a commutator or its symbol, mod h, at weight cutoff, read
+    off its ints; every term of a commutator carries h, so one without is
+    an internal fault."""
     out = {}
-    for mono, coeff in terms.items():
+    for mono, n in bracket.ints.items():
         if mono.hexp < 1:
             raise InternalError(
                 f"commutator term {mono} not divisible by h (must never happen)"
             )
         if mono.hexp == 1 and mono.weight - 2 <= cutoff:
-            out[Monomial(mono.xexp, mono.yexp, 0)] = coeff
-    return TruncatedPoly._trusted(d, cutoff, out)
+            out[Monomial(mono.xexp, mono.yexp, 0)] = n
+    return TruncatedPoly._trusted(d, cutoff, *reduced(bracket.den, out))
 
 
 def center_check(a: WeylElement) -> bool:

@@ -326,6 +326,27 @@ class TestTransportedStar:
                 a, b, theta
             )
 
+    def test_an_inverse_of_another_truncation_is_refused(self):
+        # phi at N = 8 carries cutoff 9; the inverse of the N = 6 change
+        # carries cutoff 7, and read with it the bracket of x1 and y1 came
+        # back as 1/(1+x1) cut after x1^5
+        def change(n):
+            return darboux_normalize(check_symplectic(one_plus_x_form(1, n)))
+
+        phi = change(8)
+        x, y = coord(0, 1, 7), coord(1, 1, 7)
+        spec = TruncationSpec(1, 2, phi.cutoff)
+        x9 = coord(0, 1, phi.cutoff)
+        for other in (change(6).inverse(), FormalCoordChange.identity(2, phi.cutoff)):
+            with pytest.raises(UsageError, match="inverse change must share"):
+                transported_induced_poisson(phi, x, y, other)
+            with pytest.raises(UsageError, match="inverse change must share"):
+                transported_product_symbol(phi, x9, x9, spec, other)
+        theta = form_to_bivector(check_symplectic(one_plus_x_form(1, 7)))
+        expected = poisson_bracket(x, y, theta)
+        assert transported_induced_poisson(phi, x, y, phi.inverse()) == expected
+        assert str(expected) == "1 - x1 + x1^2 - x1^3 + x1^4 - x1^5 + x1^6 - x1^7"
+
     def test_shallow_phi_rejected_for_bracket(self):
         d, n = 1, 6
         ident = FormalCoordChange.identity(d, n)

@@ -10,7 +10,9 @@ The other `_d2` ones were written while `Monomial` was a frozen dataclass
 that summed its weight on every read, the `_d3` ones while the pair loop and
 the substitution still summed on `Monomial` keys, before packed int keys,
 and `poisson_form_d2` while `poisson_bracket` summed its own loop over
-monomial triples, before it took its products from the pair loop.  The
+monomial triples, before it took its products from the pair loop, and
+`transport_d1_N8` while every kernel call divided its int sums into one
+`Fraction` per output term, before term maps were stored as ints.  The
 others were written by the CLI in which each subcommand printed and wrote
 `--json` itself, before `main` became its one exit path.  The stdout and the `--json` file of each command
 must stay byte-identical, so a change of coefficient arithmetic or of the
@@ -50,6 +52,13 @@ COMMANDS = {
     "transport_d2": [
         "darboux", "transport", "--form", "(1+x1) * dx1 /\\ dy1 + dx2 /\\ dy2",
         "--a", "x1*y2 + 1/2*y1", "--b", "x2^2 - 3*y1*y2", *FLAGS_D2,
+    ],
+    # the transport workload's shape, with denominators up to 6442450941
+    "transport_d1_N8": [
+        "darboux", "transport", "--form", "(1+x1) * dx1 /\\ dy1",
+        "--a", "3/7*x1^2 + 1/3*y1 - x1*y1",
+        "--b", "x1*y1^2 - 5/11*y1^3 + 1/2147483647*x1",
+        "--d", "1", "--p", "2", "--N", "8",
     ],
     "transport_d3": [
         "darboux", "transport",

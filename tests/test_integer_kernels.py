@@ -1,9 +1,10 @@
 """The packed integer kernels against the routes they replaced.
 
-`star`, `commutator`, `iota`, `TruncatedPoly.__mul__`, `standard_poisson`
-and `Substitution.apply` scale their operands to ints, sum on packed int
-keys and decode each output key through one table per (base, d), tested
-below against the divmod loop it caches.  Two references stand here.  The
+`star`, `commutator`, `iota`, `TruncatedPoly.__mul__`, both Poisson
+brackets and `Substitution.apply` take their operands as ints over one
+denominator, sum on packed int keys, decode each output key through one
+table per (base, d), tested below against the divmod loop it caches, and
+return the canonical int form.  Two references stand here.  The
 Fraction references take a `Fraction` product for every pair of terms,
 summed through `accumulate`.  The Monomial-keyed references are the integer
 route before packed keys: the same pair loop and substitution, summed on
@@ -13,8 +14,9 @@ on seeded inputs with denominators 1, 2, 3, 7 and 2^61 - 1, with h-terms,
 with terms that cancel, with an empty operand and with operands whose every
 pair is over the cutoff; the Monomial-keyed one also on d = 1, 2, 3 up to
 N = 1000, where a key of d = 3 is past 2^63.  Every output must also keep
-the contract of the unchecked `_trusted` wrappers: nonzero `Fraction`s on
-monomials of the right dimension inside the truncation.
+the contract of the unchecked `_trusted` wrappers: nonzero ints over a den
+they share no factor with, on monomials of the right dimension inside the
+truncation, read back as nonzero `Fraction`s.
 """
 
 import ast
@@ -22,7 +24,7 @@ import random
 import re
 from fractions import Fraction
 from functools import partial
-from math import comb, lcm, perm
+from math import comb, gcd, lcm, perm
 from pathlib import Path
 
 import pytest
@@ -33,16 +35,19 @@ from test_reference_sweeps import reference_transported_bracket
 from formaldisc import tower
 from formaldisc.series import (
     Monomial,
+    PoissonBivector,
     Substitution,
     TruncatedPoly,
     _decoded,
     _key,
+    _lowered,
     _unpacked,
     all_monomials,
     monomial_poisson,
+    poisson_bracket,
     standard_poisson,
 )
-from formaldisc.sparse import accumulate, integral, rational
+from formaldisc.sparse import accumulate, add, integral, rational, scale, sub
 from formaldisc.weyl import TruncationSpec, WeylElement, commutator, iota, star
 
 DENOMINATORS = (1, 2, 3, 7, 2**61 - 1)
@@ -208,6 +213,20 @@ def reference_apply(images, terms):
     return accumulate(pairs)
 
 
+def assert_canonical(den, ints):
+    """The stored form: den >= 1, no zero int, gcd(den, *ints) == 1."""
+    assert den >= 1 and all(type(n) is int and n for n in ints.values()), (den, ints)
+    assert gcd(den, *ints.values()) == 1, (den, ints)
+
+
+def applied(sub, terms):
+    """`sub` applied to the int form of a Fraction term map, checked
+    canonical and read back as Fractions."""
+    den, ints = sub.apply(integral(terms))
+    assert_canonical(den, ints)
+    return {m: Fraction(n, den) for m, n in ints.items()}
+
+
 def assert_clean(terms, d, cutoff, h_order=None):
     """The `_trusted` contract: nonzero Fractions, in the truncation."""
     for mono, coeff in terms.items():
@@ -245,7 +264,7 @@ def test_every_built_monomial_carries_its_true_weight(pair):
     built += [m for m, _ in reference_transported_bracket(m1, m2, d, 2)]
     # the tower's route: lifts into one truncation wider than the pair
     level = TruncationSpec(d, 3, m1.weight + m2.weight + 3)
-    lifts = [WeylElement._trusted(level, {m: Fraction(1)}) for m in (m1, m2)]
+    lifts = [WeylElement._trusted(level, 1, {m: 1}) for m in (m1, m2)]
     built += [m for m, _ in tower._transported_bracket(*lifts)]
     spec = TruncationSpec(d, 4, m1.weight + m2.weight)
     a, b = WeylElement(spec, {m1: 1}), WeylElement(spec, {m2: 1, m1: Fraction(1, 3)})
@@ -260,7 +279,7 @@ def test_every_built_monomial_carries_its_true_weight(pair):
         TruncatedPoly.coordinate(v, d, cutoff) + TruncatedPoly.coordinate(v, d, cutoff) ** 2
         for v in range(2 * d)
     ]
-    built += Substitution(images).apply({m1: Fraction(1), m2: Fraction(-2)})
+    built += applied(Substitution(images), {m1: Fraction(1), m2: Fraction(-2)})
     assert len(built) > 1
     for mono in built:
         assert mono.weight == true_weight(mono), mono
@@ -404,7 +423,7 @@ def test_packed_route_matches_the_monomial_route(case):
         images = [u + u * u.scaled(scales[v]) for v, u in enumerate(images)]
     sub = Substitution(images)
     for terms in (p.terms, q.terms, p.terms):  # the last reads cached images
-        got = sub.apply(terms)
+        got = applied(sub, terms)
         assert terms_in_order(got) == terms_in_order(monomial_apply(sub, terms))
         assert_clean(got, d, cutoff)
 
@@ -490,14 +509,16 @@ def test_substitution_matches_the_fraction_route(d, cutoff):
     u0 = Monomial((1,) + (0,) * (d - 1), (0,) * d, 0)
     m, c = next((m, c) for m, c in images[0].terms.items() if m != u0)
     cancelling = {u0: Fraction(1), m: -c, Monomial((0,) * d, (0,) * d, 0): Fraction(2)}
-    assert m not in sub.apply(cancelling)
+    assert m not in applied(sub, cancelling)
     inputs.append(cancelling)
     for terms in inputs * 2:  # the second pass reads the cached images
-        got = sub.apply(terms)
+        den, ints = sub.apply(integral(terms))
+        got = {m: Fraction(n, den) for m, n in ints.items()}
         assert got == reference_apply(images, terms), terms
         assert_clean(got, d, cutoff)
-        got.clear()  # a returned dict is the caller's own
-    assert sub.apply({}) == {}
+        assert_canonical(den, ints)
+        ints.clear()  # a returned dict is the caller's own
+    assert sub.apply((1, {})) == (1, {})
 
 
 def reference_decode(key, base, d):
@@ -521,12 +542,14 @@ def test_a_decoded_key_belongs_to_its_base_and_dimension(order):
     rng = random.Random(30)
     for base, d in order:
         for _ in range(2):
-            ((mono, coeff),) = _unpacked({5: 3}, base, d, 2).items()
+            den, ints = _unpacked({5: 3}, base, d, 2)
+            ((mono, n),) = ints.items()
             assert mono == reference_decode(5, base, d) and str(mono) == names[d]
-            assert mono.weight == true_weight(mono) and coeff == Fraction(3, 2)
+            assert mono.weight == true_weight(mono) and (n, den) == (3, 2)
         sums = dict.fromkeys(rng.sample(range(base ** (2 * d + 1)), 40), 1)
         expected = [reference_decode(k, base, d) for k in sums]
-        assert list(_unpacked(sums, base, d)) == expected == list(_unpacked(sums, base, d))
+        decoded = [list(_unpacked(sums, base, d)[1]) for _ in range(2)]
+        assert decoded == [expected, expected]
         assert all(m.weight == true_weight(m) for m in _decoded(base, d).values())
 
 
@@ -540,18 +563,133 @@ def test_a_truncation_table_holds_only_the_monomials_returned():
     sub = Substitution(random_images(rng, spec.d, spec.cutoff))
     pool = monomials(spec)
     inputs = [random_terms(rng, pool, rng.randint(1, 8)) for _ in range(10)]
-    for terms in inputs:
-        sub.apply(terms)  # builds the images' powers before the sweeps
+    inputs = [integral(terms) for terms in inputs]
+    for store in inputs:
+        sub.apply(store)  # builds the images' powers before the sweeps
     pairs = [
         [WeylElement(spec, random_terms(rng, pool, rng.randint(1, 8))) for _ in range(2)]
         for _ in range(10)
     ]
     table = _decoded(base, spec.d)
     table.clear()
-    outputs = [star(a, b).terms for a, b in pairs] + [sub.apply(terms) for terms in inputs]
+    outputs = [star(a, b).ints for a, b in pairs] + [sub.apply(store)[1] for store in inputs]
     returned = {m for terms in outputs for m in terms}
     assert len(table) == len(returned) < sum(map(len, outputs))
     assert all(table[_key(m, base)] is m for terms in outputs for m in terms)
+
+
+BIG = 2**61 - 1  # a Mersenne prime, so no lcm with it is small
+
+
+def fraction_product(left, right, room):
+    """The truncated product of two Fraction term maps, c1 * c2 per pair."""
+    return accumulate(
+        (m1.mul(m2), c1 * c2)
+        for m1, c1 in left.items()
+        for m2, c2 in right.items()
+        if m1.weight + m2.weight <= room
+    )
+
+
+def reference_standard_poisson(f, g):
+    """{f, g} with a Fraction c1 * c2 for every pair under cutoff + 2."""
+    return accumulate(
+        (m, c1 * c2 * k)
+        for m1, c1 in f.terms.items()
+        for m2, c2 in g.terms.items()
+        if m1.weight + m2.weight <= f.cutoff + 2
+        for m, k in monomial_poisson(m1, m2)
+    )
+
+
+def reference_poisson(f, g, theta):
+    """sum over Theta's upper entries of entry (d_i f d_j g - d_j f d_i g),
+    every product and sum on Fraction term maps."""
+    df, dg = ([_lowered(p.terms, v) for v in range(2 * f.d)] for p in (f, g))
+    n = f.cutoff
+    return accumulate(
+        term
+        for (i, j), entry in theta.entries.items()
+        for diff in (sub(fraction_product(df[i], dg[j], n), fraction_product(df[j], dg[i], n)),)
+        for term in fraction_product(entry.terms, diff, n).items()
+    )
+
+
+@st.composite
+def stored_cases(draw):
+    """A truncation of d = 1, 2 or 3, two term maps on it with h-terms, zero
+    coefficients and denominators up to 2^61 - 1 (the first may be empty,
+    or the second may cancel some of its terms), and a scalar."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    spec = TruncationSpec(d, draw(st.integers(0, 2)), draw(st.sampled_from([2, 4, 6])))
+    dens = st.sampled_from([1, 2, 3, 4, 6, 7, BIG, 2 * BIG])
+    coeff = st.builds(Fraction, st.integers(-6, 6), dens)
+    exponents = st.tuples(*[st.integers(0, 2)] * d)
+    monomial = st.builds(Monomial, exponents, exponents, st.integers(0, 2))
+    left, right = (draw(st.dictionaries(monomial, coeff, max_size=5)) for _ in range(2))
+    shape = draw(st.sampled_from(["random", "empty", "cancel"]))
+    if shape == "empty":
+        left = {}
+    if shape == "cancel":
+        right.update({m: -c for m, c in left.items() if draw(st.booleans())})
+    scalars = [0, 1, -1, 2, 6, Fraction(-3, 4), Fraction(1, BIG), Fraction(BIG, 2)]
+    return spec, left, right, draw(st.sampled_from(scalars))
+
+
+@settings(max_examples=120, deadline=None)
+@given(stored_cases())
+def test_every_output_is_stored_canonical(case):
+    """Every polynomial and Weyl element that a checked constructor or a
+    kernel returns holds den >= 1 and nonzero ints with gcd(den, *ints) ==
+    1, reads back the terms of the Fraction oracle in its order, and
+    compares and hashes as those terms do."""
+    spec, left, right, value = case
+    d, n = spec.d, spec.cutoff
+
+    def kept(terms, h_order):
+        return {m: c for m, c in terms.items() if c and m.weight <= n and m.hexp <= h_order}
+
+    a, b = WeylElement(spec, left), WeylElement(spec, right)
+    p, q = TruncatedPoly(d, n, left), TruncatedPoly(d, n, right)
+    f, g = (TruncatedPoly(d, n, kept(t, 0)) for t in (left, right))
+    x1 = TruncatedPoly.x(0, d, n)
+    images = [
+        TruncatedPoly.coordinate(v, d, n) + (x1 * x1).scaled(Fraction(v + 1, BIG))
+        for v in range(2 * d)
+    ]
+    substitution = Substitution(images)
+    upper = {(i, d + i): TruncatedPoly.one(d, n) for i in range(d)}
+    upper[(0, d)] = upper[(0, d)] + x1.scaled(Fraction(2, 7))
+    theta = PoissonBivector(d, n, upper)
+    weyl = [
+        (a, kept(left, spec.h_order)),
+        (b, kept(right, spec.h_order)),
+        (a + b, add(a.terms, b.terms)),
+        (a - b, sub(a.terms, b.terms)),
+        (a.scaled(value), scale(a.terms, Fraction(value))),
+        (star(a, b), reference_bilinear(_normal_product, a, b)),
+        (commutator(a, b), reference_bilinear(_normal_commutator, a, b)),
+        (iota(a), monomial_iota(a)),
+    ]
+    polys = [
+        (p, kept(left, n)),
+        (q, kept(right, n)),
+        (p + q, add(p.terms, q.terms)),
+        (p - q, sub(p.terms, q.terms)),
+        (p.scaled(value), scale(p.terms, Fraction(value))),
+        (p * q, reference_mul(p, q)),
+        (p.substitute(substitution), monomial_apply(substitution, p.terms)),
+        (standard_poisson(f, g), reference_standard_poisson(f, g)),
+        (poisson_bracket(f, g, theta), reference_poisson(f, g, theta)),
+    ]
+    for outputs in (weyl, polys):
+        for element, oracle in outputs:
+            assert_canonical(element.den, element.ints)
+            assert terms_in_order(element) == terms_in_order(oracle), element
+        for e1, o1 in outputs:
+            for e2, o2 in outputs:
+                assert (e1 == e2) == (o1 == o2)
+                assert hash(e1) == hash(e2) or o1 != o2
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "formaldisc"

@@ -125,8 +125,8 @@ def reference_transported_bracket(m1, m2, d, q):
     weight of every term.  The route `tower` took before it lifted each
     basis monomial once per level."""
     spec = TruncationSpec(d, q + 1, m1.weight + m2.weight)
-    a = WeylElement._trusted(spec, {m1: Fraction(1)})
-    b = WeylElement._trusted(spec, {m2: Fraction(1)})
+    a = WeylElement(spec, {m1: Fraction(1)})
+    b = WeylElement(spec, {m2: Fraction(1)})
     return (
         (_packed((m.xexp, m.yexp, m.hexp - 1, m.weight - 2)), c)
         for m, c in commutator(a, b).terms.items()

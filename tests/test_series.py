@@ -15,7 +15,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -613,9 +613,10 @@ def fused_poisson_bracket(f, g, theta):
 
 
 def assert_trusted(p):
-    """The contract of `TruncatedPoly._trusted`: a dict of nonzero Fractions
-    on d-dimensional monomials within the cutoff."""
-    assert type(p.terms) is dict
+    """The contract of `TruncatedPoly._trusted`: a dict of nonzero ints over
+    a den >= 1 they share no factor with, on d-dimensional monomials within
+    the cutoff, read back as nonzero Fractions."""
+    assert type(p.ints) is dict and p.den >= 1 and gcd(p.den, *p.ints.values()) == 1
     for m, c in p.terms.items():
         assert type(c) is Fraction and c != 0, (m, c)
         assert len(m.xexp) == len(m.yexp) == p.d and m.weight <= p.cutoff, m

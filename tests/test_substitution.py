@@ -254,18 +254,20 @@ def test_changing_a_result_in_place_does_not_change_the_next():
         psi = random_change(rng, phi.d, phi.cutoff)
         for name, call, expected in _tasks(phi, inputs):
             first = call(phi)
+            # the stored ints are the one map a result holds (its terms are
+            # a read-only view of them)
             if isinstance(first, DifferentialForm):
-                terms = [poly.terms for poly in first.terms.values()]
+                stores = [poly.ints for poly in first.terms.values()]
             else:
-                terms = [first.terms]
-            for t in terms:
-                for key in list(t)[:2]:
-                    t[key] = Fraction(99)
-                t[Monomial((0,) * phi.d, (0,) * phi.d, 0)] = Fraction(7)
+                stores = [first.ints]
+            for ints in stores:
+                for key in list(ints)[:2]:
+                    ints[key] = 99
+                ints[Monomial((0,) * phi.d, (0,) * phi.d, 0)] = 7
             assert call(phi) == expected, name
         composed = psi.compose(phi)
         for comp in composed.components:
-            comp.terms.clear()
+            comp.ints.clear()
         assert list(psi.compose(phi).components) == reference_compose(psi, phi)
 
 
